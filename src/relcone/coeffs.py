@@ -16,6 +16,7 @@ no value is ever a float.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import MulOnAngleQ, ParseError, RingMismatch, UnsupportedRing
@@ -52,6 +53,8 @@ class CoeffRing:
                 raise RingMismatch(f"{v!r} is not an integer")
             return v
         if self.kind == "Q":
+            if type(v) is Fraction:
+                return v  # immutable, so already canonical
             if isinstance(v, (int, Fraction)):
                 return Fraction(v)
             raise RingMismatch(f"{v!r} is not rational")
@@ -233,13 +236,34 @@ def angle_lift(a: Scalar) -> Scalar:
 # ---------------------------------------------------------------------------
 
 _SAFE_INT = 2**53
+# int <-> str refuses texts past an interpreter-wide digit limit (4300 by
+# default, never below this); decimal converts exactly at any length.
+_DIGIT_LIMIT_FLOOR = 640
+
+
+def int_from_text(text: str) -> int:
+    """int(text); a plain [+-]digits literal may have any length."""
+    if len(text) < _DIGIT_LIMIT_FLOOR:
+        return int(text)
+    if not (text[1:] if text[0] in "+-" else text).isdecimal():
+        raise ValueError(f"invalid integer literal of {len(text)} characters")
+    return int(Decimal(text))
+
+
+def _preview(obj) -> str:
+    """repr(obj) cut to 80 characters; huge integers have no repr."""
+    try:
+        text = repr(obj)
+    except ValueError:
+        text = f"<{type(obj).__name__}>"
+    return text if len(text) <= 80 else text[:77] + "..."
 
 
 def value_to_json(ring: CoeffRing, v):
     if ring.kind == "Z":
-        return v if abs(v) < _SAFE_INT else str(v)
+        return v if abs(v) < _SAFE_INT else str(Decimal(v))
     if ring.kind in ("Q", "U1"):
-        return f"{v.numerator}/{v.denominator}"
+        return f"{Decimal(v.numerator)}/{Decimal(v.denominator)}"
     return {"mod": ring.modulus, "val": v}
 
 
@@ -247,25 +271,28 @@ def value_from_json(ring: CoeffRing, obj):
     try:
         if ring.kind == "Z":
             if isinstance(obj, str):
-                return int(obj)
+                return int_from_text(obj)
             if isinstance(obj, bool) or not isinstance(obj, int):
-                raise ParseError(f"expected integer, got {obj!r}")
+                raise ParseError(f"expected integer, got {_preview(obj)}")
             return obj
         if ring.kind in ("Q", "U1"):
             if isinstance(obj, str):
-                return ring.normalize(Fraction(obj))
+                if len(obj) < _DIGIT_LIMIT_FLOOR:
+                    return ring.normalize(Fraction(obj))
+                num, slash, den = obj.partition("/")
+                return ring.normalize(Fraction(int_from_text(num), int_from_text(den) if slash else 1))
             if isinstance(obj, bool) or not isinstance(obj, int):
-                raise ParseError(f"expected rational, got {obj!r}")
+                raise ParseError(f"expected rational, got {_preview(obj)}")
             return ring.normalize(obj)
         if isinstance(obj, dict):
             if obj.get("mod") != ring.modulus:
-                raise ParseError(f"residue {obj!r} has wrong modulus for {ring}")
+                raise ParseError(f"residue {_preview(obj)} has wrong modulus for {ring}")
             return ring.normalize(obj["val"])
         if isinstance(obj, bool) or not isinstance(obj, int):
-            raise ParseError(f"expected residue, got {obj!r}")
+            raise ParseError(f"expected residue, got {_preview(obj)}")
         return ring.normalize(obj)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ParseError(f"bad scalar {obj!r}: {exc}") from None
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad scalar {_preview(obj)}: {exc}") from None
 
 
 def scalar_to_json(s: Scalar):

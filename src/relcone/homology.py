@@ -11,6 +11,10 @@ representative cycles chosen from SNF change-of-basis columns, torsion
 generators first.  Exactness of long sequences is decided by
 torsion-aware subgroup membership in generator coordinates, never by
 rank bookkeeping alone.
+
+Over Q and Z/p each quotient (homology group, cokernel homology,
+subgroup test) is one reduced row echelon form of the side-by-side
+generator matrices; its pivot columns name the basis.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .coeffs import INT, CoeffRing
 from .errors import (
     InvalidChainMap,
     NonCommutingSquare,
+    RingMismatch,
     ShapeMismatch,
     UnsupportedRing,
 )
@@ -269,75 +274,73 @@ def solve_int_mod(a: Matrix, b: Matrix, k: int) -> Matrix | None:
 # ---------------------------------------------------------------------------
 
 
-def _field_check(ring: CoeffRing):
-    if not ring.is_field:
-        raise UnsupportedRing(f"{ring} is not a supported field")
-
-
 def field_rank(a: Matrix) -> int:
-    _field_check(a.ring)
     return len(_rref(a)[1])
 
 
-def _rref(a: Matrix):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    ring = a.ring
-    rows = [list(r) for r in a.rows]
-    m, n = a.nrows, a.ncols
+def _rref(*mats):
+    """Reduced row echelon form of [M1 | M2 | ...] over Q or Z/p.
+
+    Returns (plain row lists, pivot columns).  Column c is a pivot exactly
+    when it is not in the span of the columns before it.  A pivot row is
+    zero left of its pivot, so each row update walks only its nonzero entries.
+    """
+    ring = mats[0].ring
+    if not ring.is_field:
+        raise UnsupportedRing(f"{ring} is not a supported field")
+    for m in mats[1:]:
+        if m.ring != ring:
+            raise RingMismatch(f"{m.ring} vs {ring}")
+        if m.nrows != mats[0].nrows:
+            raise ShapeMismatch(f"cannot place {m.shape} beside {mats[0].shape}")
+    rows = [[x for r in rs for x in r] for rs in zip(*(m.rows for m in mats))]
+    p = ring.modulus  # None over Q
     pivots = []
-    r = 0
-    for c in range(n):
-        pr = None
-        for i in range(r, m):
-            if rows[i][c] != ring.zero():
-                pr = i
-                break
+    for c in range(sum(m.ncols for m in mats)):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = ring.inv(rows[r][c])
-        rows[r] = [ring.mul(inv, x) for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != ring.zero():
-                f = rows[i][c]
-                rows[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        nz = [(j, x * inv if p is None else x * inv % p) for j, x in enumerate(rows[r]) if j >= c and x]
+        for j, x in nz:
+            rows[r][j] = x
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                if p is None:
+                    for j, x in nz:
+                        row[j] -= f * x
+                else:
+                    for j, x in nz:
+                        row[j] = (row[j] - f * x) % p
         pivots.append(c)
-        r += 1
-        if r == m:
-            break
     return rows, pivots
 
 
 def kernel_field(a: Matrix) -> Matrix:
     """Basis of the null space over a field, as columns."""
-    _field_check(a.ring)
-    ring = a.ring
     rows, pivots = _rref(a)
-    free = [c for c in range(a.ncols) if c not in pivots]
-    basis_cols = []
-    for fc in free:
-        vec = [ring.zero()] * a.ncols
-        vec[fc] = ring.one()
-        for r, pc in enumerate(pivots):
-            vec[pc] = ring.neg(rows[r][fc])
-        basis_cols.append(vec)
-    return Matrix(ring, a.ncols, len(basis_cols), list(zip(*basis_cols)) if basis_cols else [[] for _ in range(a.ncols)])
+    free = sorted(set(range(a.ncols)) - set(pivots))
+    zero, one = a.ring.zero(), a.ring.one()
+    out = [[zero] * len(free) for _ in range(a.ncols)]
+    for k, fc in enumerate(free):
+        out[fc][k] = one
+    for r, pc in enumerate(pivots):
+        out[pc] = [-x if x else zero for x in map(rows[r].__getitem__, free)]
+    return Matrix(a.ring, a.ncols, len(free), out)
 
 
 def solve_field(a: Matrix, b: Matrix) -> Matrix | None:
     """One field solution of A X = B, or None."""
-    _field_check(a.ring)
-    ring = a.ring
-    aug = hstack(ring, [a, b])
-    rows, pivots = _rref(aug)
-    for pc in pivots:
-        if pc >= a.ncols:
-            return None
-    out = [[ring.zero()] * b.ncols for _ in range(a.ncols)]
+    rows, pivots = _rref(a, b)
+    if pivots and pivots[-1] >= a.ncols:
+        return None
+    out = [[a.ring.zero()] * b.ncols for _ in range(a.ncols)]
     for r, pc in enumerate(pivots):
-        for j in range(b.ncols):
-            out[pc][j] = rows[r][a.ncols + j]
-    return Matrix(ring, a.ncols, b.ncols, out)
+        out[pc] = rows[r][a.ncols:]
+    return Matrix(a.ring, a.ncols, b.ncols, out)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +348,7 @@ def solve_field(a: Matrix, b: Matrix) -> Matrix | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AbGroup:
     """A finitely generated abelian group with chosen representatives.
 
@@ -448,7 +451,8 @@ def _quotient_group_int(ambient_rank: int, num_basis: Matrix, den_gens: Matrix) 
         return HomologyData(INT, ambient_rank, group, num_basis, (), den_gens)
     s_num = snf(num_basis)
     w = solve_int(num_basis, den_gens, s_num)
-    assert w is not None, "denominator not contained in numerator lattice"
+    if w is None:
+        raise InvalidChainMap("denominator not contained in numerator lattice")
     s2 = snf(w)
     new_basis = num_basis @ s2.u
     orders = []
@@ -478,31 +482,18 @@ def _homology_data_int(c: GradedComplex, n: int) -> HomologyData:
     return _quotient_group_int(c.rank(n), kern, dnext)
 
 
-def _homology_data_field(c: GradedComplex, n: int) -> HomologyData:
-    ring = c.ring
-    dn = c.diff(n)
-    dnext = c.diff(n + 1)
-    kern = kernel_field(dn)
-    # image basis: columns of dnext that increase rank
-    base_cols = []
-    rank_so_far = 0
-    for j in range(dnext.ncols):
-        cand = base_cols + [list(dnext.col(j))]
-        m = Matrix(ring, c.rank(n), len(cand), list(zip(*cand)))
-        r = field_rank(m)
-        if r > rank_so_far:
-            base_cols.append(list(dnext.col(j)))
-            rank_so_far = r
-    gens = []
-    for j in range(kern.ncols):
-        cand = base_cols + gens + [list(kern.col(j))]
-        m = Matrix(ring, c.rank(n), len(cand), list(zip(*cand)))
-        if field_rank(m) > len(base_cols) + len(gens):
-            gens.append(list(kern.col(j)))
-    gen_matrix = Matrix(ring, c.rank(n), len(gens), list(zip(*gens)) if gens else [[] for _ in range(c.rank(n))])
-    boundary = Matrix(ring, c.rank(n), len(base_cols), list(zip(*base_cols)) if base_cols else [[] for _ in range(c.rank(n))])
-    group = AbGroup(len(gens), (), tuple(tuple(g) for g in gens))
-    return HomologyData(ring, c.rank(n), group, gen_matrix, tuple([0] * len(gens)), boundary)
+def _quotient_space_field(ring, ambient, num: Matrix, den: Matrix) -> HomologyData:
+    """span(num)/span(den) over a field, den inside span(num), by one RREF of [den | num].
+
+    Pivot columns in den form ``boundary_gens``; pivot columns in num
+    extend them to a basis of span(num) and are the generators.
+    """
+    pivots = _rref(den, num)[1]
+    base = [c for c in pivots if c < den.ncols]
+    keep = [c - den.ncols for c in pivots if c >= den.ncols]
+    group = AbGroup(len(keep), (), tuple(num.col(j) for j in keep))
+    gens = num.submatrix(range(ambient), keep)
+    return HomologyData(ring, ambient, group, gens, (0,) * len(keep), den.submatrix(range(ambient), base))
 
 
 def homology_data(c: GradedComplex, n: int) -> HomologyData:
@@ -515,7 +506,7 @@ def homology_data(c: GradedComplex, n: int) -> HomologyData:
             "and the exponential encoder instead"
         )
     if ring.is_field:
-        return _homology_data_field(c, n)
+        return _quotient_space_field(ring, c.rank(n), kernel_field(c.diff(n)), c.diff(n + 1))
     raise UnsupportedRing(f"homology over {ring} is not supported (composite modulus)")
 
 
@@ -592,10 +583,10 @@ def _subgroup_leq_int(gens_a: Matrix, gens_b: Matrix):
 
 
 def _subgroup_leq_field(gens_a: Matrix, gens_b: Matrix):
-    for j in range(gens_a.ncols):
-        b = Matrix.column(gens_a.ring, list(gens_a.col(j)))
-        if solve_field(gens_b, b) is None:
-            return False, gens_a.col(j)
+    """_subgroup_leq_int over a field: the first pivot of [B | A] right of B is the witness."""
+    for c in _rref(gens_b, gens_a)[1]:
+        if c >= gens_b.ncols:
+            return False, gens_a.col(c - gens_b.ncols)
     return True, None
 
 
@@ -606,11 +597,7 @@ def _image_subgroup(incoming: Matrix, rel: Matrix) -> Matrix:
 def _kernel_subgroup(outgoing: Matrix, target_rel: Matrix, rel: Matrix) -> Matrix:
     """Generators of ker(outgoing) + relations in generator coordinates."""
     ring = outgoing.ring
-    stacked = hstack(ring, [outgoing, target_rel])
-    if ring == INT:
-        kern = kernel_int(stacked)
-    else:
-        kern = kernel_field(stacked)
+    kern = _kernel(ring, hstack(ring, [outgoing, target_rel]))
     proj = kern.submatrix(range(outgoing.ncols), range(kern.ncols))
     return hstack(ring, [proj, rel])
 
@@ -783,7 +770,8 @@ def _kernel_complex(f: ComplexMap):
             diffs[n] = Matrix.zeros(ring, 0, kn.ncols)
             continue
         w = _solve(ring, km, img)
-        assert w is not None, "kernel complex not closed under the differential"
+        if w is None:
+            raise InvalidChainMap("kernel complex not closed under the differential")
         diffs[n] = w
     kc = GradedComplex(ring, ranks, diffs)
     return kc, bases
@@ -815,26 +803,6 @@ def _coker_homology_data(f: ComplexMap, n: int) -> HomologyData:
         num_basis = Matrix(INT, g, len(basis_cols), list(zip(*basis_cols)) if basis_cols else [[] for _ in range(g)])
         return _quotient_group_int(g, num_basis, den)
     return _quotient_space_field(ring, g, gl, den)
-
-
-def _quotient_space_field(ring, ambient, num_gens: Matrix, den_gens: Matrix) -> HomologyData:
-    """span(num)/span(den) over a field, den contained in num."""
-    base_cols = []
-    rank_so_far = 0
-    for j in range(den_gens.ncols):
-        cand = base_cols + [list(den_gens.col(j))]
-        if field_rank(Matrix(ring, ambient, len(cand), list(zip(*cand)))) > rank_so_far:
-            base_cols.append(list(den_gens.col(j)))
-            rank_so_far += 1
-    gens = []
-    for j in range(num_gens.ncols):
-        cand = base_cols + gens + [list(num_gens.col(j))]
-        if field_rank(Matrix(ring, ambient, len(cand), list(zip(*cand)))) > len(base_cols) + len(gens):
-            gens.append(list(num_gens.col(j)))
-    gen_matrix = Matrix(ring, ambient, len(gens), list(zip(*gens)) if gens else [[] for _ in range(ambient)])
-    boundary = Matrix(ring, ambient, len(base_cols), list(zip(*base_cols)) if base_cols else [[] for _ in range(ambient)])
-    group = AbGroup(len(gens), (), tuple(tuple(g) for g in gens))
-    return HomologyData(ring, ambient, group, gen_matrix, tuple([0] * len(gens)), boundary)
 
 
 def ker_coker_les(f: ComplexMap) -> LESReport:
@@ -895,7 +863,8 @@ def ker_coker_les(f: ComplexMap) -> LESReport:
         for gvec in hcok[n].group.generators:
             deta = Matrix.column(ring, list(y.diff(n).apply(gvec)))
             theta = _solve(ring, f.component(n - 1), deta)
-            assert theta is not None, "cokernel cycle does not lift"
+            if theta is None:
+                raise InvalidChainMap("cokernel cycle does not lift")
             theta_vec = [theta.entry(i, 0) for i in range(x.rank(n - 1))]
             dtheta = x.diff(n - 1).apply(theta_vec)
             kb = kbasis(n - 2)
@@ -905,7 +874,8 @@ def ker_coker_les(f: ComplexMap) -> LESReport:
                 cols.append([zero] * hker[n - 2].ngens)
                 continue
             w = _solve(ring, kb, Matrix.column(ring, list(dtheta)))
-            assert w is not None, "connecting image misses the kernel complex"
+            if w is None:
+                raise InvalidChainMap("connecting image misses the kernel complex")
             wvec = [w.entry(i, 0) for i in range(kb.ncols)]
             cols.append(list(hker[n - 2].express(wvec)))
         d_maps[n] = colmat(cols, hker[n - 2].ngens)

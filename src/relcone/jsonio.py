@@ -17,7 +17,9 @@ from .cech import (
 )
 from .chain import ComplexMap, GradedComplex, mat_ring
 from .coeffs import (
+    INT,
     CoeffRing,
+    int_from_text,
     parse_ring,
     value_from_json,
     value_to_json,
@@ -38,7 +40,7 @@ def dumps(obj) -> str:
 
 def loads(text: str):
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=int_from_text)
     except json.JSONDecodeError as e:
         raise ParseError(f"bad JSON: {e.msg}", line=e.lineno, col=e.colno) from None
 
@@ -433,7 +435,7 @@ def form_from_json(obj):
 def group_to_json(g) -> dict:
     out = {"rank": g.free_rank}
     if g.torsion:
-        out["torsion"] = list(g.torsion)
+        out["torsion"] = [value_to_json(INT, t) for t in g.torsion]
     return out
 
 
@@ -445,7 +447,7 @@ def class_to_json(report) -> dict:
     return {
         "class": [value_to_json(parse_ring("Z"), c) for c in report.coords],
         "basis": report.basis,
-        "torsion_orders": list(report.torsion_orders),
+        "torsion_orders": [value_to_json(INT, t) for t in report.torsion_orders],
     }
 
 

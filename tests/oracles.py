@@ -138,6 +138,39 @@ def betti_numbers_field(ranks, diffs, p=None):
     return out
 
 
+def _rank_of_columns(cols, p):
+    rows = [list(r) for r in zip(*cols)]
+    return rank_rational(rows) if p is None else rank_mod_p(rows, p)
+
+
+def greedy_quotient_field(num_cols, den_cols, p=None):
+    """span(num)/span(den) over Q (p None) or Z/p, by incremental rank tests.
+
+    Scans den, then num, left to right and keeps each column that raises
+    the rank of the columns kept so far.  Returns (generators, boundary
+    basis) as lists of columns.  This is the library's original
+    one-rank-test-per-column construction, kept as a reference.
+    """
+    base = []
+    for col in den_cols:
+        if _rank_of_columns(base + [col], p) > len(base):
+            base.append(col)
+    gens = []
+    for col in num_cols:
+        if _rank_of_columns(base + gens + [col], p) > len(base) + len(gens):
+            gens.append(col)
+    return gens, base
+
+
+def first_column_outside_span(a_cols, b_cols, p=None):
+    """The first column of A not in span(B) over Q or Z/p, or None."""
+    rb = _rank_of_columns(b_cols, p)
+    for col in a_cols:
+        if _rank_of_columns(b_cols + [col], p) > rb:
+            return col
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Frozen expected values (computed with the helpers above, then pinned)
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
+import relcone
 from relcone import cli, jsonio
 from relcone.cech import rel_diff
 from relcone.fixtures import (
@@ -253,3 +255,46 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["D"] == [[6]]
+
+
+def run_subprocess(argv, optimize=False):
+    """Run the CLI in a fresh interpreter; returns (exit code, stdout bytes)."""
+    src = os.path.dirname(os.path.dirname(relcone.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    flags = ["-O"] if optimize else []
+    proc = subprocess.run([sys.executable, *flags, "-m", "relcone.cli", *argv], capture_output=True, env=env)
+    return proc.returncode, proc.stdout
+
+
+def test_optimized_interpreter_gives_identical_bytes(tmp_path):
+    fx = emit_all(tmp_path)
+    for argv in (
+        ("homology", "--ring", "Q", f"{fx}/rp2.json"),
+        ("homology", "--ring", "Zmod:2", f"{fx}/rp2.json"),
+        ("les", "--ring", "Q", f"{fx}/fix-d2.json"),
+        ("kercoker", f"{fx}/fix-d0.json"),
+    ):
+        plain = run_subprocess(argv)
+        assert plain[1], argv
+        assert run_subprocess(argv, optimize=True) == plain, argv
+
+
+def test_huge_integers_cross_the_cli_exactly(tmp_path, capsys):
+    rng = random.Random(5000)
+    digits = str(rng.randrange(1, 10)) + "".join(str(rng.randrange(10)) for _ in range(4999))
+    code, out = run("snf", "--matrix", f"[[{digits}]]")
+    assert code == 0
+    assert json.loads(out)["D"] == [[digits]]
+    assert run("snf", "--matrix", json.dumps(json.loads(out)["D"])) == (0, out)
+
+    path = tmp_path / "huge-torsion.json"
+    path.write_text(f'{{"ring":"Z","ranks":{{"0":1,"1":1}},"diff":{{"1":[[{digits}]]}}}}')
+    code, out = run("homology", str(path))
+    assert code == 0
+    assert json.loads(out)["H"]["0"] == {"rank": 0, "torsion": [digits]}
+
+    capsys.readouterr()
+    code, out = run("snf", "--matrix", f'[["{digits}x"]]')
+    assert (code, out) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("relcone: parse error: bad scalar") and err.count("\n") == 1 and len(err) < 300

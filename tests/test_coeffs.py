@@ -12,6 +12,7 @@ from relcone.coeffs import (
     Scalar,
     add,
     angle_lift,
+    int_from_text,
     mul,
     neg,
     parse_ring,
@@ -131,6 +132,11 @@ def test_value_json_round_trip():
         (RAT, Fraction(-7, 3)),
         (U1, Fraction(1, 2)),
         (ZMOD(9), 7),
+        # past the interpreter's default 4300-digit int/str limit
+        (INT, 10**5000 - 1),
+        (INT, -(7**6000)),
+        (RAT, Fraction(10**5000 + 1, 3**9000)),
+        (U1, Fraction(1, 10**5000 + 7)),
     ]
     for ring, v in cases:
         v = ring.normalize(v)
@@ -147,6 +153,23 @@ def test_big_int_json_uses_strings():
     enc = value_to_json(INT, big)
     assert isinstance(enc, str)
     assert value_from_json(INT, enc) == big
+
+
+def test_integers_past_the_str_digit_limit_are_exact():
+    assert value_to_json(INT, 10**5000) == "1" + "0" * 5000
+    assert value_to_json(INT, -(10**5000 - 1)) == "-" + "9" * 5000
+    assert value_to_json(RAT, Fraction(-(10**5000), 3)) == "-1" + "0" * 5000 + "/3"
+    rng = random.Random(4300)
+    for digits in (572, 639, 640, 1200, 4000):
+        n = rng.randrange(10 ** (digits - 1), 10**digits)
+        for text in (str(n), str(-n), "+" + str(n)):
+            assert value_from_json(INT, text) == int(text)
+            assert int_from_text(text) == int(text)
+    for bad in ("1" * 700 + "x", "--" + "1" * 700, " " + "1" * 700, "1.5" + "0" * 700):
+        with pytest.raises(ValueError):
+            int_from_text(bad)
+        with pytest.raises(ParseError):
+            value_from_json(INT, bad)
 
 
 def test_ring_equality_and_hash():

@@ -15,16 +15,22 @@ from oracles import (
     SNF_2x2_EXAMPLE,
     SNF_3x3_DIAG,
     SNF_3x3_EXAMPLE,
+    betti_numbers_field,
     det_int,
+    first_column_outside_span,
+    greedy_quotient_field,
     rank_mod_p,
     rank_rational,
     smith_diagonal_via_minors,
 )
 from relcone.chain import ComplexMap, GradedComplex, cone_of_map, identity_map
 from relcone.coeffs import INT, RAT, U1, ZMOD
-from relcone.errors import NonCommutingSquare, UnsupportedRing
+from relcone import homology
+from relcone.errors import InvalidChainMap, NonCommutingSquare, UnsupportedRing
 from relcone.homology import (
     AbGroup,
+    _quotient_space_field,
+    _subgroup_leq_field,
     connecting_hom,
     field_rank,
     five_lemma_transfer,
@@ -458,3 +464,133 @@ def test_five_lemma_rejects_non_commuting_square():
     two = ComplexMap(c, c, {0: Matrix.from_rows(INT, [[2]]), 1: Matrix.from_rows(INT, [[2]])})
     with pytest.raises(NonCommutingSquare):
         five_lemma_transfer(f, f, f, two)
+
+
+# ---------------------------------------------------------------------------
+# Field elimination against the incremental-rank reference
+# ---------------------------------------------------------------------------
+
+FIELDS = [(RAT, None), (ZMOD(2), 2), (ZMOD(3), 3), (ZMOD(5), 5)]
+
+
+def over_field(c: GradedComplex, ring) -> GradedComplex:
+    diffs = {n: c.diff(n).change_ring(ring) for n in c.degrees() if c.diff(n).nrows and c.diff(n).ncols}
+    return GradedComplex(ring, {n: c.rank(n) for n in c.degrees()}, diffs)
+
+
+def from_columns(ring, nrows, cols):
+    return Matrix(ring, nrows, len(cols), [[col[i] for col in cols] for i in range(nrows)])
+
+
+@pytest.mark.parametrize("ring,p", FIELDS)
+def test_field_homology_matches_greedy_reference(ring, p):
+    rng = random.Random(f"field-homology-{ring}")
+    for trial in range(10):
+        xd = random_block_complex(rng, 0, 3)
+        yd = random_block_complex(rng, 0, 3)
+        c = xd.chain if trial % 2 else cone_of_map(random_chain_map(rng, xd, yd))
+        cf = over_field(c, ring)
+        degrees = range(cf.lo - 1, cf.hi + 2)
+        betti = betti_numbers_field(
+            {n: cf.rank(n) for n in degrees}, {n: cf.diff(n).to_lists() for n in degrees}, p
+        )
+        for n in degrees:
+            data = homology_data(cf, n)
+            kern = kernel_field(cf.diff(n))
+            gens, base = greedy_quotient_field(kern.columns(), cf.diff(n + 1).columns(), p)
+            assert data.group.generators == tuple(gens)
+            assert data.boundary_gens.columns() == base
+            assert data.group.free_rank == betti[n]
+
+
+@pytest.mark.parametrize("ring,p", FIELDS)
+def test_field_quotient_matches_greedy_reference_on_edge_shapes(ring, p):
+    rng = random.Random(f"field-quotient-{ring}")
+
+    def rand(m, n):
+        return Matrix(ring, m, n, [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(m)])
+
+    cases = [
+        (0, rand(0, 3), rand(0, 2)),  # zero-rank ambient
+        (4, rand(4, 0), rand(4, 0)),  # empty num and den
+        (4, rand(4, 3), rand(4, 0)),  # empty den
+    ]
+    for _ in range(20):
+        amb = rng.randrange(1, 6)
+        num = rand(amb, rng.randrange(0, 6))
+        cases.append((amb, num, num @ rand(num.ncols, rng.randrange(0, 5))))
+    for amb, num, den in cases:
+        data = _quotient_space_field(ring, amb, num, den)
+        gens, base = greedy_quotient_field(num.columns(), den.columns(), p)
+        assert data.group.generators == tuple(gens)
+        assert data.gen_matrix.columns() == gens
+        assert data.boundary_gens.columns() == base
+        assert data.boundary_gens.shape == (amb, len(base))
+
+
+@pytest.mark.parametrize("ring,p", FIELDS)
+def test_field_subgroup_witness_matches_reference(ring, p):
+    rng = random.Random(f"field-leq-{ring}")
+    for _ in range(40):
+        amb = rng.randrange(0, 5)
+        bcols = [tuple(rng.randrange(-2, 3) for _ in range(amb)) for _ in range(rng.randrange(0, 4))]
+        b = from_columns(ring, amb, bcols)
+        inside = b @ Matrix(ring, b.ncols, 2, [[rng.randrange(-2, 3) for _ in range(2)] for _ in range(b.ncols)])
+        acols = inside.columns() + [tuple(rng.randrange(-2, 3) for _ in range(amb)) for _ in range(rng.randrange(0, 3))]
+        rng.shuffle(acols)
+        a = from_columns(ring, amb, acols)
+        want = first_column_outside_span(a.columns(), b.columns(), p)
+        assert _subgroup_leq_field(a, b) == (want is None, want)
+
+
+# ---------------------------------------------------------------------------
+# Result guards raise InvalidChainMap, also under python -O
+# ---------------------------------------------------------------------------
+
+
+def test_quotient_group_int_guard_raises(monkeypatch):
+    monkeypatch.setattr(homology, "solve_int", lambda *args, **kwargs: None)
+    with pytest.raises(InvalidChainMap, match="denominator not contained"):
+        homology_data(circle_complex(), 1)
+
+
+def test_kernel_complex_guard_raises(monkeypatch):
+    c = GradedComplex(INT, {0: 1, 1: 1}, {1: Matrix.from_rows(INT, [[0]])})
+    zero = ComplexMap(c, c, {})
+    monkeypatch.setattr(homology, "_solve", lambda *args: None)
+    with pytest.raises(InvalidChainMap, match="kernel complex not closed"):
+        ker_coker_les(zero)
+
+
+def test_kercoker_lift_guard_raises(monkeypatch):
+    c = GradedComplex(INT, {0: 1}, {})
+    f = ComplexMap(c, c, {0: Matrix.from_rows(INT, [[2]])})
+    monkeypatch.setattr(homology, "_solve", lambda *args: None)
+    with pytest.raises(InvalidChainMap, match="cokernel cycle does not lift"):
+        ker_coker_les(f)
+
+
+def test_kercoker_connecting_guard_raises(monkeypatch):
+    # H_2(coker) has a generator whose lift lands in degree 0, where the
+    # kernel complex is nonzero; only that last solve is made to fail
+    x = GradedComplex(INT, {0: 1, 1: 1}, {})
+    y = GradedComplex(INT, {1: 1, 2: 1}, {})
+    f = ComplexMap(x, y, {})
+    comps = [f.component(n) for n in range(-1, 4)]
+    real_solve, real_kernel_complex = homology._solve, homology._kernel_complex
+    armed = []
+
+    def kernel_complex(g):
+        out = real_kernel_complex(g)
+        armed.append(True)
+        return out
+
+    def solve(ring, a, b):
+        if armed and a not in comps:
+            return None
+        return real_solve(ring, a, b)
+
+    monkeypatch.setattr(homology, "_kernel_complex", kernel_complex)
+    monkeypatch.setattr(homology, "_solve", solve)
+    with pytest.raises(InvalidChainMap, match="connecting image misses"):
+        ker_coker_les(f)
