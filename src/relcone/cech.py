@@ -30,6 +30,7 @@ from .coeffs import INT, RAT, U1, CoeffRing, Scalar, angle_lift
 from .errors import (
     CoverMismatch,
     DegreeMismatch,
+    InvalidChainMap,
     NotACocycle,
     RingMismatch,
     UnsupportedRing,
@@ -415,11 +416,9 @@ class BocksteinResult:
 
 
 def _integer_rel_cochain(m: CoverMap, q: int, vec) -> RelCechCochain:
-    ints = []
-    for v in vec:
-        assert v.denominator == 1, "connecting cocycle came out non-integral"
-        ints.append(int(v))
-    return RelCechCochain.from_vector(m, q, INT, ints)
+    if any(v.denominator != 1 for v in vec):
+        raise InvalidChainMap("connecting cocycle came out non-integral")
+    return RelCechCochain.from_vector(m, q, INT, [int(v) for v in vec])
 
 
 def bockstein(u: RelCechCochain, data: HomologyData | None = None) -> BocksteinResult:
@@ -429,8 +428,8 @@ def bockstein(u: RelCechCochain, data: HomologyData | None = None) -> BocksteinR
     cone differential, and reads off the resulting integer cocycle one
     degree up together with its integer cohomology class.  The class
     does not depend on the chosen lift; this is re-checked against a
-    shifted lift on every call.  `data` may carry the precomputed
-    integer cone homology one degree up.
+    shifted lift on every call, and a mismatch raises InvalidChainMap.
+    `data` may carry the precomputed integer cone homology one degree up.
     """
     if u.ring != U1:
         raise UnsupportedRing("the connecting map applies to angle-valued cocycles")
@@ -446,7 +445,8 @@ def bockstein(u: RelCechCochain, data: HomologyData | None = None) -> BocksteinR
     ones_t = CechCochain.from_vector(u.m.dst, q, RAT, [-1] * u.m.dst.rank(q))
     shifted = RelCechCochain(u.m, lift.s + ones_s, lift.t + ones_t)
     w2 = _integer_rel_cochain(u.m, q + 1, rel_diff(shifted).vector())
-    assert data.express(w2.vector()) == coords, "connecting class depended on the lift"
+    if data.express(w2.vector()) != coords:
+        raise InvalidChainMap("connecting class depended on the lift")
     return BocksteinResult(w, coords, data)
 
 

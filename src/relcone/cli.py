@@ -5,16 +5,11 @@ ran and the verdict (if any) is positive; 2 means the computation ran
 and returned a negative verdict (not integral, nontrivial class, cones
 not isomorphic, sequence not exact); 1 means the input could not be
 parsed or a precondition failed, so nothing was decided.
-
-RELCONE_THREADS bounds how many degrees a homology sweep works on at
-once; output is assembled in degree order either way, so the bytes do
-not depend on the setting.
 """
 
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import jsonio
 from .cech import cover_cochain_complex, relative_cone_complex
@@ -27,25 +22,9 @@ from .homology import homology_at, ker_coker_les, les_of_cone, snf
 from .simplicial import chain_complex, chain_map, compare_cones, mapping_cone_space
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("RELCONE_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ParseError(f"RELCONE_THREADS must be an integer, got {raw!r}") from None
-    return max(1, n)
-
-
 def _sweep(c, degrees) -> dict:
     """Homology groups at the listed degrees, assembled in list order."""
-    degs = list(degrees)
-    workers = min(_thread_count(), max(1, len(degs)))
-    if workers == 1:
-        groups = [homology_at(c, n) for n in degs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            groups = list(pool.map(lambda n: homology_at(c, n), degs))
-    return dict(zip(degs, groups))
+    return {n: homology_at(c, n) for n in degrees}
 
 
 def _restrict(degrees, chosen):

@@ -23,11 +23,8 @@ from .cech import (
     Cover,
     CoverMap,
     RelCechCochain,
-    _coboundary_matrix,
     bockstein,
     cech_diff,
-    cover_cochain_complex,
-    lift_angles,
     pullback,
     rel_diff,
     relative_cone_complex,
@@ -38,6 +35,7 @@ from .coeffs import INT, RAT, U1, CoeffRing
 from .errors import (
     CoverMismatch,
     DegreeMismatch,
+    InvalidChainMap,
     NontrivialClass,
     NotACocycle,
     NotClosed,
@@ -45,9 +43,9 @@ from .errors import (
     RingMismatch,
     UnsupportedRing,
 )
-from .homology import AbGroup, HomologyData, homology_data, snf, solve_int
-from .matrix import Matrix, hstack
-from .simplicial import SimplicialMap, chain_map
+from .homology import AbGroup, HomologyData, homology_data, snf, solve_int, solve_int_mod
+from .matrix import Matrix
+from .simplicial import SimplicialMap, chain_map, nerve
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +270,15 @@ def _require_valid(c):
         )
 
 
+def _class_report(u: RelCechCochain, kind: str, space: str) -> ClassReport:
+    q = u.degree
+    if u.ring == INT:
+        data = _cone_data(u.m, -q)
+        return ClassReport(kind, f"H^{q}({space},Z)", data.express(u.vector()), data.orders, data.group)
+    res = bockstein(u, _cone_data(u.m, -(q + 1)))
+    return ClassReport(kind, f"H^{q + 1}({space},Z)", res.coords, res.data.orders, res.data.group)
+
+
 def classify(c) -> ClassReport:
     """The class of a cocycle in the integer cohomology of the cone.
 
@@ -279,22 +286,12 @@ def classify(c) -> ClassReport:
     angle-valued cocycles go through the connecting map one degree up.
     """
     _require_valid(c)
-    u = c.u
-    q = u.degree
-    if u.ring == INT:
-        data = _cone_data(u.m, -q)
-        return ClassReport(c.kind, f"H^{q}(Phi,Z)", data.express(u.vector()), data.orders, data.group)
-    res = bockstein(u, _cone_data(u.m, -(q + 1)))
-    return ClassReport(c.kind, f"H^{q + 1}(Phi,Z)", res.coords, res.data.orders, res.data.group)
+    return _class_report(c.u, c.kind, "Phi")
 
 
 # ---------------------------------------------------------------------------
 # Trivialization
 # ---------------------------------------------------------------------------
-
-
-def _scaled_identity(n: int, k: int) -> Matrix:
-    return Matrix(INT, n, n, [[k if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 def _solve_mod_one(mtx: Matrix, target) -> list | None:
@@ -313,11 +310,27 @@ def _solve_mod_one(mtx: Matrix, target) -> list | None:
             exponent = lcm(exponent, d)
     modulus = cleared * exponent
     ints = [int(Fraction(v) * modulus) for v in target]
-    aug = hstack(INT, [mtx, _scaled_identity(mtx.nrows, modulus)])
-    sol = solve_int(aug, Matrix.column(INT, ints))
+    sol = solve_int_mod(mtx, Matrix.column(INT, ints), modulus)
     if sol is None:
         return None
-    return [Fraction(sol.entry(i, 0), modulus) for i in range(mtx.ncols)]
+    return [Fraction(x, modulus) for x in sol.col(0)]
+
+
+def _witness(u: RelCechCochain) -> RelCechCochain | None:
+    """A relative cochain one degree down with coboundary u, or None."""
+    q = u.degree
+    mtx = relative_cone_complex(u.m, INT).diff(-(q - 1))
+    if u.ring == INT:
+        sol = solve_int(mtx, Matrix.column(INT, list(u.vector())))
+        vec = None if sol is None else sol.col(0)
+    else:
+        vec = _solve_mod_one(mtx, u.vector())
+    if vec is None:
+        return None
+    witness = RelCechCochain.from_vector(u.m, q - 1, u.ring, [u.ring.normalize(v) for v in vec])
+    if rel_diff(witness) != u:
+        raise InvalidChainMap("solver returned a non-witness")
+    return witness
 
 
 def trivialize(c) -> RelCechCochain:
@@ -329,22 +342,9 @@ def trivialize(c) -> RelCechCochain:
     witness means the obstruction is rational rather than torsion.
     """
     _require_valid(c)
-    u = c.u
-    q = u.degree
-    m = u.m
-    mtx = relative_cone_complex(m, INT).diff(-(q - 1))
-    target = u.vector()
-    if u.ring == INT:
-        sol = solve_int(mtx, Matrix.column(INT, list(target)))
-        if sol is None:
-            raise NontrivialClass(classify(c))
-        vec = [sol.entry(i, 0) for i in range(mtx.ncols)]
-    else:
-        vec = _solve_mod_one(mtx, target)
-        if vec is None:
-            raise NontrivialClass(classify(c))
-    witness = RelCechCochain.from_vector(m, q - 1, u.ring, [u.ring.normalize(v) for v in vec])
-    assert rel_diff(witness) == u, "solver returned a non-witness"
+    witness = _witness(c.u)
+    if witness is None:
+        raise NontrivialClass(classify(c))
     return witness
 
 
@@ -365,6 +365,18 @@ def is_equivalent(c1, c2):
 # ---------------------------------------------------------------------------
 
 
+def _absolute_pair(t: CechCochain) -> RelCechCochain:
+    """A closed cochain t as the relative cocycle (0, t) of the empty cover mapped into t's cover.
+
+    The cone of that map is the cover's own cochain complex, so its
+    classes and witnesses are the absolute ones.
+    """
+    if not cech_diff(t).is_zero:
+        raise NotACocycle("cochain is not closed")
+    m = CoverMap(Cover(nerve([], [])), t.cover, {})
+    return RelCechCochain(m, CechCochain(m.src, t.degree - 1, t.ring), t)
+
+
 def absolute_classify(t: CechCochain, kind: str = "absolute") -> ClassReport:
     """Class of a closed cochain on one cover, in the cover's cohomology.
 
@@ -372,48 +384,24 @@ def absolute_classify(t: CechCochain, kind: str = "absolute") -> ClassReport:
     degree q+1 integer cohomology; integer cocycles are expressed in
     their own degree.
     """
-    q = t.degree
-    if not cech_diff(t).is_zero:
-        raise NotACocycle("cochain is not closed")
-    if t.ring == INT:
-        data = homology_data(cover_cochain_complex(t.cover, INT), -q)
-        return ClassReport(kind, f"H^{q}(N,Z)", data.express(t.vector()), data.orders, data.group)
-    if t.ring != U1:
+    u = _absolute_pair(t)
+    if t.ring not in (INT, U1):
         raise UnsupportedRing(f"no classification over {t.ring}")
-    w = cech_diff(lift_angles(t))
-    ints = []
-    for v in w.vector():
-        assert v.denominator == 1, "connecting cocycle came out non-integral"
-        ints.append(int(v))
-    data = homology_data(cover_cochain_complex(t.cover, INT), -(q + 1))
-    coords = data.express(ints)
-    shift = CechCochain.from_vector(t.cover, q, RAT, [1] * t.cover.rank(q))
-    w2 = cech_diff(lift_angles(t) + shift)
-    assert data.express([int(v) for v in w2.vector()]) == coords, "class depended on the lift"
-    return ClassReport(kind, f"H^{q + 1}(N,Z)", coords, data.orders, data.group)
+    return _class_report(u, kind, "N")
 
 
 def absolute_trivialize(t: CechCochain) -> CechCochain:
     """A cochain one degree down with coboundary t, or NontrivialClass."""
-    q = t.degree
-    if not cech_diff(t).is_zero:
-        raise NotACocycle("cochain is not closed")
-    mtx = _coboundary_matrix(t.cover, q - 1)
-    target = t.vector()
-    if t.ring == INT:
-        sol = solve_int(mtx, Matrix.column(INT, list(target)))
-        if sol is None:
-            raise NontrivialClass(absolute_classify(t))
-        vec = [sol.entry(i, 0) for i in range(mtx.ncols)]
-    elif t.ring == U1:
-        vec = _solve_mod_one(mtx, target)
-        if vec is None:
-            raise NontrivialClass(absolute_classify(t))
-    else:
+    u = _absolute_pair(t)
+    if t.ring not in (INT, U1):
         raise UnsupportedRing(f"no trivialization over {t.ring}")
-    witness = CechCochain.from_vector(t.cover, q - 1, t.ring, [t.ring.normalize(v) for v in vec])
-    assert cech_diff(witness) == t, "solver returned a non-witness"
-    return witness
+    if t.degree == 0 and t.is_zero:
+        # a witness pair would need a degree -2 source part; C^-1 = 0 bounds only zero
+        return CechCochain(t.cover, -1, t.ring)
+    witness = _witness(u)
+    if witness is None:
+        raise NontrivialClass(absolute_classify(t))
+    return witness.t
 
 
 def dixmier_douady(c: RelGerbeCocycle) -> ClassReport:

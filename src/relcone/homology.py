@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chain import ComplexMap, GradedComplex, cone_of_map, cone_split
-from .coeffs import INT, CoeffRing
+from .coeffs import INT
 from .errors import (
     InvalidChainMap,
     NonCommutingSquare,
@@ -262,8 +262,9 @@ def solve_int_mod(a: Matrix, b: Matrix, k: int) -> Matrix | None:
     """One solution of A X = B (mod k), via the augmented system [A | kI]."""
     if k <= 0:
         raise ShapeMismatch("modulus must be positive")
-    aug = hstack(INT, [a, Matrix.identity(INT, a.nrows).zscale(k)])
-    sol = solve_int(aug, b)
+    n = a.nrows
+    k_eye = Matrix(INT, n, n, [[k if i == j else 0 for j in range(n)] for i in range(n)])
+    sol = solve_int(hstack(INT, [a, k_eye]), b)
     if sol is None:
         return None
     return sol.submatrix(range(a.ncols), range(b.ncols))
@@ -272,10 +273,6 @@ def solve_int_mod(a: Matrix, b: Matrix, k: int) -> Matrix | None:
 # ---------------------------------------------------------------------------
 # Field elimination (Q and Z/p)
 # ---------------------------------------------------------------------------
-
-
-def field_rank(a: Matrix) -> int:
-    return len(_rref(a)[1])
 
 
 def _rref(*mats):
@@ -403,8 +400,7 @@ class HomologyData:
         rows = [[0] * len(cols) for _ in range(self.ngens)]
         for j, i in enumerate(cols):
             rows[i][j] = self.orders[i]
-        mr = INT if self.ring == INT else self.ring
-        return Matrix(mr, self.ngens, len(cols), rows)
+        return Matrix(self.ring, self.ngens, len(cols), rows)
 
     def express(self, vec):
         """Coordinates of the class [vec] in the kept generator basis.
@@ -414,12 +410,11 @@ class HomologyData:
         """
         if len(vec) != self.ambient_rank:
             raise ShapeMismatch(f"cycle length {len(vec)} vs ambient {self.ambient_rank}")
-        mr = INT if self.ring == INT else self.ring
         if self._solver is None:
-            self._solver = hstack(mr, [self.gen_matrix, self.boundary_gens])
+            self._solver = hstack(self.ring, [self.gen_matrix, self.boundary_gens])
             if self.ring == INT:
                 self._solver_snf = snf(self._solver)
-        b = Matrix.column(mr, list(vec))
+        b = Matrix.column(self.ring, list(vec))
         if self.ring == INT:
             sol = solve_int(self._solver, b, self._solver_snf)
         else:
@@ -470,7 +465,7 @@ def _quotient_group_int(ambient_rank: int, num_basis: Matrix, den_gens: Matrix) 
         sgn = _canonical_sign(col)
         cols.append([sgn * x for x in col])
         kept_orders.append(orders[i])
-    gen_matrix = Matrix(INT, ambient_rank, len(cols), list(zip(*cols)) if cols else [[] for _ in range(ambient_rank)])
+    gen_matrix = Matrix.from_columns(INT, ambient_rank, cols)
     group = AbGroup(free_rank, torsion, tuple(tuple(c) for c in cols))
     return HomologyData(INT, ambient_rank, group, gen_matrix, tuple(kept_orders), den_gens)
 
@@ -525,19 +520,19 @@ def cohomology_at(c: GradedComplex, q: int) -> AbGroup:
 # ---------------------------------------------------------------------------
 
 
+def _on_generators(src_data: HomologyData, dst_data: HomologyData, fn) -> Matrix:
+    """Matrix sending each generator g of src_data to the class of fn(g) in dst_data."""
+    cols = [dst_data.express(fn(g)) for g in src_data.group.generators]
+    return Matrix.from_columns(dst_data.ring, dst_data.ngens, cols)
+
+
 def induced_map(f: ComplexMap, n: int, src_data: HomologyData | None = None, dst_data: HomologyData | None = None) -> Matrix:
     """Matrix of H_n(f) in the chosen generator bases."""
     if src_data is None:
         src_data = homology_data(f.src, n)
     if dst_data is None:
         dst_data = homology_data(f.dst, n)
-    mr = INT if f.ring == INT else f.ring
-    cols = []
-    fm = f.component(n)
-    for g in src_data.group.generators:
-        img = fm.apply(g)
-        cols.append(list(dst_data.express(img)))
-    return Matrix(mr, dst_data.ngens, len(cols), list(zip(*cols)) if cols else [[] for _ in range(dst_data.ngens)])
+    return _on_generators(src_data, dst_data, f.component(n).apply)
 
 
 def connecting_hom(f: ComplexMap, n: int, cone: GradedComplex | None = None) -> Matrix:
@@ -545,24 +540,23 @@ def connecting_hom(f: ComplexMap, n: int, cone: GradedComplex | None = None) -> 
 
     Computed by the snake recipe on the cone (lift a cycle of X to
     (gamma, 0), push through the cone differential, read off the target
-    component) and asserted equal to induced_map(f, n-1).
+    component) and checked equal to induced_map(f, n-1); a mismatch
+    raises InvalidChainMap.
     """
     if cone is None:
         cone = cone_of_map(f)
     x_data = homology_data(f.src, n - 1)
     y_data = homology_data(f.dst, n - 1)
-    mr = INT if f.ring == INT else f.ring
-    cols = []
-    for g in x_data.group.generators:
-        vec = tuple(g) + tuple([0] * f.dst.rank(n))
-        img = cone.diff(n).apply(vec)
+
+    def snake(g):
+        img = cone.diff(n).apply(tuple(g) + (0,) * f.dst.rank(n))
         theta, eta = cone_split(f, n - 1, img)
         if any(v != 0 for v in theta):
             raise InvalidChainMap("snake lift failed: source component of boundary nonzero")
-        cols.append(list(y_data.express(eta)))
-    delta = Matrix(mr, y_data.ngens, len(cols), list(zip(*cols)) if cols else [[] for _ in range(y_data.ngens)])
-    ind = induced_map(f, n - 1, x_data, y_data)
-    if delta != ind:
+        return eta
+
+    delta = _on_generators(x_data, y_data, snake)
+    if delta != induced_map(f, n - 1, x_data, y_data):
         raise InvalidChainMap("connecting map disagrees with the induced map")
     return delta
 
@@ -588,6 +582,11 @@ def _subgroup_leq_field(gens_a: Matrix, gens_b: Matrix):
         if c >= gens_b.ncols:
             return False, gens_a.col(c - gens_b.ncols)
     return True, None
+
+
+def _subgroup_leq(gens_a: Matrix, gens_b: Matrix):
+    leq = _subgroup_leq_int if gens_a.ring == INT else _subgroup_leq_field
+    return leq(gens_a, gens_b)
 
 
 def _image_subgroup(incoming: Matrix, rel: Matrix) -> Matrix:
@@ -628,9 +627,8 @@ def _exact_at(label, here: HomologyData, incoming: Matrix, outgoing: Matrix, tar
     trel = target.relation_matrix()
     im = _image_subgroup(incoming, rel)
     ker = _kernel_subgroup(outgoing, trel, rel)
-    leq = _subgroup_leq_int if here.ring == INT else _subgroup_leq_field
-    ok1, w1 = leq(im, ker)
-    ok2, w2 = leq(ker, im)
+    ok1, w1 = _subgroup_leq(im, ker)
+    ok2, w2 = _subgroup_leq(ker, im)
     if ok1 and ok2:
         return LESPosition(label, here.group, True, None)
     if not ok1:
@@ -640,59 +638,77 @@ def _exact_at(label, here: HomologyData, incoming: Matrix, outgoing: Matrix, tar
     return LESPosition(label, here.group, False, defect)
 
 
+def _is_presentation_iso(m: Matrix, src: HomologyData, dst: HomologyData) -> bool:
+    """Is the map of presented groups with matrix m an isomorphism?
+
+    Onto: every target generator lies in im(m) + the target relations.
+    One to one: whatever m sends into the target relations is a source
+    relation.
+    """
+    rel_src = src.relation_matrix()
+    rel_dst = dst.relation_matrix()
+    onto, _ = _subgroup_leq(Matrix.identity(dst.ring, dst.ngens), _image_subgroup(m, rel_dst))
+    return onto and _subgroup_leq(_kernel_subgroup(m, rel_dst, rel_src), rel_src)[0]
+
+
+def _assemble_les(kind, groups, degrees, a, b, c, labels, j, k, delta) -> LESReport:
+    """The sequence ... -> A_n -j-> B_n -k-> C_n -delta-> A_(n-1) -> ... over `degrees`.
+
+    a, b and c give the HomologyData of A_n, B_n and C_n (a also one
+    degree below the range) and labels(n) names the three.  j(n, g) and
+    k(n, g) send a generator g to a cycle of the next group; delta(n) is
+    the matrix of delta_n.  Every map is built before exactness is
+    checked at B_n, at C_n and, inside the range, at A_(n-1).
+    """
+    maps = {}
+    for n in degrees:
+        maps[f"j_{n}"] = _on_generators(a[n], b[n], lambda g: j(n, g))
+        maps[f"k_{n}"] = _on_generators(b[n], c[n], lambda g: k(n, g))
+        maps[f"delta_{n}"] = delta(n)
+    positions = []
+    for n in degrees:
+        jn, kn, dn = maps[f"j_{n}"], maps[f"k_{n}"], maps[f"delta_{n}"]
+        _, label_b, label_c = labels(n)
+        positions.append(_exact_at(label_b, b[n], jn, kn, c[n]))
+        positions.append(_exact_at(label_c, c[n], kn, dn, a[n - 1]))
+        if n - 1 in degrees:
+            positions.append(_exact_at(labels(n - 1)[0], a[n - 1], dn, maps[f"j_{n - 1}"], b[n - 1]))
+    return LESReport(kind, groups, maps, tuple(positions))
+
+
 def les_of_cone(f: ComplexMap) -> LESReport:
     """The long exact sequence of the mapping cone.
 
     ... -> H_n(Y) -j-> H_n(f) -k-> H_(n-1)(X) -delta-> H_(n-1)(Y) -> ...
     with j(beta) = (0, beta), k(theta, eta) = theta, and delta the
-    induced map of f in degree n-1 (asserted against the snake recipe).
-    Exactness is checked at every position over the full degree range.
+    induced map of f in degree n-1 (checked against the snake recipe;
+    a mismatch raises InvalidChainMap).  Exactness is checked at every
+    position over the full degree range.
     """
     cone = cone_of_map(f)
     x, y = f.src, f.dst
-    lo = cone.lo - 1
-    hi = cone.hi + 1
-    hx = {n: homology_data(x, n) for n in range(lo - 1, hi + 1)}
-    hy = {n: homology_data(y, n) for n in range(lo - 1, hi + 1)}
-    hc = {n: homology_data(cone, n) for n in range(lo - 1, hi + 1)}
-    mr = INT if f.ring == INT else f.ring
-
-    j_maps = {}
-    k_maps = {}
-    d_maps = {}
-    for n in range(lo, hi + 1):
-        # j: H_n(Y) -> H_n(cone), beta |-> (0, beta)
-        cols = []
-        for g in hy[n].group.generators:
-            vec = tuple([0] * x.rank(n - 1)) + tuple(g)
-            cols.append(list(hc[n].express(vec)))
-        j_maps[n] = Matrix(mr, hc[n].ngens, len(cols), list(zip(*cols)) if cols else [[] for _ in range(hc[n].ngens)])
-        # k: H_n(cone) -> H_(n-1)(X), (theta, eta) |-> theta
-        cols = []
-        for g in hc[n].group.generators:
-            theta, _eta = cone_split(f, n, g)
-            cols.append(list(hx[n - 1].express(theta)))
-        k_maps[n] = Matrix(mr, hx[n - 1].ngens, len(cols), list(zip(*cols)) if cols else [[] for _ in range(hx[n - 1].ngens)])
-        # delta: H_(n-1)(X) -> H_(n-1)(Y)
-        d_maps[n] = connecting_hom(f, n, cone)
-
-    positions = []
-    for n in range(lo, hi + 1):
-        positions.append(_exact_at(f"H_{n}(cone)", hc[n], j_maps[n], k_maps[n], hx[n - 1]))
-        positions.append(_exact_at(f"H_{n - 1}(X)", hx[n - 1], k_maps[n], d_maps[n], hy[n - 1]))
-        if n - 1 in j_maps:
-            positions.append(_exact_at(f"H_{n - 1}(Y)", hy[n - 1], d_maps[n], j_maps[n - 1], hc[n - 1]))
+    degrees = range(cone.lo - 1, cone.hi + 2)
+    around = range(cone.lo - 2, cone.hi + 2)
+    hx = {n: homology_data(x, n) for n in around}
+    hy = {n: homology_data(y, n) for n in around}
+    hc = {n: homology_data(cone, n) for n in around}
     groups = {}
-    for n in range(lo, hi + 1):
+    for n in degrees:
         groups[f"H_{n}(X)"] = hx[n].group
         groups[f"H_{n}(Y)"] = hy[n].group
         groups[f"H_{n}(cone)"] = hc[n].group
-    maps = {}
-    for n in range(lo, hi + 1):
-        maps[f"j_{n}"] = j_maps[n]
-        maps[f"k_{n}"] = k_maps[n]
-        maps[f"delta_{n}"] = d_maps[n]
-    return LESReport("cone", groups, maps, tuple(positions))
+    return _assemble_les(
+        "cone",
+        groups,
+        degrees,
+        hy,
+        hc,
+        {n: hx[n - 1] for n in degrees},
+        lambda n: (f"H_{n}(Y)", f"H_{n}(cone)", f"H_{n - 1}(X)"),
+        lambda n, g: (0,) * x.rank(n - 1) + tuple(g),
+        lambda n, g: cone_split(f, n, g)[0],
+        lambda n: connecting_hom(f, n, cone),
+    )
 
 
 def quasi_iso(f: ComplexMap) -> bool:
@@ -708,9 +724,9 @@ def five_lemma_transfer(phi: ComplexMap, psi: ComplexMap, f: ComplexMap, f2: Com
     """Cone-to-cone transfer (theta, eta) |-> (phi theta, psi eta).
 
     Requires the square psi f = f2 phi to commute exactly.  When phi and
-    psi are quasi-isomorphisms the transfer must be one too; that
-    implication is asserted.  Returns whether the transfer is a
-    quasi-isomorphism.
+    psi are quasi-isomorphisms the transfer must be one too; a violation
+    of that implication raises InvalidChainMap.  Returns whether the
+    transfer is a quasi-isomorphism.
     """
     if phi.src != f.src or psi.src != f.dst or phi.dst != f2.src or psi.dst != f2.dst:
         raise InvalidChainMap("square shapes do not line up")
@@ -719,14 +735,14 @@ def five_lemma_transfer(phi: ComplexMap, psi: ComplexMap, f: ComplexMap, f2: Com
             raise NonCommutingSquare(f"psi f != f2 phi at degree {n}")
     c1 = cone_of_map(f)
     c2 = cone_of_map(f2)
-    mr = INT if f.ring == INT else f.ring
+    ring = f.ring
     mats = {}
     for n in c1.degrees():
         blocks = [
-            [phi.component(n - 1), Matrix.zeros(mr, f2.src.rank(n - 1), f.dst.rank(n))],
-            [Matrix.zeros(mr, f2.dst.rank(n), f.src.rank(n - 1)), psi.component(n)],
+            [phi.component(n - 1), Matrix.zeros(ring, f2.src.rank(n - 1), f.dst.rank(n))],
+            [Matrix.zeros(ring, f2.dst.rank(n), f.src.rank(n - 1)), psi.component(n)],
         ]
-        mats[n] = block(mr, blocks)
+        mats[n] = block(ring, blocks)
     transfer = ComplexMap(c1, c2, mats)
     result = quasi_iso(transfer)
     if quasi_iso(phi) and quasi_iso(psi):
@@ -796,11 +812,8 @@ def _coker_homology_data(f: ComplexMap, n: int) -> HomologyData:
     den = hstack(dn.ring, [y.diff(n + 1), rel_here])
     if ring == INT:
         s_gl = snf(gl)
-        basis_cols = []
-        for i in range(s_gl.rank):
-            col = s_gl.u.col(i)
-            basis_cols.append([s_gl.diag[i] * xv for xv in col])
-        num_basis = Matrix(INT, g, len(basis_cols), list(zip(*basis_cols)) if basis_cols else [[] for _ in range(g)])
+        basis_cols = [[s_gl.diag[i] * xv for xv in s_gl.u.col(i)] for i in range(s_gl.rank)]
+        num_basis = Matrix.from_columns(INT, g, basis_cols)
         return _quotient_group_int(g, num_basis, den)
     return _quotient_space_field(ring, g, gl, den)
 
@@ -813,8 +826,9 @@ def ker_coker_les(f: ComplexMap) -> LESReport:
     with j[theta] = [(theta, 0)], k[(theta, eta)] = [eta mod f], and
     delta[eta] = [d theta] for any theta with f(theta) = d eta.
 
-    When f is degreewise injective, k is asserted to be an isomorphism in
-    every degree; when degreewise surjective, j is.
+    When f is degreewise injective, k must be an isomorphism in every
+    degree; when degreewise surjective, j must.  A failure raises
+    InvalidChainMap.
     """
     ring = f.ring
     if ring != INT and not ring.is_field:
@@ -822,11 +836,11 @@ def ker_coker_les(f: ComplexMap) -> LESReport:
     cone = cone_of_map(f)
     x, y = f.src, f.dst
     kc, kbases = _kernel_complex(f)
-    lo = cone.lo - 1
-    hi = cone.hi + 1
-    hker = {n: homology_data(kc, n) for n in range(lo - 2, hi + 1)}
-    hcone = {n: homology_data(cone, n) for n in range(lo - 1, hi + 1)}
-    hcok = {n: _coker_homology_data(f, n) for n in range(lo - 1, hi + 1)}
+    degrees = range(cone.lo - 1, cone.hi + 2)
+    around = range(cone.lo - 2, cone.hi + 2)
+    hker = {n: homology_data(kc, n) for n in range(cone.lo - 3, cone.hi + 2)}
+    hcone = {n: homology_data(cone, n) for n in around}
+    hcok = {n: _coker_homology_data(f, n) for n in around}
 
     injective = all(kbases[n].ncols == 0 for n in kbases)
     surjective = all(
@@ -837,104 +851,48 @@ def ker_coker_les(f: ComplexMap) -> LESReport:
     def kbasis(n):
         return kbases.get(n, Matrix.zeros(ring, x.rank(n), 0))
 
-    def colmat(cols, nrows):
-        return Matrix(ring, nrows, len(cols), list(zip(*cols)) if cols else [[] for _ in range(nrows)])
-
     zero = ring.zero()
-    j_maps = {}
-    k_maps = {}
-    d_maps = {}
-    for n in range(lo, hi + 1):
-        # j: H_(n-1)(ker) -> H_n(cone)
-        cols = []
-        for gvec in hker[n - 1].group.generators:
-            theta = kbasis(n - 1).apply(gvec)
-            vec = tuple(theta) + tuple([zero] * y.rank(n))
-            cols.append(list(hcone[n].express(vec)))
-        j_maps[n] = colmat(cols, hcone[n].ngens)
-        # k: H_n(cone) -> H_n(coker)
-        cols = []
-        for gvec in hcone[n].group.generators:
-            _theta, eta = cone_split(f, n, gvec)
-            cols.append(list(hcok[n].express(eta)))
-        k_maps[n] = colmat(cols, hcok[n].ngens)
-        # delta: H_n(coker) -> H_(n-2)(ker)
-        cols = []
-        for gvec in hcok[n].group.generators:
-            deta = Matrix.column(ring, list(y.diff(n).apply(gvec)))
-            theta = _solve(ring, f.component(n - 1), deta)
-            if theta is None:
-                raise InvalidChainMap("cokernel cycle does not lift")
-            theta_vec = [theta.entry(i, 0) for i in range(x.rank(n - 1))]
-            dtheta = x.diff(n - 1).apply(theta_vec)
-            kb = kbasis(n - 2)
-            if kb.ncols == 0:
-                if any(v != zero for v in dtheta):
-                    raise InvalidChainMap("connecting image misses the kernel complex")
-                cols.append([zero] * hker[n - 2].ngens)
-                continue
-            w = _solve(ring, kb, Matrix.column(ring, list(dtheta)))
-            if w is None:
+
+    def lift_boundary(n, g):
+        # a cycle eta of coker f goes to w with kbasis(n - 2) w = d theta, f(theta) = d eta
+        deta = Matrix.column(ring, list(y.diff(n).apply(g)))
+        theta = _solve(ring, f.component(n - 1), deta)
+        if theta is None:
+            raise InvalidChainMap("cokernel cycle does not lift")
+        dtheta = x.diff(n - 1).apply(theta.col(0))
+        kb = kbasis(n - 2)
+        if kb.ncols == 0:
+            if any(v != zero for v in dtheta):
                 raise InvalidChainMap("connecting image misses the kernel complex")
-            wvec = [w.entry(i, 0) for i in range(kb.ncols)]
-            cols.append(list(hker[n - 2].express(wvec)))
-        d_maps[n] = colmat(cols, hker[n - 2].ngens)
-
-    positions = []
-    for n in range(lo, hi + 1):
-        positions.append(_exact_at(f"H_{n}(f)", hcone[n], j_maps[n], k_maps[n], hcok[n]))
-        positions.append(_exact_at(f"H_{n}(coker)", hcok[n], k_maps[n], d_maps[n], hker[n - 2]))
-        if n - 1 in j_maps:
-            positions.append(_exact_at(f"H_{n - 2}(ker)", hker[n - 2], d_maps[n], j_maps[n - 1], hcone[n - 1]))
-
-    if injective:
-        for n in range(lo, hi + 1):
-            if not _is_presentation_iso(k_maps[n], hcone[n], hcok[n]):
-                raise InvalidChainMap(f"injective specialization failed: k not iso at degree {n}")
-    if surjective:
-        for n in range(lo, hi + 1):
-            if not _is_presentation_iso(j_maps[n], hker[n - 1], hcone[n]):
-                raise InvalidChainMap(f"surjective specialization failed: j not iso at degree {n}")
+            return ()
+        w = _solve(ring, kb, Matrix.column(ring, list(dtheta)))
+        if w is None:
+            raise InvalidChainMap("connecting image misses the kernel complex")
+        return w.col(0)
 
     groups = {}
-    for n in range(lo, hi + 1):
-        groups[f"H_{n}(ker)"] = hker[n].group if n in hker else AbGroup(0, (), ())
+    for n in degrees:
+        groups[f"H_{n}(ker)"] = hker[n].group
         groups[f"H_{n}(f)"] = hcone[n].group
         groups[f"H_{n}(coker)"] = hcok[n].group
-    maps = {}
-    for n in range(lo, hi + 1):
-        maps[f"j_{n}"] = j_maps[n]
-        maps[f"k_{n}"] = k_maps[n]
-        maps[f"delta_{n}"] = d_maps[n]
-    rep = LESReport("kercoker", groups, maps, tuple(positions))
+    rep = _assemble_les(
+        "kercoker",
+        groups,
+        degrees,
+        {n: hker[n - 1] for n in around},
+        hcone,
+        hcok,
+        lambda n: (f"H_{n - 1}(ker)", f"H_{n}(f)", f"H_{n}(coker)"),
+        lambda n, g: kbasis(n - 1).apply(g) + (zero,) * y.rank(n),
+        lambda n, g: cone_split(f, n, g)[1],
+        lambda n: _on_generators(hcok[n], hker[n - 2], lambda g: lift_boundary(n, g)),
+    )
+    if injective:
+        for n in degrees:
+            if not _is_presentation_iso(rep.maps[f"k_{n}"], hcone[n], hcok[n]):
+                raise InvalidChainMap(f"injective specialization failed: k not iso at degree {n}")
+    if surjective:
+        for n in degrees:
+            if not _is_presentation_iso(rep.maps[f"j_{n}"], hker[n - 1], hcone[n]):
+                raise InvalidChainMap(f"surjective specialization failed: j not iso at degree {n}")
     return rep
-
-
-def _is_presentation_iso(m: Matrix, src: HomologyData, dst: HomologyData) -> bool:
-    """Is the induced map of presented groups an isomorphism?"""
-    if src.ring != INT:
-        return src.ngens == dst.ngens and field_rank(m) == src.ngens
-    rel_src = src.relation_matrix()
-    rel_dst = dst.relation_matrix()
-    # surjective: every target generator lies in im(m) + relations
-    cover = hstack(INT, [m, rel_dst])
-    s = snf(cover)
-    for i in range(dst.ngens):
-        e = [0] * dst.ngens
-        e[i] = 1
-        if not member_int(cover, e, s):
-            return False
-    # injective: anything mapping into the relations is itself a relation
-    stacked = hstack(INT, [m, rel_dst])
-    kern = kernel_int(stacked)
-    proj = kern.submatrix(range(m.ncols), range(kern.ncols))
-    s_rel = snf(rel_src) if rel_src.ncols else None
-    for j in range(proj.ncols):
-        col = proj.col(j)
-        if rel_src.ncols:
-            if not member_int(rel_src, col, s_rel):
-                return False
-        else:
-            if any(v != 0 for v in col):
-                return False
-    return True

@@ -42,6 +42,14 @@ class Matrix:
         return cls(ring, nrows, ncols, rows)
 
     @classmethod
+    def from_columns(cls, ring: CoeffRing, nrows: int, cols) -> "Matrix":
+        """The matrix whose j-th column is cols[j]; nrows fixes the shape when cols is empty."""
+        cols = [tuple(c) for c in cols]
+        if any(len(c) != nrows for c in cols):
+            raise ShapeMismatch(f"columns do not all have length {nrows}")
+        return cls(ring, nrows, len(cols), list(zip(*cols)) if cols else [()] * nrows)
+
+    @classmethod
     def zeros(cls, ring: CoeffRing, nrows: int, ncols: int) -> "Matrix":
         z = ring.zero()
         return cls(ring, nrows, ncols, [[z] * ncols for _ in range(nrows)])

@@ -9,7 +9,7 @@ apex) so that the result is again a plain labeled complex.
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping
 
 from .chain import ComplexMap, GradedComplex, cone_of_map, mat_ring
 from .coeffs import INT, CoeffRing
@@ -19,7 +19,7 @@ from .errors import (
     InvalidComplex,
     InvalidSimplicialMap,
 )
-from .homology import AbGroup, HomologyData, _is_presentation_iso, homology_at, homology_data
+from .homology import AbGroup, _is_presentation_iso, _on_generators, homology_at, homology_data
 from .matrix import Matrix
 
 
@@ -311,8 +311,7 @@ def prism_operator(phi: SimplicialMap, ambient: SimplicialComplex, ring: CoeffRi
                 idx = [ambient._index[v] for v in labels]
                 col[ambient.index_of(n + 1, tuple(sorted(idx)))] += (-1) ** i * _sort_sign(idx)
             cols.append(col)
-        rows = [[c[r] for c in cols] for r in range(ambient.n_rank(n + 1))]
-        out[n] = Matrix(mr, ambient.n_rank(n + 1), len(cols), rows)
+        out[n] = Matrix.from_columns(mr, ambient.n_rank(n + 1), cols)
     return out
 
 
@@ -387,7 +386,7 @@ def compare_cones(phi: SimplicialMap) -> ConeComparison:
                 key = space.label_simplex(tuple(_yl(w) for w in dst.labels(t)))
                 col[space.index_of(n, key)] = -1
                 cols.append(col)
-        lt[n] = Matrix(INT, rows, len(cols), [[c[r] for c in cols] for r in range(rows)])
+        lt[n] = Matrix.from_columns(INT, rows, cols)
 
     printed = all(
         caug.diff(n) @ lt[n] == -(lt.get(n - 1, Matrix.zeros(INT, caug.rank(n - 1), conea.rank(n - 1))) @ conea.diff(n))
@@ -407,14 +406,8 @@ def compare_cones(phi: SimplicialMap) -> ConeComparison:
         alg = homology_at(cone, n)
         da = homology_data(conea, n)
         db = homology_data(caug, n)
-        cols = []
         ok = strict and alg.free_rank == da.group.free_rank and alg.torsion == da.group.torsion
-        if ok:
-            comp = lmap.component(n)
-            for i in range(da.ngens):
-                img = comp.apply(da.gen_matrix.col(i))
-                cols.append(list(db.express(img)))
-        mtx = Matrix(INT, db.ngens, len(cols), [[c[r] for c in cols] for r in range(db.ngens)])
+        mtx = _on_generators(da, db, lmap.component(n).apply) if ok else Matrix.zeros(INT, db.ngens, 0)
         iso = ok and _is_presentation_iso(mtx, da, db)
         degrees[n] = DegreeComparison(alg, db.group, mtx, iso)
     return ConeComparison(degrees, printed, strict)

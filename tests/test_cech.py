@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from relcone import cech
 from relcone.cech import (
     CechCochain,
     Cover,
@@ -30,12 +31,13 @@ from relcone.errors import (
     CoverMismatch,
     DegreeMismatch,
     InconsistentIntersections,
+    InvalidChainMap,
     InvalidSimplicialMap,
     NotACocycle,
     RingMismatch,
     UnsupportedRing,
 )
-from relcone.homology import homology_at, les_of_cone
+from relcone.homology import HomologyData, homology_at, les_of_cone
 from relcone.simplicial import SimplicialMap
 from relcone import fixtures as FX
 
@@ -362,6 +364,38 @@ def test_bockstein_requires_an_angle_cocycle():
     zi = RelCechCochain(m, CechCochain(m.src, 1, INT), CechCochain(m.dst, 2, INT))
     with pytest.raises(UnsupportedRing):
         bockstein(zi)
+
+
+def test_bockstein_raises_on_a_non_integral_connecting_cocycle(monkeypatch):
+    u = gerbe_cocycle()
+    real = cech.lift_angles
+
+    def off_by_half(c):
+        # half a turn too much on one source overlap: no longer a lift
+        lift = real(c)
+        if c.cover != u.m.src:
+            return lift
+        vec = list(lift.vector())
+        vec[0] += F(1, 2)
+        return CechCochain.from_vector(c.cover, c.degree, RAT, vec)
+
+    monkeypatch.setattr(cech, "lift_angles", off_by_half)
+    with pytest.raises(InvalidChainMap, match="non-integral"):
+        bockstein(u)
+
+
+def test_bockstein_raises_when_the_class_depends_on_the_lift(monkeypatch):
+    u = gerbe_cocycle()
+    calls = []
+
+    def fickle(self, vec):
+        calls.append(vec)
+        return (len(calls),)
+
+    monkeypatch.setattr(HomologyData, "express", fickle)
+    with pytest.raises(InvalidChainMap, match="depended on the lift"):
+        bockstein(u)
+    assert len(calls) == 2
 
 
 def test_bockstein_natural_under_deck_rotation():

@@ -219,17 +219,6 @@ def test_out_flag_writes_report(tmp_path):
     assert json.loads(dest.read_text())["H"]["1"]["torsion"] == [2]
 
 
-def test_thread_env_does_not_change_bytes(tmp_path, monkeypatch):
-    fx = emit_all(tmp_path)
-    _, one = run("homology", f"{fx}/rp2.json")
-    monkeypatch.setenv("RELCONE_THREADS", "4")
-    _, four = run("homology", f"{fx}/rp2.json")
-    assert one == four
-    monkeypatch.setenv("RELCONE_THREADS", "nope")
-    code, _ = run("homology", f"{fx}/rp2.json")
-    assert code == 1
-
-
 def test_dispatch_covers_every_verb_and_operation():
     verbs = {
         "snf", "homology", "cone", "cone-space", "compare-cones", "les",
@@ -273,6 +262,11 @@ def test_optimized_interpreter_gives_identical_bytes(tmp_path):
         ("homology", "--ring", "Zmod:2", f"{fx}/rp2.json"),
         ("les", "--ring", "Q", f"{fx}/fix-d2.json"),
         ("kercoker", f"{fx}/fix-d0.json"),
+        ("classify", f"{fx}/cocycle-half-gerbe.json"),
+        ("trivialize", f"{fx}/cocycle-half-gerbe.json"),
+        ("trivialize", f"{fx}/cocycle-half-bundle.json"),
+        ("compare-cones", f"{fx}/fix-d2.json"),
+        ("integrality", f"{fx}/pair-disk-area-half.json"),
     ):
         plain = run_subprocess(argv)
         assert plain[1], argv

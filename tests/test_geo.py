@@ -12,6 +12,7 @@ from relcone.cech import (
     RelCechCochain,
     cech_diff,
     cover_cochain_complex,
+    lift_angles,
     rel_diff,
     star_cover,
     star_cover_map,
@@ -20,12 +21,14 @@ from relcone.coeffs import INT, RAT, U1
 from relcone.errors import (
     CoverMismatch,
     DegreeMismatch,
+    InvalidChainMap,
     NontrivialClass,
     NotACocycle,
     NotClosed,
     NotIsotropic,
     RingMismatch,
 )
+from relcone import geo
 from relcone.geo import (
     COCYCLE_KINDS,
     RelFunctionCocycle,
@@ -45,8 +48,8 @@ from relcone.geo import (
     trivialize,
     validate,
 )
-from relcone.homology import homology_data
-from relcone.matrix import Matrix
+from relcone.homology import homology_data, kernel_int
+from relcone.matrix import Matrix, hstack
 from relcone.simplicial import SimplicialComplex, SimplicialMap, identity_simplicial
 from relcone import fixtures as FX
 
@@ -329,6 +332,14 @@ def test_is_equivalent():
     assert not ok and w is None
 
 
+def test_trivialize_raises_on_a_non_witness(monkeypatch):
+    sq = group_op(half_gerbe(), half_gerbe())
+    assert not sq.u.is_zero
+    monkeypatch.setattr(geo, "_solve_mod_one", lambda mtx, target: [0] * mtx.ncols)
+    with pytest.raises(InvalidChainMap, match="non-witness"):
+        trivialize(sq)
+
+
 def test_solve_mod_one_direct():
     two = Matrix(INT, 1, 1, [[2]])
     sol = _solve_mod_one(two, [F(1, 2)])
@@ -381,6 +392,68 @@ def test_absolute_rational_obstruction_is_reported_with_zero_class():
     with pytest.raises(NontrivialClass) as exc:
         absolute_trivialize(t)
     assert exc.value.cls.is_zero
+
+
+def closed_cochains(rng, cov, q, ring):
+    """Seeded closed q-cochains: integer kernel vectors, or angles k/n with d k = 0 mod n."""
+    d = cover_cochain_complex(cov, INT).diff(-q)  # C^q -> C^(q+1)
+    out = []
+    for n in (1, 1, 1) if ring == INT else (2, 3, 4):
+        gens = kernel_int(hstack(INT, [d, Matrix.identity(INT, d.nrows).zscale(n)]) if n > 1 else d)
+        coeffs = [rng.randint(-3, 3) for _ in range(gens.ncols)]
+        vec = [sum(gens.entry(r, j) * coeffs[j] for j in range(gens.ncols)) for r in range(d.ncols)]
+        out.append(CechCochain.from_vector(cov, q, ring, [ring.normalize(F(v, n)) for v in vec]))
+    return out
+
+
+FIXTURE_COVERS = {
+    "rp2": lambda: star_cover(FX.projective_plane()),
+    "suspension": lambda: FX.suspension_cover_map().dst,
+    "disk": FX.disk_cover,
+    "three-arc": FX.three_arc_cover,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_COVERS))
+def test_absolute_classes_match_the_cover_cohomology(name):
+    rng = random.Random(sum(map(ord, name)))
+    cov = FIXTURE_COVERS[name]()
+    for q in range(cov.dim + 1):
+        for ring in (INT, U1):
+            for t in closed_cochains(rng, cov, q, ring):
+                rep = absolute_classify(t)
+                if ring == INT:
+                    data = homology_data(cover_cochain_complex(cov, INT), -q)
+                    cycle, degree = t.vector(), q
+                else:
+                    data = homology_data(cover_cochain_complex(cov, INT), -(q + 1))
+                    cycle, degree = [int(v) for v in cech_diff(lift_angles(t)).vector()], q + 1
+                assert rep.basis == f"H^{degree}(N,Z)" and rep.kind == "absolute"
+                assert rep.coords == data.express(cycle)
+                assert (rep.orders, rep.group) == (data.orders, data.group)
+                try:
+                    w = absolute_trivialize(t)
+                except NontrivialClass as e:
+                    assert e.cls == rep
+                    if ring == INT:
+                        assert not rep.is_zero
+                else:
+                    assert rep.is_zero and w.degree == q - 1 and cech_diff(w) == t
+
+
+def test_absolute_degree_zero_cocycles():
+    cov = FX.three_arc_cover()
+    for ring in (INT, U1):
+        w = absolute_trivialize(CechCochain(cov, 0, ring))
+        assert w == CechCochain(cov, -1, ring)
+    ones = CechCochain.from_vector(cov, 0, INT, [1, 1, 1])
+    with pytest.raises(NontrivialClass) as exc:
+        absolute_trivialize(ones)
+    assert exc.value.cls.coords == (1,) and exc.value.cls.basis == "H^0(N,Z)"
+    third = CechCochain.from_vector(cov, 0, U1, [F(1, 3)] * 3)
+    with pytest.raises(NontrivialClass) as exc:
+        absolute_trivialize(third)
+    assert exc.value.cls.is_zero and exc.value.cls.basis == "H^1(N,Z)"
 
 
 def test_dixmier_douady_of_the_gerbe_target_vanishes():

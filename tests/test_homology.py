@@ -32,7 +32,6 @@ from relcone.homology import (
     _quotient_space_field,
     _subgroup_leq_field,
     connecting_hom,
-    field_rank,
     five_lemma_transfer,
     homology_at,
     homology_data,
@@ -126,7 +125,7 @@ def test_field_kernel_and_solve():
         a = Matrix.from_rows(ring, [[1, 2], [2, 4]])
         k = kernel_field(a)
         assert k.ncols == 1 and (a @ k).is_zero()
-        assert field_rank(a) == 1
+        assert a.ncols - k.ncols == 1  # rank by rank-nullity
         b = Matrix.from_rows(ring, [[3], [6]])
         x = solve_field(a, b)
         assert x is not None and a @ x == b
@@ -388,6 +387,47 @@ def test_ker_coker_over_rationals():
     assert rep.exact
     for n in range(0, 3):
         assert rep.groups[f"H_{n}(f)"].is_trivial
+
+
+def presented(ring, orders):
+    """HomologyData of H_0 with one generator per entry of orders (0 = free)."""
+    tors = [i for i, o in enumerate(orders) if o]
+    rows = [[orders[i] if i == t else 0 for t in tors] for i in range(len(orders))]
+    c = GradedComplex(ring, {0: len(orders), 1: len(tors)}, {1: Matrix(ring, len(orders), len(tors), rows)})
+    data = homology_data(c, 0)
+    assert data.orders == tuple(orders)
+    return data
+
+
+# (source orders, target orders, matrix in generator coordinates, iso?)
+PRESENTATION_CASES_ANY_RING = [
+    ((0, 0), (0, 0), [[1, 1], [0, -1]], True),
+    ((0,), (0,), [[0]], False),
+    ((0,), (0, 0), [[1], [0]], False),  # not onto
+    ((0, 0), (0,), [[1, 0]], False),  # not one to one
+    ((), (), [], True),  # zero groups
+]
+PRESENTATION_CASES_FIELD = [
+    ((0, 0), (0, 0), [[1, 1], [0, 2]], True),
+]
+PRESENTATION_CASES_Z = [
+    ((0, 0), (0, 0), [[1, 1], [0, 2]], False),  # index 2: not onto
+    ((2, 0), (2, 0), [[1, 1], [0, 1]], True),
+    ((4,), (4,), [[3]], True),
+    ((4,), (4,), [[2]], False),  # x2 on Z/4
+    ((2,), (4,), [[2]], False),  # Z/2 -> Z/4: one to one, not onto
+    ((0,), (2,), [[1]], False),  # Z -> Z/2: onto, not one to one
+    ((4,), (2,), [[1]], False),  # Z/4 -> Z/2: onto, not one to one
+]
+
+
+@pytest.mark.parametrize("ring", [INT, RAT, ZMOD(3)], ids=str)
+def test_is_presentation_iso_direct_cases(ring):
+    cases = PRESENTATION_CASES_ANY_RING + (PRESENTATION_CASES_Z if ring == INT else PRESENTATION_CASES_FIELD)
+    for src_orders, dst_orders, rows, expected in cases:
+        src, dst = presented(ring, src_orders), presented(ring, dst_orders)
+        m = Matrix(ring, dst.ngens, src.ngens, rows)
+        assert homology._is_presentation_iso(m, src, dst) is expected, (src_orders, dst_orders, rows)
 
 
 def test_ker_coker_isomorphism_gives_trivial_groups():

@@ -31,6 +31,21 @@ def test_bad_row_lengths_rejected():
         Matrix(INT, 2, 2, [[1, 2], [3]])
 
 
+def test_from_columns_matches_rows_and_keeps_empty_shapes():
+    m = Matrix.from_columns(INT, 2, [(1, 3), [2, 4]])
+    assert m == Matrix.from_rows(INT, [[1, 2], [3, 4]])
+    no_cols = Matrix.from_columns(RAT, 3, [])
+    assert no_cols.shape == (3, 0) and no_cols == Matrix.zeros(RAT, 3, 0)
+    no_rows = Matrix.from_columns(ZMOD(5), 0, [(), (), ()])
+    assert no_rows.shape == (0, 3) and no_rows == Matrix.zeros(ZMOD(5), 0, 3)
+    assert Matrix.from_columns(INT, 0, []).shape == (0, 0)
+    assert Matrix.from_columns(ZMOD(5), 1, [[7]]).rows == ((2,),)
+    with pytest.raises(ShapeMismatch):
+        Matrix.from_columns(INT, 2, [(1, 2), (3,)])
+    with pytest.raises(ShapeMismatch):
+        Matrix.from_columns(INT, 1, [(1, 2)])
+
+
 def test_arithmetic_int():
     a = Matrix.from_rows(INT, [[1, 2], [3, 4]])
     b = Matrix.from_rows(INT, [[0, 1], [1, 0]])
