@@ -1,9 +1,12 @@
 """Smith normal form, homology presentations, and long exact sequences.
 
 All integer work is exact big-integer arithmetic.  The Smith routine
-returns A = U D V with unimodular U, V together with their inverses,
-which is what every downstream lattice computation (kernels, solving,
-membership, quotient presentations) consumes.
+returns A = U D V with unimodular U, V together with their inverses.
+Kernels, solving and membership read them directly.  A lattice that
+one Smith form produced (a kernel, or the column span of a matrix)
+keeps that form's exact coordinate map, so homology presents a
+quotient and expresses a cycle without running another SNF: one on
+d_n for the cycle lattice and one on the boundaries in its coordinates.
 
 Homology groups are presented as
 :class:`AbGroup` values: free rank, divisibility-ordered torsion, and
@@ -379,15 +382,25 @@ class AbGroup:
 
 
 class HomologyData:
-    """An AbGroup together with the machinery to express cycles in it."""
+    """An AbGroup together with the machinery to express cycles in it.
 
-    def __init__(self, ring, ambient_rank, group, gen_matrix, orders, boundary_gens):
+    Over Z, ``lattice`` is the numerator with its coordinate map and
+    ``to_gens`` sends lattice coordinates to generator coordinates
+    (before the torsion reduction); over a field both are None and
+    ``express`` solves against generators and boundaries.
+    """
+
+    def __init__(
+        self, ring, ambient_rank, group, gen_matrix, orders, boundary_gens, lattice=None, to_gens=None
+    ):
         self.ring = ring
         self.ambient_rank = ambient_rank
         self.group = group
         self.gen_matrix = gen_matrix  # ambient x (number of kept generators)
         self.orders = orders  # per kept generator: d_i for torsion, 0 for free
         self.boundary_gens = boundary_gens  # ambient x b
+        self.lattice = lattice
+        self.to_gens = to_gens
         self._solver = None
 
     @property
@@ -405,26 +418,75 @@ class HomologyData:
     def express(self, vec):
         """Coordinates of the class [vec] in the kept generator basis.
 
-        vec must be a cycle (in ambient coordinates).  Torsion
-        coordinates are canonicalized into [0, d_i).
+        vec must be a cycle (in ambient coordinates); anything outside
+        the cycle lattice raises InvalidChainMap.  Torsion coordinates
+        are canonicalized into [0, d_i).  Over Z this is two products
+        with stored Smith transforms and no elimination.
         """
         if len(vec) != self.ambient_rank:
             raise ShapeMismatch(f"cycle length {len(vec)} vs ambient {self.ambient_rank}")
-        if self._solver is None:
-            self._solver = hstack(self.ring, [self.gen_matrix, self.boundary_gens])
-            if self.ring == INT:
-                self._solver_snf = snf(self._solver)
         b = Matrix.column(self.ring, list(vec))
         if self.ring == INT:
-            sol = solve_int(self._solver, b, self._solver_snf)
-        else:
-            sol = solve_field(self._solver, b)
+            y = self.lattice.coords(b)
+            if y is None:
+                raise InvalidChainMap("vector is not a cycle modulo boundaries")
+            coords = self.to_gens.apply(y.col(0))
+            return tuple(c % d if d else c for c, d in zip(coords, self.orders))
+        if self._solver is None:
+            self._solver = hstack(self.ring, [self.gen_matrix, self.boundary_gens])
+        sol = solve_field(self._solver, b)
         if sol is None:
             raise InvalidChainMap("vector is not a cycle modulo boundaries")
-        coords = [sol.entry(i, 0) for i in range(self.ngens)]
-        if self.ring == INT:
-            coords = [c % d if d else c for c, d in zip(coords, self.orders)]
-        return tuple(coords)
+        return tuple(sol.entry(i, 0) for i in range(self.ngens))
+
+
+@dataclass(frozen=True)
+class _Lattice:
+    """A lattice basis with the exact coordinate map of the SNF that produced it.
+
+    x lies in the lattice exactly when, in ``t = to @ x``, row
+    ``rows[j]`` is divisible by ``scale[j]`` for every j and every other
+    row is zero; the quotients t[rows[j]] / scale[j] are then the
+    coordinates of x in ``basis``.
+    """
+
+    basis: Matrix
+    to: Matrix
+    rows: tuple
+    scale: tuple
+
+    def coords(self, x: Matrix) -> Matrix | None:
+        """Coordinates of the columns of x in ``basis``, or None if one lies outside."""
+        t = self.to @ x
+        kept = set(self.rows)
+        if any(any(t.rows[i]) for i in range(t.nrows) if i not in kept):
+            return None
+        out = []
+        for i, d in zip(self.rows, self.scale):
+            row = t.rows[i]
+            if any(v % d for v in row):
+                return None
+            out.append([v // d for v in row])
+        return Matrix(INT, len(out), x.ncols, out)
+
+
+def _kernel_lattice(a: Matrix) -> _Lattice:
+    """ker(a) = columns r.. of Vinv; x = Vinv (V x) lies in it when (V x)[:r] = 0."""
+    s = snf(a)
+    n = a.ncols
+    return _Lattice(kernel_int(a, s), s.v, tuple(range(s.rank, n)), (1,) * (n - s.rank))
+
+
+def _image_lattice(a: Matrix) -> _Lattice:
+    """Column span of a = span of the d_i U[:, i], i < r.
+
+    x = U (Uinv x) lies in it when d_i divides (Uinv x)_i for i < r and
+    (Uinv x)_i = 0 for i >= r.
+    """
+    s = snf(a)
+    diag = s.diag[: s.rank]
+    cols = [[d * v for v in s.u.col(i)] for i, d in enumerate(diag)]
+    return _Lattice(Matrix.from_columns(INT, a.nrows, cols), s.uinv, tuple(range(s.rank)), diag)
 
 
 def _canonical_sign(col):
@@ -434,18 +496,19 @@ def _canonical_sign(col):
     return 1
 
 
-def _quotient_group_int(ambient_rank: int, num_basis: Matrix, den_gens: Matrix) -> HomologyData:
-    """Present span(num_basis)/span(den_gens) with den inside num.
+def _quotient_group_int(ambient_rank: int, num: _Lattice, den_gens: Matrix) -> HomologyData:
+    """Present span(num.basis)/span(den_gens) with den inside num.
 
-    num_basis columns must be a basis of the numerator lattice; den_gens
-    columns must lie in it.
+    num.basis columns must be a basis of the numerator lattice (full
+    column rank, so lattice coordinates are unique); den_gens columns
+    must lie in it, or InvalidChainMap is raised.
     """
+    num_basis = num.basis
     k = num_basis.ncols
     if k == 0:
         group = AbGroup(0, (), ())
-        return HomologyData(INT, ambient_rank, group, num_basis, (), den_gens)
-    s_num = snf(num_basis)
-    w = solve_int(num_basis, den_gens, s_num)
+        return HomologyData(INT, ambient_rank, group, num_basis, (), den_gens, num, Matrix.zeros(INT, 0, 0))
+    w = num.coords(den_gens)
     if w is None:
         raise InvalidChainMap("denominator not contained in numerator lattice")
     s2 = snf(w)
@@ -460,21 +523,21 @@ def _quotient_group_int(ambient_rank: int, num_basis: Matrix, den_gens: Matrix) 
     keep_sorted = [i for i in keep if orders[i] >= 2] + [i for i in keep if orders[i] == 0]
     cols = []
     kept_orders = []
+    to_gens = []
     for i in keep_sorted:
         col = list(new_basis.col(i))
         sgn = _canonical_sign(col)
         cols.append([sgn * x for x in col])
         kept_orders.append(orders[i])
+        to_gens.append([sgn * x for x in s2.uinv.rows[i]])
     gen_matrix = Matrix.from_columns(INT, ambient_rank, cols)
     group = AbGroup(free_rank, torsion, tuple(tuple(c) for c in cols))
-    return HomologyData(INT, ambient_rank, group, gen_matrix, tuple(kept_orders), den_gens)
+    to_gens = Matrix(INT, len(to_gens), k, to_gens)
+    return HomologyData(INT, ambient_rank, group, gen_matrix, tuple(kept_orders), den_gens, num, to_gens)
 
 
 def _homology_data_int(c: GradedComplex, n: int) -> HomologyData:
-    dn = c.diff(n)
-    dnext = c.diff(n + 1)
-    kern = kernel_int(dn)
-    return _quotient_group_int(c.rank(n), kern, dnext)
+    return _quotient_group_int(c.rank(n), _kernel_lattice(c.diff(n)), c.diff(n + 1))
 
 
 def _quotient_space_field(ring, ambient, num: Matrix, den: Matrix) -> HomologyData:
@@ -535,18 +598,25 @@ def induced_map(f: ComplexMap, n: int, src_data: HomologyData | None = None, dst
     return _on_generators(src_data, dst_data, f.component(n).apply)
 
 
-def connecting_hom(f: ComplexMap, n: int, cone: GradedComplex | None = None) -> Matrix:
+def connecting_hom(
+    f: ComplexMap,
+    n: int,
+    cone: GradedComplex | None = None,
+    src_data: HomologyData | None = None,
+    dst_data: HomologyData | None = None,
+) -> Matrix:
     """Connecting map H_n(Cone) -> ... realized at H_(n-1)(X) -> H_(n-1)(Y).
 
     Computed by the snake recipe on the cone (lift a cycle of X to
     (gamma, 0), push through the cone differential, read off the target
     component) and checked equal to induced_map(f, n-1); a mismatch
-    raises InvalidChainMap.
+    raises InvalidChainMap.  src_data and dst_data, when given, are the
+    HomologyData of X and Y in degree n-1.
     """
     if cone is None:
         cone = cone_of_map(f)
-    x_data = homology_data(f.src, n - 1)
-    y_data = homology_data(f.dst, n - 1)
+    x_data = homology_data(f.src, n - 1) if src_data is None else src_data
+    y_data = homology_data(f.dst, n - 1) if dst_data is None else dst_data
 
     def snake(g):
         img = cone.diff(n).apply(tuple(g) + (0,) * f.dst.rank(n))
@@ -707,7 +777,7 @@ def les_of_cone(f: ComplexMap) -> LESReport:
         lambda n: (f"H_{n}(Y)", f"H_{n}(cone)", f"H_{n - 1}(X)"),
         lambda n, g: (0,) * x.rank(n - 1) + tuple(g),
         lambda n, g: cone_split(f, n, g)[0],
-        lambda n: connecting_hom(f, n, cone),
+        lambda n: connecting_hom(f, n, cone, hx[n - 1], hy[n - 1]),
     )
 
 
@@ -811,10 +881,7 @@ def _coker_homology_data(f: ComplexMap, n: int) -> HomologyData:
     gl = kern.submatrix(range(g), range(kern.ncols))
     den = hstack(dn.ring, [y.diff(n + 1), rel_here])
     if ring == INT:
-        s_gl = snf(gl)
-        basis_cols = [[s_gl.diag[i] * xv for xv in s_gl.u.col(i)] for i in range(s_gl.rank)]
-        num_basis = Matrix.from_columns(INT, g, basis_cols)
-        return _quotient_group_int(g, num_basis, den)
+        return _quotient_group_int(g, _image_lattice(gl), den)
     return _quotient_space_field(ring, g, gl, den)
 
 

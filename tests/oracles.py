@@ -2,8 +2,10 @@
 
 Everything here is deliberately written from scratch with different
 algorithms than the package: Bareiss fraction-free determinants, minor
-gcds, naive mod-p elimination.  Frozen expected values for the fixed
-test cases live at the bottom.
+gcds, naive mod-p elimination.  The integer quotient helpers keep the
+library's earlier route through extra Smith forms, as a reference for
+the Smith-form coordinate maps the library uses now.  Frozen expected
+values for the fixed test cases live at the bottom.
 """
 
 from fractions import Fraction
@@ -169,6 +171,60 @@ def first_column_outside_span(a_cols, b_cols, p=None):
         if _rank_of_columns(b_cols + [col], p) > rb:
             return col
     return None
+
+
+# ---------------------------------------------------------------------------
+# Integer quotients by the library's earlier route: a Smith form of the
+# numerator basis to solve for the denominator, and a Smith form of
+# [generators | boundaries] to express a class
+# ---------------------------------------------------------------------------
+
+
+def quotient_group_int_via_snf(ambient_rank, num_basis, den_gens):
+    """span(num_basis)/span(den_gens) over Z via snf(num_basis) + solve_int.
+
+    Returns (w, free_rank, torsion, generators, orders): w holds the
+    coordinates of den_gens in num_basis, the rest present the quotient
+    with torsion generators first and each generator's first nonzero
+    entry positive.  Raises InvalidChainMap when den is not inside num.
+    """
+    from relcone.errors import InvalidChainMap
+    from relcone.homology import snf, solve_int
+
+    k = num_basis.ncols
+    if k == 0:
+        return None, 0, (), (), ()
+    w = solve_int(num_basis, den_gens, snf(num_basis))
+    if w is None:
+        raise InvalidChainMap("denominator not contained in numerator lattice")
+    s2 = snf(w)
+    new_basis = num_basis @ s2.u
+    orders = [s2.diag[i] if i < len(s2.diag) else 0 for i in range(k)]
+    keep = [i for i in range(k) if orders[i] >= 2] + [i for i in range(k) if orders[i] == 0]
+    gens = []
+    for i in keep:
+        col = new_basis.col(i)
+        sgn = next((1 if x > 0 else -1 for x in col if x), 1)
+        gens.append(tuple(sgn * x for x in col))
+    torsion = tuple(orders[i] for i in keep if orders[i])
+    return w, sum(1 for i in keep if orders[i] == 0), torsion, tuple(gens), tuple(orders[i] for i in keep)
+
+
+def express_via_solver_snf(data, vec):
+    """Class coordinates of vec by solving [gen_matrix | boundary_gens] x = vec over Z."""
+    from relcone.coeffs import INT
+    from relcone.errors import InvalidChainMap, ShapeMismatch
+    from relcone.homology import snf, solve_int
+    from relcone.matrix import Matrix, hstack
+
+    if len(vec) != data.ambient_rank:
+        raise ShapeMismatch(f"cycle length {len(vec)} vs ambient {data.ambient_rank}")
+    solver = hstack(INT, [data.gen_matrix, data.boundary_gens])
+    sol = solve_int(solver, Matrix.column(INT, list(vec)), snf(solver))
+    if sol is None:
+        raise InvalidChainMap("vector is not a cycle modulo boundaries")
+    coords = [sol.entry(i, 0) for i in range(data.ngens)]
+    return tuple(c % d if d else c for c, d in zip(coords, data.orders))
 
 
 # ---------------------------------------------------------------------------

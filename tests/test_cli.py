@@ -261,7 +261,9 @@ def test_optimized_interpreter_gives_identical_bytes(tmp_path):
         ("homology", "--ring", "Q", f"{fx}/rp2.json"),
         ("homology", "--ring", "Zmod:2", f"{fx}/rp2.json"),
         ("les", "--ring", "Q", f"{fx}/fix-d2.json"),
+        ("les", "--ring", "Z", f"{fx}/fix-d2.json"),
         ("kercoker", f"{fx}/fix-d0.json"),
+        ("kercoker", "--ring", "Z", f"{fx}/fix-d2.json"),
         ("classify", f"{fx}/cocycle-half-gerbe.json"),
         ("trivialize", f"{fx}/cocycle-half-gerbe.json"),
         ("trivialize", f"{fx}/cocycle-half-bundle.json"),

@@ -588,10 +588,15 @@ def test_field_subgroup_witness_matches_reference(ring, p):
 # ---------------------------------------------------------------------------
 
 
-def test_quotient_group_int_guard_raises(monkeypatch):
-    monkeypatch.setattr(homology, "solve_int", lambda *args, **kwargs: None)
-    with pytest.raises(InvalidChainMap, match="denominator not contained"):
-        homology_data(circle_complex(), 1)
+def test_quotient_group_int_guard_raises():
+    # (1, 0) is outside ker [1 -1] = span (1, 1); 1 is outside the image 2Z of [2]
+    cases = [
+        (homology._kernel_lattice(Matrix.from_rows(INT, [[1, -1]])), Matrix.from_rows(INT, [[1], [0]])),
+        (homology._image_lattice(Matrix.from_rows(INT, [[2]])), Matrix.from_rows(INT, [[1]])),
+    ]
+    for num, den in cases:
+        with pytest.raises(InvalidChainMap, match="denominator not contained"):
+            homology._quotient_group_int(den.nrows, num, den)
 
 
 def test_kernel_complex_guard_raises(monkeypatch):

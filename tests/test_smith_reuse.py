@@ -1,0 +1,145 @@
+"""Integer homology reuses the Smith forms that built its lattices.
+
+The coordinate-map route of `_quotient_group_int` and `express` is
+checked against the earlier route kept in `oracles.py` (a Smith form of
+the numerator basis, and one of [generators | boundaries] per group),
+and the number of Smith forms each step runs is pinned.
+"""
+
+import random
+
+from helpers import random_block_complex, random_chain_map, random_vector
+from oracles import express_via_solver_snf, quotient_group_int_via_snf
+from relcone import homology
+from relcone.chain import ComplexMap, cone_of_map
+from relcone.coeffs import INT
+from relcone.errors import RelconeError
+from relcone.fixtures import degree_map, fixture_registry, projective_plane
+from relcone.homology import homology_data, ker_coker_les, les_of_cone
+from relcone.matrix import Matrix
+from relcone.simplicial import SimplicialComplex, chain_complex, chain_map
+
+
+def torus(n):
+    """The n x n grid torus, 2n^2 triangles."""
+    lab = lambda i, j: f"t{i % n}.{j % n}"
+    facets = []
+    for i in range(n):
+        for j in range(n):
+            facets.append((lab(i, j), lab(i + 1, j), lab(i + 1, j + 1)))
+            facets.append((lab(i, j), lab(i, j + 1), lab(i + 1, j + 1)))
+    return SimplicialComplex([lab(i, j) for i in range(n) for j in range(n)], facets)
+
+
+def integer_complexes(rng):
+    """(name, complex): fixture complexes and map cones, tori, RP^2, scrambled complexes, degree-map cones."""
+    out = []
+    for name, (kind, build) in fixture_registry().items():
+        if kind == "complex":
+            out.append((name, chain_complex(build(), INT)))
+        elif kind == "map":
+            out.append((f"cone {name}", cone_of_map(chain_map(build(), INT))))
+    out += [("T(3)", chain_complex(torus(3), INT)), ("rp2", chain_complex(projective_plane(), INT))]
+    for i in range(6):
+        out.append((f"block {i}", random_block_complex(rng, 0, 3).chain))
+    for i in range(4):
+        xd, yd = random_block_complex(rng, 0, 2), random_block_complex(rng, 0, 2)
+        out.append((f"block cone {i}", cone_of_map(random_chain_map(rng, xd, yd))))
+    for d in (7, 8):
+        out.append((f"cone d{d}", cone_of_map(chain_map(degree_map(d), INT))))
+    return out
+
+
+def outcome(fn, vec):
+    try:
+        return "ok", fn(vec)
+    except RelconeError as e:
+        return type(e), str(e)
+
+
+def recording_quotients(monkeypatch):
+    """Record (ambient, numerator lattice, denominator, result) of every integer quotient."""
+    seen = []
+    real = homology._quotient_group_int
+
+    def record(ambient, num, den):
+        data = real(ambient, num, den)
+        seen.append((ambient, num, den, data))
+        return data
+
+    monkeypatch.setattr(homology, "_quotient_group_int", record)
+    return seen
+
+
+def check_against_oracle(rng, ambient, num, den, data):
+    """Same w, generators and orders as the oracle; same classes and errors from express."""
+    w, free_rank, torsion, gens, orders = quotient_group_int_via_snf(ambient, num.basis, den)
+    if num.basis.ncols:
+        assert num.coords(den) == w
+    group = data.group
+    assert (group.free_rank, group.torsion, group.generators, data.orders) == (free_rank, torsion, gens, orders)
+    cycles = list(group.generators)
+    for _ in range(3):
+        a = num.basis.apply(random_vector(rng, num.basis.ncols))
+        b = den.apply(random_vector(rng, den.ncols))
+        cycles.append(tuple(x + y for x, y in zip(a, b)))
+    for cyc in cycles:
+        assert data.express(cyc) == express_via_solver_snf(data, cyc)
+    vec = random_vector(rng, ambient)
+    got = outcome(data.express, vec)
+    assert got == outcome(lambda v: express_via_solver_snf(data, v), vec)
+    return got[0] != "ok"
+
+
+def test_homology_data_matches_snf_oracle(monkeypatch):
+    rng = random.Random(4100)
+    seen = recording_quotients(monkeypatch)
+    for _, c in integer_complexes(rng):
+        for n in range(c.lo - 1, c.hi + 2):
+            homology_data(c, n)
+    assert len(seen) > 100
+    rejected = sum(check_against_oracle(rng, *rec) for rec in seen)
+    assert rejected > 20  # non-cycles raise the same InvalidChainMap in both
+
+
+def scaled_identity(c, k):
+    return ComplexMap(c, c, {n: Matrix.identity(INT, c.rank(n)).zscale(k) for n in c.degrees() if c.rank(n)})
+
+
+def test_kercoker_groups_match_snf_oracle(monkeypatch):
+    rng = random.Random(4101)
+    maps = [chain_map(degree_map(d), INT) for d in range(5)]
+    maps += [scaled_identity(chain_complex(projective_plane(), INT), k) for k in (2, 3)]
+    maps += [scaled_identity(random_block_complex(rng, 0, 2).chain, k) for k in (2, 4, 6)]
+    seen = recording_quotients(monkeypatch)
+    for f in maps:
+        ker_coker_les(f)
+    scaled = [rec for rec in seen if any(d != 1 for d in rec[1].scale)]
+    assert scaled  # some cokernel numerators are proper sublattices of their span
+    for rec in seen:
+        check_against_oracle(rng, *rec)
+
+
+def test_integer_homology_snf_budget(monkeypatch):
+    rng = random.Random(4102)
+    shapes = []
+    real = homology.snf
+    monkeypatch.setattr(homology, "snf", lambda a: shapes.append(a.shape) or real(a))
+    for name, c in integer_complexes(rng):
+        for n in range(c.lo - 1, c.hi + 2):
+            shapes.clear()
+            data = homology_data(c, n)
+            assert len(shapes) <= 2, (name, n, shapes)
+            shapes.clear()
+            for g in data.group.generators:
+                data.express(g)
+            outcome(data.express, random_vector(rng, c.rank(n)))
+            assert shapes == [], (name, n)
+
+
+def test_les_of_cone_computes_each_homology_once(monkeypatch):
+    calls = []
+    real = homology.homology_data
+    monkeypatch.setattr(homology, "homology_data", lambda c, n: calls.append((id(c), n)) or real(c, n))
+    les_of_cone(chain_map(degree_map(2), INT))
+    assert len(calls) == len(set(calls)) == 18
