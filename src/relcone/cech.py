@@ -11,6 +11,16 @@ restrict to zero upstairs together with a reason why.
 All coboundary and pullback matrices are integer matrices acting
 through the Z-module structure of the coefficients, so the same code
 path serves Z, Q, Z/n and the circle group.
+
+Covers and cover maps are immutable, and each compiles its integer data
+once, on first use, into its `view`.  A :class:`CoverView` holds the
+nerve's cochain complex (so every coboundary matrix); a
+:class:`CoverMapView` holds the pullback matrices per degree, the
+relative cone complex and its integer homology per degree.  Every check
+(d d = 0, the cochain-map identity, the cone reindexing, the Smith form
+postconditions) runs once per view instead of once per call.
+`cech_diff`, `pullback`, `rel_diff`, the cone builders, `bockstein` and
+the classifiers in `geo` all read these views.
 """
 
 from __future__ import annotations
@@ -21,10 +31,10 @@ from typing import Dict, Mapping, Tuple
 from .chain import (
     ComplexMap,
     GradedComplex,
-    cochain_cone_split,
-    cochain_complex,
     cochain_map,
     cone_of_cochain_map,
+    dual_complex,
+    from_int_complex,
 )
 from .coeffs import INT, RAT, U1, CoeffRing, Scalar, angle_lift
 from .errors import (
@@ -33,18 +43,47 @@ from .errors import (
     InvalidChainMap,
     NotACocycle,
     RingMismatch,
+    ShapeMismatch,
     UnsupportedRing,
 )
-from .homology import AbGroup, HomologyData, homology_at, homology_data
-from .matrix import Matrix
-from .simplicial import SimplicialComplex, SimplicialMap, chain_complex, chain_map, nerve, _sort_sign
+from .homology import AbGroup, HomologyData, homology_at, homology_data, torsion_exponent
+from .matrix import Matrix, from_int_matrix
+from .simplicial import (
+    Frozen,
+    SimplicialComplex,
+    SimplicialMap,
+    _sort_sign,
+    chain_complex,
+    nerve,
+    pushforward_matrices,
+)
 
 
-class Cover:
-    """An open cover, known only through its nerve."""
+class Cover(Frozen):
+    """An open cover, known only through its nerve.
+
+    The view is a :class:`CoverView`, compiled on first use.
+    """
+
+    __slots__ = ("nerve", "_view")
 
     def __init__(self, nerve_complex: SimplicialComplex):
-        self.nerve = nerve_complex
+        self._init(nerve=nerve_complex)
+
+    def _build_view(self) -> "CoverView":
+        return CoverView(self)
+
+    @property
+    def absolute(self) -> "CoverMap":
+        """The empty cover mapped into this one, made on first use and kept in the view.
+
+        Its cone is this cover's cochain complex, so absolute classes and
+        witnesses run the relative code and share one cone per cover.
+        """
+        view = self.view
+        if view.absolute is None:
+            view.absolute = CoverMap(Cover(nerve([], [])), self, {})
+        return view.absolute
 
     @classmethod
     def from_sets(cls, sets, intersections) -> "Cover":
@@ -76,25 +115,30 @@ class Cover:
     def __eq__(self, other):
         if not isinstance(other, Cover):
             return NotImplemented
-        return self.nerve == other.nerve
+        return self is other or self.nerve == other.nerve
 
     def __repr__(self):
         return f"Cover({len(self.names)} sets, nerve dim {self.dim})"
 
 
-class CoverMap:
+class CoverMap(Frozen):
     """A refinement-style map of covers.
 
     `assignment` sends each source set name to a target set name, and
     must carry nonempty overlaps to nonempty overlaps; that is exactly
-    the condition that it defines a simplicial map of nerves.
+    the condition that it defines a simplicial map of nerves.  It is a
+    read-only mapping.  The view is a :class:`CoverMapView`, compiled on
+    first use.
     """
 
+    __slots__ = ("src", "dst", "assignment", "nerve_map", "_view")
+
     def __init__(self, src: Cover, dst: Cover, assignment: Mapping):
-        self.src = src
-        self.dst = dst
-        self.assignment = dict(assignment)
-        self.nerve_map = SimplicialMap(src.nerve, dst.nerve, self.assignment)
+        nerve_map = SimplicialMap(src.nerve, dst.nerve, assignment)
+        self._init(src=src, dst=dst, assignment=nerve_map.vmap, nerve_map=nerve_map)
+
+    def _build_view(self) -> "CoverMapView":
+        return CoverMapView(self)
 
     def __call__(self, name):
         return self.assignment[name]
@@ -102,7 +146,7 @@ class CoverMap:
     def __eq__(self, other):
         if not isinstance(other, CoverMap):
             return NotImplemented
-        return (
+        return self is other or (
             self.src == other.src
             and self.dst == other.dst
             and self.assignment == other.assignment
@@ -110,6 +154,82 @@ class CoverMap:
 
     def __repr__(self):
         return f"CoverMap({len(self.src.names)} -> {len(self.dst.names)} sets)"
+
+
+class CoverView:
+    """A cover's compiled integer data.
+
+    `cochains` is the integer cochain complex of the nerve in chain
+    storage (degree -p), the dual of its validated chain complex; its
+    differential at chain degree -p is the coboundary C^p -> C^(p+1).
+    `absolute` holds :attr:`Cover.absolute` once it is made; it refers
+    back to the cover, so it is only made for absolute classes.
+    """
+
+    __slots__ = ("cochains", "absolute")
+
+    def __init__(self, cover: Cover):
+        self.cochains = dual_complex(chain_complex(cover.nerve, INT))
+        self.absolute = None
+
+    def rank(self, p: int) -> int:
+        return self.cochains.rank(-p)
+
+    def coboundary(self, p: int) -> Matrix:
+        """d: C^p -> C^(p+1) over Z."""
+        return self.cochains.diff(-p)
+
+
+class CoverMapView:
+    """A cover map's compiled integer data.
+
+    `pulls[p]` is the pullback C^p(dst) -> C^p(src), the transposed
+    pushforward of the nerve map; the view checks once that the pulls
+    commute with the two covers' coboundaries.  `cone` is the relative
+    cone, built with its reindexing check on first use; `data(n)` is its
+    integer homology at chain degree n and `exponent(n)` the torsion
+    exponent of its differential there, each computed once.  The cone
+    map itself is not kept, nor any Smith form; other rings read these
+    integer matrices through `zapply` or `from_int_matrix`.
+    """
+
+    __slots__ = ("src", "dst", "pulls", "_cone", "_data", "_exponents")
+
+    def __init__(self, m: CoverMap):
+        self.src = m.src.view
+        self.dst = m.dst.view
+        self.pulls = {p: t.transpose() for p, t in pushforward_matrices(m.nerve_map).items()}
+        self._cone = None
+        self._data = {}
+        self._exponents = {}
+        cochain_map(self.dst.cochains, self.src.cochains, self.pulls)  # raises unless d f = f d
+
+    def pull(self, p: int) -> Matrix:
+        t = self.pulls.get(p)
+        return t if t is not None else Matrix.zeros(INT, self.src.rank(p), self.dst.rank(p))
+
+    def cone_map(self, ring: CoeffRing) -> ComplexMap:
+        """The pullback as a cochain map over `ring`, from the checked integer matrices."""
+        x = from_int_complex(self.dst.cochains, ring)
+        y = from_int_complex(self.src.cochains, ring)
+        mats = {-p: from_int_matrix(t, ring) for p, t in self.pulls.items()}
+        return ComplexMap(x, y, mats, validate=False)
+
+    @property
+    def cone(self) -> GradedComplex:
+        if self._cone is None:
+            self._cone = cone_of_cochain_map(self.cone_map(INT))
+        return self._cone
+
+    def data(self, n: int) -> HomologyData:
+        if n not in self._data:
+            self._data[n] = homology_data(self.cone, n)
+        return self._data[n]
+
+    def exponent(self, n: int) -> int:
+        if n not in self._exponents:
+            self._exponents[n] = torsion_exponent(self.cone.diff(n))
+        return self._exponents[n]
 
 
 def identity_cover_map(cover: Cover) -> CoverMap:
@@ -254,14 +374,9 @@ class CechCochain:
         return f"CechCochain(deg {self.degree}, {self.ring}, {len(self._vals)} nonzero)"
 
 
-def _coboundary_matrix(cover: Cover, p: int, ring: CoeffRing = INT) -> Matrix:
-    """Matrix of d: C^p -> C^(p+1), the transposed nerve boundary."""
-    return chain_complex(cover.nerve, ring).diff(p + 1).transpose()
-
-
 def cech_diff(c: CechCochain) -> CechCochain:
     """Alternating-sum coboundary, one degree up."""
-    m = _coboundary_matrix(c.cover, c.degree)
+    m = c.cover.view.coboundary(c.degree)
     return CechCochain.from_vector(c.cover, c.degree + 1, c.ring, m.zapply(c.ring, c.vector()))
 
 
@@ -273,26 +388,21 @@ def pullback(m: CoverMap, c: CechCochain) -> CechCochain:
     """
     if c.cover != m.dst:
         raise CoverMismatch("cochain does not live on the map's target cover")
-    t = chain_map(m.nerve_map, INT).component(c.degree).transpose()
+    t = m.view.pull(c.degree)
     return CechCochain.from_vector(m.src, c.degree, c.ring, t.zapply(c.ring, c.vector()))
 
 
 def cover_cochain_complex(cover: Cover, ring: CoeffRing) -> GradedComplex:
     """The cochain complex of the nerve, in chain storage (degree -p)."""
-    d = cover.nerve.dim
-    ranks = {p: cover.rank(p) for p in range(d + 1)}
-    diffs = {p: _coboundary_matrix(cover, p, ring) for p in range(d + 1)}
-    return cochain_complex(ring, ranks, diffs)
+    return from_int_complex(cover.view.cochains, ring)
 
 
 def relative_cone_map(m: CoverMap, ring: CoeffRing) -> ComplexMap:
-    """The pullback, as a cochain map from target-cover to source-cover cochains."""
-    x = cover_cochain_complex(m.dst, ring)
-    y = cover_cochain_complex(m.src, ring)
-    cm = chain_map(m.nerve_map, ring)
-    top = min(m.src.dim, m.dst.dim)
-    mats = {p: cm.component(p).transpose() for p in range(top + 1)}
-    return cochain_map(x, y, mats)
+    """The pullback, as a cochain map from target-cover to source-cover cochains.
+
+    Read from the map's view, whose integer matrices were checked once.
+    """
+    return m.view.cone_map(ring)
 
 
 def relative_cone_complex(m: CoverMap, ring: CoeffRing) -> GradedComplex:
@@ -301,10 +411,12 @@ def relative_cone_complex(m: CoverMap, ring: CoeffRing) -> GradedComplex:
     Stored in chain orientation, so the degree-q cohomology of the map
     is the homology of this complex at chain degree -q.
     """
-    return cone_of_cochain_map(relative_cone_map(m, ring))
+    return from_int_complex(m.view.cone, ring)
 
 
 def relative_cohomology(m: CoverMap, ring: CoeffRing, q: int) -> AbGroup:
+    if ring == INT:
+        return m.view.data(-q).group
     return homology_at(relative_cone_complex(m, ring), -q)
 
 
@@ -339,9 +451,12 @@ class RelCechCochain:
 
     @classmethod
     def from_vector(cls, m: CoverMap, q: int, ring: CoeffRing, vec) -> "RelCechCochain":
-        alpha, beta = cochain_cone_split(relative_cone_map(m, ring), q, vec)
-        s = CechCochain.from_vector(m.src, q - 1, ring, alpha)
-        t = CechCochain.from_vector(m.dst, q, ring, beta)
+        """Split a cone vector: the source cover's (q-1)-overlaps come first."""
+        split = m.src.rank(q - 1)
+        if len(vec) != split + m.dst.rank(q):
+            raise ShapeMismatch("cone vector has wrong length")
+        s = CechCochain.from_vector(m.src, q - 1, ring, vec[:split])
+        t = CechCochain.from_vector(m.dst, q, ring, vec[split:])
         return cls(m, s, t)
 
     @property
@@ -421,7 +536,7 @@ def _integer_rel_cochain(m: CoverMap, q: int, vec) -> RelCechCochain:
     return RelCechCochain.from_vector(m, q, INT, [int(v) for v in vec])
 
 
-def bockstein(u: RelCechCochain, data: HomologyData | None = None) -> BocksteinResult:
+def bockstein(u: RelCechCochain) -> BocksteinResult:
     """Connecting homomorphism of 0 -> Z -> Q -> Q/Z -> 0 on the cone.
 
     Lifts the angle-valued cocycle to rational cochains, applies the
@@ -429,7 +544,7 @@ def bockstein(u: RelCechCochain, data: HomologyData | None = None) -> BocksteinR
     degree up together with its integer cohomology class.  The class
     does not depend on the chosen lift; this is re-checked against a
     shifted lift on every call, and a mismatch raises InvalidChainMap.
-    `data` may carry the precomputed integer cone homology one degree up.
+    The integer cone homology one degree up comes from the map's view.
     """
     if u.ring != U1:
         raise UnsupportedRing("the connecting map applies to angle-valued cocycles")
@@ -438,8 +553,7 @@ def bockstein(u: RelCechCochain, data: HomologyData | None = None) -> BocksteinR
     q = u.degree
     lift = RelCechCochain(u.m, lift_angles(u.s), lift_angles(u.t))
     w = _integer_rel_cochain(u.m, q + 1, rel_diff(lift).vector())
-    if data is None:
-        data = homology_data(relative_cone_complex(u.m, INT), -(q + 1))
+    data = u.m.view.data(-(q + 1))
     coords = data.express(w.vector())
     ones_s = CechCochain.from_vector(u.m.src, q - 1, RAT, [1] * u.m.src.rank(q - 1))
     ones_t = CechCochain.from_vector(u.m.dst, q, RAT, [-1] * u.m.dst.rank(q))
@@ -456,5 +570,12 @@ def star_cover(k: SimplicialComplex) -> Cover:
 
 
 def star_cover_map(phi: SimplicialMap) -> CoverMap:
-    """Star covers turn a simplicial map into a cover map via its vertex map."""
-    return CoverMap(star_cover(phi.src), star_cover(phi.dst), dict(phi.vmap))
+    """Star covers turn a simplicial map into a cover map via its vertex map.
+
+    Made once per map and kept in its view, so every pair of cochains
+    on one map's star covers shares one cover map and its view.
+    """
+    view = phi.view
+    if view.star is None:
+        view.star = CoverMap(star_cover(phi.src), star_cover(phi.dst), phi.vmap)
+    return view.star

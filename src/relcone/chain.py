@@ -38,7 +38,7 @@ from .errors import (
     RingMismatch,
     ShapeMismatch,
 )
-from .matrix import Matrix, block
+from .matrix import Matrix, block, from_int_matrix
 
 
 def mat_ring(ring: CoeffRing) -> CoeffRing:
@@ -102,6 +102,19 @@ class GradedComplex:
     def __repr__(self):
         rks = ", ".join(f"{n}:{self._ranks[n]}" for n in sorted(self._ranks))
         return f"GradedComplex({self.ring}, ranks={{{rks}}})"
+
+
+def from_int_complex(c: GradedComplex, ring: CoeffRing) -> GradedComplex:
+    """An integer complex read over `ring` through n -> n.1.
+
+    A ring map keeps d d = 0, so the result is not validated again.
+    """
+    if c.ring != INT:
+        raise RingMismatch("expected an integer complex")
+    if ring == INT:
+        return c
+    diffs = {n: from_int_matrix(m, ring) for n, m in c._diffs.items()}
+    return GradedComplex(ring, c._ranks, diffs, validate=False)
 
 
 def zero_complex(ring: CoeffRing) -> GradedComplex:

@@ -10,6 +10,12 @@ checks for closed rational pairs against generating relative cycles.
 
 All verdicts are exact; angle equations are solved by clearing
 denominators and working modulo a finite, provably sufficient bound.
+
+Nothing here builds a complex: classes and witnesses read the relative
+cone and its integer homology from the cover map's view, absolute ones
+from the view of the empty cover mapped into the cover (which the cover
+owns), and integrality reads the chain cone of the simplicial map's
+view (see `cech` and `simplicial`).
 """
 
 from __future__ import annotations
@@ -20,17 +26,14 @@ from math import lcm
 
 from .cech import (
     CechCochain,
-    Cover,
     CoverMap,
     RelCechCochain,
     bockstein,
     cech_diff,
     pullback,
     rel_diff,
-    relative_cone_complex,
     star_cover_map,
 )
-from .chain import cone_of_map, cone_split
 from .coeffs import INT, RAT, U1, CoeffRing
 from .errors import (
     CoverMismatch,
@@ -43,9 +46,9 @@ from .errors import (
     RingMismatch,
     UnsupportedRing,
 )
-from .homology import AbGroup, HomologyData, homology_data, snf, solve_int, solve_int_mod
+from .homology import AbGroup, solve_int, solve_int_mod
 from .matrix import Matrix
-from .simplicial import SimplicialMap, chain_map, nerve
+from .simplicial import SimplicialMap
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +257,6 @@ class ClassReport:
         return tuple(d for d in self.orders if d)
 
 
-def _cone_data(m: CoverMap, chain_degree: int) -> HomologyData:
-    """Integer cone homology, computed once per cover map and degree."""
-    memo = m.__dict__.setdefault("_cone_data_memo", {})
-    if chain_degree not in memo:
-        memo[chain_degree] = homology_data(relative_cone_complex(m, INT), chain_degree)
-    return memo[chain_degree]
-
-
 def _require_valid(c):
     rep = validate(c)
     if not rep.valid:
@@ -273,9 +268,9 @@ def _require_valid(c):
 def _class_report(u: RelCechCochain, kind: str, space: str) -> ClassReport:
     q = u.degree
     if u.ring == INT:
-        data = _cone_data(u.m, -q)
+        data = u.m.view.data(-q)
         return ClassReport(kind, f"H^{q}({space},Z)", data.express(u.vector()), data.orders, data.group)
-    res = bockstein(u, _cone_data(u.m, -(q + 1)))
+    res = bockstein(u)
     return ClassReport(kind, f"H^{q + 1}({space},Z)", res.coords, res.data.orders, res.data.group)
 
 
@@ -294,20 +289,15 @@ def classify(c) -> ClassReport:
 # ---------------------------------------------------------------------------
 
 
-def _solve_mod_one(mtx: Matrix, target) -> list | None:
+def _solve_mod_one(mtx: Matrix, target, exponent: int) -> list | None:
     """Exact rational solution of mtx @ w = target (mod 1), or None.
 
     Denominators are cleared to D = lcm of the target's denominators
-    and the equation is solved over Z/(D*e), where e is the lcm of the
-    matrix's nonzero elementary divisors; solvability there is
-    equivalent to solvability mod 1, which keeps the search finite.
+    and the equation is solved over Z/(D*e), where e = `exponent` is the
+    lcm of the matrix's nonzero elementary divisors; solvability there
+    is equivalent to solvability mod 1, which keeps the search finite.
     """
-    s = snf(mtx)
     cleared = lcm(*(Fraction(v).denominator for v in target)) if len(target) else 1
-    exponent = 1
-    for d in s.diag:
-        if d:
-            exponent = lcm(exponent, d)
     modulus = cleared * exponent
     ints = [int(Fraction(v) * modulus) for v in target]
     sol = solve_int_mod(mtx, Matrix.column(INT, ints), modulus)
@@ -319,12 +309,13 @@ def _solve_mod_one(mtx: Matrix, target) -> list | None:
 def _witness(u: RelCechCochain) -> RelCechCochain | None:
     """A relative cochain one degree down with coboundary u, or None."""
     q = u.degree
-    mtx = relative_cone_complex(u.m, INT).diff(-(q - 1))
+    view = u.m.view
+    mtx = view.cone.diff(-(q - 1))
     if u.ring == INT:
         sol = solve_int(mtx, Matrix.column(INT, list(u.vector())))
         vec = None if sol is None else sol.col(0)
     else:
-        vec = _solve_mod_one(mtx, u.vector())
+        vec = _solve_mod_one(mtx, u.vector(), view.exponent(-(q - 1)))
     if vec is None:
         return None
     witness = RelCechCochain.from_vector(u.m, q - 1, u.ring, [u.ring.normalize(v) for v in vec])
@@ -369,11 +360,12 @@ def _absolute_pair(t: CechCochain) -> RelCechCochain:
     """A closed cochain t as the relative cocycle (0, t) of the empty cover mapped into t's cover.
 
     The cone of that map is the cover's own cochain complex, so its
-    classes and witnesses are the absolute ones.
+    classes and witnesses are the absolute ones.  The cover owns the
+    map, so repeated calls on one cover build its cone once.
     """
     if not cech_diff(t).is_zero:
         raise NotACocycle("cochain is not closed")
-    m = CoverMap(Cover(nerve([], [])), t.cover, {})
+    m = t.cover.absolute
     return RelCechCochain(m, CechCochain(m.src, t.degree - 1, t.ring), t)
 
 
@@ -495,14 +487,6 @@ class IntegralityReport:
         return all(p.ok for p in self.pairings)
 
 
-def _chain_cone_data(phi: SimplicialMap, n: int):
-    memo = phi.__dict__.setdefault("_cone_data_memo", {})
-    if n not in memo:
-        f = chain_map(phi, INT)
-        memo[n] = (f, homology_data(cone_of_map(f), n))
-    return memo[n]
-
-
 def is_integral(p: RelRealCochainPair) -> IntegralityReport:
     """Pair (alpha, beta) against every generator of the map's homology.
 
@@ -512,12 +496,13 @@ def is_integral(p: RelRealCochainPair) -> IntegralityReport:
     if not p.is_closed:
         raise NotClosed("d(beta, alpha) is nonzero in the relative cone")
     n = p.degree
-    f, data = _chain_cone_data(p.phi, n)
+    data = p.phi.view.data(n)
+    split = p.phi.src.n_rank(n - 1)
     alpha_vec = p.alpha.vector()
     beta_vec = p.beta.vector()
     pairings = []
     for order, g in zip(data.orders, data.group.generators):
-        theta, eta = cone_split(f, n, g)
+        theta, eta = g[:split], g[split:]
         value = Fraction(
             sum(a * y for a, y in zip(alpha_vec, eta))
             - sum(b * x for b, x in zip(beta_vec, theta))

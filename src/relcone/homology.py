@@ -23,6 +23,7 @@ generator matrices; its pivot columns name the basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .chain import ComplexMap, GradedComplex, cone_of_map, cone_split
 from .coeffs import INT
@@ -259,6 +260,11 @@ def member_int(gens: Matrix, vec, s: SNFResult | None = None) -> bool:
     """Is vec in the subgroup generated by the columns of gens?"""
     b = Matrix.column(INT, list(vec))
     return solve_int(gens, b, s) is not None
+
+
+def torsion_exponent(a: Matrix) -> int:
+    """lcm of the nonzero elementary divisors of a (1 when there are none)."""
+    return lcm(1, *(d for d in snf(a).diag if d))
 
 
 def solve_int_mod(a: Matrix, b: Matrix, k: int) -> Matrix | None:

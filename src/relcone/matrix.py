@@ -250,7 +250,7 @@ def from_int_matrix(m: Matrix, ring: CoeffRing) -> Matrix:
     """Reinterpret an integer matrix over another ring via n -> n.1."""
     if m.ring != INT:
         raise RingMismatch("expected an integer matrix")
-    if ring.kind == "U1":
-        # Integer matrices act on U1 vectors; they are kept over Z.
+    if ring == INT or ring.kind == "U1":
+        # Nothing to convert over Z; integer matrices act on U1 vectors as they are.
         return m
     return m.change_ring(ring)

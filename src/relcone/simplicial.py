@@ -5,10 +5,16 @@ vertices at construction time, and that order drives every boundary
 sign.  The cylinder and cone constructions introduce fresh labels
 ("x:v" for the source copy, "y:w" for the target copy, "*" for the cone
 apex) so that the result is again a plain labeled complex.
+
+Simplicial maps are immutable (:class:`Frozen`, shared with covers and
+cover maps).  A map's `view` is built once, on first use: the cone of
+its validated integer chain map, the cone's homology per degree (the
+integrality checks read it) and the map's star cover map.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
+from types import MappingProxyType
 from typing import Dict, Mapping
 
 from .chain import ComplexMap, GradedComplex, cone_of_map, mat_ring
@@ -19,7 +25,7 @@ from .errors import (
     InvalidComplex,
     InvalidSimplicialMap,
 )
-from .homology import AbGroup, _is_presentation_iso, _on_generators, homology_at, homology_data
+from .homology import AbGroup, HomologyData, _is_presentation_iso, _on_generators, homology_at, homology_data
 from .matrix import Matrix
 
 
@@ -102,22 +108,59 @@ class SimplicialComplex:
         return f"SimplicialComplex({len(self.vertices)} vertices, simplices {counts})"
 
 
-class SimplicialMap:
-    """A vertex map whose simplex images are simplices (maybe degenerate)."""
+class Frozen:
+    """A value whose fields never change, so a view compiled from it never goes stale.
+
+    Subclasses list their fields and a `_view` slot in `__slots__`, set
+    the fields once through `_init`, and compile the view in `_build_view`;
+    reassigning or deleting a field raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _init(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_view", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+    @property
+    def view(self):
+        """The compiled view, built on first use and kept."""
+        if self._view is None:
+            object.__setattr__(self, "_view", self._build_view())
+        return self._view
+
+
+class SimplicialMap(Frozen):
+    """A vertex map whose simplex images are simplices (maybe degenerate).
+
+    `vmap` is a read-only mapping.  The view is a
+    :class:`SimplicialMapView`, compiled on first use.
+    """
+
+    __slots__ = ("src", "dst", "vmap", "_view")
 
     def __init__(self, src: SimplicialComplex, dst: SimplicialComplex, vmap: Mapping):
-        self.src = src
-        self.dst = dst
-        self.vmap = dict(vmap)
+        vmap = MappingProxyType(dict(vmap))
         for v in src.vertices:
-            if v not in self.vmap:
+            if v not in vmap:
                 raise InvalidSimplicialMap(f"vertex {v!r} has no image")
-            if self.vmap[v] not in dst._index:
-                raise InvalidSimplicialMap(f"image {self.vmap[v]!r} is not a target vertex")
+            if vmap[v] not in dst._index:
+                raise InvalidSimplicialMap(f"image {vmap[v]!r} is not a target vertex")
         for labels in src.facets():
-            image = set(self.vmap[v] for v in labels)
+            image = set(vmap[v] for v in labels)
             if not dst.has(image):
                 raise InvalidSimplicialMap(f"image of {labels!r} is not a simplex")
+        self._init(src=src, dst=dst, vmap=vmap)
+
+    def _build_view(self) -> "SimplicialMapView":
+        return SimplicialMapView(self)
 
     def __call__(self, v):
         return self.vmap[v]
@@ -125,7 +168,7 @@ class SimplicialMap:
     def __eq__(self, other):
         if not isinstance(other, SimplicialMap):
             return NotImplemented
-        return self.src == other.src and self.dst == other.dst and self.vmap == other.vmap
+        return self is other or (self.src == other.src and self.dst == other.dst and self.vmap == other.vmap)
 
     def __repr__(self):
         return f"SimplicialMap({len(self.src.vertices)} -> {len(self.dst.vertices)} vertices)"
@@ -169,10 +212,11 @@ def chain_complex(k: SimplicialComplex, ring: CoeffRing, augmented: bool = False
     return GradedComplex(ring, ranks, diffs)
 
 
-def chain_map(phi: SimplicialMap, ring: CoeffRing, augmented: bool = False) -> ComplexMap:
-    """Pushforward on chains; degenerate simplices go to zero."""
-    src = chain_complex(phi.src, ring, augmented)
-    dst = chain_complex(phi.dst, ring, augmented)
+def pushforward_matrices(phi: SimplicialMap, ring: CoeffRing = INT) -> Dict[int, Matrix]:
+    """The matrices of the pushforward C_n(src) -> C_n(dst), n = 0..src.dim.
+
+    Degenerate simplices go to zero; nothing is validated here.
+    """
     mr = mat_ring(ring)
     mats = {}
     for n in range(phi.src.dim + 1):
@@ -183,9 +227,39 @@ def chain_map(phi: SimplicialMap, ring: CoeffRing, augmented: bool = False) -> C
                 continue
             rows[phi.dst.index_of(n, tuple(sorted(image)))][j] = _sort_sign(image)
         mats[n] = Matrix(mr, phi.dst.n_rank(n), phi.src.n_rank(n), rows)
+    return mats
+
+
+def chain_map(phi: SimplicialMap, ring: CoeffRing, augmented: bool = False) -> ComplexMap:
+    """Pushforward on chains; degenerate simplices go to zero."""
+    src = chain_complex(phi.src, ring, augmented)
+    dst = chain_complex(phi.dst, ring, augmented)
+    mats = pushforward_matrices(phi, ring)
     if augmented:
-        mats[-1] = Matrix.identity(mr, 1)
+        mats[-1] = Matrix.identity(mat_ring(ring), 1)
     return ComplexMap(src, dst, mats)
+
+
+class SimplicialMapView:
+    """A simplicial map's compiled data.
+
+    `cone` is cone_of_map of the validated integer chain map (the map
+    itself is not kept); `data(n)` is the cone's integer homology at
+    degree n, computed once per degree.  `star` holds the map's star
+    cover map once :func:`relcone.cech.star_cover_map` has made it.
+    """
+
+    __slots__ = ("cone", "_data", "star")
+
+    def __init__(self, phi: SimplicialMap):
+        self.cone = cone_of_map(chain_map(phi, INT))
+        self._data = {}
+        self.star = None
+
+    def data(self, n: int) -> HomologyData:
+        if n not in self._data:
+            self._data[n] = homology_data(self.cone, n)
+        return self._data[n]
 
 
 def _sort_sign(seq) -> int:

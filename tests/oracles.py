@@ -4,8 +4,10 @@ Everything here is deliberately written from scratch with different
 algorithms than the package: Bareiss fraction-free determinants, minor
 gcds, naive mod-p elimination.  The integer quotient helpers keep the
 library's earlier route through extra Smith forms, as a reference for
-the Smith-form coordinate maps the library uses now.  Frozen expected
-values for the fixed test cases live at the bottom.
+the Smith-form coordinate maps the library uses now, and the Cech
+helpers rebuild every nerve complex, pullback and relative cone per
+call, as a reference for the views covers and cover maps compile once.
+Frozen expected values for the fixed test cases live at the bottom.
 """
 
 from fractions import Fraction
@@ -225,6 +227,97 @@ def express_via_solver_snf(data, vec):
         raise InvalidChainMap("vector is not a cycle modulo boundaries")
     coords = [sol.entry(i, 0) for i in range(data.ngens)]
     return tuple(c % d if d else c for c, d in zip(coords, data.orders))
+
+
+# ---------------------------------------------------------------------------
+# The Cech layer rebuilt on every call
+# ---------------------------------------------------------------------------
+#
+# These rebuild and re-validate the nerve complexes, the pullback and the
+# relative cone from the cover data on each call, as the library did
+# before covers and cover maps compiled them once into their views.
+
+
+def nerve_coboundary(cover, p, ring=None):
+    """d: C^p -> C^(p+1) of a cover, the transposed nerve boundary."""
+    from relcone.coeffs import INT
+    from relcone.simplicial import chain_complex
+
+    return chain_complex(cover.nerve, ring or INT).diff(p + 1).transpose()
+
+
+def pullback_matrix(m, p, ring=None):
+    """C^p(dst) -> C^p(src) of a cover map, the transposed nerve pushforward."""
+    from relcone.coeffs import INT
+    from relcone.simplicial import chain_map
+
+    return chain_map(m.nerve_map, ring or INT).component(p).transpose()
+
+
+def cover_cochains(cover, ring):
+    from relcone.chain import cochain_complex
+
+    d = cover.nerve.dim
+    ranks = {p: cover.rank(p) for p in range(d + 1)}
+    return cochain_complex(ring, ranks, {p: nerve_coboundary(cover, p, ring) for p in range(d + 1)})
+
+
+def relative_cone(m, ring):
+    """Cone of the pullback over `ring`, in chain storage (degree -q)."""
+    from relcone.chain import cochain_map, cone_of_cochain_map
+
+    x = cover_cochains(m.dst, ring)
+    y = cover_cochains(m.src, ring)
+    top = min(m.src.dim, m.dst.dim)
+    mats = {p: pullback_matrix(m, p, ring) for p in range(top + 1)}
+    return cone_of_cochain_map(cochain_map(x, y, mats))
+
+
+def cone_data(m, n):
+    """Integer homology of the relative cone at chain degree n."""
+    from relcone.coeffs import INT
+    from relcone.homology import homology_data
+
+    return homology_data(relative_cone(m, INT), n)
+
+
+def rel_class(u):
+    """(coords, orders, group) of a closed Z or angle relative cocycle.
+
+    Angle cocycles go through the connecting map: the cone differential
+    of the canonical rational lift (values in [0, 1)) is an integer
+    cocycle one degree up.
+    """
+    from relcone.coeffs import INT
+
+    q = u.degree
+    if u.ring == INT:
+        data = cone_data(u.m, -q)
+        return data.express(u.vector()), data.orders, data.group
+    lift = [Fraction(v) for v in u.vector()]
+    d = relative_cone(u.m, INT).diff(-q)
+    w = [sum(a * x for a, x in zip(row, lift)) for row in d.rows]
+    assert all(x.denominator == 1 for x in w), "connecting cocycle came out non-integral"
+    data = cone_data(u.m, -(q + 1))
+    return data.express([int(x) for x in w]), data.orders, data.group
+
+
+def rel_witness_vector(u):
+    """Cone coordinates of a witness one degree down, or None (the library's solves)."""
+    from relcone.coeffs import INT
+    from relcone.geo import _solve_mod_one
+    from relcone.homology import snf, solve_int
+    from relcone.matrix import Matrix
+
+    mtx = relative_cone(u.m, INT).diff(-(u.degree - 1))
+    if u.ring == INT:
+        sol = solve_int(mtx, Matrix.column(INT, list(u.vector())))
+        return None if sol is None else tuple(sol.col(0))
+    exponent = 1
+    for d in snf(mtx).diag:
+        exponent = exponent * d // gcd(exponent, d) if d else exponent
+    sol = _solve_mod_one(mtx, u.vector(), exponent)
+    return None if sol is None else tuple(u.ring.normalize(v) for v in sol)
 
 
 # ---------------------------------------------------------------------------

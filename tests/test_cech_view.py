@@ -1,0 +1,297 @@
+"""Covers and cover maps compile their integer data once, into their views.
+
+Every result read from a view is checked against the routines in
+`oracles.py` that rebuild the nerve complexes, the pullback and the
+relative cone on each call: coboundaries, pullbacks, relative
+cohomology, classes, Bockstein classes, witnesses and equivalence
+verdicts, over Z, Zmod:2 and U1, on the fixture cover maps and on star
+covers of seeded degree-d maps.  Build counts pin the compile-once
+behaviour, and mutation of a compiled object raises.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+import oracles
+from relcone import cech, geo
+from relcone.cech import (
+    CechCochain,
+    Cover,
+    CoverMap,
+    RelCechCochain,
+    bockstein,
+    cech_diff,
+    pullback,
+    rel_diff,
+    relative_cohomology,
+    star_cover,
+    star_cover_map,
+)
+from relcone.coeffs import INT, U1, ZMOD
+from relcone.errors import NontrivialClass
+from relcone.fixtures import (
+    circle_doubling_cover_map,
+    cycle_complex,
+    disk_cover_map,
+    disk_inclusion,
+    point_into_circle_cover_map,
+    suspension_cover_map,
+)
+from relcone.homology import homology_at
+from relcone.simplicial import SimplicialComplex, SimplicialMap
+
+Z2 = ZMOD(2)
+
+
+def seeded_degree_map(rng, d):
+    """A winding-d map from the 3d-gon to the triangle, with shuffled vertex orders and a rotation."""
+    src = cycle_complex(3 * d, "v")
+    dst = cycle_complex(3, "w")
+    src = SimplicialComplex(rng.sample(src.vertices, len(src.vertices)), src.facets())
+    dst = SimplicialComplex(rng.sample(dst.vertices, 3), dst.facets())
+    r = rng.randrange(3)
+    return SimplicialMap(src, dst, {f"v{i}": f"w{(i + r) % 3}" for i in range(3 * d)})
+
+
+def cover_maps():
+    rng = random.Random(5150)
+    out = {
+        "disk": disk_cover_map(),
+        "pt-circle": point_into_circle_cover_map(),
+        "circle-d2": circle_doubling_cover_map(),
+        "susp-d2": suspension_cover_map(),
+    }
+    for d in (1, 3, 4):
+        out[f"star-d{d}"] = star_cover_map(seeded_degree_map(rng, d))
+    return out
+
+
+MAPS = sorted(cover_maps())
+
+
+def random_cochain(rng, cover, p, ring):
+    if ring == INT:
+        vec = [rng.randint(-3, 3) for _ in range(cover.rank(p))]
+    elif ring == Z2:
+        vec = [rng.randrange(2) for _ in range(cover.rank(p))]
+    else:
+        vec = [F(rng.randrange(12), 12) for _ in range(cover.rank(p))]
+    return CechCochain.from_vector(cover, p, ring, vec)
+
+
+def random_low(rng, m, q, ring):
+    """A relative (q-1)-cochain."""
+    return RelCechCochain(m, random_cochain(rng, m.src, q - 2, ring), random_cochain(rng, m.dst, q - 1, ring))
+
+
+def cocycles(rng, m, ring):
+    """Closed relative q-cochains in every degree: coboundaries, and pullback-closed pairs (0, t)."""
+    out = []
+    for q in range(1, m.dst.dim + 2):
+        for _ in range(3):
+            out.append(rel_diff(random_low(rng, m, q, ring)))
+    for q in range(1, m.dst.dim + 1):
+        t = random_cochain(rng, m.dst, q, ring)
+        if cech_diff(t).is_zero:
+            u = RelCechCochain(m, CechCochain(m.src, q - 1, ring), t)
+            if rel_diff(u).is_zero:
+                out.append(u)
+    return out
+
+
+def shifted(rng, c, k):
+    """k times a cocycle plus a random coboundary."""
+    u = c.u.zscale(k) + rel_diff(random_low(rng, c.u.m, c.u.degree, c.u.ring))
+    return type(c)(u.m, u.s, u.t)
+
+
+@pytest.mark.parametrize("name", MAPS)
+def test_coboundary_and_pullback_match_the_rebuilt_matrices(name):
+    m = cover_maps()[name]
+    rng = random.Random(name)
+    for ring in (INT, Z2, U1):
+        for cover in (m.src, m.dst):
+            for p in range(-1, cover.dim + 1):
+                c = random_cochain(rng, cover, p, ring)
+                want = oracles.nerve_coboundary(cover, p).zapply(ring, c.vector())
+                assert cech_diff(c).vector() == want
+        for p in range(m.dst.dim + 1):
+            c = random_cochain(rng, m.dst, p, ring)
+            assert pullback(m, c).vector() == oracles.pullback_matrix(m, p).zapply(ring, c.vector())
+
+
+@pytest.mark.parametrize("name", MAPS)
+def test_relative_cohomology_matches_the_rebuilt_cone(name):
+    m = cover_maps()[name]
+    for ring in (INT, Z2):
+        cone = oracles.relative_cone(m, ring)
+        for q in range(m.dst.dim + 3):
+            assert relative_cohomology(m, ring, q) == homology_at(cone, -q)
+        assert cech.relative_cone_complex(m, ring) == cone
+    for ring in (INT, Z2, U1):
+        assert cech.relative_cone_complex(m, ring) == oracles.relative_cone(m, ring)
+
+
+@pytest.mark.parametrize("name", MAPS)
+def test_classes_and_witnesses_match_the_rebuilt_cone(name):
+    m = cover_maps()[name]
+    rng = random.Random(f"classes-{name}")
+    for ring in (INT, U1):
+        for u in cocycles(rng, m, ring):
+            rep = geo._class_report(u, "x", "Phi")
+            assert (rep.coords, rep.orders, rep.group) == oracles.rel_class(u)
+            if ring == U1:
+                assert bockstein(u).coords == oracles.rel_class(u)[0]
+            w = geo._witness(u)
+            want = oracles.rel_witness_vector(u)
+            if want is None:
+                assert w is None
+            else:
+                assert w.vector() == want and rel_diff(w) == u
+
+
+def fixture_cocycles():
+    from relcone.fixtures import half_gerbe_cocycle, half_line_bundle_cocycle, winding_function_cocycle
+
+    return {
+        "winding": winding_function_cocycle(),
+        "half-bundle": half_line_bundle_cocycle(),
+        "half-gerbe": half_gerbe_cocycle(),
+    }
+
+
+@pytest.mark.parametrize("name", ["winding", "half-bundle", "half-gerbe"])
+def test_classify_trivialize_and_equivalence_match_the_oracle(name):
+    base = fixture_cocycles()[name]
+    rng = random.Random(f"geo-{name}")
+    for k in range(-1, 4):
+        c = shifted(rng, base, k)
+        rep = geo.classify(c)
+        assert (rep.coords, rep.orders, rep.group) == oracles.rel_class(c.u)
+        want = oracles.rel_witness_vector(c.u)
+        try:
+            w = geo.trivialize(c)
+        except NontrivialClass as e:
+            assert want is None and e.cls == rep
+        else:
+            assert w.vector() == want and rel_diff(w) == c.u
+        c2 = shifted(rng, base, k + rng.randrange(3))
+        ok, w = geo.is_equivalent(c, c2)
+        diff = geo.group_op(c, geo.inverse(c2))
+        assert ok == (oracles.rel_witness_vector(diff.u) is not None)
+        if ok:
+            assert rel_diff(w) == diff.u
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["winding", "half-bundle", "half-gerbe"])
+def test_many_classes_on_one_map_build_each_complex_once(monkeypatch, name):
+    base = fixture_cocycles()[name]
+    rng = random.Random(f"count-{name}")
+    inputs = [shifted(rng, base, k) for k in range(6)]  # fresh cover map views start here
+    m = base.cover_map
+    assert all(c.cover_map is m for c in inputs)
+    cones = count_calls(monkeypatch, cech, "cone_of_cochain_map")
+    nerves = count_calls(monkeypatch, cech, "chain_complex")
+    exponents = count_calls(monkeypatch, cech, "torsion_exponent")
+    for c in inputs:
+        geo.classify(c)
+        try:
+            geo.trivialize(c)
+        except NontrivialClass:
+            pass
+        geo.is_equivalent(c, inputs[0])
+    assert len(cones) == 1
+    assert len(exponents) == (base.u.ring == U1)  # one witness degree, one Smith form
+    assert nerves == []  # each nerve complex was built once, by the inputs' rel_diff
+
+
+def test_a_fresh_cover_map_builds_each_nerve_complex_once(monkeypatch):
+    cones = count_calls(monkeypatch, cech, "cone_of_cochain_map")
+    nerves = count_calls(monkeypatch, cech, "chain_complex")
+    m = suspension_cover_map()
+    rng = random.Random(77)
+    for _ in range(5):
+        u = rel_diff(random_low(rng, m, 2, INT))
+        geo._class_report(u, "x", "Phi")
+        assert rel_diff(geo._witness(u)) == u
+    assert sorted(k.n_rank(0) for k, _ in nerves) == sorted([m.src.rank(0), m.dst.rank(0)])
+    assert len(cones) == 1
+
+
+def test_absolute_calls_on_one_cover_build_its_cone_once(monkeypatch):
+    cones = count_calls(monkeypatch, cech, "cone_of_cochain_map")
+    cov = star_cover(suspension_cover_map().dst.nerve)
+    t = CechCochain(cov, 2, U1, {("w0", "w1", "n"): F(1, 2)})
+    for _ in range(4):
+        assert geo.absolute_classify(t).is_zero
+        with pytest.raises(NontrivialClass):
+            geo.absolute_trivialize(t)
+    assert len(cones) == 1
+    assert cov.absolute is cov.absolute
+
+
+def test_simplicial_map_builds_its_chain_cone_once(monkeypatch):
+    from relcone import simplicial
+
+    from relcone.fixtures import disk_area_values
+
+    phi = disk_inclusion()
+    cones = count_calls(monkeypatch, simplicial, "cone_of_map")
+    nerves = count_calls(monkeypatch, cech, "chain_complex")
+    for total in (F(1), F(1, 2), F(3)):
+        pair = geo.RelRealCochainPair.from_values(phi, 2, disk_area_values(total), {})
+        assert pair.m is star_cover_map(phi)
+        rep = geo.is_integral(pair)
+        assert [p.value for p in rep.pairings] == [total] and rep.integral == (total.denominator == 1)
+    assert len(cones) == 1
+    assert len(nerves) == 2  # one cochain complex per star cover
+
+
+def test_compiled_objects_reject_mutation():
+    m = disk_cover_map()
+    m.view  # a built view must never see its inputs change
+    with pytest.raises(TypeError):
+        m.assignment["U0"] = "U1"
+    with pytest.raises(AttributeError):
+        m.src = m.dst
+    with pytest.raises(AttributeError):
+        m.assignment = {}
+    with pytest.raises(AttributeError):
+        del m.dst
+    with pytest.raises(AttributeError):
+        m.src.nerve = m.dst.nerve
+    with pytest.raises(AttributeError):
+        m.src.extra = 1
+    phi = disk_inclusion()
+    with pytest.raises(TypeError):
+        phi.vmap["v0"] = "c"
+    with pytest.raises(AttributeError):
+        phi.dst = phi.src
+    nerve_map = m.nerve_map
+    with pytest.raises(TypeError):
+        nerve_map.vmap["U0"] = "U1"
+
+
+def test_read_only_maps_keep_their_equality_and_serialization():
+    from relcone import jsonio
+
+    m = disk_cover_map()
+    again = jsonio.cover_map_from_json(jsonio.cover_map_to_json(m))
+    assert again == m and again is not m
+    assert m("U0") == "U0" and m.assignment == m.nerve_map.vmap
+    assert CoverMap(m.src, m.dst, dict(m.assignment)) == m
+    assert Cover(m.src.nerve) == m.src

@@ -255,6 +255,48 @@ def run_subprocess(argv, optimize=False):
     return proc.returncode, proc.stdout
 
 
+# Runs CLI verbs twice in one interpreter, then classifies and trivializes
+# each cocycle file twice on one parsed object, so the second answer
+# comes from a warm view; prints every (exit code, stdout) as JSON.
+TWICE_SCRIPT = """
+import io, json, sys
+from contextlib import redirect_stdout
+from relcone import cli, jsonio
+from relcone.errors import NontrivialClass
+from relcone.geo import classify, trivialize
+
+def answers(c):
+    try:
+        doc = {"witness": jsonio.rel_cochain_to_json(trivialize(c))}
+    except NontrivialClass as e:
+        doc = {"nontrivial": jsonio.class_to_json(e.cls)}
+    return [jsonio.dumps(jsonio.class_to_json(classify(c))), jsonio.dumps(doc)]
+
+argvs, cocycles = json.loads(sys.argv[1])
+out = []
+for argv in argvs:
+    for _ in range(2):
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = cli.main(argv)
+        out.append([code, buf.getvalue()])
+for path in cocycles:
+    c = jsonio.cocycle_from_json(jsonio.read_json(path))
+    out.append(answers(c) + answers(c))
+print(json.dumps(out))
+"""
+
+
+def run_twice_subprocess(argvs, cocycles, optimize=False):
+    src = os.path.dirname(os.path.dirname(relcone.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    flags = ["-O"] if optimize else []
+    payload = json.dumps([[list(a) for a in argvs], list(cocycles)])
+    proc = subprocess.run([sys.executable, *flags, "-c", TWICE_SCRIPT, payload], capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def test_optimized_interpreter_gives_identical_bytes(tmp_path):
     fx = emit_all(tmp_path)
     for argv in (
@@ -273,6 +315,16 @@ def test_optimized_interpreter_gives_identical_bytes(tmp_path):
         plain = run_subprocess(argv)
         assert plain[1], argv
         assert run_subprocess(argv, optimize=True) == plain, argv
+
+    cocycles = [f"{fx}/{name}.json" for name, (kind, _) in fixture_registry().items() if kind == "cocycle"]
+    argvs = [("cech", "--ring", "Zmod:2", f"{fx}/covermap-susp-d2.json")]
+    argvs += [(verb, path) for path in cocycles for verb in ("classify", "trivialize")]
+    plain = run_twice_subprocess(argvs, cocycles)
+    assert run_twice_subprocess(argvs, cocycles, optimize=True) == plain
+    runs, warm = plain[: 2 * len(argvs)], plain[2 * len(argvs) :]
+    assert all(runs[i] == runs[i + 1] and runs[i][1] for i in range(0, len(runs), 2))
+    for (classified, trivialized), answers in zip(zip(runs[2::4], runs[4::4]), warm, strict=True):
+        assert answers[:2] == answers[2:] == [classified[1], trivialized[1]]
 
 
 def test_huge_integers_cross_the_cli_exactly(tmp_path, capsys):

@@ -48,7 +48,7 @@ from relcone.geo import (
     trivialize,
     validate,
 )
-from relcone.homology import homology_data, kernel_int
+from relcone.homology import homology_data, kernel_int, torsion_exponent
 from relcone.matrix import Matrix, hstack
 from relcone.simplicial import SimplicialComplex, SimplicialMap, identity_simplicial
 from relcone import fixtures as FX
@@ -335,18 +335,21 @@ def test_is_equivalent():
 def test_trivialize_raises_on_a_non_witness(monkeypatch):
     sq = group_op(half_gerbe(), half_gerbe())
     assert not sq.u.is_zero
-    monkeypatch.setattr(geo, "_solve_mod_one", lambda mtx, target: [0] * mtx.ncols)
+    monkeypatch.setattr(geo, "_solve_mod_one", lambda mtx, target, exponent: [0] * mtx.ncols)
     with pytest.raises(InvalidChainMap, match="non-witness"):
         trivialize(sq)
 
 
 def test_solve_mod_one_direct():
     two = Matrix(INT, 1, 1, [[2]])
-    sol = _solve_mod_one(two, [F(1, 2)])
+    assert torsion_exponent(two) == 2
+    sol = _solve_mod_one(two, [F(1, 2)], 2)
     assert sol is not None and (2 * sol[0]) % 1 == F(1, 2) % 1
     zero = Matrix(INT, 1, 1, [[0]])
-    assert _solve_mod_one(zero, [F(1, 3)]) is None
-    assert _solve_mod_one(zero, [F(2, 1)]) is not None
+    assert torsion_exponent(zero) == 1
+    assert _solve_mod_one(zero, [F(1, 3)], 1) is None
+    assert _solve_mod_one(zero, [F(2, 1)], 1) is not None
+    assert torsion_exponent(Matrix.from_rows(INT, [[2, 0], [0, 6]])) == 6
 
 
 # ---------------------------------------------------------------------------

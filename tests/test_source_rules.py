@@ -26,3 +26,16 @@ def test_no_assert_outside_the_smith_form_check():
             if isinstance(node, ast.Assert) and id(node) not in exempt
         ]
     assert found == []
+
+
+def test_no_dict_memos():
+    """Cached data lives in declared view attributes, never in an object's `__dict__`."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "__dict__"
+        ]
+    assert found == []
