@@ -13,14 +13,14 @@ through the Z-module structure of the coefficients, so the same code
 path serves Z, Q, Z/n and the circle group.
 
 Covers and cover maps are immutable, and each compiles its integer data
-once, on first use, into its `view`.  A :class:`CoverView` holds the
-nerve's cochain complex (so every coboundary matrix); a
-:class:`CoverMapView` holds the pullback matrices per degree, the
-relative cone complex and its integer homology per degree.  Every check
-(d d = 0, the cochain-map identity, the cone reindexing, the Smith form
-postconditions) runs once per view instead of once per call.
-`cech_diff`, `pullback`, `rel_diff`, the cone builders, `bockstein` and
-the classifiers in `geo` all read these views.
+once, on first use, into its `view`: these are the only compiled objects
+in the package.  A :class:`CoverView` holds the nerve's chain complex
+and its dual; a :class:`CoverMapView` holds the pushforward and pullback
+matrices, the relative Cech cone and the chain cone of the pushforward,
+each cone with its integer homology.  Every check (d d = 0, the
+chain-map identity, the cone reindexing, the Smith form postconditions)
+runs once per view instead of once per call.  Everything in this module
+and in `geo` reads these views.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from typing import Dict, Mapping, Tuple
 from .chain import (
     ComplexMap,
     GradedComplex,
-    cochain_map,
     cone_of_cochain_map,
+    cone_of_map,
     dual_complex,
     from_int_complex,
 )
@@ -68,10 +68,11 @@ class Cover(Frozen):
     __slots__ = ("nerve", "_view")
 
     def __init__(self, nerve_complex: SimplicialComplex):
-        self._init(nerve=nerve_complex)
+        self._init(nerve=nerve_complex, _view=None)
 
-    def _build_view(self) -> "CoverView":
-        return CoverView(self)
+    @property
+    def view(self) -> "CoverView":
+        return self._keep("_view", lambda: CoverView(self))
 
     @property
     def absolute(self) -> "CoverMap":
@@ -135,10 +136,11 @@ class CoverMap(Frozen):
 
     def __init__(self, src: Cover, dst: Cover, assignment: Mapping):
         nerve_map = SimplicialMap(src.nerve, dst.nerve, assignment)
-        self._init(src=src, dst=dst, assignment=nerve_map.vmap, nerve_map=nerve_map)
+        self._init(src=src, dst=dst, assignment=nerve_map.vmap, nerve_map=nerve_map, _view=None)
 
-    def _build_view(self) -> "CoverMapView":
-        return CoverMapView(self)
+    @property
+    def view(self) -> "CoverMapView":
+        return self._keep("_view", lambda: CoverMapView(self))
 
     def __call__(self, name):
         return self.assignment[name]
@@ -159,17 +161,18 @@ class CoverMap(Frozen):
 class CoverView:
     """A cover's compiled integer data.
 
-    `cochains` is the integer cochain complex of the nerve in chain
-    storage (degree -p), the dual of its validated chain complex; its
-    differential at chain degree -p is the coboundary C^p -> C^(p+1).
-    `absolute` holds :attr:`Cover.absolute` once it is made; it refers
-    back to the cover, so it is only made for absolute classes.
+    `chains` is the validated integer chain complex of the nerve and
+    `cochains` its dual in chain storage (degree -p), whose differential
+    at chain degree -p is the coboundary C^p -> C^(p+1).  `absolute`
+    holds :attr:`Cover.absolute` once it is made; it refers back to the
+    cover, so it is only made for absolute classes.
     """
 
-    __slots__ = ("cochains", "absolute")
+    __slots__ = ("chains", "cochains", "absolute")
 
     def __init__(self, cover: Cover):
-        self.cochains = dual_complex(chain_complex(cover.nerve, INT))
+        self.chains = chain_complex(cover.nerve, INT)
+        self.cochains = dual_complex(self.chains)
         self.absolute = None
 
     def rank(self, p: int) -> int:
@@ -183,26 +186,30 @@ class CoverView:
 class CoverMapView:
     """A cover map's compiled integer data.
 
-    `pulls[p]` is the pullback C^p(dst) -> C^p(src), the transposed
-    pushforward of the nerve map; the view checks once that the pulls
-    commute with the two covers' coboundaries.  `cone` is the relative
-    cone, built with its reindexing check on first use; `data(n)` is its
-    integer homology at chain degree n and `exponent(n)` the torsion
-    exponent of its differential there, each computed once.  The cone
-    map itself is not kept, nor any Smith form; other rings read these
+    `push` is the pushforward of the nerve map, checked once as a chain
+    map between the two covers' `chains`; `pulls[p]` is its transpose,
+    the pullback C^p(dst) -> C^p(src).  One memo keeps what is built on
+    first use: `cone`, the relative Cech cone, with its integer homology
+    `data(n)` and torsion exponents `exponent(n)`; and `chain_cone`, the
+    mapping cone of `push`, with its integer homology `chain_data(n)`.
+    No cone map and no Smith form is kept; other rings read these
     integer matrices through `zapply` or `from_int_matrix`.
     """
 
-    __slots__ = ("src", "dst", "pulls", "_cone", "_data", "_exponents")
+    __slots__ = ("src", "dst", "push", "pulls", "_memo")
 
     def __init__(self, m: CoverMap):
         self.src = m.src.view
         self.dst = m.dst.view
-        self.pulls = {p: t.transpose() for p, t in pushforward_matrices(m.nerve_map).items()}
-        self._cone = None
-        self._data = {}
-        self._exponents = {}
-        cochain_map(self.dst.cochains, self.src.cochains, self.pulls)  # raises unless d f = f d
+        pushes = pushforward_matrices(m.nerve_map)
+        self.push = ComplexMap(self.src.chains, self.dst.chains, pushes)  # raises unless d f = f d
+        self.pulls = {p: t.transpose() for p, t in pushes.items()}
+        self._memo = {}
+
+    def _once(self, key, build):
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     def pull(self, p: int) -> Matrix:
         t = self.pulls.get(p)
@@ -217,19 +224,20 @@ class CoverMapView:
 
     @property
     def cone(self) -> GradedComplex:
-        if self._cone is None:
-            self._cone = cone_of_cochain_map(self.cone_map(INT))
-        return self._cone
+        return self._once("cone", lambda: cone_of_cochain_map(self.cone_map(INT)))
 
     def data(self, n: int) -> HomologyData:
-        if n not in self._data:
-            self._data[n] = homology_data(self.cone, n)
-        return self._data[n]
+        return self._once(("data", n), lambda: homology_data(self.cone, n))
 
     def exponent(self, n: int) -> int:
-        if n not in self._exponents:
-            self._exponents[n] = torsion_exponent(self.cone.diff(n))
-        return self._exponents[n]
+        return self._once(("exponent", n), lambda: torsion_exponent(self.cone.diff(n)))
+
+    @property
+    def chain_cone(self) -> GradedComplex:
+        return self._once("chain_cone", lambda: cone_of_map(self.push))
+
+    def chain_data(self, n: int) -> HomologyData:
+        return self._once(("chain_data", n), lambda: homology_data(self.chain_cone, n))
 
 
 def identity_cover_map(cover: Cover) -> CoverMap:
@@ -572,10 +580,8 @@ def star_cover(k: SimplicialComplex) -> Cover:
 def star_cover_map(phi: SimplicialMap) -> CoverMap:
     """Star covers turn a simplicial map into a cover map via its vertex map.
 
-    Made once per map and kept in its view, so every pair of cochains
-    on one map's star covers shares one cover map and its view.
+    Made once per map and kept by it, so every pair of cochains on one
+    map's star covers shares one cover map and its view.  Its nerve map
+    equals phi, so the view's chain cone is the cone of phi's chain map.
     """
-    view = phi.view
-    if view.star is None:
-        view.star = CoverMap(star_cover(phi.src), star_cover(phi.dst), phi.vmap)
-    return view.star
+    return phi._keep("_star", lambda: CoverMap(star_cover(phi.src), star_cover(phi.dst), phi.vmap))

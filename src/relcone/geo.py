@@ -11,11 +11,12 @@ checks for closed rational pairs against generating relative cycles.
 All verdicts are exact; angle equations are solved by clearing
 denominators and working modulo a finite, provably sufficient bound.
 
-Nothing here builds a complex: classes and witnesses read the relative
-cone and its integer homology from the cover map's view, absolute ones
-from the view of the empty cover mapped into the cover (which the cover
-owns), and integrality reads the chain cone of the simplicial map's
-view (see `cech` and `simplicial`).
+Nothing here builds a complex; everything reads the one compiled view
+of a cover map, `cech.CoverMapView`.  Classes and witnesses read its
+relative Cech cone and that cone's integer homology, absolute ones the
+view of the empty cover mapped into the cover (which the cover owns),
+and integrality the chain cone of the pushforward in the view of the
+map's star cover map.
 """
 
 from __future__ import annotations
@@ -56,14 +57,50 @@ from .simplicial import SimplicialMap
 # ---------------------------------------------------------------------------
 
 
-def _check_part(c: CechCochain, ring: CoeffRing, degree: int, name: str):
-    if c.ring != ring:
-        raise RingMismatch(f"component {name} must be {ring}-valued, got {c.ring}")
-    if c.degree != degree:
-        raise DegreeMismatch(f"component {name} must have degree {degree}, got {c.degree}")
+class _RelCocycle:
+    """A relative cocycle of one kind, kept as the pair `u` = (low, high).
+
+    Subclasses set `kind`, the coefficient `ring`, the `degree` of the
+    high part on the target cover (the low part on the source cover has
+    degree one less), `parts`, the names of the low and high parts, and
+    name the `low` and `high` properties after them.
+    """
+
+    kind: str
+    ring: CoeffRing
+    degree: int
+    parts: tuple
+
+    def __init__(self, m: CoverMap, low: CechCochain, high: CechCochain):
+        for c, degree, name in ((low, self.degree - 1, self.parts[0]), (high, self.degree, self.parts[1])):
+            if c.ring != self.ring:
+                raise RingMismatch(f"component {name} must be {self.ring}-valued, got {c.ring}")
+            if c.degree != degree:
+                raise DegreeMismatch(f"component {name} must have degree {degree}, got {c.degree}")
+        self.u = RelCechCochain(m, low, high)
+
+    @property
+    def cover_map(self) -> CoverMap:
+        return self.u.m
+
+    @property
+    def low(self) -> CechCochain:
+        return self.u.s
+
+    @property
+    def high(self) -> CechCochain:
+        return self.u.t
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.u == other.u
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.u!r})"
 
 
-class RelFunctionCocycle:
+class RelFunctionCocycle(_RelCocycle):
     """Winding data of a circle-valued function relative to a map.
 
     `b` records integer branch choices on the source cover, `a` the
@@ -72,34 +109,14 @@ class RelFunctionCocycle:
     """
 
     kind = "function"
-
-    def __init__(self, m: CoverMap, b: CechCochain, a: CechCochain):
-        _check_part(b, INT, 0, "b")
-        _check_part(a, INT, 1, "a")
-        self.u = RelCechCochain(m, b, a)
-
-    @property
-    def cover_map(self) -> CoverMap:
-        return self.u.m
-
-    @property
-    def b(self) -> CechCochain:
-        return self.u.s
-
-    @property
-    def a(self) -> CechCochain:
-        return self.u.t
-
-    def __eq__(self, other):
-        if not isinstance(other, RelFunctionCocycle):
-            return NotImplemented
-        return self.u == other.u
-
-    def __repr__(self):
-        return f"RelFunctionCocycle({self.u!r})"
+    ring = INT
+    degree = 1
+    parts = ("b", "a")
+    b = _RelCocycle.low
+    a = _RelCocycle.high
 
 
-class RelLineBundleCocycle:
+class RelLineBundleCocycle(_RelCocycle):
     """Transition data of a line bundle on the target trivialized upstairs.
 
     `g` is the angle-valued transition 1-cocycle on the target cover,
@@ -108,34 +125,14 @@ class RelLineBundleCocycle:
     """
 
     kind = "line_bundle"
-
-    def __init__(self, m: CoverMap, f: CechCochain, g: CechCochain):
-        _check_part(f, U1, 0, "f")
-        _check_part(g, U1, 1, "g")
-        self.u = RelCechCochain(m, f, g)
-
-    @property
-    def cover_map(self) -> CoverMap:
-        return self.u.m
-
-    @property
-    def f(self) -> CechCochain:
-        return self.u.s
-
-    @property
-    def g(self) -> CechCochain:
-        return self.u.t
-
-    def __eq__(self, other):
-        if not isinstance(other, RelLineBundleCocycle):
-            return NotImplemented
-        return self.u == other.u
-
-    def __repr__(self):
-        return f"RelLineBundleCocycle({self.u!r})"
+    ring = U1
+    degree = 1
+    parts = ("f", "g")
+    f = _RelCocycle.low
+    g = _RelCocycle.high
 
 
-class RelGerbeCocycle:
+class RelGerbeCocycle(_RelCocycle):
     """A gerbe on the target with a quasi-line-bundle structure upstairs.
 
     `t` is the angle-valued gerbe 2-cocycle on the target cover, `s`
@@ -144,31 +141,11 @@ class RelGerbeCocycle:
     """
 
     kind = "gerbe"
-
-    def __init__(self, m: CoverMap, s: CechCochain, t: CechCochain):
-        _check_part(s, U1, 1, "s")
-        _check_part(t, U1, 2, "t")
-        self.u = RelCechCochain(m, s, t)
-
-    @property
-    def cover_map(self) -> CoverMap:
-        return self.u.m
-
-    @property
-    def s(self) -> CechCochain:
-        return self.u.s
-
-    @property
-    def t(self) -> CechCochain:
-        return self.u.t
-
-    def __eq__(self, other):
-        if not isinstance(other, RelGerbeCocycle):
-            return NotImplemented
-        return self.u == other.u
-
-    def __repr__(self):
-        return f"RelGerbeCocycle({self.u!r})"
+    ring = U1
+    degree = 2
+    parts = ("s", "t")
+    s = _RelCocycle.low
+    t = _RelCocycle.high
 
 
 COCYCLE_KINDS = {
@@ -496,7 +473,7 @@ def is_integral(p: RelRealCochainPair) -> IntegralityReport:
     if not p.is_closed:
         raise NotClosed("d(beta, alpha) is nonzero in the relative cone")
     n = p.degree
-    data = p.phi.view.data(n)
+    data = p.m.view.chain_data(n)
     split = p.phi.src.n_rank(n - 1)
     alpha_vec = p.alpha.vector()
     beta_vec = p.beta.vector()

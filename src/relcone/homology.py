@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .chain import ComplexMap, GradedComplex, cone_of_map, cone_split
-from .coeffs import INT
+from .coeffs import INT, CoeffRing
 from .errors import (
     InvalidChainMap,
     NonCommutingSquare,
@@ -185,8 +185,7 @@ def snf(a: Matrix) -> SNFResult:
         diag=tuple(d[i][i] for i in range(limit)),
         rank=sum(1 for i in range(limit) if d[i][i]),
     )
-    if __debug__:
-        _check_snf(a, res)
+    _check_snf(a, res)
     return res
 
 
@@ -195,21 +194,24 @@ def _eye_rows(n):
 
 
 def _check_snf(a: Matrix, r: SNFResult):
-    assert r.u @ r.d @ r.v == a, "snf: A != U D V"
-    assert r.u @ r.uinv == Matrix.identity(INT, a.nrows), "snf: U inverse wrong"
-    assert r.v @ r.vinv == Matrix.identity(INT, a.ncols), "snf: V inverse wrong"
+    """Raise InvalidChainMap unless `r` is a Smith normal form of `a`."""
+    if r.u @ r.d @ r.v != a:
+        raise InvalidChainMap("snf: A != U D V")
+    if r.u @ r.uinv != Matrix.identity(INT, a.nrows):
+        raise InvalidChainMap("snf: U inverse wrong")
+    if r.v @ r.vinv != Matrix.identity(INT, a.ncols):
+        raise InvalidChainMap("snf: V inverse wrong")
     diag = r.diag
-    assert all(x >= 0 for x in diag), "snf: negative diagonal"
+    if any(x < 0 for x in diag):
+        raise InvalidChainMap("snf: negative diagonal")
     for i in range(len(diag) - 1):
-        if diag[i + 1]:
-            assert diag[i] and diag[i + 1] % diag[i] == 0, "snf: divisibility chain broken"
-        # zeros must come last
-        if not diag[i]:
-            assert not diag[i + 1], "snf: zero before nonzero on diagonal"
+        # nonzeros divide their successors, and zeros come last
+        if diag[i + 1] and not (diag[i] and diag[i + 1] % diag[i] == 0):
+            raise InvalidChainMap("snf: divisibility chain broken")
     for i in range(a.nrows):
         for j in range(a.ncols):
-            if i != j:
-                assert r.d.entry(i, j) == 0, "snf: D not diagonal"
+            if i != j and r.d.entry(i, j):
+                raise InvalidChainMap("snf: D not diagonal")
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +363,14 @@ class AbGroup:
     ``torsion`` entries are >= 2 and divisibility-ordered; ``generators``
     lists representative vectors in ambient coordinates, torsion
     generators first (matching ``torsion``), then ``free_rank`` free
-    generators.  Over a field, ``free_rank`` is the dimension and
-    ``torsion`` is empty.
+    generators.  ``ring`` is the coefficient ring; over a field,
+    ``free_rank`` is the dimension and ``torsion`` is empty.
     """
 
     free_rank: int
     torsion: tuple
     generators: tuple
+    ring: CoeffRing = INT
 
     @property
     def is_trivial(self) -> bool:
@@ -383,7 +386,8 @@ class AbGroup:
         return n
 
     def describe(self) -> str:
-        parts = [f"Z/{t}" for t in self.torsion] + ["Z"] * self.free_rank
+        unit = f"Z/{self.ring.modulus}" if self.ring.kind == "Zmod" else str(self.ring)
+        parts = [f"Z/{t}" for t in self.torsion] + [unit] * self.free_rank
         return " + ".join(parts) if parts else "0"
 
 
@@ -555,7 +559,7 @@ def _quotient_space_field(ring, ambient, num: Matrix, den: Matrix) -> HomologyDa
     pivots = _rref(den, num)[1]
     base = [c for c in pivots if c < den.ncols]
     keep = [c - den.ncols for c in pivots if c >= den.ncols]
-    group = AbGroup(len(keep), (), tuple(num.col(j) for j in keep))
+    group = AbGroup(len(keep), (), tuple(num.col(j) for j in keep), ring)
     gens = num.submatrix(range(ambient), keep)
     return HomologyData(ring, ambient, group, gens, (0,) * len(keep), den.submatrix(range(ambient), base))
 
@@ -577,11 +581,6 @@ def homology_data(c: GradedComplex, n: int) -> HomologyData:
 def homology_at(c: GradedComplex, n: int) -> AbGroup:
     """H_n of a chain-stored complex, as an AbGroup presentation."""
     return homology_data(c, n).group
-
-
-def cohomology_at(c: GradedComplex, q: int) -> AbGroup:
-    """H^q of a chain-stored cochain complex (degree reindexing n = -q)."""
-    return homology_at(c, -q)
 
 
 # ---------------------------------------------------------------------------

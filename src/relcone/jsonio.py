@@ -315,23 +315,6 @@ def cochain_from_values(cover: Cover, degree: int, ring: CoeffRing, obj) -> Cech
         raise _rewrap("cochain", e) from None
 
 
-def cochain_to_json(c: CechCochain) -> dict:
-    return {
-        "cover": cover_to_json(c.cover),
-        "degree": c.degree,
-        "ring": str(c.ring),
-        "values": cochain_values(c),
-    }
-
-
-def cochain_from_json(obj) -> CechCochain:
-    obj = _as_dict(obj, "cochain")
-    cover = cover_from_json(_field(obj, "cover", "cochain"))
-    degree = _as_int(_field(obj, "degree", "cochain"), "cochain degree")
-    ring = _ring_of(obj, "cochain")
-    return cochain_from_values(cover, degree, ring, _field(obj, "values", "cochain"))
-
-
 def rel_cochain_to_json(u: RelCechCochain) -> dict:
     return {
         "covermap": cover_map_to_json(u.m),

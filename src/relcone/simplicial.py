@@ -7,9 +7,10 @@ sign.  The cylinder and cone constructions introduce fresh labels
 apex) so that the result is again a plain labeled complex.
 
 Simplicial maps are immutable (:class:`Frozen`, shared with covers and
-cover maps).  A map's `view` is built once, on first use: the cone of
-its validated integer chain map, the cone's homology per degree (the
-integrality checks read it) and the map's star cover map.
+cover maps) and compile nothing themselves.  A map keeps only its star
+cover map, made once by :func:`relcone.cech.star_cover_map`; the chain
+cone and its homology, which the integrality checks read, live in that
+cover map's view (see `cech`).
 """
 
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from .errors import (
     InvalidComplex,
     InvalidSimplicialMap,
 )
-from .homology import AbGroup, HomologyData, _is_presentation_iso, _on_generators, homology_at, homology_data
+from .homology import AbGroup, _is_presentation_iso, _on_generators, homology_at, homology_data
 from .matrix import Matrix
 
 
@@ -109,11 +110,11 @@ class SimplicialComplex:
 
 
 class Frozen:
-    """A value whose fields never change, so a view compiled from it never goes stale.
+    """A value whose fields never change, so data compiled from it never goes stale.
 
-    Subclasses list their fields and a `_view` slot in `__slots__`, set
-    the fields once through `_init`, and compile the view in `_build_view`;
-    reassigning or deleting a field raises AttributeError.
+    Subclasses list their fields in `__slots__` and set them once through
+    `_init`.  A field set to None there may be filled once, on first use,
+    through `_keep`; reassigning or deleting a field raises AttributeError.
     """
 
     __slots__ = ()
@@ -121,7 +122,14 @@ class Frozen:
     def _init(self, **fields):
         for name, value in fields.items():
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "_view", None)
+
+    def _keep(self, name: str, build):
+        """Field `name`, set to `build()` on the first read that finds it None, and kept."""
+        value = getattr(self, name)
+        if value is None:
+            value = build()
+            object.__setattr__(self, name, value)
+        return value
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
@@ -129,22 +137,15 @@ class Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
 
-    @property
-    def view(self):
-        """The compiled view, built on first use and kept."""
-        if self._view is None:
-            object.__setattr__(self, "_view", self._build_view())
-        return self._view
-
 
 class SimplicialMap(Frozen):
     """A vertex map whose simplex images are simplices (maybe degenerate).
 
-    `vmap` is a read-only mapping.  The view is a
-    :class:`SimplicialMapView`, compiled on first use.
+    `vmap` is a read-only mapping.  `_star` holds the map's star cover
+    map once :func:`relcone.cech.star_cover_map` has made it.
     """
 
-    __slots__ = ("src", "dst", "vmap", "_view")
+    __slots__ = ("src", "dst", "vmap", "_star")
 
     def __init__(self, src: SimplicialComplex, dst: SimplicialComplex, vmap: Mapping):
         vmap = MappingProxyType(dict(vmap))
@@ -157,10 +158,7 @@ class SimplicialMap(Frozen):
             image = set(vmap[v] for v in labels)
             if not dst.has(image):
                 raise InvalidSimplicialMap(f"image of {labels!r} is not a simplex")
-        self._init(src=src, dst=dst, vmap=vmap)
-
-    def _build_view(self) -> "SimplicialMapView":
-        return SimplicialMapView(self)
+        self._init(src=src, dst=dst, vmap=vmap, _star=None)
 
     def __call__(self, v):
         return self.vmap[v]
@@ -176,12 +174,6 @@ class SimplicialMap(Frozen):
 
 def identity_simplicial(k: SimplicialComplex) -> SimplicialMap:
     return SimplicialMap(k, k, {v: v for v in k.vertices})
-
-
-def compose_simplicial(outer: SimplicialMap, inner: SimplicialMap) -> SimplicialMap:
-    if inner.dst is not outer.src and inner.dst != outer.src:
-        raise InvalidSimplicialMap("composition endpoints do not match")
-    return SimplicialMap(inner.src, outer.dst, {v: outer.vmap[inner.vmap[v]] for v in inner.src.vertices})
 
 
 # ---------------------------------------------------------------------------
@@ -238,28 +230,6 @@ def chain_map(phi: SimplicialMap, ring: CoeffRing, augmented: bool = False) -> C
     if augmented:
         mats[-1] = Matrix.identity(mat_ring(ring), 1)
     return ComplexMap(src, dst, mats)
-
-
-class SimplicialMapView:
-    """A simplicial map's compiled data.
-
-    `cone` is cone_of_map of the validated integer chain map (the map
-    itself is not kept); `data(n)` is the cone's integer homology at
-    degree n, computed once per degree.  `star` holds the map's star
-    cover map once :func:`relcone.cech.star_cover_map` has made it.
-    """
-
-    __slots__ = ("cone", "_data", "star")
-
-    def __init__(self, phi: SimplicialMap):
-        self.cone = cone_of_map(chain_map(phi, INT))
-        self._data = {}
-        self.star = None
-
-    def data(self, n: int) -> HomologyData:
-        if n not in self._data:
-            self._data[n] = homology_data(self.cone, n)
-        return self._data[n]
 
 
 def _sort_sign(seq) -> int:

@@ -5,8 +5,10 @@ Every result read from a view is checked against the routines in
 relative cone on each call: coboundaries, pullbacks, relative
 cohomology, classes, Bockstein classes, witnesses and equivalence
 verdicts, over Z, Zmod:2 and U1, on the fixture cover maps and on star
-covers of seeded degree-d maps.  Build counts pin the compile-once
-behaviour, and mutation of a compiled object raises.
+covers of seeded degree-d maps.  The chain cone homology that the
+integrality checks read is checked against a rebuilt chain cone of the
+nerve map.  Build counts pin the compile-once behaviour, and mutation
+of a compiled object raises.
 """
 
 import random
@@ -29,6 +31,7 @@ from relcone.cech import (
     star_cover,
     star_cover_map,
 )
+from relcone.chain import ComplexMap, cone_of_map
 from relcone.coeffs import INT, U1, ZMOD
 from relcone.errors import NontrivialClass
 from relcone.fixtures import (
@@ -39,8 +42,8 @@ from relcone.fixtures import (
     point_into_circle_cover_map,
     suspension_cover_map,
 )
-from relcone.homology import homology_at
-from relcone.simplicial import SimplicialComplex, SimplicialMap
+from relcone.homology import homology_at, homology_data
+from relcone.simplicial import SimplicialComplex, SimplicialMap, chain_map
 
 Z2 = ZMOD(2)
 
@@ -245,12 +248,10 @@ def test_absolute_calls_on_one_cover_build_its_cone_once(monkeypatch):
 
 
 def test_simplicial_map_builds_its_chain_cone_once(monkeypatch):
-    from relcone import simplicial
-
     from relcone.fixtures import disk_area_values
 
     phi = disk_inclusion()
-    cones = count_calls(monkeypatch, simplicial, "cone_of_map")
+    cones = count_calls(monkeypatch, cech, "cone_of_map")
     nerves = count_calls(monkeypatch, cech, "chain_complex")
     for total in (F(1), F(1, 2), F(3)):
         pair = geo.RelRealCochainPair.from_values(phi, 2, disk_area_values(total), {})
@@ -259,6 +260,43 @@ def test_simplicial_map_builds_its_chain_cone_once(monkeypatch):
         assert [p.value for p in rep.pairings] == [total] and rep.integral == (total.denominator == 1)
     assert len(cones) == 1
     assert len(nerves) == 2  # one cochain complex per star cover
+
+
+def test_pairs_and_classes_on_one_star_cover_map_share_one_view(monkeypatch):
+    from relcone.fixtures import disk_area_values
+
+    phi = disk_inclusion()
+    nerves = count_calls(monkeypatch, cech, "chain_complex")
+    checks = count_calls(monkeypatch, ComplexMap, "_validate")
+    chain_cones = count_calls(monkeypatch, cech, "cone_of_map")
+    cech_cones = count_calls(monkeypatch, cech, "cone_of_cochain_map")
+    homologies = count_calls(monkeypatch, cech, "homology_data")
+    for total in (F(1), F(1, 2)):
+        assert geo.is_integral(geo.RelRealCochainPair.from_values(phi, 2, disk_area_values(total), {})).pairings
+    m = star_cover_map(phi)
+    assert m.view.chain_data(1).group.is_trivial  # a second degree reuses the chain cone
+    rng = random.Random(2718)
+    for ring, cls in ((INT, geo.RelFunctionCocycle), (U1, geo.RelLineBundleCocycle)):
+        u = rel_diff(random_low(rng, m, 1, ring))
+        c = cls(m, u.s, u.t)
+        assert geo.classify(c).is_zero
+        assert rel_diff(geo.trivialize(c)) == u
+    assert len(nerves) == 2  # one chain complex per star cover, dualized in place
+    assert len(checks) == 1  # the pushforward, checked once as a chain map
+    assert len(chain_cones) == 1 and len(cech_cones) == 1
+    assert len(homologies) == 4  # chain degrees 2 and 1, Cech cone degrees -1 and -2
+
+
+@pytest.mark.parametrize("name", MAPS)
+def test_chain_data_matches_the_rebuilt_chain_cone(name):
+    m = cover_maps()[name]
+    cone = cone_of_map(chain_map(m.nerve_map, INT))
+    degrees = range(-1, m.dst.dim + 3)
+    for n in degrees:
+        m.view.data(n)  # the shared memo must keep the two cones' homology apart
+    for n in degrees:
+        got, want = m.view.chain_data(n), homology_data(cone, n)
+        assert (got.group, got.orders) == (want.group, want.orders)  # the group compares its generators too
 
 
 def test_compiled_objects_reject_mutation():

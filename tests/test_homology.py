@@ -1,4 +1,8 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -86,6 +90,69 @@ def test_snf_random_properties():
                 assert s.diag[i + 1] % s.diag[i] == 0
         if m <= 4 and n <= 4:
             assert s.diag == smith_diagonal_via_minors(a.to_lists())
+
+
+# Feeds _check_snf one corrupted Smith form per postcondition, and counts
+# the checks snf runs; prints the messages and the count as JSON.
+CORRUPT_SNF_SCRIPT = """
+import json
+from dataclasses import replace
+from relcone import homology
+from relcone.coeffs import INT
+from relcone.errors import InvalidChainMap
+from relcone.homology import SNFResult, _check_snf, snf
+from relcone.matrix import Matrix
+
+def fake(rows, diag):
+    a = Matrix.from_rows(INT, rows)
+    eye = Matrix.identity(INT, a.nrows)
+    return a, SNFResult(eye, a, eye, eye, eye, diag, sum(1 for x in diag if x))
+
+a = Matrix.from_rows(INT, [[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+r = snf(a)
+flip = Matrix.from_rows(INT, [[-1, 0, 0], [0, 1, 0], [0, 0, 1]])
+negated = replace(r, u=r.u @ flip, d=flip @ r.d, uinv=flip @ r.uinv, diag=(-r.diag[0],) + r.diag[1:])
+cases = [
+    (a, replace(r, v=flip @ r.v)),
+    (a, replace(r, uinv=flip @ r.uinv)),
+    (a, replace(r, vinv=flip @ r.vinv)),
+    (a, negated),
+    fake([[2, 0], [0, 3]], (2, 3)),
+    fake([[0, 0], [0, 3]], (0, 3)),
+    fake([[1, 1], [0, 1]], (1, 1)),
+]
+out = []
+for x, bad in cases:
+    try:
+        _check_snf(x, bad)
+        out.append(None)
+    except InvalidChainMap as e:
+        out.append(str(e))
+checks = []
+homology._check_snf = lambda x, res: checks.append(x)
+snf(a)
+print(json.dumps([out, len(checks)]))
+"""
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_a_corrupted_smith_form_raises_under_every_interpreter_flag(optimize):
+    src = os.path.dirname(os.path.dirname(homology.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    flags = ["-O"] if optimize else []
+    proc = subprocess.run([sys.executable, *flags, "-c", CORRUPT_SNF_SCRIPT], capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    messages, checks = json.loads(proc.stdout)
+    assert messages == [
+        "snf: A != U D V",
+        "snf: U inverse wrong",
+        "snf: V inverse wrong",
+        "snf: negative diagonal",
+        "snf: divisibility chain broken",
+        "snf: divisibility chain broken",
+        "snf: D not diagonal",
+    ]
+    assert checks == 1
 
 
 def test_kernel_int_spans_null_space():

@@ -118,8 +118,13 @@ def test_rp2_homology_over_three_coefficient_rings():
     assert [homology_at(rp2, n).describe() for n in range(3)] == ["Z", "Z/2", "0"]
     rp2_q = chain_complex(projective_plane(), RAT)
     assert tuple(homology_at(rp2_q, n).free_rank for n in range(3)) == RP2_BETTI_Q
+    assert [homology_at(rp2_q, n).describe() for n in range(3)] == ["Q", "0", "0"]
     rp2_f2 = chain_complex(projective_plane(), ZMOD(2))
     assert tuple(homology_at(rp2_f2, n).free_rank for n in range(3)) == RP2_BETTI_F2
+    assert [homology_at(rp2_f2, n).describe() for n in range(3)] == ["Z/2", "Z/2", "Z/2"]
+    rp2_f3 = chain_complex(projective_plane(), ZMOD(3))
+    assert [homology_at(rp2_f3, n).describe() for n in range(3)] == ["Z/3", "0", "0"]
+    assert homology_at(rp2_f3, 0).ring == ZMOD(3) and homology_at(rp2, 0).ring == INT
 
 
 def test_chain_map_identity_and_degenerate():
