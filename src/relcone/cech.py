@@ -18,9 +18,9 @@ in the package.  A :class:`CoverView` holds the nerve's chain complex
 and its dual; a :class:`CoverMapView` holds the pushforward and pullback
 matrices, the relative Cech cone and the chain cone of the pushforward,
 each cone with its integer homology.  Every check (d d = 0, the
-chain-map identity, the cone reindexing, the Smith form postconditions)
-runs once per view instead of once per call.  Everything in this module
-and in `geo` reads these views.
+chain-map identity, the Smith form postconditions) runs once per view
+instead of once per call.  Everything in this module and in `geo`
+reads these views.
 """
 
 from __future__ import annotations

@@ -47,6 +47,8 @@ def _complex_from_input(obj, ring):
         return chain_complex(k, ring), list(range(0, max(k.dim, 0) + 1))
     if "ranks" in obj:
         c = jsonio.complex_from_json(obj)
+        if c.ring != ring:
+            raise ParseError(f"complex is over {c.ring}, but --ring asked for {ring}")
         return c, list(c.degrees())
     raise ParseError("input must have 'vertices' (simplicial) or 'ranks' (graded complex)")
 

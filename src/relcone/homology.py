@@ -60,7 +60,8 @@ def snf(a: Matrix) -> SNFResult:
     Pivoting picks the minimal absolute nonzero entry of the remaining
     submatrix; the returned diagonal is nonnegative and satisfies
     d1 | d2 | ... .  Postconditions (factorization, inverses,
-    divisibility) are asserted on every call in debug builds.
+    divisibility) are checked on every call, under any interpreter
+    flags; a failure raises InvalidChainMap.
     """
     if a.ring != INT:
         raise UnsupportedRing("snf is defined over Z")
@@ -228,40 +229,24 @@ def kernel_int(a: Matrix, s: SNFResult | None = None) -> Matrix:
 
 
 def solve_int(a: Matrix, b: Matrix, s: SNFResult | None = None) -> Matrix | None:
-    """One integer solution X of A X = B, or None if none exists."""
+    """One integer solution X of A X = B, or None if none exists.
+
+    With A = U D V, X = Vinv[:, :r] @ Y where Y holds the coordinates
+    of B in the column span of A (the basis d_i U[:, i], i < r).
+    """
     if s is None:
         s = snf(a)
     if b.nrows != a.nrows:
         raise ShapeMismatch(f"solve: {a.shape} vs rhs {b.shape}")
-    c = s.uinv @ b
-    rows = []
-    for i in range(a.ncols):
-        if i < len(s.diag) and s.diag[i]:
-            row = []
-            for j in range(b.ncols):
-                num = c.entry(i, j)
-                if num % s.diag[i]:
-                    return None
-                row.append(num // s.diag[i])
-            rows.append(row)
-        else:
-            rows.append([0] * b.ncols)
-    for i in range(len(s.diag), a.nrows):
-        for j in range(b.ncols):
-            if c.entry(i, j):
-                return None
-    for i in range(s.rank, min(len(s.diag), a.nrows)):
-        for j in range(b.ncols):
-            if c.entry(i, j):
-                return None
-    y = Matrix(INT, a.ncols, b.ncols, rows)
-    return s.vinv @ y
+    y = _image_lattice(a, s).coords(b)
+    if y is None:
+        return None
+    return s.vinv.submatrix(range(a.ncols), range(s.rank)) @ y
 
 
 def member_int(gens: Matrix, vec, s: SNFResult | None = None) -> bool:
     """Is vec in the subgroup generated by the columns of gens?"""
-    b = Matrix.column(INT, list(vec))
-    return solve_int(gens, b, s) is not None
+    return _image_lattice(gens, s).coords(Matrix.column(INT, list(vec))) is not None
 
 
 def torsion_exponent(a: Matrix) -> int:
@@ -273,8 +258,7 @@ def solve_int_mod(a: Matrix, b: Matrix, k: int) -> Matrix | None:
     """One solution of A X = B (mod k), via the augmented system [A | kI]."""
     if k <= 0:
         raise ShapeMismatch("modulus must be positive")
-    n = a.nrows
-    k_eye = Matrix(INT, n, n, [[k if i == j else 0 for j in range(n)] for i in range(n)])
+    k_eye = Matrix.identity(INT, a.nrows).zscale(k)
     sol = solve_int(hstack(INT, [a, k_eye]), b)
     if sol is None:
         return None
@@ -487,13 +471,14 @@ def _kernel_lattice(a: Matrix) -> _Lattice:
     return _Lattice(kernel_int(a, s), s.v, tuple(range(s.rank, n)), (1,) * (n - s.rank))
 
 
-def _image_lattice(a: Matrix) -> _Lattice:
+def _image_lattice(a: Matrix, s: SNFResult | None = None) -> _Lattice:
     """Column span of a = span of the d_i U[:, i], i < r.
 
     x = U (Uinv x) lies in it when d_i divides (Uinv x)_i for i < r and
     (Uinv x)_i = 0 for i >= r.
     """
-    s = snf(a)
+    if s is None:
+        s = snf(a)
     diag = s.diag[: s.rank]
     cols = [[d * v for v in s.u.col(i)] for i, d in enumerate(diag)]
     return _Lattice(Matrix.from_columns(INT, a.nrows, cols), s.uinv, tuple(range(s.rank)), diag)
@@ -643,10 +628,9 @@ def connecting_hom(
 
 def _subgroup_leq_int(gens_a: Matrix, gens_b: Matrix):
     """Is span(cols of A) contained in span(cols of B)?  Returns (ok, witness)."""
-    s = snf(gens_b)
-    for j in range(gens_a.ncols):
-        col = gens_a.col(j)
-        if not member_int(gens_b, col, s):
+    lat = _image_lattice(gens_b)
+    for col in gens_a.columns():
+        if lat.coords(Matrix.column(INT, col)) is None:
             return False, col
     return True, None
 

@@ -193,14 +193,7 @@ class Matrix:
         if len(vec) != self.ncols:
             raise ShapeMismatch(f"vector length {len(vec)} vs {self.shape}")
         vec = [ring.normalize(v) for v in vec]
-        out = []
-        for r in self.rows:
-            acc = ring.zero()
-            for a, b in zip(r, vec):
-                if a:
-                    acc = ring.add(acc, ring.zmul(a, b))
-            out.append(acc)
-        return tuple(out)
+        return tuple(ring.normalize(sum(a * b for a, b in zip(r, vec) if a)) for r in self.rows)
 
     def change_ring(self, ring: CoeffRing) -> "Matrix":
         return Matrix(ring, self.nrows, self.ncols, self.rows)

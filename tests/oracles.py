@@ -7,6 +7,10 @@ library's earlier route through extra Smith forms, as a reference for
 the Smith-form coordinate maps the library uses now, and the Cech
 helpers rebuild every nerve complex, pullback and relative cone per
 call, as a reference for the views covers and cover maps compile once.
+The integer solve divides by the Smith diagonal row by row, and the
+cochain cone is assembled from its own block formula, as references
+for the lattice coordinates and the re-sliced chain cone the library
+reads instead.
 Frozen expected values for the fixed test cases live at the bottom.
 """
 
@@ -227,6 +231,71 @@ def express_via_solver_snf(data, vec):
         raise InvalidChainMap("vector is not a cycle modulo boundaries")
     coords = [sol.entry(i, 0) for i in range(data.ngens)]
     return tuple(c % d if d else c for c, d in zip(coords, data.orders))
+
+
+# ---------------------------------------------------------------------------
+# Integer solving by reading the Smith diagonal directly, and the cochain
+# cone assembled from its own block formula
+# ---------------------------------------------------------------------------
+
+
+def solve_int_via_diagonal(a, b, s=None):
+    """One integer solution X of A X = B, or None: divide Uinv B by the Smith diagonal row by row."""
+    from relcone.coeffs import INT
+    from relcone.errors import ShapeMismatch
+    from relcone.homology import snf
+    from relcone.matrix import Matrix
+
+    if s is None:
+        s = snf(a)
+    if b.nrows != a.nrows:
+        raise ShapeMismatch(f"solve: {a.shape} vs rhs {b.shape}")
+    c = s.uinv @ b
+    rows = []
+    for i in range(a.ncols):
+        if i < len(s.diag) and s.diag[i]:
+            row = []
+            for j in range(b.ncols):
+                num = c.entry(i, j)
+                if num % s.diag[i]:
+                    return None
+                row.append(num // s.diag[i])
+            rows.append(row)
+        else:
+            rows.append([0] * b.ncols)
+    for i in range(len(s.diag), a.nrows):
+        for j in range(b.ncols):
+            if c.entry(i, j):
+                return None
+    for i in range(s.rank, min(len(s.diag), a.nrows)):
+        for j in range(b.ncols):
+            if c.entry(i, j):
+                return None
+    y = Matrix(INT, a.ncols, b.ncols, rows)
+    return s.vinv @ y
+
+
+def cochain_cone_by_blocks(f):
+    """Cone of a chain-stored cochain map: D_m = Y~_(m+1) (+) X~_m, d = [[-d_Y, f], [0, d_X]]."""
+    from relcone.chain import GradedComplex, mat_ring
+    from relcone.matrix import Matrix, block
+
+    x, y = f.src, f.dst
+    mr = mat_ring(f.ring)
+    ranks = {}
+    for m in range(min(y.lo - 1, x.lo), max(y.hi - 1, x.hi) + 1):
+        r = y.rank(m + 1) + x.rank(m)
+        if r:
+            ranks[m] = r
+    diffs = {}
+    for m in ranks:
+        dy = y.diff(m + 1)
+        dx = x.diff(m)
+        fm = f.component(m)
+        top = [-dy, fm]
+        bot = [Matrix.zeros(mr, dx.nrows, dy.ncols), dx]
+        diffs[m] = block(mr, [top, bot])
+    return GradedComplex(f.ring, ranks, diffs, validate=False)
 
 
 # ---------------------------------------------------------------------------

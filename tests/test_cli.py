@@ -87,6 +87,23 @@ def test_homology_graded_input_and_degree_flag(tmp_path):
     assert json.loads(out) == {"H": {"1": {"rank": 0, "torsion": [2]}}}
 
 
+GRADED_Z = '{"ring":"Z","ranks":{"0":1,"1":1},"diff":{"1":[[2]]}}'
+
+
+def test_graded_input_over_another_ring_exits_one(tmp_path, capsys):
+    path = tmp_path / "graded-z.json"
+    path.write_text(GRADED_Z)
+    code, out = run("homology", str(path))
+    assert code == 0
+    assert json.loads(out)["H"]["0"] == {"rank": 0, "torsion": [2]}
+    capsys.readouterr()
+    for ring in ("Q", "Zmod:2", "U1"):
+        code, out = run("homology", "--ring", ring, str(path))
+        assert (code, out) == (1, "")
+        err = capsys.readouterr().err
+        assert err == f"relcone: parse error: complex is over Z, but --ring asked for {ring}\n"
+
+
 def test_cone_space_and_les_and_kercoker(tmp_path):
     fx = emit_all(tmp_path)
     code, out = run("cone-space", f"{fx}/fix-d3.json")
@@ -247,12 +264,12 @@ def test_console_script_runs():
 
 
 def run_subprocess(argv, optimize=False):
-    """Run the CLI in a fresh interpreter; returns (exit code, stdout bytes)."""
+    """Run the CLI in a fresh interpreter; returns (exit code, stdout bytes, stderr bytes)."""
     src = os.path.dirname(os.path.dirname(relcone.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     flags = ["-O"] if optimize else []
     proc = subprocess.run([sys.executable, *flags, "-m", "relcone.cli", *argv], capture_output=True, env=env)
-    return proc.returncode, proc.stdout
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 # Runs CLI verbs twice in one interpreter, then classifies and trivializes
@@ -311,10 +328,19 @@ def test_optimized_interpreter_gives_identical_bytes(tmp_path):
         ("trivialize", f"{fx}/cocycle-half-bundle.json"),
         ("compare-cones", f"{fx}/fix-d2.json"),
         ("integrality", f"{fx}/pair-disk-area-half.json"),
+        ("cech", f"{fx}/covermap-disk.json"),
+        ("cech", "--ring", "Z", f"{fx}/covermap-susp-d2.json"),
     ):
         plain = run_subprocess(argv)
         assert plain[1], argv
         assert run_subprocess(argv, optimize=True) == plain, argv
+
+    graded = tmp_path / "graded-z.json"
+    graded.write_text(GRADED_Z)
+    argv = ("homology", "--ring", "Q", str(graded))
+    plain = run_subprocess(argv)
+    assert plain[:2] == (1, b"") and plain[2].count(b"\n") == 1
+    assert run_subprocess(argv, optimize=True) == plain
 
     cocycles = [f"{fx}/{name}.json" for name, (kind, _) in fixture_registry().items() if kind == "cocycle"]
     argvs = [("cech", "--ring", "Zmod:2", f"{fx}/covermap-susp-d2.json")]
