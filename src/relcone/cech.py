@@ -14,18 +14,19 @@ path serves Z, Q, Z/n and the circle group.
 
 Covers and cover maps are immutable, and each compiles its integer data
 once, on first use, into its `view`: these are the only compiled objects
-in the package.  A :class:`CoverView` holds the nerve's chain complex
-and its dual; a :class:`CoverMapView` holds the pushforward and pullback
-matrices, the relative Cech cone and the chain cone of the pushforward,
-each cone with its integer homology.  Every check (d d = 0, the
-chain-map identity, the Smith form postconditions) runs once per view
-instead of once per call.  Everything in this module and in `geo`
-reads these views.
+in the package.  A :class:`CoverView` holds the nerve's cochain complex;
+a :class:`CoverMapView` holds the pullback matrices and, built on first
+use, the relative Cech cone, the chain cone of the pushforward, each
+cone's integer homology, and one modular solver per degree and modulus
+for angle witnesses.  No matrix is kept beside its transpose.  Every
+check (d d = 0, the cochain-map identity, the Smith form postconditions)
+runs once per view, or once per solver, instead of once per call.
+Everything in this module and in `geo` reads these views.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Mapping, Tuple
 
 from .chain import (
@@ -34,6 +35,7 @@ from .chain import (
     cone_of_cochain_map,
     cone_of_map,
     dual_complex,
+    dual_map,
     from_int_complex,
 )
 from .coeffs import INT, RAT, U1, CoeffRing, Scalar, angle_lift
@@ -46,7 +48,7 @@ from .errors import (
     ShapeMismatch,
     UnsupportedRing,
 )
-from .homology import AbGroup, HomologyData, homology_at, homology_data, torsion_exponent
+from .homology import AbGroup, HomologyData, IntSolver, homology_at, homology_data, mod_solver, torsion_exponent
 from .matrix import Matrix, from_int_matrix
 from .simplicial import (
     Frozen,
@@ -161,18 +163,18 @@ class CoverMap(Frozen):
 class CoverView:
     """A cover's compiled integer data.
 
-    `chains` is the validated integer chain complex of the nerve and
-    `cochains` its dual in chain storage (degree -p), whose differential
-    at chain degree -p is the coboundary C^p -> C^(p+1).  `absolute`
+    `cochains` is the dual of the nerve's validated integer chain
+    complex, in chain storage (degree -p): its differential at chain
+    degree -p is the coboundary C^p -> C^(p+1).  The chain complex is
+    its dual again, rebuilt where a chain cone needs it.  `absolute`
     holds :attr:`Cover.absolute` once it is made; it refers back to the
     cover, so it is only made for absolute classes.
     """
 
-    __slots__ = ("chains", "cochains", "absolute")
+    __slots__ = ("cochains", "absolute")
 
     def __init__(self, cover: Cover):
-        self.chains = chain_complex(cover.nerve, INT)
-        self.cochains = dual_complex(self.chains)
+        self.cochains = dual_complex(chain_complex(cover.nerve, INT))
         self.absolute = None
 
     def rank(self, p: int) -> int:
@@ -186,24 +188,24 @@ class CoverView:
 class CoverMapView:
     """A cover map's compiled integer data.
 
-    `push` is the pushforward of the nerve map, checked once as a chain
-    map between the two covers' `chains`; `pulls[p]` is its transpose,
-    the pullback C^p(dst) -> C^p(src).  One memo keeps what is built on
-    first use: `cone`, the relative Cech cone, with its integer homology
-    `data(n)` and torsion exponents `exponent(n)`; and `chain_cone`, the
-    mapping cone of `push`, with its integer homology `chain_data(n)`.
-    No cone map and no Smith form is kept; other rings read these
-    integer matrices through `zapply` or `from_int_matrix`.
+    `pulls[p]` is the pullback C^p(dst) -> C^p(src), the transpose of
+    the nerve map's pushforward, checked once as a cochain map between
+    the two covers' `cochains`.  One memo keeps what is built on first
+    use: `cone`, the relative Cech cone, with its integer homology
+    `data(n)`, torsion exponents `exponent(n)` and modular solvers
+    `mod_solver(n, k)`; and `chain_cone`, the mapping cone of the
+    pushforward, with its integer homology `chain_data(n)`.  No cone map
+    is kept; other rings read these integer matrices through `zapply`
+    or `from_int_matrix`.
     """
 
-    __slots__ = ("src", "dst", "push", "pulls", "_memo")
+    __slots__ = ("src", "dst", "pulls", "_memo")
 
     def __init__(self, m: CoverMap):
         self.src = m.src.view
         self.dst = m.dst.view
-        pushes = pushforward_matrices(m.nerve_map)
-        self.push = ComplexMap(self.src.chains, self.dst.chains, pushes)  # raises unless d f = f d
-        self.pulls = {p: t.transpose() for p, t in pushes.items()}
+        self.pulls = {p: t.transpose() for p, t in pushforward_matrices(m.nerve_map).items()}
+        ComplexMap(self.dst.cochains, self.src.cochains, {-p: t for p, t in self.pulls.items()})  # raises unless d f = f d
         self._memo = {}
 
     def _once(self, key, build):
@@ -232,9 +234,22 @@ class CoverMapView:
     def exponent(self, n: int) -> int:
         return self._once(("exponent", n), lambda: torsion_exponent(self.cone.diff(n)))
 
+    def mod_solver(self, n: int, k: int) -> IntSolver:
+        """Solutions of cone.diff(n) X = B (mod k) from one Smith form, kept per (n, k);
+        solvers of degree n share their row transform when it is equal."""
+
+        def build():
+            s = mod_solver(self.cone.diff(n), k)
+            kept = [o.lattice.to for key, o in self._memo.items() if key[:2] == ("mod", n)]
+            s.lattice = replace(s.lattice, to=next((t for t in kept if t == s.lattice.to), s.lattice.to))
+            return s
+
+        return self._once(("mod", n, k), build)
+
     @property
     def chain_cone(self) -> GradedComplex:
-        return self._once("chain_cone", lambda: cone_of_map(self.push))
+        """Cone of the pushforward, the dual of the checked pullback on the nerves' chains."""
+        return self._once("chain_cone", lambda: cone_of_map(dual_map(self.cone_map(INT))))
 
     def chain_data(self, n: int) -> HomologyData:
         return self._once(("chain_data", n), lambda: homology_data(self.chain_cone, n))
@@ -299,10 +314,9 @@ class CechCochain:
             raise CoverMismatch(f"unknown cover set {bad.args[0]!r}") from None
         if len(set(idx)) != len(idx):
             raise CoverMismatch(f"listing {names!r} repeats a cover set")
-        key_sorted = tuple(sorted(idx))
-        if key_sorted not in k._pos.get(self.degree, {}):
+        if not k.has(names):
             raise CoverMismatch(f"sets {names!r} have no recorded common overlap")
-        return key_sorted, _sort_sign(idx)
+        return tuple(sorted(idx)), _sort_sign(idx)
 
     def value(self, key):
         """The coefficient on a listing of sets, with antisymmetric sign."""

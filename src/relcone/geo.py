@@ -28,6 +28,7 @@ from math import lcm
 from .cech import (
     CechCochain,
     CoverMap,
+    CoverMapView,
     RelCechCochain,
     bockstein,
     cech_diff,
@@ -47,7 +48,7 @@ from .errors import (
     RingMismatch,
     UnsupportedRing,
 )
-from .homology import AbGroup, solve_int, solve_int_mod
+from .homology import AbGroup, solve_int
 from .matrix import Matrix
 from .simplicial import SimplicialMap
 
@@ -266,18 +267,19 @@ def classify(c) -> ClassReport:
 # ---------------------------------------------------------------------------
 
 
-def _solve_mod_one(mtx: Matrix, target, exponent: int) -> list | None:
-    """Exact rational solution of mtx @ w = target (mod 1), or None.
+def _solve_mod_one(view: CoverMapView, n: int, target) -> list | None:
+    """Exact rational solution of view.cone.diff(n) @ w = target (mod 1), or None.
 
     Denominators are cleared to D = lcm of the target's denominators
-    and the equation is solved over Z/(D*e), where e = `exponent` is the
-    lcm of the matrix's nonzero elementary divisors; solvability there
-    is equivalent to solvability mod 1, which keeps the search finite.
+    and the equation is solved over Z/(D*e), where e = view.exponent(n)
+    is the lcm of the matrix's nonzero elementary divisors; solvability
+    there is equivalent to solvability mod 1, which keeps the search
+    finite.  The view builds one solver per (n, D*e) and keeps it.
     """
     cleared = lcm(*(Fraction(v).denominator for v in target)) if len(target) else 1
-    modulus = cleared * exponent
+    modulus = cleared * view.exponent(n)
     ints = [int(Fraction(v) * modulus) for v in target]
-    sol = solve_int_mod(mtx, Matrix.column(INT, ints), modulus)
+    sol = view.mod_solver(n, modulus).solve(Matrix.column(INT, ints))
     if sol is None:
         return None
     return [Fraction(x, modulus) for x in sol.col(0)]
@@ -287,12 +289,11 @@ def _witness(u: RelCechCochain) -> RelCechCochain | None:
     """A relative cochain one degree down with coboundary u, or None."""
     q = u.degree
     view = u.m.view
-    mtx = view.cone.diff(-(q - 1))
     if u.ring == INT:
-        sol = solve_int(mtx, Matrix.column(INT, list(u.vector())))
+        sol = solve_int(view.cone.diff(1 - q), Matrix.column(INT, list(u.vector())))
         vec = None if sol is None else sol.col(0)
     else:
-        vec = _solve_mod_one(mtx, u.vector(), view.exponent(-(q - 1)))
+        vec = _solve_mod_one(view, 1 - q, u.vector())
     if vec is None:
         return None
     witness = RelCechCochain.from_vector(u.m, q - 1, u.ring, [u.ring.normalize(v) for v in vec])

@@ -228,20 +228,33 @@ def kernel_int(a: Matrix, s: SNFResult | None = None) -> Matrix:
     return s.vinv.submatrix(range(a.ncols), cols)
 
 
-def solve_int(a: Matrix, b: Matrix, s: SNFResult | None = None) -> Matrix | None:
-    """One integer solution X of A X = B, or None if none exists.
+class IntSolver:
+    """Integer solutions of A X = B from one Smith form of A, for any B.
 
     With A = U D V, X = Vinv[:, :r] @ Y where Y holds the coordinates
-    of B in the column span of A (the basis d_i U[:, i], i < r).
+    of B in the column span of A (the basis d_i U[:, i], i < r).  `back`
+    keeps the first `ncols` rows of Vinv[:, :r], all of them by default.
     """
-    if s is None:
-        s = snf(a)
-    if b.nrows != a.nrows:
-        raise ShapeMismatch(f"solve: {a.shape} vs rhs {b.shape}")
-    y = _image_lattice(a, s).coords(b)
-    if y is None:
-        return None
-    return s.vinv.submatrix(range(a.ncols), range(s.rank)) @ y
+
+    __slots__ = ("lattice", "back")
+
+    def __init__(self, a: Matrix, s: SNFResult | None = None, ncols: int | None = None):
+        if s is None:
+            s = snf(a)
+        self.lattice = _image_lattice(a, s)
+        self.back = s.vinv.submatrix(range(a.ncols if ncols is None else ncols), range(s.rank))
+
+    def solve(self, b: Matrix) -> Matrix | None:
+        """One solution X, or None if none exists."""
+        if b.nrows != self.lattice.to.nrows:
+            raise ShapeMismatch(f"solve: {self.lattice.to.nrows} rows vs rhs {b.shape}")
+        y = self.lattice.coords(b)
+        return None if y is None else self.back @ y
+
+
+def solve_int(a: Matrix, b: Matrix, s: SNFResult | None = None) -> Matrix | None:
+    """One integer solution X of A X = B, or None if none exists."""
+    return IntSolver(a, s).solve(b)
 
 
 def member_int(gens: Matrix, vec, s: SNFResult | None = None) -> bool:
@@ -254,15 +267,11 @@ def torsion_exponent(a: Matrix) -> int:
     return lcm(1, *(d for d in snf(a).diag if d))
 
 
-def solve_int_mod(a: Matrix, b: Matrix, k: int) -> Matrix | None:
-    """One solution of A X = B (mod k), via the augmented system [A | kI]."""
+def mod_solver(a: Matrix, k: int) -> IntSolver:
+    """Solutions of A X = B (mod k): the A-block of those of [A | kI] X = B, from one Smith form."""
     if k <= 0:
         raise ShapeMismatch("modulus must be positive")
-    k_eye = Matrix.identity(INT, a.nrows).zscale(k)
-    sol = solve_int(hstack(INT, [a, k_eye]), b)
-    if sol is None:
-        return None
-    return sol.submatrix(range(a.ncols), range(b.ncols))
+    return IntSolver(hstack(INT, [a, Matrix.identity(INT, a.nrows).zscale(k)]), ncols=a.ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -384,13 +393,10 @@ class HomologyData:
     ``express`` solves against generators and boundaries.
     """
 
-    def __init__(
-        self, ring, ambient_rank, group, gen_matrix, orders, boundary_gens, lattice=None, to_gens=None
-    ):
+    def __init__(self, ring, ambient_rank, group, orders, boundary_gens, lattice=None, to_gens=None):
         self.ring = ring
         self.ambient_rank = ambient_rank
         self.group = group
-        self.gen_matrix = gen_matrix  # ambient x (number of kept generators)
         self.orders = orders  # per kept generator: d_i for torsion, 0 for free
         self.boundary_gens = boundary_gens  # ambient x b
         self.lattice = lattice
@@ -400,6 +406,11 @@ class HomologyData:
     @property
     def ngens(self) -> int:
         return len(self.orders)
+
+    @property
+    def gen_matrix(self) -> Matrix:
+        """The generators as columns (ambient x ngens), read from `group`, which keeps them."""
+        return Matrix.from_columns(self.ring, self.ambient_rank, self.group.generators)
 
     def relation_matrix(self) -> Matrix:
         """Columns d_i e_i for the torsion generators, in gen coordinates."""
@@ -436,24 +447,24 @@ class HomologyData:
 
 @dataclass(frozen=True)
 class _Lattice:
-    """A lattice basis with the exact coordinate map of the SNF that produced it.
+    """The exact coordinate map of the SNF that produced a lattice.
 
     x lies in the lattice exactly when, in ``t = to @ x``, row
     ``rows[j]`` is divisible by ``scale[j]`` for every j and every other
     row is zero; the quotients t[rows[j]] / scale[j] are then the
-    coordinates of x in ``basis``.
+    coordinates of x in the basis that SNF gives.  The basis itself is
+    not kept: only `_quotient_group_int` reads it, and HomologyData and
+    the solvers a view keeps hold their lattices for as long as they live.
     """
 
-    basis: Matrix
     to: Matrix
-    rows: tuple
+    rows: range
     scale: tuple
 
     def coords(self, x: Matrix) -> Matrix | None:
-        """Coordinates of the columns of x in ``basis``, or None if one lies outside."""
+        """Coordinates of the columns of x in the lattice basis, or None if one lies outside."""
         t = self.to @ x
-        kept = set(self.rows)
-        if any(any(t.rows[i]) for i in range(t.nrows) if i not in kept):
+        if any(any(t.rows[i]) for i in range(t.nrows) if i not in self.rows):
             return None
         out = []
         for i, d in zip(self.rows, self.scale):
@@ -464,11 +475,11 @@ class _Lattice:
         return Matrix(INT, len(out), x.ncols, out)
 
 
-def _kernel_lattice(a: Matrix) -> _Lattice:
-    """ker(a) = columns r.. of Vinv; x = Vinv (V x) lies in it when (V x)[:r] = 0."""
+def _kernel_lattice(a: Matrix) -> tuple:
+    """(basis, lattice) of ker(a): columns r.. of Vinv; x = Vinv (V x) lies in it when (V x)[:r] = 0."""
     s = snf(a)
     n = a.ncols
-    return _Lattice(kernel_int(a, s), s.v, tuple(range(s.rank, n)), (1,) * (n - s.rank))
+    return kernel_int(a, s), _Lattice(s.v, range(s.rank, n), (1,) * (n - s.rank))
 
 
 def _image_lattice(a: Matrix, s: SNFResult | None = None) -> _Lattice:
@@ -479,9 +490,7 @@ def _image_lattice(a: Matrix, s: SNFResult | None = None) -> _Lattice:
     """
     if s is None:
         s = snf(a)
-    diag = s.diag[: s.rank]
-    cols = [[d * v for v in s.u.col(i)] for i, d in enumerate(diag)]
-    return _Lattice(Matrix.from_columns(INT, a.nrows, cols), s.uinv, tuple(range(s.rank)), diag)
+    return _Lattice(s.uinv, range(s.rank), s.diag[: s.rank])
 
 
 def _canonical_sign(col):
@@ -491,18 +500,17 @@ def _canonical_sign(col):
     return 1
 
 
-def _quotient_group_int(ambient_rank: int, num: _Lattice, den_gens: Matrix) -> HomologyData:
-    """Present span(num.basis)/span(den_gens) with den inside num.
+def _quotient_group_int(ambient_rank: int, num_basis: Matrix, num: _Lattice, den_gens: Matrix) -> HomologyData:
+    """Present span(num_basis)/span(den_gens) with den inside num.
 
-    num.basis columns must be a basis of the numerator lattice (full
-    column rank, so lattice coordinates are unique); den_gens columns
-    must lie in it, or InvalidChainMap is raised.
+    num_basis columns must be the basis of the numerator lattice that
+    `num` gives coordinates in (full column rank, so coordinates are
+    unique); den_gens columns must lie in it, or InvalidChainMap is raised.
     """
-    num_basis = num.basis
     k = num_basis.ncols
     if k == 0:
         group = AbGroup(0, (), ())
-        return HomologyData(INT, ambient_rank, group, num_basis, (), den_gens, num, Matrix.zeros(INT, 0, 0))
+        return HomologyData(INT, ambient_rank, group, (), den_gens, num, Matrix.zeros(INT, 0, 0))
     w = num.coords(den_gens)
     if w is None:
         raise InvalidChainMap("denominator not contained in numerator lattice")
@@ -525,14 +533,13 @@ def _quotient_group_int(ambient_rank: int, num: _Lattice, den_gens: Matrix) -> H
         cols.append([sgn * x for x in col])
         kept_orders.append(orders[i])
         to_gens.append([sgn * x for x in s2.uinv.rows[i]])
-    gen_matrix = Matrix.from_columns(INT, ambient_rank, cols)
     group = AbGroup(free_rank, torsion, tuple(tuple(c) for c in cols))
     to_gens = Matrix(INT, len(to_gens), k, to_gens)
-    return HomologyData(INT, ambient_rank, group, gen_matrix, tuple(kept_orders), den_gens, num, to_gens)
+    return HomologyData(INT, ambient_rank, group, tuple(kept_orders), den_gens, num, to_gens)
 
 
 def _homology_data_int(c: GradedComplex, n: int) -> HomologyData:
-    return _quotient_group_int(c.rank(n), _kernel_lattice(c.diff(n)), c.diff(n + 1))
+    return _quotient_group_int(c.rank(n), *_kernel_lattice(c.diff(n)), c.diff(n + 1))
 
 
 def _quotient_space_field(ring, ambient, num: Matrix, den: Matrix) -> HomologyData:
@@ -545,8 +552,7 @@ def _quotient_space_field(ring, ambient, num: Matrix, den: Matrix) -> HomologyDa
     base = [c for c in pivots if c < den.ncols]
     keep = [c - den.ncols for c in pivots if c >= den.ncols]
     group = AbGroup(len(keep), (), tuple(num.col(j) for j in keep), ring)
-    gens = num.submatrix(range(ambient), keep)
-    return HomologyData(ring, ambient, group, gens, (0,) * len(keep), den.submatrix(range(ambient), base))
+    return HomologyData(ring, ambient, group, (0,) * len(keep), den.submatrix(range(ambient), base))
 
 
 def homology_data(c: GradedComplex, n: int) -> HomologyData:
@@ -870,7 +876,9 @@ def _coker_homology_data(f: ComplexMap, n: int) -> HomologyData:
     gl = kern.submatrix(range(g), range(kern.ncols))
     den = hstack(dn.ring, [y.diff(n + 1), rel_here])
     if ring == INT:
-        return _quotient_group_int(g, _image_lattice(gl), den)
+        s = snf(gl)
+        basis = Matrix.from_columns(INT, g, [[d * v for v in s.u.col(i)] for i, d in enumerate(s.diag[: s.rank])])
+        return _quotient_group_int(g, basis, _image_lattice(gl, s), den)
     return _quotient_space_field(ring, g, gl, den)
 
 

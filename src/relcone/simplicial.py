@@ -13,6 +13,7 @@ cone and its homology, which the integrality checks read, live in that
 cover map's view (see `cech`).
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from types import MappingProxyType
@@ -56,7 +57,6 @@ class SimplicialComplex:
                 for face in combinations(idx, k):
                     by_dim.setdefault(k - 1, set()).add(face)
         self._by_dim = {n: tuple(sorted(s)) for n, s in by_dim.items()}
-        self._pos = {n: {t: j for j, t in enumerate(ts)} for n, ts in self._by_dim.items()}
 
     @property
     def dim(self) -> int:
@@ -70,7 +70,12 @@ class SimplicialComplex:
         return len(self.simplices(n))
 
     def index_of(self, n: int, simplex: tuple) -> int:
-        return self._pos[n][simplex]
+        """Position of an index tuple among the n-simplices; KeyError if it is not one."""
+        ts = self.simplices(n)
+        j = bisect_left(ts, simplex)
+        if ts[j : j + 1] != (simplex,):
+            raise KeyError(simplex)
+        return j
 
     def labels(self, simplex: tuple) -> tuple:
         return tuple(self.vertices[i] for i in simplex)
@@ -81,9 +86,10 @@ class SimplicialComplex:
     def has(self, labels) -> bool:
         try:
             key = self.label_simplex(labels)
+            self.index_of(len(key) - 1, key)
         except KeyError:
             return False
-        return key in self._pos.get(len(key) - 1, {})
+        return True
 
     def facets(self) -> tuple:
         """Maximal simplices by label, deterministically ordered."""

@@ -10,7 +10,8 @@ call, as a reference for the views covers and cover maps compile once.
 The integer solve divides by the Smith diagonal row by row, and the
 cochain cone is assembled from its own block formula, as references
 for the lattice coordinates and the re-sliced chain cone the library
-reads instead.
+reads instead.  Angle witnesses run a fresh Smith form of [A | kI] per
+solve, as a reference for the solvers cover-map views keep.
 Frozen expected values for the fixed test cases live at the bottom.
 """
 
@@ -371,10 +372,36 @@ def rel_class(u):
     return data.express([int(x) for x in w]), data.orders, data.group
 
 
-def rel_witness_vector(u):
-    """Cone coordinates of a witness one degree down, or None (the library's solves)."""
+def solve_int_mod(a, b, k):
+    """One solution of A X = B (mod k): a fresh Smith form of [A | kI] per call, no solver kept."""
     from relcone.coeffs import INT
-    from relcone.geo import _solve_mod_one
+    from relcone.errors import ShapeMismatch
+    from relcone.homology import solve_int
+    from relcone.matrix import Matrix, hstack
+
+    if k <= 0:
+        raise ShapeMismatch("modulus must be positive")
+    sol = solve_int(hstack(INT, [a, Matrix.identity(INT, a.nrows).zscale(k)]), b)
+    return None if sol is None else sol.submatrix(range(a.ncols), range(b.ncols))
+
+
+def solve_mod_one(mtx, target, exponent):
+    """Rational w with mtx @ w = target (mod 1), or None, solved over Z/(D * exponent)."""
+    from relcone.coeffs import INT
+    from relcone.matrix import Matrix
+
+    cleared = 1
+    for v in target:
+        d = Fraction(v).denominator
+        cleared = cleared * d // gcd(cleared, d)
+    modulus = cleared * exponent
+    sol = solve_int_mod(mtx, Matrix.column(INT, [int(Fraction(v) * modulus) for v in target]), modulus)
+    return None if sol is None else [Fraction(x, modulus) for x in sol.col(0)]
+
+
+def rel_witness_vector(u):
+    """Cone coordinates of a witness one degree down, or None (uncached solves on a rebuilt cone)."""
+    from relcone.coeffs import INT
     from relcone.homology import snf, solve_int
     from relcone.matrix import Matrix
 
@@ -385,7 +412,7 @@ def rel_witness_vector(u):
     exponent = 1
     for d in snf(mtx).diag:
         exponent = exponent * d // gcd(exponent, d) if d else exponent
-    sol = _solve_mod_one(mtx, u.vector(), exponent)
+    sol = solve_mod_one(mtx, u.vector(), exponent)
     return None if sol is None else tuple(u.ring.normalize(v) for v in sol)
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
-from relcone import cech, geo
+from relcone import cech, geo, homology
 from relcone.cech import (
     CechCochain,
     Cover,
@@ -42,7 +42,8 @@ from relcone.fixtures import (
     point_into_circle_cover_map,
     suspension_cover_map,
 )
-from relcone.homology import homology_at, homology_data
+from relcone.homology import HomologyData, IntSolver, homology_at, homology_data
+from relcone.matrix import Matrix, hstack
 from relcone.simplicial import SimplicialComplex, SimplicialMap, chain_map
 
 Z2 = ZMOD(2)
@@ -210,16 +211,24 @@ def test_many_classes_on_one_map_build_each_complex_once(monkeypatch, name):
     cones = count_calls(monkeypatch, cech, "cone_of_cochain_map")
     nerves = count_calls(monkeypatch, cech, "chain_complex")
     exponents = count_calls(monkeypatch, cech, "torsion_exponent")
-    for c in inputs:
-        geo.classify(c)
-        try:
-            geo.trivialize(c)
-        except NontrivialClass:
-            pass
-        geo.is_equivalent(c, inputs[0])
+    solvers = count_calls(monkeypatch, cech, "mod_solver")
+    smiths = count_calls(monkeypatch, homology, "snf")
+    for _ in range(2):
+        for c in inputs:
+            geo.classify(c)
+            try:
+                geo.trivialize(c)
+            except NontrivialClass:
+                pass
+            geo.is_equivalent(c, inputs[0])
     assert len(cones) == 1
     assert len(exponents) == (base.u.ring == U1)  # one witness degree, one Smith form
     assert nerves == []  # each nerve complex was built once, by the inputs' rel_diff
+    # angle witnesses: one Smith form of [A | kI] per (degree, modulus), however many solves
+    keys = [(a.shape, a.rows, k) for a, k in solvers]
+    assert len(keys) == len(set(keys)) and (len(keys) > 0) == (base.u.ring == U1)
+    augmented = [hstack(INT, [a, Matrix.identity(INT, a.nrows).zscale(k)]) for a, k in solvers]
+    assert [sum(s == aug for (s,) in smiths) for aug in augmented] == [1] * len(augmented)
 
 
 def test_a_fresh_cover_map_builds_each_nerve_complex_once(monkeypatch):
@@ -333,3 +342,55 @@ def test_read_only_maps_keep_their_equality_and_serialization():
     assert m("U0") == "U0" and m.assignment == m.nerve_map.vmap
     assert CoverMap(m.src, m.dst, dict(m.assignment)) == m
     assert Cover(m.src.nerve) == m.src
+
+
+def reachable(root):
+    """Every object reachable from root through slots, instance dicts, mappings and sequences."""
+    seen, stack, out = set(), [root], []
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        out.append(x)
+        if isinstance(x, Matrix):
+            continue
+        if isinstance(x, dict):
+            stack += list(x.values())
+        elif isinstance(x, (list, tuple, set, frozenset)):
+            stack += list(x)
+        elif type(x).__module__.startswith("relcone"):
+            slots = [n for c in type(x).__mro__ for n in getattr(c, "__slots__", ())]
+            stack += [getattr(x, n) for n in slots if hasattr(x, n)]
+            stack += list(getattr(x, "__dict__", {}).values())
+    return out
+
+
+def matrices(root):
+    return [x for x in reachable(root) if isinstance(x, Matrix)]
+
+
+def test_a_view_keeps_no_matrix_twice_or_beside_its_transpose():
+    m = suspension_cover_map()
+    rng = random.Random(91)
+    for ring in (INT, U1):
+        for u in cocycles(rng, m, ring):
+            geo._class_report(u, "x", "Phi")
+            geo._witness(u)
+    view = m.view
+    solvers = [key for key in view._memo if key[0] == "mod"]
+    assert len({n for _, n, _ in solvers}) < len(solvers)  # some degree has solvers for two moduli
+    assert any(isinstance(x, HomologyData) for x in reachable(view))
+    kept = {id(a): a for a in matrices(view) if not a.is_zero()}
+    by_entries = {}
+    for a in kept.values():
+        by_entries.setdefault((a.shape, a.rows), []).append(id(a))
+    assert [ids for ids in by_entries.values() if len(ids) > 1] == []
+    for a_id, a in kept.items():
+        t = a.transpose()
+        assert by_entries.get((t.shape, t.rows), [a_id]) == [a_id], a.shape  # only a symmetric one is its own
+    for x in reachable(view):
+        if isinstance(x, HomologyData) and x.lattice is not None:
+            assert [id(a) for a in matrices(x.lattice)] == [id(x.lattice.to)]  # a coordinate map, no basis
+        if isinstance(x, IntSolver):
+            assert {id(a) for a in matrices(x)} == {id(x.lattice.to), id(x.back)}

@@ -48,7 +48,7 @@ from relcone.geo import (
     trivialize,
     validate,
 )
-from relcone.homology import homology_data, kernel_int, torsion_exponent
+from relcone.homology import homology_data, kernel_int, mod_solver, torsion_exponent
 from relcone.matrix import Matrix, hstack
 from relcone.simplicial import SimplicialComplex, SimplicialMap, identity_simplicial
 from relcone import fixtures as FX
@@ -335,20 +335,37 @@ def test_is_equivalent():
 def test_trivialize_raises_on_a_non_witness(monkeypatch):
     sq = group_op(half_gerbe(), half_gerbe())
     assert not sq.u.is_zero
-    monkeypatch.setattr(geo, "_solve_mod_one", lambda mtx, target, exponent: [0] * mtx.ncols)
+    monkeypatch.setattr(geo, "_solve_mod_one", lambda view, n, target: [0] * view.cone.diff(n).ncols)
     with pytest.raises(InvalidChainMap, match="non-witness"):
         trivialize(sq)
 
 
+class OneMatrixView:
+    """Stands in for a cover-map view whose cone differential in every degree is `mtx`."""
+
+    def __init__(self, mtx):
+        self.mtx = mtx
+        self.moduli = []
+
+    def exponent(self, n):
+        return torsion_exponent(self.mtx)
+
+    def mod_solver(self, n, k):
+        self.moduli.append(k)
+        return mod_solver(self.mtx, k)
+
+
 def test_solve_mod_one_direct():
-    two = Matrix(INT, 1, 1, [[2]])
-    assert torsion_exponent(two) == 2
-    sol = _solve_mod_one(two, [F(1, 2)], 2)
+    two = OneMatrixView(Matrix(INT, 1, 1, [[2]]))
+    assert two.exponent(0) == 2
+    sol = _solve_mod_one(two, 0, [F(1, 2)])
     assert sol is not None and (2 * sol[0]) % 1 == F(1, 2) % 1
-    zero = Matrix(INT, 1, 1, [[0]])
-    assert torsion_exponent(zero) == 1
-    assert _solve_mod_one(zero, [F(1, 3)], 1) is None
-    assert _solve_mod_one(zero, [F(2, 1)], 1) is not None
+    assert two.moduli == [4]  # denominator 2 times exponent 2
+    zero = OneMatrixView(Matrix(INT, 1, 1, [[0]]))
+    assert zero.exponent(0) == 1
+    assert _solve_mod_one(zero, 0, [F(1, 3)]) is None
+    assert _solve_mod_one(zero, 0, [F(2, 1)]) is not None
+    assert zero.moduli == [3, 1]
     assert torsion_exponent(Matrix.from_rows(INT, [[2, 0], [0, 6]])) == 6
 
 

@@ -45,11 +45,11 @@ from relcone.homology import (
     ker_coker_les,
     les_of_cone,
     member_int,
+    mod_solver,
     quasi_iso,
     snf,
     solve_field,
     solve_int,
-    solve_int_mod,
 )
 from relcone.matrix import Matrix, block, hstack
 
@@ -182,9 +182,9 @@ def test_solve_int_round_trip_and_failure():
 def test_solve_int_mod():
     a = Matrix.from_rows(INT, [[2]])
     b = Matrix.from_rows(INT, [[1]])
-    x = solve_int_mod(a, b, 5)
+    x = mod_solver(a, 5).solve(b)
     assert x is not None and (2 * x.entry(0, 0) - 1) % 5 == 0
-    assert solve_int_mod(a, b, 4) is None
+    assert mod_solver(a, 4).solve(b) is None
 
 
 def test_field_kernel_and_solve():
@@ -657,13 +657,14 @@ def test_field_subgroup_witness_matches_reference(ring, p):
 
 def test_quotient_group_int_guard_raises():
     # (1, 0) is outside ker [1 -1] = span (1, 1); 1 is outside the image 2Z of [2]
+    two = Matrix.from_rows(INT, [[2]])
     cases = [
         (homology._kernel_lattice(Matrix.from_rows(INT, [[1, -1]])), Matrix.from_rows(INT, [[1], [0]])),
-        (homology._image_lattice(Matrix.from_rows(INT, [[2]])), Matrix.from_rows(INT, [[1]])),
+        ((two, homology._image_lattice(two)), Matrix.from_rows(INT, [[1]])),
     ]
-    for num, den in cases:
+    for (basis, num), den in cases:
         with pytest.raises(InvalidChainMap, match="denominator not contained"):
-            homology._quotient_group_int(den.nrows, num, den)
+            homology._quotient_group_int(den.nrows, basis, num, den)
 
 
 def test_kernel_complex_guard_raises(monkeypatch):

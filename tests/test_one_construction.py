@@ -6,7 +6,10 @@ and the pullback of every fixture and star cover map, over Z, Zmod:2
 and U1, and a Cech cone build is pinned to make no matrix products.
 Integer solving and membership read lattice coordinates; they are
 compared with the row-by-row division by the Smith diagonal kept in
-`oracles.py` on zero, rank-deficient, wide and tall matrices.
+`oracles.py` on zero, rank-deficient, wide and tall matrices.  A
+modular solver, built from one Smith form of [A | kI] and reused for
+every right-hand side, is compared with a fresh solve of the augmented
+system per call.
 """
 
 import random
@@ -14,13 +17,13 @@ import random
 import pytest
 
 from helpers import random_block_complex, random_chain_map
-from oracles import cochain_cone_by_blocks, solve_int_via_diagonal
+from oracles import cochain_cone_by_blocks, solve_int_mod, solve_int_via_diagonal
 from relcone.cech import star_cover_map
 from relcone.chain import ComplexMap, cone_of_cochain_map, dual_map, from_int_complex
 from relcone.coeffs import INT, U1, ZMOD
 from relcone.errors import ShapeMismatch
 from relcone.fixtures import fixture_registry, suspension_cover_map
-from relcone.homology import _subgroup_leq_int, member_int, snf, solve_int
+from relcone.homology import _subgroup_leq_int, member_int, mod_solver, snf, solve_int
 from relcone.matrix import Matrix, from_int_matrix
 
 RINGS = [INT, ZMOD(2), U1]
@@ -147,3 +150,25 @@ def test_member_int_and_subgroup_test_match_diagonal_division():
             witnesses.add(members.index(False) if not all(members) else None)
     assert verdicts == {True, False}
     assert {0, 1} <= witnesses
+
+
+def test_mod_solver_matches_a_fresh_augmented_solve():
+    rng, mats = seeded_matrices()
+    seen = set()
+    for a in mats:
+        for k in (1, 2, 4, 6, 9):
+            solver = mod_solver(a, k)  # one Smith form, reused for every right-hand side below
+            for ncols in (1, 2):
+                for b in right_hand_sides(rng, a, ncols):
+                    want = solve_int_mod(a, b, k)
+                    assert solver.solve(b) == want, (a, b, k)
+                    if want is not None:
+                        assert all(x % k == 0 for row in (a @ want - b).rows for x in row)
+                    seen.add((k == 1, want is None))
+            with pytest.raises(ShapeMismatch):
+                solver.solve(Matrix.zeros(INT, a.nrows + 1, 1))
+            with pytest.raises(ShapeMismatch):
+                solve_int_mod(a, Matrix.zeros(INT, a.nrows + 1, 1), k)
+    assert seen == {(True, False), (False, False), (False, True)}  # k = 1 always solves
+    with pytest.raises(ShapeMismatch, match="modulus must be positive"):
+        mod_solver(mats[3], 0)

@@ -41,3 +41,17 @@ def test_no_dict_memos():
             if isinstance(node, ast.Attribute) and node.attr == "__dict__"
         ]
     assert found == []
+
+
+def test_no_process_wide_caches():
+    """Compiled data lives only in view memos: no `functools` cache keeps results across inputs."""
+    banned = {"cache", "lru_cache", "cached_property"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [f"{path.name}:{node.lineno}" for alias in node.names if alias.name in banned]
+            elif isinstance(node, ast.Attribute) and node.attr in banned and isinstance(node.value, ast.Name):
+                found += [f"{path.name}:{node.lineno}"] if node.value.id == "functools" else []
+    assert found == []
