@@ -129,16 +129,26 @@ class CoverMap(Frozen):
 
     `assignment` sends each source set name to a target set name, and
     must carry nonempty overlaps to nonempty overlaps; that is exactly
-    the condition that it defines a simplicial map of nerves.  It is a
-    read-only mapping.  The view is a :class:`CoverMapView`, compiled on
-    first use.
+    the condition that it defines a simplicial map of nerves.  It is the
+    read-only vertex map of `nerve_map`.  The view is a
+    :class:`CoverMapView`, compiled on first use.
     """
 
-    __slots__ = ("src", "dst", "assignment", "nerve_map", "_view")
+    __slots__ = ("src", "dst", "nerve_map", "_view")
 
     def __init__(self, src: Cover, dst: Cover, assignment: Mapping):
-        nerve_map = SimplicialMap(src.nerve, dst.nerve, assignment)
-        self._init(src=src, dst=dst, assignment=nerve_map.vmap, nerve_map=nerve_map, _view=None)
+        self._init(src=src, dst=dst, nerve_map=SimplicialMap(src.nerve, dst.nerve, assignment), _view=None)
+
+    @classmethod
+    def _of_nerve_map(cls, src: Cover, dst: Cover, nerve_map: SimplicialMap) -> "CoverMap":
+        """The cover map whose nerve map is `nerve_map`, already validated between the two nerves."""
+        m = cls.__new__(cls)
+        m._init(src=src, dst=dst, nerve_map=nerve_map, _view=None)
+        return m
+
+    @property
+    def assignment(self) -> Mapping:
+        return self.nerve_map.vmap
 
     @property
     def view(self) -> "CoverMapView":
@@ -419,14 +429,6 @@ def cover_cochain_complex(cover: Cover, ring: CoeffRing) -> GradedComplex:
     return from_int_complex(cover.view.cochains, ring)
 
 
-def relative_cone_map(m: CoverMap, ring: CoeffRing) -> ComplexMap:
-    """The pullback, as a cochain map from target-cover to source-cover cochains.
-
-    Read from the map's view, whose integer matrices were checked once.
-    """
-    return m.view.cone_map(ring)
-
-
 def relative_cone_complex(m: CoverMap, ring: CoeffRing) -> GradedComplex:
     """Cone of the pullback: degree q holds C^(q-1)(source) + C^q(target).
 
@@ -596,6 +598,6 @@ def star_cover_map(phi: SimplicialMap) -> CoverMap:
 
     Made once per map and kept by it, so every pair of cochains on one
     map's star covers shares one cover map and its view.  Its nerve map
-    equals phi, so the view's chain cone is the cone of phi's chain map.
+    is phi itself, so the view's chain cone is the cone of phi's chain map.
     """
-    return phi._keep("_star", lambda: CoverMap(star_cover(phi.src), star_cover(phi.dst), phi.vmap))
+    return phi._keep("_star", lambda: CoverMap._of_nerve_map(star_cover(phi.src), star_cover(phi.dst), phi))

@@ -18,6 +18,7 @@ from .cech import (
 from .chain import ComplexMap, GradedComplex, mat_ring
 from .coeffs import (
     INT,
+    RAT,
     CoeffRing,
     int_from_text,
     parse_ring,
@@ -304,11 +305,17 @@ def cochain_values(c: CechCochain) -> dict:
     return out
 
 
-def cochain_from_values(cover: Cover, degree: int, ring: CoeffRing, obj) -> CechCochain:
+def _named_values(obj, what: str, ring: CoeffRing) -> dict:
+    """Cochain values keyed by "U0,U1" strings, as a dict keyed by name tuples."""
     values = {}
-    for key, v in _as_dict(obj, "values").items():
+    for key, v in _as_dict(obj, what).items():
         names = tuple(key.split(",")) if key else ()
         values[names] = value_from_json(ring, v)
+    return values
+
+
+def cochain_from_values(cover: Cover, degree: int, ring: CoeffRing, obj) -> CechCochain:
+    values = _named_values(obj, "values", ring)
     try:
         return CechCochain(cover, degree, ring, values)
     except RelconeError as e:
@@ -369,20 +376,12 @@ def pair_to_json(p: RelRealCochainPair) -> dict:
     }
 
 
-def _named_values(obj, what: str) -> dict:
-    values = {}
-    for key, v in _as_dict(obj, what).items():
-        names = tuple(key.split(",")) if key else ()
-        values[names] = value_from_json(parse_ring("Q"), v)
-    return values
-
-
 def pair_from_json(obj) -> RelRealCochainPair:
     obj = _as_dict(obj, "cochain pair")
     phi = simplicial_map_from_json(_field(obj, "map", "cochain pair"))
     degree = _as_int(_field(obj, "degree", "cochain pair"), "pair degree")
-    alpha = _named_values(_field(obj, "alpha", "cochain pair"), "alpha")
-    beta = _named_values(_field(obj, "beta", "cochain pair"), "beta")
+    alpha = _named_values(_field(obj, "alpha", "cochain pair"), "alpha", RAT)
+    beta = _named_values(_field(obj, "beta", "cochain pair"), "beta", RAT)
     try:
         return RelRealCochainPair.from_values(phi, degree, alpha, beta)
     except RelconeError as e:
@@ -404,9 +403,9 @@ def form_from_json(obj):
     obj = _as_dict(obj, "form")
     phi = simplicial_map_from_json(_field(obj, "map", "form"))
     degree = _as_int(_field(obj, "degree", "form"), "form degree")
-    values = _named_values(_field(obj, "omega", "form"), "omega")
+    values = _named_values(_field(obj, "omega", "form"), "omega", RAT)
     try:
-        omega = CechCochain(star_cover(phi.dst), degree, parse_ring("Q"), values)
+        omega = CechCochain(star_cover(phi.dst), degree, RAT, values)
     except RelconeError as e:
         raise _rewrap("form", e) from None
     return omega, phi
@@ -440,7 +439,7 @@ def integrality_to_json(report) -> dict:
         pairings.append(
             {
                 "order": p.order,
-                "value": value_to_json(parse_ring("Q"), p.value),
+                "value": value_to_json(RAT, p.value),
                 "ok": p.ok,
             }
         )

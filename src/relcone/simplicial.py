@@ -4,7 +4,10 @@ Everything is finite and ordered: a complex fixes a total order on its
 vertices at construction time, and that order drives every boundary
 sign.  The cylinder and cone constructions introduce fresh labels
 ("x:v" for the source copy, "y:w" for the target copy, "*" for the cone
-apex) so that the result is again a plain labeled complex.
+apex) so that the result is again a plain labeled complex.  One
+builder, `_incidence`, fills every simplex-indexed matrix (boundaries,
+pushforwards, the cone and prism operators, the cone comparison), so
+index lookup and orientation sign live in one place.
 
 Simplicial maps are immutable (:class:`Frozen`, shared with covers and
 cover maps) and compile nothing themselves.  A map keeps only its star
@@ -15,7 +18,8 @@ cover map's view (see `cech`).
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, starmap
+from operator import gt
 from types import MappingProxyType
 from typing import Dict, Mapping
 
@@ -73,33 +77,31 @@ class SimplicialComplex:
         """Position of an index tuple among the n-simplices; KeyError if it is not one."""
         ts = self.simplices(n)
         j = bisect_left(ts, simplex)
-        if ts[j : j + 1] != (simplex,):
+        if j == len(ts) or ts[j] != simplex:
             raise KeyError(simplex)
         return j
 
     def labels(self, simplex: tuple) -> tuple:
         return tuple(self.vertices[i] for i in simplex)
 
-    def label_simplex(self, labels) -> tuple:
-        return tuple(sorted(self._index[v] for v in labels))
-
     def has(self, labels) -> bool:
         try:
-            key = self.label_simplex(labels)
+            key = tuple(sorted(self._index[v] for v in labels))
             self.index_of(len(key) - 1, key)
         except KeyError:
             return False
         return True
 
     def facets(self) -> tuple:
-        """Maximal simplices by label, deterministically ordered."""
+        """Maximal simplices by label, by dimension and then in basis order.
+
+        The complex is closed under faces, so a simplex is maximal when no
+        simplex one dimension up has it as a face.
+        """
         out = []
         for n in sorted(self._by_dim):
-            for s in self._by_dim[n]:
-                if not any(
-                    set(s) < set(t) for m in self._by_dim if m > n for t in self._by_dim[m]
-                ):
-                    out.append(self.labels(s))
+            covered = {t[:i] + t[i + 1 :] for t in self.simplices(n + 1) for i in range(n + 2)}
+            out.extend(self.labels(s) for s in self._by_dim[n] if s not in covered)
         return tuple(out)
 
     def euler_characteristic(self) -> int:
@@ -187,26 +189,34 @@ def identity_simplicial(k: SimplicialComplex) -> SimplicialMap:
 # ---------------------------------------------------------------------------
 
 
+def _incidence(ring: CoeffRing, k: SimplicialComplex, n: int, columns) -> Matrix:
+    """The matrix into C_n(k) whose column j sums c * sign * e_s over the (seq, c) in columns[j].
+
+    `seq` lists the vertex indices of an n-simplex s of k in any order;
+    sign is the parity of the permutation that sorts it.
+    """
+    columns = list(columns)
+    rows = [[0] * len(columns) for _ in range(k.n_rank(n))]
+    for j, terms in enumerate(columns):
+        for seq, c in terms:
+            key = tuple(sorted(seq))
+            rows[k.index_of(n, key)][j] += c if key == seq else c * _sort_sign(seq)  # a sorted tuple has sign +1
+    return Matrix(mat_ring(ring), len(rows), len(columns), rows)
+
+
 def chain_complex(k: SimplicialComplex, ring: CoeffRing, augmented: bool = False) -> GradedComplex:
     """Simplicial chains over `ring`; rank(n) = number of n-simplices.
 
     With `augmented`, degree -1 holds the empty simplex and d_0 is the
     augmentation row; its homology is reduced homology.
     """
-    mr = mat_ring(ring)
     ranks = {n: k.n_rank(n) for n in range(k.dim + 1)}
-    diffs = {}
-    for n in range(1, k.dim + 1):
-        rows = [[0] * k.n_rank(n) for _ in range(k.n_rank(n - 1))]
-        for j, s in enumerate(k.simplices(n)):
-            for drop in range(len(s)):
-                face = s[:drop] + s[drop + 1 :]
-                rows[k.index_of(n - 1, face)][j] = (-1) ** drop
-        diffs[n] = Matrix(mr, k.n_rank(n - 1), k.n_rank(n), rows)
+    faces = lambda s: [(s[:i] + s[i + 1 :], (-1) ** i) for i in range(len(s))]
+    diffs = {n: _incidence(ring, k, n - 1, map(faces, k.simplices(n))) for n in range(1, k.dim + 1)}
     if augmented:
         ranks[-1] = 1
         if k.n_rank(0):
-            diffs[0] = Matrix(mr, 1, k.n_rank(0), [[1] * k.n_rank(0)])
+            diffs[0] = Matrix(mat_ring(ring), 1, k.n_rank(0), [[1] * k.n_rank(0)])
     return GradedComplex(ring, ranks, diffs)
 
 
@@ -215,17 +225,10 @@ def pushforward_matrices(phi: SimplicialMap, ring: CoeffRing = INT) -> Dict[int,
 
     Degenerate simplices go to zero; nothing is validated here.
     """
-    mr = mat_ring(ring)
-    mats = {}
-    for n in range(phi.src.dim + 1):
-        rows = [[0] * phi.src.n_rank(n) for _ in range(phi.dst.n_rank(n))]
-        for j, s in enumerate(phi.src.simplices(n)):
-            image = [phi.dst._index[phi.vmap[phi.src.vertices[i]]] for i in s]
-            if len(set(image)) != len(image):
-                continue
-            rows[phi.dst.index_of(n, tuple(sorted(image)))][j] = _sort_sign(image)
-        mats[n] = Matrix(mr, phi.dst.n_rank(n), phi.src.n_rank(n), rows)
-    return mats
+    image = [phi.dst._index[phi.vmap[v]] for v in phi.src.vertices]
+    images = lambda n: ([image[i] for i in s] for s in phi.src.simplices(n))
+    columns = lambda n: [[(q, 1)] if len(set(q)) == len(q) else [] for q in images(n)]
+    return {n: _incidence(ring, phi.dst, n, columns(n)) for n in range(phi.src.dim + 1)}
 
 
 def chain_map(phi: SimplicialMap, ring: CoeffRing, augmented: bool = False) -> ComplexMap:
@@ -240,13 +243,7 @@ def chain_map(phi: SimplicialMap, ring: CoeffRing, augmented: bool = False) -> C
 
 def _sort_sign(seq) -> int:
     """Parity of the permutation sorting `seq` (distinct entries)."""
-    sign = 1
-    items = list(seq)
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            if items[i] > items[j]:
-                sign = -sign
-    return sign
+    return (-1) ** sum(starmap(gt, combinations(seq, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -278,22 +275,33 @@ def _prism_tuples(phi: SimplicialMap, simplex_labels):
             yield i, tuple(labels)
 
 
+def _prism_terms(phi: SimplicialMap, ambient: SimplicialComplex, simplex_labels) -> list:
+    """The signed prism over one simplex, as `_incidence` terms of `ambient`."""
+    return [([ambient._index[v] for v in labels], (-1) ** i) for i, labels in _prism_tuples(phi, simplex_labels)]
+
+
+def _cylinder_family(phi: SimplicialMap):
+    """The cylinder's vertex labels and a generating family: the target copy and every prism."""
+    src, dst = phi.src, phi.dst
+    owner = {}
+    for label, v in [(_xl(v), v) for v in src.vertices] + [(_yl(w), w) for w in dst.vertices]:
+        if label in owner:
+            raise InvalidComplex(f"vertices {owner[label]!r} and {v!r} share the cylinder label {label!r}")
+        owner[label] = v
+    facets = [tuple(_yl(w) for w in f) for f in dst.facets()]
+    facets += [t for n in range(src.dim + 1) for s in src.simplices(n) for _, t in _prism_tuples(phi, src.labels(s))]
+    return list(owner), facets
+
+
 def mapping_cylinder(phi: SimplicialMap):
     """Prism-decomposed cylinder glued to the target along phi.
 
     Returns (cylinder, include_src, include_dst); the source copy sits
     at the free end and the target absorbs the glued end.
     """
-    src, dst = phi.src, phi.dst
-    verts = [_xl(v) for v in src.vertices] + [_yl(w) for w in dst.vertices]
-    facets = [tuple(_yl(w) for w in f) for f in dst.facets()]
-    for n in range(src.dim + 1):
-        for s in src.simplices(n):
-            for _, labels in _prism_tuples(phi, src.labels(s)):
-                facets.append(labels)
-    cyl = SimplicialComplex(verts, facets)
-    inc_src = SimplicialMap(src, cyl, {v: _xl(v) for v in src.vertices})
-    inc_dst = SimplicialMap(dst, cyl, {w: _yl(w) for w in dst.vertices})
+    cyl = SimplicialComplex(*_cylinder_family(phi))
+    inc_src = SimplicialMap(phi.src, cyl, {v: _xl(v) for v in phi.src.vertices})
+    inc_dst = SimplicialMap(phi.dst, cyl, {w: _yl(w) for w in phi.dst.vertices})
     return cyl, inc_src, inc_dst
 
 
@@ -304,43 +312,29 @@ def mapping_cone_space(phi: SimplicialMap) -> SimplicialComplex:
     model of collapsing that end to a point, and it stays simplicial.
     The apex comes first in the vertex order.
     """
-    cyl, _, _ = mapping_cylinder(phi)
-    verts = [APEX] + list(cyl.vertices)
-    facets = [(APEX,)] + list(cyl.facets())
-    for f in phi.src.facets():
-        facets.append((APEX,) + tuple(_xl(v) for v in f))
-    return SimplicialComplex(verts, facets)
+    verts, facets = _cylinder_family(phi)
+    facets += [(APEX,)] + [(APEX,) + tuple(_xl(v) for v in f) for f in phi.src.facets()]
+    return SimplicialComplex([APEX] + verts, facets)
 
 
-def simplicial_cone(k: SimplicialComplex):
-    """Plain cone: apex joined to every simplex.  Returns (cone, apex)."""
-    if APEX in k._index:
-        raise InvalidComplex("complex already uses the apex label")
-    verts = [APEX] + list(k.vertices)
-    facets = [(APEX,)] + [(APEX,) + tuple(f) for f in k.facets()]
-    return SimplicialComplex(verts, facets), APEX
+def _faces(k: SimplicialComplex, n: int) -> list:
+    """The (n-1)-simplices of k by label; for n = 0, the empty simplex, whose apex join is the apex."""
+    return [k.labels(s) for s in k.simplices(n - 1)] if n else [()]
 
 
 def cone_operator(k: SimplicialComplex):
-    """The join-with-apex operator h against the plain cone of k.
+    """The join-with-apex operator h against the plain cone of k (apex joined to every simplex).
 
     Returns (cone, h) where h[n]: C~_(n-1)(k) -> C~_n(cone) on augmented
-    chains; h sends a simplex to its apex join (sign +1 because the
-    apex is first in the order) and the empty simplex to the apex.
-    The identity h d + d h = k-inclusion is exact; tests assert it.
+    chains; h sends a simplex to its apex join and the empty simplex to
+    the apex.  The identity h d + d h = k-inclusion is exact; tests
+    assert it.
     """
-    cone, apex = simplicial_cone(k)
-    h = {}
-    col = [0] * cone.n_rank(0)
-    col[cone.index_of(0, (cone._index[apex],))] = 1
-    h[0] = Matrix(INT, cone.n_rank(0), 1, [[v] for v in col])
-    for n in range(1, k.dim + 2):
-        rows = [[0] * k.n_rank(n - 1) for _ in range(cone.n_rank(n))]
-        for j, s in enumerate(k.simplices(n - 1)):
-            joined = cone.label_simplex((apex,) + k.labels(s))
-            rows[cone.index_of(n, joined)][j] = 1
-        h[n] = Matrix(INT, cone.n_rank(n), k.n_rank(n - 1), rows)
-    return cone, h
+    if APEX in k._index:
+        raise InvalidComplex("complex already uses the apex label")
+    cone = SimplicialComplex([APEX, *k.vertices], [(APEX,)] + [(APEX, *f) for f in k.facets()])
+    joins = lambda n: [[([cone._index[v] for v in (APEX, *f)], 1)] for f in _faces(k, n)]
+    return cone, {n: _incidence(INT, cone, n, joins(n)) for n in range(k.dim + 2)}
 
 
 def prism_operator(phi: SimplicialMap, ambient: SimplicialComplex, ring: CoeffRing = INT) -> Dict[int, Matrix]:
@@ -350,19 +344,8 @@ def prism_operator(phi: SimplicialMap, ambient: SimplicialComplex, ring: CoeffRi
     or a cone space built on it).  Satisfies dP + Pd = (y-copy of phi)
     minus (x-copy inclusion); tests assert the identity degreewise.
     """
-    mr = mat_ring(ring)
-    src = phi.src
-    out = {}
-    for n in range(src.dim + 1):
-        cols = []
-        for s in src.simplices(n):
-            col = [0] * ambient.n_rank(n + 1)
-            for i, labels in _prism_tuples(phi, src.labels(s)):
-                idx = [ambient._index[v] for v in labels]
-                col[ambient.index_of(n + 1, tuple(sorted(idx)))] += (-1) ** i * _sort_sign(idx)
-            cols.append(col)
-        out[n] = Matrix.from_columns(mr, ambient.n_rank(n + 1), cols)
-    return out
+    prisms = lambda n: [_prism_terms(phi, ambient, phi.src.labels(s)) for s in phi.src.simplices(n)]
+    return {n: _incidence(ring, ambient, n + 1, prisms(n)) for n in range(phi.src.dim + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +376,19 @@ class ConeComparison:
         )
 
 
+def _comparison_map(phi: SimplicialMap, space: SimplicialComplex, top: int) -> Dict[int, Matrix]:
+    """The raw comparison l of :func:`compare_cones` in degrees -1..top, column by column."""
+    lt = {-1: Matrix(INT, 1, 1, [[-1]])}  # the empty target simplex
+    for n in range(0, top + 1):
+        cols = [
+            [([space._index[v] for v in (APEX, *map(_xl, f))], 1)] + _prism_terms(phi, space, f)
+            for f in _faces(phi.src, n)
+        ]
+        cols += [[([space._index[_yl(w)] for w in phi.dst.labels(t)], -1)] for t in phi.dst.simplices(n)]
+        lt[n] = _incidence(INT, space, n, cols)
+    return lt
+
+
 def compare_cones(phi: SimplicialMap) -> ConeComparison:
     """Match H_n(phi) with the reduced homology of the cone space.
 
@@ -402,41 +398,11 @@ def compare_cones(phi: SimplicialMap) -> ConeComparison:
     the cone space, and induces isomorphisms degreewise.  Both facts
     plus the generator-level isomorphism go into the report.
     """
-    f = chain_map(phi, INT)
-    fa = chain_map(phi, INT, augmented=True)
-    cone = cone_of_map(f)
-    conea = cone_of_map(fa)
+    cone = cone_of_map(chain_map(phi, INT))
+    conea = cone_of_map(chain_map(phi, INT, augmented=True))
     space = mapping_cone_space(phi)
     caug = chain_complex(space, INT, augmented=True)
-    prism = prism_operator(phi, space)
-    src, dst = phi.src, phi.dst
-
-    lt = {}
-    for n in range(conea.lo, conea.hi + 1):
-        rows = caug.rank(n)
-        cols = []
-        if n == 0:
-            col = [0] * rows
-            col[space.index_of(0, (space._index[APEX],))] = 1
-            cols.append(col)  # empty source simplex -> apex
-        else:
-            for j, s in enumerate(src.simplices(n - 1)):
-                col = [0] * rows
-                joined = space.label_simplex((APEX,) + tuple(_xl(v) for v in src.labels(s)))
-                col[space.index_of(n, joined)] += 1
-                pcol = prism[n - 1].col(j)
-                for r in range(rows):
-                    col[r] += pcol[r]
-                cols.append(col)
-        if n == -1:
-            cols.append([-1])  # empty target simplex
-        else:
-            for t in dst.simplices(n):
-                col = [0] * rows
-                key = space.label_simplex(tuple(_yl(w) for w in dst.labels(t)))
-                col[space.index_of(n, key)] = -1
-                cols.append(col)
-        lt[n] = Matrix.from_columns(INT, rows, cols)
+    lt = _comparison_map(phi, space, conea.hi)
 
     printed = all(
         caug.diff(n) @ lt[n] == -(lt.get(n - 1, Matrix.zeros(INT, caug.rank(n - 1), conea.rank(n - 1))) @ conea.diff(n))

@@ -12,7 +12,9 @@ from math import gcd
 
 from relcone.coeffs import INT
 from relcone.chain import ComplexMap, GradedComplex, Homotopy
+from relcone.fixtures import cycle_complex
 from relcone.matrix import Matrix
+from relcone.simplicial import SimplicialComplex, SimplicialMap
 
 
 def shear(n, i, j, k):
@@ -306,3 +308,24 @@ def lattice_chain_map(rng, a: GradedComplex, b: GradedComplex, bound=3) -> Compl
         ra, rb = a.rank(n), b.rank(n)
         mats[n] = Matrix(INT, rb, ra, [[flat[off + k * ra + j] for j in range(ra)] for k in range(rb)])
     return ComplexMap(a, b, mats)
+
+
+def seeded_degree_map(rng, d):
+    """A winding-d map from the 3d-gon to the triangle, with shuffled vertex orders and a rotation."""
+    src = cycle_complex(3 * d, "v")
+    dst = cycle_complex(3, "w")
+    src = SimplicialComplex(rng.sample(src.vertices, len(src.vertices)), src.facets())
+    dst = SimplicialComplex(rng.sample(dst.vertices, 3), dst.facets())
+    r = rng.randrange(3)
+    return SimplicialMap(src, dst, {f"v{i}": f"w{(i + r) % 3}" for i in range(3 * d)})
+
+
+def torus(n):
+    """The n x n grid torus, 2n^2 triangles."""
+    lab = lambda i, j: f"t{i % n}.{j % n}"
+    facets = []
+    for i in range(n):
+        for j in range(n):
+            facets.append((lab(i, j), lab(i + 1, j), lab(i + 1, j + 1)))
+            facets.append((lab(i, j), lab(i, j + 1), lab(i + 1, j + 1)))
+    return SimplicialComplex([lab(i, j) for i in range(n) for j in range(n)], facets)

@@ -11,7 +11,11 @@ The integer solve divides by the Smith diagonal row by row, and the
 cochain cone is assembled from its own block formula, as references
 for the lattice coordinates and the re-sliced chain cone the library
 reads instead.  Angle witnesses run a fresh Smith form of [A | kI] per
-solve, as a reference for the solvers cover-map views keep.
+solve, as a reference for the solvers cover-map views keep.  Each
+simplex-indexed matrix has its own loop, with its own index lookup and
+orientation sign, as a reference for the one incidence builder the
+simplicial layer uses; facets come from an all-pairs scan, and the cone
+space is read back from a built cylinder.
 Frozen expected values for the fixed test cases live at the bottom.
 """
 
@@ -414,6 +418,174 @@ def rel_witness_vector(u):
         exponent = exponent * d // gcd(exponent, d) if d else exponent
     sol = solve_mod_one(mtx, u.vector(), exponent)
     return None if sol is None else tuple(u.ring.normalize(v) for v in sol)
+
+
+# ---------------------------------------------------------------------------
+# Simplex-indexed matrices, one loop each
+# ---------------------------------------------------------------------------
+#
+# The library fills every simplex-indexed matrix through one builder; these
+# are the separate loops it used before, each with its own index lookup and
+# orientation sign, together with the all-pairs facet scan and the cone
+# space read back from a built cylinder.
+
+
+def facets_by_scan(k):
+    """Maximal simplices by label: every simplex against every higher one."""
+    out = []
+    for n in sorted(k._by_dim):
+        for s in k._by_dim[n]:
+            if not any(set(s) < set(t) for m in k._by_dim if m > n for t in k._by_dim[m]):
+                out.append(k.labels(s))
+    return tuple(out)
+
+
+def _sign_by_swaps(seq):
+    """Parity of the permutation sorting `seq`, by counting bubble-sort swaps."""
+    items, sign = list(seq), 1
+    for i in range(len(items)):
+        for j in range(len(items) - 1 - i):
+            if items[j] > items[j + 1]:
+                items[j], items[j + 1] = items[j + 1], items[j]
+                sign = -sign
+    return sign
+
+
+def chain_complex_by_rows(k, ring, augmented=False):
+    """Simplicial chains with d_n filled row by row, face by face."""
+    from relcone.chain import GradedComplex, mat_ring
+    from relcone.matrix import Matrix
+
+    mr = mat_ring(ring)
+    ranks = {n: k.n_rank(n) for n in range(k.dim + 1)}
+    diffs = {}
+    for n in range(1, k.dim + 1):
+        rows = [[0] * k.n_rank(n) for _ in range(k.n_rank(n - 1))]
+        for j, s in enumerate(k.simplices(n)):
+            for drop in range(len(s)):
+                face = s[:drop] + s[drop + 1 :]
+                rows[k.index_of(n - 1, face)][j] = (-1) ** drop
+        diffs[n] = Matrix(mr, k.n_rank(n - 1), k.n_rank(n), rows)
+    if augmented:
+        ranks[-1] = 1
+        if k.n_rank(0):
+            diffs[0] = Matrix(mr, 1, k.n_rank(0), [[1] * k.n_rank(0)])
+    return GradedComplex(ring, ranks, diffs)
+
+
+def pushforward_by_rows(phi, ring):
+    """C_n(src) -> C_n(dst) for n = 0..src.dim; degenerate simplices go to zero."""
+    from relcone.chain import mat_ring
+    from relcone.matrix import Matrix
+
+    mr = mat_ring(ring)
+    mats = {}
+    for n in range(phi.src.dim + 1):
+        rows = [[0] * phi.src.n_rank(n) for _ in range(phi.dst.n_rank(n))]
+        for j, s in enumerate(phi.src.simplices(n)):
+            image = [phi.dst._index[phi.vmap[phi.src.vertices[i]]] for i in s]
+            if len(set(image)) != len(image):
+                continue
+            rows[phi.dst.index_of(n, tuple(sorted(image)))][j] = _sign_by_swaps(image)
+        mats[n] = Matrix(mr, phi.dst.n_rank(n), phi.src.n_rank(n), rows)
+    return mats
+
+
+def cone_operator_by_rows(k):
+    """(cone, h) with h sending a simplex to its apex join, sign +1 as the apex is first."""
+    from relcone.coeffs import INT
+    from relcone.matrix import Matrix
+    from relcone.simplicial import APEX, SimplicialComplex
+
+    apex = APEX
+    cone = SimplicialComplex([apex] + list(k.vertices), [(apex,)] + [(apex,) + tuple(f) for f in facets_by_scan(k)])
+    h = {}
+    col = [0] * cone.n_rank(0)
+    col[cone.index_of(0, (cone._index[apex],))] = 1
+    h[0] = Matrix(INT, cone.n_rank(0), 1, [[v] for v in col])
+    for n in range(1, k.dim + 2):
+        rows = [[0] * k.n_rank(n - 1) for _ in range(cone.n_rank(n))]
+        for j, s in enumerate(k.simplices(n - 1)):
+            joined = tuple(sorted(cone._index[v] for v in (apex,) + k.labels(s)))
+            rows[cone.index_of(n, joined)][j] = 1
+        h[n] = Matrix(INT, cone.n_rank(n), k.n_rank(n - 1), rows)
+    return cone, h
+
+
+def prism_operator_by_columns(phi, ambient, ring):
+    """P[n]: C_n(src) -> C_(n+1)(ambient), one prism tuple at a time."""
+    from relcone.chain import mat_ring
+    from relcone.matrix import Matrix
+    from relcone.simplicial import _prism_tuples
+
+    mr = mat_ring(ring)
+    out = {}
+    for n in range(phi.src.dim + 1):
+        cols = []
+        for s in phi.src.simplices(n):
+            col = [0] * ambient.n_rank(n + 1)
+            for i, labels in _prism_tuples(phi, phi.src.labels(s)):
+                idx = [ambient._index[v] for v in labels]
+                col[ambient.index_of(n + 1, tuple(sorted(idx)))] += (-1) ** i * _sign_by_swaps(idx)
+            cols.append(col)
+        out[n] = Matrix.from_columns(mr, ambient.n_rank(n + 1), cols)
+    return out
+
+
+def comparison_map_by_prism(phi, space, conea):
+    """The raw comparison l: apex joins at +1 (the apex is first), plus prism columns added entry by entry."""
+    from relcone.coeffs import INT
+    from relcone.matrix import Matrix
+    from relcone.simplicial import APEX, _xl, _yl
+
+    caug_rank = lambda n: 1 if n == -1 else space.n_rank(n)
+    prism = prism_operator_by_columns(phi, space, INT)
+    src, dst = phi.src, phi.dst
+    lt = {}
+    for n in range(conea.lo, conea.hi + 1):
+        rows = caug_rank(n)
+        cols = []
+        if n == 0:
+            col = [0] * rows
+            col[space.index_of(0, (space._index[APEX],))] = 1
+            cols.append(col)  # empty source simplex -> apex
+        else:
+            for j, s in enumerate(src.simplices(n - 1)):
+                col = [0] * rows
+                joined = tuple(sorted(space._index[v] for v in (APEX,) + tuple(_xl(v) for v in src.labels(s))))
+                col[space.index_of(n, joined)] += 1
+                pcol = prism[n - 1].col(j)
+                for r in range(rows):
+                    col[r] += pcol[r]
+                cols.append(col)
+        if n == -1:
+            cols.append([-1])  # empty target simplex
+        else:
+            for t in dst.simplices(n):
+                col = [0] * rows
+                key = tuple(sorted(space._index[_yl(w)] for w in dst.labels(t)))
+                col[space.index_of(n, key)] = -1
+                cols.append(col)
+        lt[n] = Matrix.from_columns(INT, rows, cols)
+    return lt
+
+
+def mapping_cone_space_via_cylinder(phi):
+    """Build the cylinder complex, scan its facets, and cone off the source copy."""
+    from relcone.simplicial import APEX, SimplicialComplex, _prism_tuples, _xl, _yl
+
+    src, dst = phi.src, phi.dst
+    verts = [_xl(v) for v in src.vertices] + [_yl(w) for w in dst.vertices]
+    facets = [tuple(_yl(w) for w in f) for f in facets_by_scan(dst)]
+    for n in range(src.dim + 1):
+        for s in src.simplices(n):
+            for _, labels in _prism_tuples(phi, src.labels(s)):
+                facets.append(labels)
+    cyl = SimplicialComplex(verts, facets)
+    facets = [(APEX,)] + list(facets_by_scan(cyl))
+    for f in facets_by_scan(src):
+        facets.append((APEX,) + tuple(_xl(v) for v in f))
+    return SimplicialComplex([APEX] + list(cyl.vertices), facets)
 
 
 # ---------------------------------------------------------------------------

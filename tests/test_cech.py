@@ -22,7 +22,6 @@ from relcone.cech import (
     rel_diff,
     relative_cohomology,
     relative_cone_complex,
-    relative_cone_map,
     star_cover,
     star_cover_map,
 )
@@ -276,8 +275,8 @@ def test_suspension_pair_cohomology_is_two_torsion():
 
 def test_relative_cone_les_is_exact():
     for m in (disk_cover_map(), suspension_cover_map(), collapse_cover_map()):
-        assert les_of_cone(relative_cone_map(m, INT)).exact
-        assert les_of_cone(relative_cone_map(m, RAT)).exact
+        assert les_of_cone(m.view.cone_map(INT)).exact
+        assert les_of_cone(m.view.cone_map(RAT)).exact
 
 
 def test_rel_diff_matches_the_cone_matrix():

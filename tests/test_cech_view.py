@@ -17,6 +17,7 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
+from helpers import seeded_degree_map
 from relcone import cech, geo, homology
 from relcone.cech import (
     CechCochain,
@@ -36,7 +37,6 @@ from relcone.coeffs import INT, U1, ZMOD
 from relcone.errors import NontrivialClass
 from relcone.fixtures import (
     circle_doubling_cover_map,
-    cycle_complex,
     disk_cover_map,
     disk_inclusion,
     point_into_circle_cover_map,
@@ -44,19 +44,9 @@ from relcone.fixtures import (
 )
 from relcone.homology import HomologyData, IntSolver, homology_at, homology_data
 from relcone.matrix import Matrix, hstack
-from relcone.simplicial import SimplicialComplex, SimplicialMap, chain_map
+from relcone.simplicial import chain_map
 
 Z2 = ZMOD(2)
-
-
-def seeded_degree_map(rng, d):
-    """A winding-d map from the 3d-gon to the triangle, with shuffled vertex orders and a rotation."""
-    src = cycle_complex(3 * d, "v")
-    dst = cycle_complex(3, "w")
-    src = SimplicialComplex(rng.sample(src.vertices, len(src.vertices)), src.facets())
-    dst = SimplicialComplex(rng.sample(dst.vertices, 3), dst.facets())
-    r = rng.randrange(3)
-    return SimplicialMap(src, dst, {f"v{i}": f"w{(i + r) % 3}" for i in range(3 * d)})
 
 
 def cover_maps():
@@ -331,6 +321,20 @@ def test_compiled_objects_reject_mutation():
     nerve_map = m.nerve_map
     with pytest.raises(TypeError):
         nerve_map.vmap["U0"] = "U1"
+
+
+def test_star_cover_map_reuses_phi(monkeypatch):
+    from relcone import simplicial
+
+    phi = seeded_degree_map(random.Random(77), 3)
+    made = []
+    real = simplicial.SimplicialMap.__init__
+    monkeypatch.setattr(simplicial.SimplicialMap, "__init__", lambda self, *a: made.append(a) or real(self, *a))
+    m = star_cover_map(phi)
+    assert made == []
+    assert m.nerve_map is phi and m.assignment is phi.vmap
+    assert (m.src.nerve, m.dst.nerve) == (phi.src, phi.dst)
+    assert m == CoverMap(m.src, m.dst, dict(phi.vmap))
 
 
 def test_read_only_maps_keep_their_equality_and_serialization():

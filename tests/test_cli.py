@@ -1,5 +1,6 @@
 """End-to-end checks of the command line: golden bytes, exit codes, dispatch."""
 
+import hashlib
 import json
 import os
 import random
@@ -189,6 +190,22 @@ def test_bohr_sommerfeld_isotropy_is_an_input_error(tmp_path, capsys):
     assert "pulls back" in capsys.readouterr().err
 
 
+def test_cylinder_label_collision_exits_one(tmp_path, capsys):
+    # 1 and "1" are distinct vertices, but both would be "x:1" in the cylinder
+    doc = {
+        "src": {"vertices": [1, "1"], "facets": [[1, "1"]]},
+        "dst": {"vertices": ["w"], "facets": [["w"]]},
+        "vmap": [[1, "w"], ["1", "w"]],
+    }
+    path = tmp_path / "collide.json"
+    path.write_text(json.dumps(doc))
+    assert run("kercoker", str(path))[0] == 0  # a valid map
+    for verb in ("cone-space", "compare-cones"):
+        assert run(verb, str(path)) == (1, "")
+        err = capsys.readouterr().err
+        assert err == "relcone: error: vertices 1 and '1' share the cylinder label 'x:1'\n", verb
+
+
 def test_parse_errors_exit_one(tmp_path, capsys):
     code, _ = run("homology", str(tmp_path / "missing.json"))
     assert code == 1
@@ -327,6 +344,7 @@ def test_optimized_interpreter_gives_identical_bytes(tmp_path):
         ("trivialize", f"{fx}/cocycle-half-gerbe.json"),
         ("trivialize", f"{fx}/cocycle-half-bundle.json"),
         ("compare-cones", f"{fx}/fix-d2.json"),
+        ("cone-space", f"{fx}/fix-d2.json"),
         ("integrality", f"{fx}/pair-disk-area-half.json"),
         ("cech", f"{fx}/covermap-disk.json"),
         ("cech", "--ring", "Z", f"{fx}/covermap-susp-d2.json"),
@@ -372,3 +390,24 @@ def test_huge_integers_cross_the_cli_exactly(tmp_path, capsys):
     assert (code, out) == (1, "")
     err = capsys.readouterr().err
     assert err.startswith("relcone: parse error: bad scalar") and err.count("\n") == 1 and len(err) < 300
+
+
+GOLDEN_VERBS = ("cone-space", "compare-cones", "cone", "les", "kercoker", "integrality", "bohr-sommerfeld")
+
+
+def test_recorded_goldens_replay(tmp_path):
+    """Every recorded fixture run of the verbs above: same exit code, same stdout sha256."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "bench", "goldens.json"), encoding="utf-8") as fh:
+        goldens = json.load(fh)
+    fx = emit_all(tmp_path)
+    recorded = ".bench_out/cli/fixtures"
+    replayed = 0
+    for label, want in sorted(goldens.items()):
+        argv = label.split()
+        if argv[0] not in GOLDEN_VERBS:
+            continue
+        code, out = run(*(a.replace(recorded, fx) for a in argv))
+        assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (want["rc"], want["sha256"]), label
+        replayed += 1
+    assert replayed == 54

@@ -1,0 +1,153 @@
+"""One incidence builder fills every simplex-indexed matrix.
+
+Boundaries, pushforwards, the cone and prism operators and the cone
+comparison map are compared with the separate loops kept in
+`oracles.py`, each with its own index lookup and orientation sign; the
+one-pass facets with the all-pairs scan; and the cone space built from
+the cylinder's generating family with the one read back from a built
+cylinder.  Inputs: the fixture complexes and maps, seeded degree maps
+with shuffled vertex orders, tori T(3)-T(5), spheres, RP^2 and a
+mixed-dimension complex with an isolated vertex, over Z, Q and Zmod:3,
+augmented and not (the maps' cone-space chains over Z and Zmod:3 only).  Build counts pin that the cone space builds one
+complex and no map.
+"""
+
+import random
+from itertools import combinations
+
+import pytest
+
+import oracles
+from helpers import seeded_degree_map, torus
+from relcone import simplicial
+from relcone.chain import cone_of_map
+from relcone.coeffs import INT, RAT, ZMOD
+from relcone.fixtures import fixture_registry, projective_plane, suspension
+from relcone.simplicial import (
+    SimplicialComplex,
+    SimplicialMap,
+    _comparison_map,
+    chain_complex,
+    chain_map,
+    cone_operator,
+    identity_simplicial,
+    mapping_cone_space,
+    mapping_cylinder,
+    prism_operator,
+    pushforward_matrices,
+)
+
+RINGS = [INT, RAT, ZMOD(3)]
+
+
+def boundary_sphere(d):
+    """S^d as the boundary of the (d+1)-simplex, on a shuffled vertex order."""
+    verts = [f"s{i}" for i in range(d + 2)]
+    return SimplicialComplex(random.Random(d).sample(verts, len(verts)), combinations(verts, d + 1))
+
+
+def mixed_complex():
+    """A triangle, two edges, a dangling edge and an isolated vertex, on a shuffled order."""
+    facets = [("a", "b", "c"), ("c", "d"), ("b", "d"), ("f", "a"), ("e",)]
+    return SimplicialComplex(["d", "a", "e", "c", "f", "b"], facets)
+
+
+def scrambled(k, rng):
+    return SimplicialComplex(rng.sample(k.vertices, len(k.vertices)), k.facets())
+
+
+def complexes():
+    out = {name: build() for name, (kind, build) in fixture_registry().items() if kind == "complex"}
+    out.update({f"T({n})": torus(n) for n in (3, 4, 5)})
+    out.update({f"S{d}": boundary_sphere(d) for d in (1, 2, 3)})
+    out["susp rp2"] = suspension(projective_plane())
+    out["rp2"] = projective_plane()
+    out["mixed"] = mixed_complex()
+    return out
+
+
+def maps():
+    rng = random.Random(2024)
+    out = {name: build() for name, (kind, build) in fixture_registry().items() if kind == "map"}
+    out.update({f"seeded d{d}": seeded_degree_map(rng, d) for d in range(1, 5)})
+    t = torus(3)
+    out["T(3) relabel"] = SimplicialMap(scrambled(t, rng), t, {v: v for v in t.vertices})
+    mixed = mixed_complex()
+    fold = {"a": "a", "b": "b", "c": "c", "d": "a", "e": "e", "f": "b"}
+    out["mixed fold"] = SimplicialMap(mixed, scrambled(mixed, rng), fold)
+    out["S2 collapse"] = SimplicialMap(boundary_sphere(2), mixed, {v: "e" for v in boundary_sphere(2).vertices})
+    out["rp2 identity"] = identity_simplicial(projective_plane())
+    return out
+
+
+def spaces():
+    """Every complex above, plus each map's cylinder and cone space."""
+    out = complexes()
+    for name, phi in maps().items():
+        out[f"cyl {name}"] = mapping_cylinder(phi)[0]
+        out[f"cone space {name}"] = mapping_cone_space(phi)
+    return out
+
+
+def test_facets_match_the_all_pairs_scan():
+    for name, k in spaces().items():
+        assert k.facets() == oracles.facets_by_scan(k), name
+
+
+@pytest.mark.parametrize("augmented", [False, True])
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_chain_complexes_match_the_row_loop(ring, augmented):
+    for name, k in complexes().items():
+        assert chain_complex(k, ring, augmented) == oracles.chain_complex_by_rows(k, ring, augmented), name
+    if ring == RAT:
+        return  # the Fraction d d check of the cone spaces below takes 10 s over Q; Z and Zmod:3 cover them
+    for name, phi in maps().items():
+        k = mapping_cone_space(phi)
+        assert chain_complex(k, ring, augmented) == oracles.chain_complex_by_rows(k, ring, augmented), name
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_pushforwards_and_prisms_match_their_loops(ring):
+    for name, phi in maps().items():
+        assert pushforward_matrices(phi, ring) == oracles.pushforward_by_rows(phi, ring), name
+        for ambient in (mapping_cylinder(phi)[0], mapping_cone_space(phi)):
+            assert prism_operator(phi, ambient, ring) == oracles.prism_operator_by_columns(phi, ambient, ring), name
+
+
+def test_cone_operators_match_the_row_loop():
+    for name, k in complexes().items():
+        assert cone_operator(k) == oracles.cone_operator_by_rows(k), name
+
+
+def test_comparison_maps_match_the_prism_column_sums():
+    for name, phi in maps().items():
+        space = mapping_cone_space(phi)
+        conea = cone_of_map(chain_map(phi, INT, augmented=True))
+        assert _comparison_map(phi, space, conea.hi) == oracles.comparison_map_by_prism(phi, space, conea), name
+
+
+def test_cone_spaces_match_the_cylinder_read_back():
+    for name, phi in maps().items():
+        space, want = mapping_cone_space(phi), oracles.mapping_cone_space_via_cylinder(phi)
+        assert (space, space.facets()) == (want, want.facets()), name
+
+
+def count_inits(monkeypatch, cls):
+    calls = []
+    real = cls.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    return calls
+
+
+def test_cone_space_builds_one_complex_and_no_map(monkeypatch):
+    for phi in maps().values():
+        complexes_made = count_inits(monkeypatch, SimplicialComplex)
+        maps_made = count_inits(monkeypatch, SimplicialMap)
+        simplicial.mapping_cone_space(phi)
+        assert (len(complexes_made), len(maps_made)) == (1, 0)
+        monkeypatch.undo()

@@ -8,7 +8,7 @@ and the number of Smith forms each step runs is pinned.
 
 import random
 
-from helpers import random_block_complex, random_chain_map, random_vector
+from helpers import random_block_complex, random_chain_map, random_vector, torus
 from oracles import express_via_solver_snf, quotient_group_int_via_snf
 from relcone import homology
 from relcone.chain import ComplexMap, cone_of_map
@@ -17,18 +17,7 @@ from relcone.errors import RelconeError
 from relcone.fixtures import degree_map, fixture_registry, projective_plane
 from relcone.homology import homology_data, ker_coker_les, les_of_cone
 from relcone.matrix import Matrix
-from relcone.simplicial import SimplicialComplex, chain_complex, chain_map
-
-
-def torus(n):
-    """The n x n grid torus, 2n^2 triangles."""
-    lab = lambda i, j: f"t{i % n}.{j % n}"
-    facets = []
-    for i in range(n):
-        for j in range(n):
-            facets.append((lab(i, j), lab(i + 1, j), lab(i + 1, j + 1)))
-            facets.append((lab(i, j), lab(i, j + 1), lab(i + 1, j + 1)))
-    return SimplicialComplex([lab(i, j) for i in range(n) for j in range(n)], facets)
+from relcone.simplicial import chain_complex, chain_map
 
 
 def integer_complexes(rng):
