@@ -345,17 +345,18 @@ class CechCochain:
 
     @classmethod
     def from_vector(cls, cover: Cover, degree: int, ring: CoeffRing, vec) -> "CechCochain":
+        """Values on the degree-p overlaps in nerve order; each one is normalized."""
+        return cls._of(cover, degree, ring, [_as_raw(ring, v) for v in vec])
+
+    @classmethod
+    def _of(cls, cover: Cover, degree: int, ring: CoeffRing, vec) -> "CechCochain":
+        """The trusted build: values that ring arithmetic on normalized values produced, stored as they are."""
         out = cls(cover, degree, ring)
         simplices = cover.nerve.simplices(degree)
         if len(vec) != len(simplices):
             raise DegreeMismatch(f"vector length {len(vec)} vs {len(simplices)} overlaps")
         z = ring.zero()
-        vals = {}
-        for s, v in zip(simplices, vec):
-            v = _as_raw(ring, v)
-            if v != z:
-                vals[s] = v
-        out._vals = vals
+        out._vals = {s: v for s, v in zip(simplices, vec) if v != z}
         return out
 
     def items(self):
@@ -378,19 +379,20 @@ class CechCochain:
     def __add__(self, other: "CechCochain") -> "CechCochain":
         self._like(other)
         vec = [self.ring.add(a, b) for a, b in zip(self.vector(), other.vector())]
-        return CechCochain.from_vector(self.cover, self.degree, self.ring, vec)
+        return CechCochain._of(self.cover, self.degree, self.ring, vec)
 
     def __neg__(self) -> "CechCochain":
         vec = [self.ring.neg(a) for a in self.vector()]
-        return CechCochain.from_vector(self.cover, self.degree, self.ring, vec)
+        return CechCochain._of(self.cover, self.degree, self.ring, vec)
 
     def __sub__(self, other: "CechCochain") -> "CechCochain":
         return self + (-other)
 
     def zscale(self, k: int) -> "CechCochain":
         """Integer multiple, defined over every coefficient module."""
+        k = INT.normalize(k)
         vec = [self.ring.zmul(k, a) for a in self.vector()]
-        return CechCochain.from_vector(self.cover, self.degree, self.ring, vec)
+        return CechCochain._of(self.cover, self.degree, self.ring, vec)
 
     def __eq__(self, other):
         if not isinstance(other, CechCochain):
@@ -409,7 +411,7 @@ class CechCochain:
 def cech_diff(c: CechCochain) -> CechCochain:
     """Alternating-sum coboundary, one degree up."""
     m = c.cover.view.coboundary(c.degree)
-    return CechCochain.from_vector(c.cover, c.degree + 1, c.ring, m.zapply(c.ring, c.vector()))
+    return CechCochain._of(c.cover, c.degree + 1, c.ring, m.zapply(c.ring, c.vector()))
 
 
 def pullback(m: CoverMap, c: CechCochain) -> CechCochain:
@@ -421,7 +423,7 @@ def pullback(m: CoverMap, c: CechCochain) -> CechCochain:
     if c.cover != m.dst:
         raise CoverMismatch("cochain does not live on the map's target cover")
     t = m.view.pull(c.degree)
-    return CechCochain.from_vector(m.src, c.degree, c.ring, t.zapply(c.ring, c.vector()))
+    return CechCochain._of(m.src, c.degree, c.ring, t.zapply(c.ring, c.vector()))
 
 
 def cover_cochain_complex(cover: Cover, ring: CoeffRing) -> GradedComplex:
@@ -475,12 +477,17 @@ class RelCechCochain:
 
     @classmethod
     def from_vector(cls, m: CoverMap, q: int, ring: CoeffRing, vec) -> "RelCechCochain":
-        """Split a cone vector: the source cover's (q-1)-overlaps come first."""
+        """Split a cone vector: the source cover's (q-1)-overlaps come first; each value is normalized."""
+        return cls._of(m, q, ring, [_as_raw(ring, v) for v in vec])
+
+    @classmethod
+    def _of(cls, m: CoverMap, q: int, ring: CoeffRing, vec) -> "RelCechCochain":
+        """from_vector for trusted values, as `CechCochain._of`."""
         split = m.src.rank(q - 1)
         if len(vec) != split + m.dst.rank(q):
             raise ShapeMismatch("cone vector has wrong length")
-        s = CechCochain.from_vector(m.src, q - 1, ring, vec[:split])
-        t = CechCochain.from_vector(m.dst, q, ring, vec[split:])
+        s = CechCochain._of(m.src, q - 1, ring, vec[:split])
+        t = CechCochain._of(m.dst, q, ring, vec[split:])
         return cls(m, s, t)
 
     @property
@@ -557,7 +564,7 @@ class BocksteinResult:
 def _integer_rel_cochain(m: CoverMap, q: int, vec) -> RelCechCochain:
     if any(v.denominator != 1 for v in vec):
         raise InvalidChainMap("connecting cocycle came out non-integral")
-    return RelCechCochain.from_vector(m, q, INT, [int(v) for v in vec])
+    return RelCechCochain._of(m, q, INT, [int(v) for v in vec])
 
 
 def bockstein(u: RelCechCochain) -> BocksteinResult:

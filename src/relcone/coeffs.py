@@ -11,6 +11,16 @@ Four coefficient systems are supported:
 The first three are rings; U1 is only a group, so multiplication there
 raises :class:`~relcone.errors.MulOnAngleQ`.  All arithmetic is exact;
 no value is ever a float.
+
+Values are normalized once, where they enter the program:
+:meth:`CoeffRing.normalize` turns an outside value into the stored type
+(an int for Z, a residue int in [0, n) for Zmod, a Fraction for Q, a
+Fraction in [0, 1) for U1) and rejects everything else, ``bool``
+included.  ``Matrix(...)``, the cochain constructors, :class:`Scalar`
+and the JSON readers call it.  The arithmetic methods take normalized
+values and return normalized values of the exact stored type, so their
+results are trusted from then on: ``Matrix._of`` and the cochains'
+``_of`` store them without calling ``normalize`` again.
 """
 
 from __future__ import annotations
@@ -22,6 +32,11 @@ from fractions import Fraction
 from .errors import MulOnAngleQ, ParseError, RingMismatch, UnsupportedRing
 
 _KINDS = ("Z", "Q", "Zmod", "U1")
+_WHAT = {"Z": "an integer", "Q": "rational", "Zmod": "an integer", "U1": "a rational angle"}
+# One shared value per kind: ints and Fractions are immutable, and 0 and 1
+# are canonical residues for every modulus >= 2.
+_ZERO = {"Z": 0, "Q": Fraction(0), "Zmod": 0, "U1": Fraction(0)}
+_ONE = {"Z": 1, "Q": Fraction(1), "Zmod": 1}
 
 
 @dataclass(frozen=True)
@@ -43,33 +58,40 @@ class CoeffRing:
     # -- value normalization ------------------------------------------------
 
     def normalize(self, v):
-        """Coerce v into the canonical internal representation."""
-        if self.kind == "Z":
-            if isinstance(v, Fraction):
-                if v.denominator != 1:
-                    raise RingMismatch(f"{v} is not an integer")
-                return int(v)
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise RingMismatch(f"{v!r} is not an integer")
-            return v
-        if self.kind == "Q":
-            if type(v) is Fraction:
+        """Coerce v into the canonical internal representation.
+
+        A value of the stored type comes back after one exact ``type``
+        test: an int for Z (reduced mod n for Zmod), a Fraction for Q,
+        a Fraction already in [0, 1) for U1.  Anything else takes the
+        checked path; ``bool`` is not a number in any ring.
+        """
+        kind, t = self.kind, type(v)
+        if kind == "Z":
+            if t is int:
+                return v
+        elif kind == "Q":
+            if t is Fraction:
                 return v  # immutable, so already canonical
-            if isinstance(v, (int, Fraction)):
-                return Fraction(v)
-            raise RingMismatch(f"{v!r} is not rational")
-        if self.kind == "Zmod":
-            if isinstance(v, Fraction):
-                if v.denominator != 1:
-                    raise RingMismatch(f"{v} is not an integer")
-                v = int(v)
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise RingMismatch(f"{v!r} is not an integer")
-            return v % self.modulus
-        # U1: value is a rational angle taken mod 1
-        if isinstance(v, (int, Fraction)):
+        elif kind == "Zmod":
+            if t is int:
+                return v % self.modulus
+        elif t is Fraction and 0 <= v.numerator < v.denominator:
+            return v
+        return self._coerce(v)
+
+    def _coerce(self, v):
+        """normalize for values not already of the stored type."""
+        kind = self.kind
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+            raise RingMismatch(f"{v!r} is not {_WHAT[kind]}")
+        if kind == "Q":
+            return Fraction(v)
+        if kind == "U1":
             return Fraction(v) % 1
-        raise RingMismatch(f"{v!r} is not a rational angle")
+        if isinstance(v, Fraction) and v.denominator != 1:
+            raise RingMismatch(f"{v} is not an integer")
+        v = int(v)
+        return v if kind == "Z" else v % self.modulus
 
     # -- arithmetic on normalized values ------------------------------------
 
@@ -106,12 +128,12 @@ class CoeffRing:
         return n * a
 
     def zero(self):
-        return self.normalize(0)
+        return _ZERO[self.kind]
 
     def one(self):
         if self.kind == "U1":
             raise MulOnAngleQ("the circle group has no multiplicative unit")
-        return self.normalize(1)
+        return _ONE[self.kind]
 
     @property
     def is_field(self) -> bool:

@@ -296,7 +296,7 @@ def _witness(u: RelCechCochain) -> RelCechCochain | None:
         vec = _solve_mod_one(view, 1 - q, u.vector())
     if vec is None:
         return None
-    witness = RelCechCochain.from_vector(u.m, q - 1, u.ring, [u.ring.normalize(v) for v in vec])
+    witness = RelCechCochain.from_vector(u.m, q - 1, u.ring, vec)
     if rel_diff(witness) != u:
         raise InvalidChainMap("solver returned a non-witness")
     return witness

@@ -178,11 +178,11 @@ def snf(a: Matrix) -> SNFResult:
         t += 1
 
     res = SNFResult(
-        u=Matrix(INT, m, m, u),
-        d=Matrix(INT, m, n, d),
-        v=Matrix(INT, n, n, v),
-        uinv=Matrix(INT, m, m, uinv),
-        vinv=Matrix(INT, n, n, vinv),
+        u=Matrix._of(INT, m, m, u),
+        d=Matrix._of(INT, m, n, d),
+        v=Matrix._of(INT, n, n, v),
+        uinv=Matrix._of(INT, m, m, uinv),
+        vinv=Matrix._of(INT, n, n, vinv),
         diag=tuple(d[i][i] for i in range(limit)),
         rank=sum(1 for i in range(limit) if d[i][i]),
     )
@@ -324,13 +324,13 @@ def kernel_field(a: Matrix) -> Matrix:
     """Basis of the null space over a field, as columns."""
     rows, pivots = _rref(a)
     free = sorted(set(range(a.ncols)) - set(pivots))
-    zero, one = a.ring.zero(), a.ring.one()
+    zero, one, neg = a.ring.zero(), a.ring.one(), a.ring.neg
     out = [[zero] * len(free) for _ in range(a.ncols)]
     for k, fc in enumerate(free):
         out[fc][k] = one
     for r, pc in enumerate(pivots):
-        out[pc] = [-x if x else zero for x in map(rows[r].__getitem__, free)]
-    return Matrix(a.ring, a.ncols, len(free), out)
+        out[pc] = [neg(x) if x else zero for x in map(rows[r].__getitem__, free)]
+    return Matrix._of(a.ring, a.ncols, len(free), out)
 
 
 def solve_field(a: Matrix, b: Matrix) -> Matrix | None:
@@ -341,7 +341,7 @@ def solve_field(a: Matrix, b: Matrix) -> Matrix | None:
     out = [[a.ring.zero()] * b.ncols for _ in range(a.ncols)]
     for r, pc in enumerate(pivots):
         out[pc] = rows[r][a.ncols:]
-    return Matrix(a.ring, a.ncols, b.ncols, out)
+    return Matrix._of(a.ring, a.ncols, b.ncols, out)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +472,7 @@ class _Lattice:
             if any(v % d for v in row):
                 return None
             out.append([v // d for v in row])
-        return Matrix(INT, len(out), x.ncols, out)
+        return Matrix._of(INT, len(out), x.ncols, out)
 
 
 def _kernel_lattice(a: Matrix) -> tuple:
@@ -534,7 +534,7 @@ def _quotient_group_int(ambient_rank: int, num_basis: Matrix, num: _Lattice, den
         kept_orders.append(orders[i])
         to_gens.append([sgn * x for x in s2.uinv.rows[i]])
     group = AbGroup(free_rank, torsion, tuple(tuple(c) for c in cols))
-    to_gens = Matrix(INT, len(to_gens), k, to_gens)
+    to_gens = Matrix._of(INT, len(to_gens), k, to_gens)
     return HomologyData(INT, ambient_rank, group, tuple(kept_orders), den_gens, num, to_gens)
 
 

@@ -8,6 +8,17 @@ clarity and exactness win over asymptotics.
 Shape conventions follow the rest of the package: a map between free
 modules is stored as a (target rank) x (source rank) matrix acting on
 column vectors.
+
+Entries are normalized once, where they come from outside:
+``Matrix(...)`` (and ``from_rows``, ``from_columns``, ``column``)
+passes every entry through ``CoeffRing.normalize``, as does
+``change_ring``, which reads integers as values of another ring.
+``Matrix._of`` is the trusted build: it stores rows exactly as given and
+checks only the shape.  It is for entries that ring arithmetic on
+normalized values produced -- products, sums, negations, copies and
+re-slicings of normalized matrices, ``zero()``/``one()``, and the
+integer or field values of the eliminations in ``homology`` -- which are
+already of the stored type.
 """
 
 from __future__ import annotations
@@ -22,7 +33,17 @@ class Matrix:
     def __init__(self, ring: CoeffRing, nrows: int, ncols: int, rows):
         if nrows < 0 or ncols < 0:
             raise ShapeMismatch("negative matrix dimension")
-        rows = tuple(tuple(ring.normalize(v) for v in r) for r in rows)
+        norm = ring.normalize
+        self._set(ring, nrows, ncols, tuple(tuple(map(norm, r)) for r in rows))
+
+    @classmethod
+    def _of(cls, ring: CoeffRing, nrows: int, ncols: int, rows) -> "Matrix":
+        """The trusted build: rows of already normalized values, stored as they are."""
+        m = cls.__new__(cls)
+        m._set(ring, nrows, ncols, tuple(map(tuple, rows)))
+        return m
+
+    def _set(self, ring, nrows, ncols, rows):
         if len(rows) != nrows or any(len(r) != ncols for r in rows):
             raise ShapeMismatch(
                 f"rows do not match declared shape {nrows}x{ncols}"
@@ -51,13 +72,12 @@ class Matrix:
 
     @classmethod
     def zeros(cls, ring: CoeffRing, nrows: int, ncols: int) -> "Matrix":
-        z = ring.zero()
-        return cls(ring, nrows, ncols, [[z] * ncols for _ in range(nrows)])
+        return cls._of(ring, nrows, ncols, [(ring.zero(),) * ncols] * nrows)
 
     @classmethod
     def identity(cls, ring: CoeffRing, n: int) -> "Matrix":
         z, o = ring.zero(), ring.one()
-        return cls(
+        return cls._of(
             ring, n, n, [[o if i == j else z for j in range(n)] for i in range(n)]
         )
 
@@ -110,7 +130,7 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same(other)
         add = self.ring.add
-        return Matrix(
+        return Matrix._of(
             self.ring,
             self.nrows,
             self.ncols,
@@ -122,7 +142,7 @@ class Matrix:
 
     def __neg__(self) -> "Matrix":
         neg = self.ring.neg
-        return Matrix(
+        return Matrix._of(
             self.ring, self.nrows, self.ncols, [[neg(v) for v in r] for r in self.rows]
         )
 
@@ -132,13 +152,14 @@ class Matrix:
     def scale(self, c) -> "Matrix":
         c = self.ring.normalize(c)
         mul = self.ring.mul
-        return Matrix(
+        return Matrix._of(
             self.ring, self.nrows, self.ncols, [[mul(c, v) for v in r] for r in self.rows]
         )
 
     def zscale(self, n: int) -> "Matrix":
+        n = INT.normalize(n)
         zm = self.ring.zmul
-        return Matrix(
+        return Matrix._of(
             self.ring, self.nrows, self.ncols, [[zm(n, v) for v in r] for r in self.rows]
         )
 
@@ -159,11 +180,11 @@ class Matrix:
                     acc = add(acc, mul(a, b))
                 row.append(acc)
             out.append(row)
-        return Matrix(self.ring, self.nrows, other.ncols, out)
+        return Matrix._of(self.ring, self.nrows, other.ncols, out)
 
     def transpose(self) -> "Matrix":
         rows = [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        return Matrix(self.ring, self.ncols, self.nrows, rows)
+        return Matrix._of(self.ring, self.ncols, self.nrows, rows)
 
     # -- structural helpers -------------------------------------------------
 
@@ -200,7 +221,7 @@ class Matrix:
 
     def submatrix(self, row_idx, col_idx) -> "Matrix":
         rows = [[self.rows[i][j] for j in col_idx] for i in row_idx]
-        return Matrix(self.ring, len(row_idx), len(col_idx), rows)
+        return Matrix._of(self.ring, len(row_idx), len(col_idx), rows)
 
     def to_lists(self):
         return [list(r) for r in self.rows]
@@ -216,8 +237,8 @@ def hstack(ring: CoeffRing, mats) -> Matrix:
             raise ShapeMismatch("hstack: row counts differ")
         if m.ring != ring:
             raise RingMismatch("hstack: mixed rings")
-    rows = [sum((list(m.rows[i]) for m in mats), []) for i in range(nrows)]
-    return Matrix(ring, nrows, sum(m.ncols for m in mats), rows)
+    rows = [[x for m in mats for x in m.rows[i]] for i in range(nrows)]
+    return Matrix._of(ring, nrows, sum(m.ncols for m in mats), rows)
 
 
 def vstack(ring: CoeffRing, mats) -> Matrix:
@@ -230,8 +251,8 @@ def vstack(ring: CoeffRing, mats) -> Matrix:
             raise ShapeMismatch("vstack: column counts differ")
         if m.ring != ring:
             raise RingMismatch("vstack: mixed rings")
-    rows = [r for m in mats for r in m.to_lists()]
-    return Matrix(ring, sum(m.nrows for m in mats), ncols, rows)
+    rows = [r for m in mats for r in m.rows]
+    return Matrix._of(ring, sum(m.nrows for m in mats), ncols, rows)
 
 
 def block(ring: CoeffRing, grid) -> Matrix:

@@ -22,6 +22,7 @@ from relcone.coeffs import (
     value_to_json,
 )
 from relcone.errors import MulOnAngleQ, ParseError, RingMismatch, UnsupportedRing
+from relcone.matrix import Matrix
 
 
 def test_parse_ring_round_trips():
@@ -177,3 +178,36 @@ def test_ring_equality_and_hash():
     assert ZMOD(5) != ZMOD(7)
     assert len({INT, RAT, U1, ZMOD(5), ZMOD(5)}) == 4
     assert isinstance(INT, CoeffRing)
+
+
+@pytest.mark.parametrize("ring", [INT, RAT, ZMOD(2), ZMOD(7), U1], ids=str)
+def test_every_ring_rejects_bool(ring):
+    """True and False are not numbers in any ring, whichever path builds the value."""
+    for b in (True, False):
+        with pytest.raises(RingMismatch):
+            ring.normalize(b)
+        with pytest.raises(RingMismatch):
+            Scalar(ring, b)
+        with pytest.raises(RingMismatch):
+            Matrix(ring, 1, 1, [[b]])
+        with pytest.raises(RingMismatch):
+            Matrix.zeros(ring, 1, 1).zscale(b)
+
+
+@pytest.mark.parametrize("ring", [INT, RAT, ZMOD(5), U1], ids=str)
+def test_normalize_returns_the_exact_stored_type(ring):
+    """Subclasses of int and Fraction come back as the stored type itself, and zero()/one() are one value each."""
+    class Int(int):
+        pass
+
+    class Frac(Fraction):
+        pass
+
+    stored = int if ring.kind in ("Z", "Zmod") else Fraction
+    for v in (Int(3), Frac(6, 2), 3, Fraction(3), -4, Fraction(-8, 2)):
+        w = ring.normalize(v)
+        assert type(w) is stored and w == ring.normalize(int(v))
+        assert type(ring.normalize(w)) is stored and ring.normalize(w) == w
+    assert ring.zero() is ring.zero() and type(ring.zero()) is stored
+    if ring != U1:
+        assert ring.one() is ring.one() and type(ring.one()) is stored

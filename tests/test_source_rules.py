@@ -55,3 +55,49 @@ def test_no_process_wide_caches():
             elif isinstance(node, ast.Attribute) and node.attr in banned and isinstance(node.value, ast.Name):
                 found += [f"{path.name}:{node.lineno}"] if node.value.id == "functools" else []
     assert found == []
+
+
+# Where a trusted build (`Matrix._of`, `CechCochain._of`, `RelCechCochain._of`)
+# may be named: each of these stores values that ring arithmetic on normalized
+# values produced, so nothing there is normalized again.  Outside input goes
+# through `Matrix(...)` and the cochains' `from_vector`.  A new place is a new
+# entry here, to be read and checked (tests/test_trusted_builds.py re-checks
+# the values at run time).
+TRUSTED_BUILD_CALLERS = {
+    "matrix.py": {
+        "Matrix.zeros", "Matrix.identity", "Matrix.__add__", "Matrix.__neg__", "Matrix.scale",
+        "Matrix.zscale", "Matrix.__matmul__", "Matrix.transpose", "Matrix.submatrix", "hstack", "vstack",
+    },
+    "homology.py": {"snf", "kernel_field", "solve_field", "_Lattice.coords", "_quotient_group_int"},
+    "cech.py": {
+        "CechCochain.from_vector", "CechCochain.__add__", "CechCochain.__neg__", "CechCochain.zscale",
+        "cech_diff", "pullback", "RelCechCochain.from_vector", "RelCechCochain._of", "_integer_rel_cochain",
+    },
+}
+
+
+def _names_of_trusted_builds(tree):
+    """Qualified names of the functions that name an `_of` attribute."""
+    found = set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "_of":
+                found.add(".".join(scope) or "<module>")
+            walk(child, scope)
+
+    walk(tree, ())
+    return found
+
+
+def test_trusted_builds_only_from_the_allowlist():
+    """Trusted builds skip `normalize`, so the places that use them stay few and named."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        names = _names_of_trusted_builds(ast.parse(path.read_text(), str(path)))
+        if names:
+            found[path.name] = names
+    assert found == TRUSTED_BUILD_CALLERS
