@@ -37,6 +37,7 @@ from .chain import (
     dual_complex,
     dual_map,
     from_int_complex,
+    from_int_map,
 )
 from .coeffs import INT, RAT, U1, CoeffRing, Scalar, angle_lift
 from .errors import (
@@ -49,7 +50,7 @@ from .errors import (
     UnsupportedRing,
 )
 from .homology import AbGroup, HomologyData, IntSolver, homology_at, homology_data, mod_solver, torsion_exponent
-from .matrix import Matrix, from_int_matrix
+from .matrix import Matrix
 from .simplicial import (
     Frozen,
     SimplicialComplex,
@@ -198,24 +199,25 @@ class CoverView:
 class CoverMapView:
     """A cover map's compiled integer data.
 
-    `pulls[p]` is the pullback C^p(dst) -> C^p(src), the transpose of
-    the nerve map's pushforward, checked once as a cochain map between
-    the two covers' `cochains`.  One memo keeps what is built on first
-    use: `cone`, the relative Cech cone, with its integer homology
-    `data(n)`, torsion exponents `exponent(n)` and modular solvers
-    `mod_solver(n, k)`; and `chain_cone`, the mapping cone of the
-    pushforward, with its integer homology `chain_data(n)`.  No cone map
-    is kept; other rings read these integer matrices through `zapply`
-    or `from_int_matrix`.
+    `pull_map` is the pullback C^p(dst) -> C^p(src) as an integer
+    cochain map between the two covers' `cochains` (chain degree -p):
+    its components are the transposes of the nerve map's pushforward,
+    checked once, when the view is made, to commute with the
+    coboundaries.  One memo keeps what is built on first use: `cone`,
+    the relative Cech cone, with its integer homology `data(n)`, torsion
+    exponents `exponent(n)` and modular solvers `mod_solver(n, k)`; and
+    `chain_cone`, the mapping cone of the pushforward, with its integer
+    homology `chain_data(n)`.  Other rings read these integer matrices
+    through `zapply` or the ring map (`cone_map`).
     """
 
-    __slots__ = ("src", "dst", "pulls", "_memo")
+    __slots__ = ("src", "dst", "pull_map", "_memo")
 
     def __init__(self, m: CoverMap):
         self.src = m.src.view
         self.dst = m.dst.view
-        self.pulls = {p: t.transpose() for p, t in pushforward_matrices(m.nerve_map).items()}
-        ComplexMap(self.dst.cochains, self.src.cochains, {-p: t for p, t in self.pulls.items()})  # raises unless d f = f d
+        pulls = {-p: t.transpose() for p, t in pushforward_matrices(m.nerve_map).items()}
+        self.pull_map = ComplexMap(self.dst.cochains, self.src.cochains, pulls)  # raises unless d f = f d
         self._memo = {}
 
     def _once(self, key, build):
@@ -224,15 +226,12 @@ class CoverMapView:
         return self._memo[key]
 
     def pull(self, p: int) -> Matrix:
-        t = self.pulls.get(p)
-        return t if t is not None else Matrix.zeros(INT, self.src.rank(p), self.dst.rank(p))
+        """The pullback C^p(dst) -> C^p(src) over Z."""
+        return self.pull_map.component(-p)
 
     def cone_map(self, ring: CoeffRing) -> ComplexMap:
-        """The pullback as a cochain map over `ring`, from the checked integer matrices."""
-        x = from_int_complex(self.dst.cochains, ring)
-        y = from_int_complex(self.src.cochains, ring)
-        mats = {-p: from_int_matrix(t, ring) for p, t in self.pulls.items()}
-        return ComplexMap(x, y, mats, validate=False)
+        """The pullback as a cochain map over `ring`, read from the checked integer map."""
+        return from_int_map(self.pull_map, ring)
 
     @property
     def cone(self) -> GradedComplex:

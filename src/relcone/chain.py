@@ -195,6 +195,20 @@ def compose(g: ComplexMap, f: ComplexMap) -> ComplexMap:
     return ComplexMap(f.src, g.dst, mats, validate=False)
 
 
+def from_int_map(f: ComplexMap, ring: CoeffRing) -> ComplexMap:
+    """An integer chain map read over `ring` through n -> n.1, with its source and target.
+
+    A ring map keeps d d = 0 and every commuting square d f = f d, so
+    the checks `f` passed over Z hold over `ring` and are not run again.
+    """
+    if f.ring != INT:
+        raise RingMismatch("expected an integer chain map")
+    if ring == INT:
+        return f
+    mats = {n: from_int_matrix(m, ring) for n, m in f._mats.items()}
+    return ComplexMap(from_int_complex(f.src, ring), from_int_complex(f.dst, ring), mats, validate=False)
+
+
 @dataclass(frozen=True)
 class Homotopy:
     """h: X_n -> Y_(n+1) with h d + d h = f - g, recorded with f and g."""

@@ -192,6 +192,15 @@ def _label_ok(v) -> bool:
     return isinstance(v, (str, int)) and not isinstance(v, bool)
 
 
+def _labels(obj, what: str, item: str) -> list:
+    """The array `obj` of vertex or set labels; each must be a string or an integer."""
+    labels = _as_list(obj, what)
+    for v in labels:
+        if not _label_ok(v):
+            raise ParseError(f"{item} {v!r} must be a string or integer")
+    return labels
+
+
 def simplicial_to_json(k: SimplicialComplex) -> dict:
     return {
         "vertices": list(k.vertices),
@@ -201,12 +210,9 @@ def simplicial_to_json(k: SimplicialComplex) -> dict:
 
 def simplicial_from_json(obj) -> SimplicialComplex:
     obj = _as_dict(obj, "simplicial complex")
-    verts = _as_list(_field(obj, "vertices", "simplicial complex"), "vertices")
-    for v in verts:
-        if not _label_ok(v):
-            raise ParseError(f"vertex label {v!r} must be a string or integer")
+    verts = _labels(_field(obj, "vertices", "simplicial complex"), "vertices", "vertex label")
     facets = [
-        _as_list(f, "facet")
+        _labels(f, "facet", "facet vertex")
         for f in _as_list(_field(obj, "facets", "simplicial complex"), "facets")
     ]
     try:
@@ -225,9 +231,10 @@ def simplicial_map_to_json(phi: SimplicialMap) -> dict:
 
 
 def _pairs(obj, what: str) -> list:
+    """The array `obj` of [label, label] pairs."""
     out = []
     for item in _as_list(obj, what):
-        pair = _as_list(item, f"{what} entry")
+        pair = _labels(item, f"{what} entry", f"{what} label")
         if len(pair) != 2:
             raise ParseError(f"{what} entry {item!r} is not a pair")
         out.append(pair)
@@ -259,7 +266,7 @@ def cover_to_json(c: Cover) -> dict:
 
 def cover_from_json(obj) -> Cover:
     obj = _as_dict(obj, "cover")
-    sets = _as_list(_field(obj, "sets", "cover"), "sets")
+    sets = _labels(_field(obj, "sets", "cover"), "sets", "cover set name")
     inters = []
     for item in _as_list(_field(obj, "intersections", "cover"), "intersections"):
         inters.append([_as_int(i, "intersection index") for i in _as_list(item, "intersection")])
@@ -354,7 +361,7 @@ def cocycle_to_json(c) -> dict:
 def cocycle_from_json(obj):
     obj = _as_dict(obj, "cocycle")
     kind = _field(obj, "kind", "cocycle")
-    cls = COCYCLE_KINDS.get(kind)
+    cls = COCYCLE_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ParseError(f"unknown cocycle kind {kind!r}, expected one of {sorted(COCYCLE_KINDS)}")
     u = rel_cochain_from_json(obj)

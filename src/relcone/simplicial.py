@@ -7,7 +7,9 @@ sign.  The cylinder and cone constructions introduce fresh labels
 apex) so that the result is again a plain labeled complex.  One
 builder, `_incidence`, fills every simplex-indexed matrix (boundaries,
 pushforwards, the cone and prism operators, the cone comparison), so
-index lookup and orientation sign live in one place.
+index lookup and orientation sign live in one place.  Chain complexes
+and chain maps are built and checked over Z only; every other ring
+reads the checked integer data through n -> n.1.
 
 Simplicial maps are immutable (:class:`Frozen`, shared with covers and
 cover maps) and compile nothing themselves.  A map keeps only its star
@@ -23,7 +25,7 @@ from operator import gt
 from types import MappingProxyType
 from typing import Dict, Mapping
 
-from .chain import ComplexMap, GradedComplex, cone_of_map, mat_ring
+from .chain import ComplexMap, GradedComplex, cone_of_map, from_int_complex, from_int_map, mat_ring
 from .coeffs import INT, CoeffRing
 from .errors import (
     InconsistentIntersections,
@@ -208,16 +210,19 @@ def chain_complex(k: SimplicialComplex, ring: CoeffRing, augmented: bool = False
     """Simplicial chains over `ring`; rank(n) = number of n-simplices.
 
     With `augmented`, degree -1 holds the empty simplex and d_0 is the
-    augmentation row; its homology is reduced homology.
+    augmentation row; its homology is reduced homology.  The complex is
+    built and its d d = 0 checked over Z, on every call; another ring
+    reads it through n -> n.1 (:func:`relcone.chain.from_int_complex`),
+    which keeps d d = 0, so the check is not repeated there.
     """
     ranks = {n: k.n_rank(n) for n in range(k.dim + 1)}
     faces = lambda s: [(s[:i] + s[i + 1 :], (-1) ** i) for i in range(len(s))]
-    diffs = {n: _incidence(ring, k, n - 1, map(faces, k.simplices(n))) for n in range(1, k.dim + 1)}
+    diffs = {n: _incidence(INT, k, n - 1, map(faces, k.simplices(n))) for n in range(1, k.dim + 1)}
     if augmented:
         ranks[-1] = 1
         if k.n_rank(0):
-            diffs[0] = Matrix(mat_ring(ring), 1, k.n_rank(0), [[1] * k.n_rank(0)])
-    return GradedComplex(ring, ranks, diffs)
+            diffs[0] = Matrix(INT, 1, k.n_rank(0), [[1] * k.n_rank(0)])
+    return from_int_complex(GradedComplex(INT, ranks, diffs), ring)
 
 
 def pushforward_matrices(phi: SimplicialMap, ring: CoeffRing = INT) -> Dict[int, Matrix]:
@@ -232,13 +237,18 @@ def pushforward_matrices(phi: SimplicialMap, ring: CoeffRing = INT) -> Dict[int,
 
 
 def chain_map(phi: SimplicialMap, ring: CoeffRing, augmented: bool = False) -> ComplexMap:
-    """Pushforward on chains; degenerate simplices go to zero."""
-    src = chain_complex(phi.src, ring, augmented)
-    dst = chain_complex(phi.dst, ring, augmented)
-    mats = pushforward_matrices(phi, ring)
+    """Pushforward on chains; degenerate simplices go to zero.
+
+    The map and both chain complexes are built and checked over Z (d d
+    = 0 on each side, d f = f d in every degree), on every call; another
+    ring reads them through n -> n.1 (:func:`relcone.chain.from_int_map`),
+    which keeps every one of those identities, so no check is repeated.
+    """
+    mats = pushforward_matrices(phi)
     if augmented:
-        mats[-1] = Matrix.identity(mat_ring(ring), 1)
-    return ComplexMap(src, dst, mats)
+        mats[-1] = Matrix.identity(INT, 1)
+    f = ComplexMap(chain_complex(phi.src, INT, augmented), chain_complex(phi.dst, INT, augmented), mats)
+    return from_int_map(f, ring)
 
 
 def _sort_sign(seq) -> int:

@@ -225,6 +225,37 @@ def test_parse_errors_exit_one(tmp_path, capsys):
     assert code == 1
 
 
+LABEL_EDITS = [
+    ("rp2.json", "homology", lambda d: d["facets"][0].__setitem__(0, {}), "facet vertex {}"),
+    ("fix-d2.json", "cone", lambda d: d["vmap"][0].__setitem__(0, []), "vmap label []"),
+    ("cover-circle.json", "cech", lambda d: d["sets"].__setitem__(0, {}), "cover set name {}"),
+    ("covermap-circle-d2.json", "cech", lambda d: d["assignment"][0].__setitem__(1, {}), "assignment label {}"),
+]
+
+
+@pytest.mark.parametrize("name,verb,edit,label", LABEL_EDITS, ids=[e[0] for e in LABEL_EDITS])
+def test_unhashable_labels_exit_one_with_one_line(tmp_path, capsys, name, verb, edit, label):
+    """A facet entry, set name or map pair that is not a string or integer is a parse error."""
+    with open(f"{emit_all(tmp_path)}/{name}") as fh:
+        doc = json.load(fh)
+    edit(doc)
+    path = tmp_path / f"bad-{name}"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(verb, str(path)) == (1, "")
+    assert capsys.readouterr().err == f"relcone: parse error: {label} must be a string or integer\n"
+
+
+def test_unhashable_cocycle_kind_exits_one_with_one_line(tmp_path, capsys):
+    doc = jsonio.cocycle_to_json(half_gerbe_cocycle())
+    doc["kind"] = []
+    path = tmp_path / "bad-kind.json"
+    path.write_text(json.dumps(doc))
+    assert run("classify", str(path)) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("relcone: parse error: unknown cocycle kind [], expected one of ") and err.count("\n") == 1
+
+
 def test_fixtures_list_names_all(tmp_path):
     code, out = run("fixtures", "list")
     assert code == 0

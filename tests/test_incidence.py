@@ -7,9 +7,14 @@ one-pass facets with the all-pairs scan; and the cone space built from
 the cylinder's generating family with the one read back from a built
 cylinder.  Inputs: the fixture complexes and maps, seeded degree maps
 with shuffled vertex orders, tori T(3)-T(5), spheres, RP^2 and a
-mixed-dimension complex with an isolated vertex, over Z, Q and Zmod:3,
-augmented and not (the maps' cone-space chains over Z and Zmod:3 only).  Build counts pin that the cone space builds one
+mixed-dimension complex with an isolated vertex, over Z, Q and Zmod:2, 3 and 4,
+augmented and not (the maps' cone-space chains over Z and Zmod:n only).  Build counts pin that the cone space builds one
 complex and no map.
+
+Chains over Q and Zmod:n are the integer chains carried by n -> n.1, with
+no second check; they are compared, entry types included, with a direct
+build over the ring that runs its own d d = 0 and chain-map checks, and a
+corrupted incidence entry must still be refused over every ring.
 """
 
 import random
@@ -20,9 +25,11 @@ import pytest
 import oracles
 from helpers import seeded_degree_map, torus
 from relcone import simplicial
-from relcone.chain import cone_of_map
+from relcone.chain import ComplexMap, GradedComplex, cone_of_map, mat_ring
 from relcone.coeffs import INT, RAT, ZMOD
+from relcone.errors import InvalidChainMap
 from relcone.fixtures import fixture_registry, projective_plane, suspension
+from relcone.matrix import Matrix
 from relcone.simplicial import (
     SimplicialComplex,
     SimplicialMap,
@@ -37,7 +44,7 @@ from relcone.simplicial import (
     pushforward_matrices,
 )
 
-RINGS = [INT, RAT, ZMOD(3)]
+RINGS = [INT, RAT, ZMOD(2), ZMOD(3), ZMOD(4)]
 
 
 def boundary_sphere(d):
@@ -89,6 +96,14 @@ def spaces():
     return out
 
 
+def stored(x):
+    """A complex or chain map as plain data, each entry with its type (1 == Fraction(1) in Python)."""
+    entries = lambda m: tuple((type(v), v) for r in m.rows for v in r)
+    if isinstance(x, GradedComplex):
+        return (str(x.ring), x._ranks, tuple(entries(x.diff(n)) for n in range(x.lo, x.hi + 2)))
+    return (stored(x.src), stored(x.dst), tuple(entries(x.component(n)) for n in x.degrees()))
+
+
 def test_facets_match_the_all_pairs_scan():
     for name, k in spaces().items():
         assert k.facets() == oracles.facets_by_scan(k), name
@@ -98,12 +113,53 @@ def test_facets_match_the_all_pairs_scan():
 @pytest.mark.parametrize("ring", RINGS, ids=str)
 def test_chain_complexes_match_the_row_loop(ring, augmented):
     for name, k in complexes().items():
-        assert chain_complex(k, ring, augmented) == oracles.chain_complex_by_rows(k, ring, augmented), name
+        assert stored(chain_complex(k, ring, augmented)) == stored(oracles.chain_complex_by_rows(k, ring, augmented)), name
     if ring == RAT:
-        return  # the Fraction d d check of the cone spaces below takes 10 s over Q; Z and Zmod:3 cover them
+        return  # the oracle's Fraction d d check of the cone spaces below takes 10 s; Z and Zmod:n cover them
     for name, phi in maps().items():
         k = mapping_cone_space(phi)
-        assert chain_complex(k, ring, augmented) == oracles.chain_complex_by_rows(k, ring, augmented), name
+        assert stored(chain_complex(k, ring, augmented)) == stored(oracles.chain_complex_by_rows(k, ring, augmented)), name
+
+
+@pytest.mark.parametrize("augmented", [False, True])
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_chain_maps_match_a_checked_build_over_the_ring(ring, augmented):
+    """The carried map equals the one built over the ring from the row loops, with every check run there."""
+    for name, phi in maps().items():
+        mats = oracles.pushforward_by_rows(phi, ring)
+        if augmented:
+            mats[-1] = Matrix.identity(mat_ring(ring), 1)
+        src = oracles.chain_complex_by_rows(phi.src, ring, augmented)
+        dst = oracles.chain_complex_by_rows(phi.dst, ring, augmented)
+        assert stored(chain_map(phi, ring, augmented)) == stored(ComplexMap(src, dst, mats)), name
+
+
+def bump(m):
+    """m with entry (0, 0) raised by one."""
+    rows = [list(r) for r in m.rows]
+    rows[0][0] += 1
+    return Matrix(m.ring, m.nrows, m.ncols, rows)
+
+
+@pytest.mark.parametrize("ring", [RAT, ZMOD(2), ZMOD(3), ZMOD(4)], ids=str)
+def test_a_corrupted_entry_is_refused_over_every_ring(monkeypatch, ring):
+    """The checks that run over Z still guard the chains and maps read over Q and Zmod:n."""
+    real_incidence, real_push = simplicial._incidence, simplicial.pushforward_matrices
+
+    def corrupted(mring, k, n, columns):  # every d_2 gets one wrong entry
+        m = real_incidence(mring, k, n, columns)
+        return bump(m) if n == 1 else m
+
+    monkeypatch.setattr(simplicial, "_incidence", corrupted)
+    for k in (torus(3), projective_plane()):
+        for augmented in (False, True):
+            with pytest.raises(InvalidChainMap, match="d d != 0"):
+                chain_complex(k, ring, augmented)
+    monkeypatch.undo()
+    monkeypatch.setattr(simplicial, "pushforward_matrices", lambda phi: {**real_push(phi), 1: bump(real_push(phi)[1])})
+    for phi in (identity_simplicial(projective_plane()), seeded_degree_map(random.Random(7), 2)):
+        with pytest.raises(InvalidChainMap, match="d f != f d"):
+            chain_map(phi, ring)
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=str)

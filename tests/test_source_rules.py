@@ -76,8 +76,8 @@ TRUSTED_BUILD_CALLERS = {
 }
 
 
-def _names_of_trusted_builds(tree):
-    """Qualified names of the functions that name an `_of` attribute."""
+def _scopes_where(tree, hit):
+    """Qualified names of the functions that hold a node for which `hit` is true."""
     found = set()
 
     def walk(node, scope):
@@ -85,7 +85,7 @@ def _names_of_trusted_builds(tree):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 walk(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Attribute) and child.attr == "_of":
+            if hit(child):
                 found.add(".".join(scope) or "<module>")
             walk(child, scope)
 
@@ -93,11 +93,43 @@ def _names_of_trusted_builds(tree):
     return found
 
 
-def test_trusted_builds_only_from_the_allowlist():
-    """Trusted builds skip `normalize`, so the places that use them stay few and named."""
+def _found_in_src(hit):
+    """{file name: scopes} over the package source, for the files where `hit` finds a node."""
     found = {}
     for path in sorted(SRC.glob("*.py")):
-        names = _names_of_trusted_builds(ast.parse(path.read_text(), str(path)))
+        names = _scopes_where(ast.parse(path.read_text(), str(path)), hit)
         if names:
             found[path.name] = names
-    assert found == TRUSTED_BUILD_CALLERS
+    return found
+
+
+def test_trusted_builds_only_from_the_allowlist():
+    """Trusted builds skip `normalize`, so the places that use them stay few and named."""
+    assert _found_in_src(lambda n: isinstance(n, ast.Attribute) and n.attr == "_of") == TRUSTED_BUILD_CALLERS
+
+
+# Where a complex or chain map may be built with `validate=False`, skipping its
+# d d = 0 or d f = f d check.  Most of these build one whose identities follow
+# from data that was checked: a ring map n -> n.1 of a checked integer complex
+# or map (`from_int_complex`, `from_int_map`), or a shift, transpose,
+# composite, identity or cone of checked data.  `cone_inclusion` commutes only
+# up to sign, and `compare_cones` keeps a map that failed its check in order to
+# report it.  A new place is a new entry here, to be read and checked.
+UNCHECKED_BUILD_CALLERS = {
+    "chain.py": {
+        "from_int_complex", "from_int_map", "shift", "identity_map", "compose", "cone_of_map",
+        "cone_inclusion", "cone_projection", "cone_of_cochain_map", "dual_complex", "dual_map",
+    },
+    "simplicial.py": {"compare_cones"},
+}
+
+
+def _skips_a_check(node):
+    return isinstance(node, ast.keyword) and node.arg == "validate" and not (
+        isinstance(node.value, ast.Constant) and node.value.value is True
+    )
+
+
+def test_skipped_checks_only_from_the_allowlist():
+    """Every other build runs its check, under every interpreter flag."""
+    assert _found_in_src(_skips_a_check) == UNCHECKED_BUILD_CALLERS
