@@ -59,9 +59,11 @@ def snf(a: Matrix) -> SNFResult:
 
     Pivoting picks the minimal absolute nonzero entry of the remaining
     submatrix; the returned diagonal is nonnegative and satisfies
-    d1 | d2 | ... .  Postconditions (factorization, inverses,
-    divisibility) are checked on every call, under any interpreter
-    flags; a failure raises InvalidChainMap.
+    d1 | d2 | ... .  `_check_snf` certifies every result, under any
+    interpreter flags, and a failure raises InvalidChainMap.  It runs
+    the cheap scans of the diagonal first (signs, divisibility, D
+    diagonal with `rank` nonzeros), then A = U D V as one rank-r
+    product, then U Uinv = I and V Vinv = I.
     """
     if a.ring != INT:
         raise UnsupportedRing("snf is defined over Z")
@@ -195,13 +197,18 @@ def _eye_rows(n):
 
 
 def _check_snf(a: Matrix, r: SNFResult):
-    """Raise InvalidChainMap unless `r` is a Smith normal form of `a`."""
-    if r.u @ r.d @ r.v != a:
-        raise InvalidChainMap("snf: A != U D V")
-    if r.u @ r.uinv != Matrix.identity(INT, a.nrows):
-        raise InvalidChainMap("snf: U inverse wrong")
-    if r.v @ r.vinv != Matrix.identity(INT, a.ncols):
-        raise InvalidChainMap("snf: V inverse wrong")
+    """Raise InvalidChainMap unless `r` is a Smith normal form of `a`.
+
+    The O(mn) scans run first: no diagonal entry is negative; the
+    nonzero entries divide their successors and zeros come last; `d` is
+    the m x n diagonal matrix of `diag`, and `rank` counts its nonzeros.
+    D is then zero outside its first r diagonal entries, so U D V is
+    exactly U[:, :r] diag(d_1..d_r) V[:r, :], and A = U D V is checked as
+    that one m x r x n product.  It never reads U's columns or V's rows
+    beyond r; U Uinv = I and V Vinv = I certify those, as they certify
+    that U and V are unimodular.
+    """
+    m, n = a.nrows, a.ncols
     diag = r.diag
     if any(x < 0 for x in diag):
         raise InvalidChainMap("snf: negative diagonal")
@@ -209,10 +216,22 @@ def _check_snf(a: Matrix, r: SNFResult):
         # nonzeros divide their successors, and zeros come last
         if diag[i + 1] and not (diag[i] and diag[i + 1] % diag[i] == 0):
             raise InvalidChainMap("snf: divisibility chain broken")
-    for i in range(a.nrows):
-        for j in range(a.ncols):
-            if i != j and r.d.entry(i, j):
-                raise InvalidChainMap("snf: D not diagonal")
+    if r.d.shape != a.shape or len(diag) != min(m, n):
+        raise InvalidChainMap("snf: D not diagonal")
+    for i, row in enumerate(r.d.rows):
+        # diag[i] in column i (there is none when i >= n), zeros elsewhere
+        if any(row[:i]) or any(row[i + 1 :]) or row[i : i + 1] != diag[i : i + 1]:
+            raise InvalidChainMap("snf: D not diagonal")
+    k = r.rank
+    if k != sum(1 for x in diag if x):
+        raise InvalidChainMap("snf: rank is not the number of nonzero diagonal entries")
+    scaled_v = Matrix._of(INT, k, n, [[d * x for x in row] for d, row in zip(diag[:k], r.v.rows)])
+    if r.u.submatrix(range(m), range(k)) @ scaled_v != a:
+        raise InvalidChainMap("snf: A != U D V")
+    if r.u @ r.uinv != Matrix.identity(INT, m):
+        raise InvalidChainMap("snf: U inverse wrong")
+    if r.v @ r.vinv != Matrix.identity(INT, n):
+        raise InvalidChainMap("snf: V inverse wrong")
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +534,6 @@ def _quotient_group_int(ambient_rank: int, num_basis: Matrix, num: _Lattice, den
     if w is None:
         raise InvalidChainMap("denominator not contained in numerator lattice")
     s2 = snf(w)
-    new_basis = num_basis @ s2.u
     orders = []
     for i in range(k):
         orders.append(s2.diag[i] if i < len(s2.diag) else 0)
@@ -524,11 +542,13 @@ def _quotient_group_int(ambient_rank: int, num_basis: Matrix, num: _Lattice, den
     free_rank = sum(1 for i in keep if orders[i] == 0)
     # torsion generators first (SNF diagonal is divisibility-ordered), then free
     keep_sorted = [i for i in keep if orders[i] >= 2] + [i for i in keep if orders[i] == 0]
+    # only the columns of num_basis @ s2.u that become generators
+    new_basis = num_basis @ s2.u.submatrix(range(k), keep_sorted)
     cols = []
     kept_orders = []
     to_gens = []
-    for i in keep_sorted:
-        col = list(new_basis.col(i))
+    for j, i in enumerate(keep_sorted):
+        col = list(new_basis.col(j))
         sgn = _canonical_sign(col)
         cols.append([sgn * x for x in col])
         kept_orders.append(orders[i])

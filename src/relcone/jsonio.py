@@ -20,6 +20,7 @@ from .coeffs import (
     INT,
     RAT,
     CoeffRing,
+    _preview,
     int_from_text,
     parse_ring,
     value_from_json,
@@ -78,7 +79,7 @@ def _as_list(obj, what: str) -> list:
 
 def _as_int(obj, what: str) -> int:
     if isinstance(obj, bool) or not isinstance(obj, int):
-        raise ParseError(f"{what} must be an integer, got {obj!r}")
+        raise ParseError(f"{what} must be an integer, got {_preview(obj)}")
     return obj
 
 def _field(obj: dict, key: str, what: str):
@@ -95,7 +96,7 @@ def _int_key(key, what: str) -> int:
 def _ring_of(obj: dict, what: str) -> CoeffRing:
     label = _field(obj, "ring", what)
     if not isinstance(label, str):
-        raise ParseError(f"{what} ring must be a string, got {label!r}")
+        raise ParseError(f"{what} ring must be a string, got {_preview(label)}")
     return parse_ring(label)
 
 def _rewrap(what: str, exc: RelconeError) -> ParseError:
@@ -197,7 +198,7 @@ def _labels(obj, what: str, item: str) -> list:
     labels = _as_list(obj, what)
     for v in labels:
         if not _label_ok(v):
-            raise ParseError(f"{item} {v!r} must be a string or integer")
+            raise ParseError(f"{item} {_preview(v)} must be a string or integer")
     return labels
 
 
@@ -230,14 +231,16 @@ def simplicial_map_to_json(phi: SimplicialMap) -> dict:
     }
 
 
-def _pairs(obj, what: str) -> list:
-    """The array `obj` of [label, label] pairs."""
-    out = []
+def _pairs(obj, what: str) -> dict:
+    """The array `obj` of [label, label] pairs, as a dict; a label may come first only once."""
+    out = {}
     for item in _as_list(obj, what):
         pair = _labels(item, f"{what} entry", f"{what} label")
         if len(pair) != 2:
-            raise ParseError(f"{what} entry {item!r} is not a pair")
-        out.append(pair)
+            raise ParseError(f"{what} entry {_preview(item)} is not a pair")
+        if pair[0] in out:
+            raise ParseError(f"{what} lists {_preview(pair[0])} more than once")
+        out[pair[0]] = pair[1]
     return out
 
 
@@ -245,9 +248,7 @@ def simplicial_map_from_json(obj) -> SimplicialMap:
     obj = _as_dict(obj, "simplicial map")
     src = simplicial_from_json(_field(obj, "src", "simplicial map"))
     dst = simplicial_from_json(_field(obj, "dst", "simplicial map"))
-    vmap = {}
-    for a, b in _pairs(_field(obj, "vmap", "simplicial map"), "vmap"):
-        vmap[a] = b
+    vmap = _pairs(_field(obj, "vmap", "simplicial map"), "vmap")
     try:
         return SimplicialMap(src, dst, vmap)
     except RelconeError as e:
@@ -288,9 +289,7 @@ def cover_map_from_json(obj) -> CoverMap:
     obj = _as_dict(obj, "cover map")
     src = cover_from_json(_field(obj, "src", "cover map"))
     dst = cover_from_json(_field(obj, "dst", "cover map"))
-    assignment = {}
-    for a, b in _pairs(_field(obj, "assignment", "cover map"), "assignment"):
-        assignment[a] = b
+    assignment = _pairs(_field(obj, "assignment", "cover map"), "assignment")
     try:
         return CoverMap(src, dst, assignment)
     except RelconeError as e:
@@ -363,7 +362,7 @@ def cocycle_from_json(obj):
     kind = _field(obj, "kind", "cocycle")
     cls = COCYCLE_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
-        raise ParseError(f"unknown cocycle kind {kind!r}, expected one of {sorted(COCYCLE_KINDS)}")
+        raise ParseError(f"unknown cocycle kind {_preview(kind)}, expected one of {sorted(COCYCLE_KINDS)}")
     u = rel_cochain_from_json(obj)
     try:
         return cls(u.m, u.s, u.t)

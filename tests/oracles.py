@@ -4,9 +4,13 @@ Everything here is deliberately written from scratch with different
 algorithms than the package: Bareiss fraction-free determinants, minor
 gcds, naive mod-p elimination.  The integer quotient helpers keep the
 library's earlier route through extra Smith forms, as a reference for
-the Smith-form coordinate maps the library uses now, and the Cech
-helpers rebuild every nerve complex, pullback and relative cone per
-call, as a reference for the views covers and cover maps compile once.
+the Smith-form coordinate maps the library uses now; it multiplies the
+numerator basis by all of U, where the library computes only the
+generator columns.  The earlier Smith certificate (three full dense
+products) is kept as a reference for the diagonal scans and the one
+rank-r product the library checks instead.  The Cech helpers rebuild
+every nerve complex, pullback and relative cone per call, as a
+reference for the views covers and cover maps compile once.
 The integer solve divides by the Smith diagonal row by row, and the
 cochain cone is assembled from its own block formula, as references
 for the lattice coordinates and the re-sliced chain cone the library
@@ -219,6 +223,35 @@ def quotient_group_int_via_snf(ambient_rank, num_basis, den_gens):
         gens.append(tuple(sgn * x for x in col))
     torsion = tuple(orders[i] for i in keep if orders[i])
     return w, sum(1 for i in keep if orders[i] == 0), torsion, tuple(gens), tuple(orders[i] for i in keep)
+
+
+def check_snf_full(a, r):
+    """The library's earlier Smith certificate: U D V, U Uinv and V Vinv as full dense products.
+
+    Raises InvalidChainMap.  It checks only the off-diagonal entries of D
+    and never reads `rank`, so it accepts a `diag` or `rank` that
+    disagrees with D, which the library's certificate refuses.
+    """
+    from relcone.coeffs import INT
+    from relcone.errors import InvalidChainMap
+    from relcone.matrix import Matrix
+
+    if r.u @ r.d @ r.v != a:
+        raise InvalidChainMap("snf: A != U D V")
+    if r.u @ r.uinv != Matrix.identity(INT, a.nrows):
+        raise InvalidChainMap("snf: U inverse wrong")
+    if r.v @ r.vinv != Matrix.identity(INT, a.ncols):
+        raise InvalidChainMap("snf: V inverse wrong")
+    diag = r.diag
+    if any(x < 0 for x in diag):
+        raise InvalidChainMap("snf: negative diagonal")
+    for i in range(len(diag) - 1):
+        if diag[i + 1] and not (diag[i] and diag[i + 1] % diag[i] == 0):
+            raise InvalidChainMap("snf: divisibility chain broken")
+    for i in range(a.nrows):
+        for j in range(a.ncols):
+            if i != j and r.d.entry(i, j):
+                raise InvalidChainMap("snf: D not diagonal")
 
 
 def express_via_solver_snf(data, vec):

@@ -246,6 +246,33 @@ def test_unhashable_labels_exit_one_with_one_line(tmp_path, capsys, name, verb, 
     assert capsys.readouterr().err == f"relcone: parse error: {label} must be a string or integer\n"
 
 
+REPEAT_EDITS = [
+    ("fix-d2.json", "cone", "vmap", lambda d: d["vmap"].insert(1, ["v0", "w1"]), "vmap lists 'v0' more than once"),
+    ("fix-d2.json", "les", "vmap", lambda d: d["vmap"].append(list(d["vmap"][0])), "vmap lists 'v0' more than once"),
+    (
+        "covermap-circle-d2.json",
+        "cech",
+        "assignment",
+        lambda d: d["assignment"].append([d["assignment"][0][0], d["assignment"][-1][1]]),
+        "assignment lists 'v0' more than once",
+    ),
+]
+
+
+@pytest.mark.parametrize("name,verb,key,edit,message", REPEAT_EDITS, ids=[f"{e[0]}-{e[1]}" for e in REPEAT_EDITS])
+def test_a_source_listed_twice_exits_one_with_one_line(tmp_path, capsys, name, verb, key, edit, message):
+    """A vertex map or set assignment that names a source twice has no one image to keep."""
+    with open(f"{emit_all(tmp_path)}/{name}") as fh:
+        doc = json.load(fh)
+    assert doc[key][0][0] == message.split("'")[1]
+    edit(doc)
+    path = tmp_path / f"bad-{name}"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(verb, str(path)) == (1, "")
+    assert capsys.readouterr().err == f"relcone: parse error: {message}\n"
+
+
 def test_unhashable_cocycle_kind_exits_one_with_one_line(tmp_path, capsys):
     doc = jsonio.cocycle_to_json(half_gerbe_cocycle())
     doc["kind"] = []
@@ -421,6 +448,22 @@ def test_huge_integers_cross_the_cli_exactly(tmp_path, capsys):
     assert (code, out) == (1, "")
     err = capsys.readouterr().err
     assert err.startswith("relcone: parse error: bad scalar") and err.count("\n") == 1 and len(err) < 300
+
+    # a huge integer inside a rejected label or pair has no repr; the message names its type
+    fx = emit_all(tmp_path)
+    for name, verb, edit, message in [
+        ("cover-circle.json", "cech", lambda d: d["sets"].__setitem__(0, ["HUGE"]),
+         "cover set name <list> must be a string or integer"),
+        ("fix-d2.json", "cone", lambda d: d["vmap"].append(["v0", "w0", "HUGE"]), "vmap entry <list> is not a pair"),
+    ]:
+        with open(f"{fx}/{name}") as fh:
+            doc = json.load(fh)
+        edit(doc)
+        path = tmp_path / f"huge-{name}"
+        path.write_text(json.dumps(doc).replace('"HUGE"', digits))
+        capsys.readouterr()
+        assert run(verb, str(path)) == (1, "")
+        assert capsys.readouterr().err == f"relcone: parse error: {message}\n"
 
 
 GOLDEN_VERBS = ("cone-space", "compare-cones", "cone", "les", "kercoker", "integrality", "bohr-sommerfeld")

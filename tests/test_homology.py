@@ -3,16 +3,20 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from helpers import (
+    flip,
     random_block_complex,
     random_chain_map,
     random_degreewise,
     random_homotopy_triple,
+    random_unimodular,
     random_vector,
+    torus,
 )
 from oracles import (
     SNF_2x2_DIAG,
@@ -20,6 +24,7 @@ from oracles import (
     SNF_3x3_DIAG,
     SNF_3x3_EXAMPLE,
     betti_numbers_field,
+    check_snf_full,
     det_int,
     first_column_outside_span,
     greedy_quotient_field,
@@ -31,8 +36,10 @@ from relcone.chain import ComplexMap, GradedComplex, cone_of_map, identity_map
 from relcone.coeffs import INT, RAT, U1, ZMOD
 from relcone import homology
 from relcone.errors import InvalidChainMap, NonCommutingSquare, UnsupportedRing
+from relcone.fixtures import fixture_registry, projective_plane
 from relcone.homology import (
     AbGroup,
+    _check_snf,
     _quotient_space_field,
     _subgroup_leq_field,
     connecting_hom,
@@ -52,6 +59,7 @@ from relcone.homology import (
     solve_int,
 )
 from relcone.matrix import Matrix, block, hstack
+from relcone.simplicial import chain_complex
 
 
 def rand_int_matrix(rng, m, n, bound=5):
@@ -121,17 +129,33 @@ cases = [
     fake([[0, 0], [0, 3]], (0, 3)),
     fake([[1, 1], [0, 1]], (1, 1)),
 ]
-out = []
-for x, bad in cases:
+# rank 2 of 3: the rank-r product reads neither row 2 of V nor column 2 of U
+b = Matrix.from_rows(INT, [[2, 4, 4], [-6, 6, 12], [-4, 10, 16]])
+s = snf(b)
+last = Matrix.from_rows(INT, [[1, 0, 0], [0, 1, 0], [0, 0, -1]])
+off_diag = Matrix.from_rows(INT, [[s.diag[0] + 1, 0, 0], [0, s.diag[1], 0], [0, 0, 0]])
+extra = [
+    (b, replace(s, v=last @ s.v, u=s.u @ last, vinv=s.vinv @ last, uinv=last @ s.uinv)),  # still valid
+    (b, replace(s, v=last @ s.v)),
+    (b, replace(s, u=s.u @ last)),
+    (b, replace(s, d=off_diag)),
+    (b, replace(s, rank=3)),
+    (b, replace(s, rank=1)),
+]
+
+def message(x, res):
     try:
-        _check_snf(x, bad)
-        out.append(None)
+        _check_snf(x, res)
     except InvalidChainMap as e:
-        out.append(str(e))
+        return str(e)
+    return None
+
+out = [message(*c) for c in cases]
+more = [s.rank] + [message(*c) for c in extra]
 checks = []
 homology._check_snf = lambda x, res: checks.append(x)
 snf(a)
-print(json.dumps([out, len(checks)]))
+print(json.dumps([out, len(checks), more]))
 """
 
 
@@ -142,7 +166,7 @@ def test_a_corrupted_smith_form_raises_under_every_interpreter_flag(optimize):
     flags = ["-O"] if optimize else []
     proc = subprocess.run([sys.executable, *flags, "-c", CORRUPT_SNF_SCRIPT], capture_output=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    messages, checks = json.loads(proc.stdout)
+    messages, checks, more = json.loads(proc.stdout)
     assert messages == [
         "snf: A != U D V",
         "snf: U inverse wrong",
@@ -153,6 +177,81 @@ def test_a_corrupted_smith_form_raises_under_every_interpreter_flag(optimize):
         "snf: D not diagonal",
     ]
     assert checks == 1
+    assert more == [
+        2,
+        None,
+        "snf: V inverse wrong",
+        "snf: U inverse wrong",
+        "snf: D not diagonal",
+        "snf: rank is not the number of nonzero diagonal entries",
+        "snf: rank is not the number of nonzero diagonal entries",
+    ]
+
+
+def _nudged(mat, rng):
+    rows = mat.to_lists()
+    i, j = rng.randrange(mat.nrows), rng.randrange(mat.ncols)
+    rows[i][j] += rng.choice([-1, 1])
+    return Matrix(INT, mat.nrows, mat.ncols, rows)
+
+
+def _tail_block(n, r, e):
+    """diag(I_r, e): acts on the rows or columns >= r only."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in range(n - r):
+        rows[r + i][r:] = e.rows[i]
+    return Matrix(INT, n, n, rows)
+
+
+def _variants(rng, s):
+    """Smith forms of the same matrix (valid) and forms with one factor off (not)."""
+    m, n, r = s.d.nrows, s.d.ncols, s.rank
+    out = [s]
+    e, einv = random_unimodular(rng, m - r)
+    b, binv = _tail_block(m, r, e), _tail_block(m, r, einv)
+    out += [replace(s, u=s.u @ b, uinv=binv @ s.uinv), replace(s, u=s.u @ b), replace(s, uinv=binv @ s.uinv)]
+    f, finv = random_unimodular(rng, n - r)
+    c, cinv = _tail_block(n, r, f), _tail_block(n, r, finv)
+    out += [replace(s, v=c @ s.v, vinv=s.vinv @ cinv), replace(s, v=c @ s.v), replace(s, vinv=s.vinv @ cinv)]
+    if r:
+        i = rng.randrange(r)
+        fm, fn = flip(m, i), flip(n, i)
+        out += [
+            replace(s, u=s.u @ fm, uinv=fm @ s.uinv, v=fn @ s.v, vinv=s.vinv @ fn),  # sign moved from U to V
+            replace(s, u=s.u @ fm, uinv=fm @ s.uinv),
+            replace(s, d=fm @ s.d, diag=tuple(-x if j == i else x for j, x in enumerate(s.diag))),
+            replace(s, d=s.d.zscale(2), diag=tuple(2 * x for x in s.diag)),
+        ]
+    for name in ("u", "d", "v", "uinv", "vinv"):
+        mat = getattr(s, name)
+        if mat.nrows and mat.ncols:
+            out.append(replace(s, **{name: _nudged(mat, rng)}))
+    return out
+
+
+def _accepts(check, a, s):
+    try:
+        check(a, s)
+    except InvalidChainMap:
+        return False
+    return True
+
+
+def test_rank_r_certificate_agrees_with_the_full_product():
+    """The diagonal scans plus one rank-r product accept exactly the forms the three full products accept."""
+    rng = random.Random(4200)
+    mats = [rand_int_matrix(rng, rng.randrange(0, 7), rng.randrange(0, 7), rng.choice([1, 3, 9])) for _ in range(60)]
+    mats += [Matrix.zeros(INT, 3, 4), Matrix.identity(INT, 3)]
+    complexes = [chain_complex(build(), INT) for kind, build in fixture_registry().values() if kind == "complex"]
+    complexes += [chain_complex(torus(3), INT), chain_complex(projective_plane(), INT)]
+    mats += [c.diff(n) for c in complexes for n in c.degrees()]
+    verdicts = []
+    for a in mats:
+        for form in _variants(rng, snf(a)):
+            old = _accepts(check_snf_full, a, form)
+            assert _accepts(_check_snf, a, form) == old, (a, form)
+            verdicts.append(old)
+    assert verdicts.count(True) > 150 and verdicts.count(False) > 300
 
 
 def test_kernel_int_spans_null_space():

@@ -68,7 +68,7 @@ TRUSTED_BUILD_CALLERS = {
         "Matrix.zeros", "Matrix.identity", "Matrix.__add__", "Matrix.__neg__", "Matrix.scale",
         "Matrix.zscale", "Matrix.__matmul__", "Matrix.transpose", "Matrix.submatrix", "hstack", "vstack",
     },
-    "homology.py": {"snf", "kernel_field", "solve_field", "_Lattice.coords", "_quotient_group_int"},
+    "homology.py": {"snf", "_check_snf", "kernel_field", "solve_field", "_Lattice.coords", "_quotient_group_int"},
     "cech.py": {
         "CechCochain.from_vector", "CechCochain.__add__", "CechCochain.__neg__", "CechCochain.zscale",
         "cech_diff", "pullback", "RelCechCochain.from_vector", "RelCechCochain._of", "_integer_rel_cochain",
