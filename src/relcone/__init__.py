@@ -17,7 +17,6 @@ from .cech import (
     bockstein,
     cech_diff,
     compose_cover_maps,
-    identity_cover_map,
     lift_angles,
     pullback,
     rel_diff,
@@ -45,7 +44,6 @@ from .errors import (
     CoverMismatch,
     DegreeMismatch,
     IoError,
-    NonCommutingSquare,
     NontrivialClass,
     NotACocycle,
     NotClosed,

@@ -17,16 +17,18 @@ once, on first use, into its `view`: these are the only compiled objects
 in the package.  A :class:`CoverView` holds the nerve's cochain complex;
 a :class:`CoverMapView` holds the pullback matrices and, built on first
 use, the relative Cech cone, the chain cone of the pushforward, each
-cone's integer homology, and one modular solver per degree and modulus
-for angle witnesses.  No matrix is kept beside its transpose.  Every
-check (d d = 0, the cochain-map identity, the Smith form postconditions)
-runs once per view, or once per solver, instead of once per call.
+cone's integer homology, and one solver per degree of the relative
+cone: a single Smith form of its differential that answers both
+integer witnesses and angle witnesses, the latter solved over Q/Z
+directly.  No matrix is kept beside its transpose.  Every check (d d =
+0, the cochain-map identity, the Smith form postconditions) runs once
+per view, or once per solver, instead of once per call.
 Everything in this module and in `geo` reads these views.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Mapping, Tuple
 
 from .chain import (
@@ -39,7 +41,7 @@ from .chain import (
     from_int_complex,
     from_int_map,
 )
-from .coeffs import INT, RAT, U1, CoeffRing, Scalar, angle_lift
+from .coeffs import INT, RAT, U1, CoeffRing
 from .errors import (
     CoverMismatch,
     DegreeMismatch,
@@ -49,7 +51,7 @@ from .errors import (
     ShapeMismatch,
     UnsupportedRing,
 )
-from .homology import AbGroup, HomologyData, IntSolver, homology_at, homology_data, mod_solver, torsion_exponent
+from .homology import AbGroup, HomologyData, IntSolver, homology_at, homology_data
 from .matrix import Matrix
 from .simplicial import (
     Frozen,
@@ -204,9 +206,9 @@ class CoverMapView:
     its components are the transposes of the nerve map's pushforward,
     checked once, when the view is made, to commute with the
     coboundaries.  One memo keeps what is built on first use: `cone`,
-    the relative Cech cone, with its integer homology `data(n)`, torsion
-    exponents `exponent(n)` and modular solvers `mod_solver(n, k)`; and
-    `chain_cone`, the mapping cone of the pushforward, with its integer
+    the relative Cech cone, with its integer homology `data(n)` and the
+    solvers `solver(n)` of its differentials, which every witness reads;
+    and `chain_cone`, the mapping cone of the pushforward, with its integer
     homology `chain_data(n)`.  Other rings read these integer matrices
     through `zapply` or the ring map (`cone_map`).
     """
@@ -240,20 +242,9 @@ class CoverMapView:
     def data(self, n: int) -> HomologyData:
         return self._once(("data", n), lambda: homology_data(self.cone, n))
 
-    def exponent(self, n: int) -> int:
-        return self._once(("exponent", n), lambda: torsion_exponent(self.cone.diff(n)))
-
-    def mod_solver(self, n: int, k: int) -> IntSolver:
-        """Solutions of cone.diff(n) X = B (mod k) from one Smith form, kept per (n, k);
-        solvers of degree n share their row transform when it is equal."""
-
-        def build():
-            s = mod_solver(self.cone.diff(n), k)
-            kept = [o.lattice.to for key, o in self._memo.items() if key[:2] == ("mod", n)]
-            s.lattice = replace(s.lattice, to=next((t for t in kept if t == s.lattice.to), s.lattice.to))
-            return s
-
-        return self._once(("mod", n, k), build)
+    def solver(self, n: int) -> IntSolver:
+        """Integer and angle solutions of cone.diff(n) w = u, from one Smith form kept per degree."""
+        return self._once(("solver", n), lambda: IntSolver(self.cone.diff(n)))
 
     @property
     def chain_cone(self) -> GradedComplex:
@@ -264,22 +255,10 @@ class CoverMapView:
         return self._once(("chain_data", n), lambda: homology_data(self.chain_cone, n))
 
 
-def identity_cover_map(cover: Cover) -> CoverMap:
-    return CoverMap(cover, cover, {n: n for n in cover.names})
-
-
 def compose_cover_maps(outer: CoverMap, inner: CoverMap) -> CoverMap:
     if inner.dst != outer.src:
         raise CoverMismatch("composition needs inner.dst == outer.src")
     return CoverMap(inner.src, outer.dst, {n: outer(inner(n)) for n in inner.src.names})
-
-
-def _as_raw(ring: CoeffRing, v):
-    if isinstance(v, Scalar):
-        if v.ring != ring:
-            raise RingMismatch(f"value over {v.ring} in a {ring} cochain")
-        return v.value
-    return ring.normalize(v)
 
 
 class CechCochain:
@@ -301,7 +280,7 @@ class CechCochain:
         vals: Dict[tuple, object] = {}
         for key, raw in dict(values).items():
             idx, sign = self._resolve(key)
-            v = _as_raw(ring, raw)
+            v = ring.normalize(raw)
             if sign < 0:
                 v = ring.neg(v)
             if idx in vals:
@@ -345,7 +324,7 @@ class CechCochain:
     @classmethod
     def from_vector(cls, cover: Cover, degree: int, ring: CoeffRing, vec) -> "CechCochain":
         """Values on the degree-p overlaps in nerve order; each one is normalized."""
-        return cls._of(cover, degree, ring, [_as_raw(ring, v) for v in vec])
+        return cls._of(cover, degree, ring, [ring.normalize(v) for v in vec])
 
     @classmethod
     def _of(cls, cover: Cover, degree: int, ring: CoeffRing, vec) -> "CechCochain":
@@ -477,7 +456,7 @@ class RelCechCochain:
     @classmethod
     def from_vector(cls, m: CoverMap, q: int, ring: CoeffRing, vec) -> "RelCechCochain":
         """Split a cone vector: the source cover's (q-1)-overlaps come first; each value is normalized."""
-        return cls._of(m, q, ring, [_as_raw(ring, v) for v in vec])
+        return cls._of(m, q, ring, [ring.normalize(v) for v in vec])
 
     @classmethod
     def _of(cls, m: CoverMap, q: int, ring: CoeffRing, vec) -> "RelCechCochain":
@@ -531,11 +510,16 @@ def is_rel_cocycle(u: RelCechCochain) -> bool:
 
 
 def lift_angles(c: CechCochain) -> CechCochain:
-    """Canonical rational lift of an angle-valued cochain, values in [0, 1)."""
+    """Canonical rational lift of an angle-valued cochain.
+
+    A stored angle is already its representative in [0, 1), so the lift
+    keeps each value as a rational; reducing it mod 1 gives the angle
+    back, and the lift of a sum differs from the sum of the lifts by
+    0 or -1 on each overlap.
+    """
     if c.ring != U1:
         raise RingMismatch("lift_angles expects an angle-valued cochain")
-    vec = [angle_lift(Scalar(U1, v)).value for v in c.vector()]
-    return CechCochain.from_vector(c.cover, c.degree, RAT, vec)
+    return CechCochain.from_vector(c.cover, c.degree, RAT, c.vector())
 
 
 @dataclass(frozen=True)

@@ -117,10 +117,6 @@ def from_int_complex(c: GradedComplex, ring: CoeffRing) -> GradedComplex:
     return GradedComplex(ring, c._ranks, diffs, validate=False)
 
 
-def zero_complex(ring: CoeffRing) -> GradedComplex:
-    return GradedComplex(ring, {}, {})
-
-
 def shift(c: GradedComplex, s: int) -> GradedComplex:
     """Degree shift: shift(C, s)_n = C_(n-s), differential carried unchanged."""
     ranks = {n + s: c.rank(n) for n in c.degrees()}
@@ -310,12 +306,6 @@ def cone_split(f: ComplexMap, n: int, vec):
     return tuple(vec[:rx]), tuple(vec[rx:])
 
 
-def cone_join(f: ComplexMap, n: int, theta, eta):
-    if len(theta) != f.src.rank(n - 1) or len(eta) != f.dst.rank(n):
-        raise ShapeMismatch("cone components have wrong lengths")
-    return tuple(theta) + tuple(eta)
-
-
 def cone_of_cochain_map(f: ComplexMap) -> GradedComplex:
     """Cone of a cochain map, stored in chain orientation.
 
@@ -399,11 +389,6 @@ def cochain_view(c: GradedComplex):
         if m.nrows and m.ncols:
             d[-n] = m
     return ranks, d
-
-
-def cochain_map(src: GradedComplex, dst: GradedComplex, mats_by_codeg: Mapping[int, Matrix]) -> ComplexMap:
-    """Build the chain-stored form of a cochain map from codegree data."""
-    return ComplexMap(src, dst, {-q: m for q, m in mats_by_codeg.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ Values are normalized once, where they enter the program:
 :meth:`CoeffRing.normalize` turns an outside value into the stored type
 (an int for Z, a residue int in [0, n) for Zmod, a Fraction for Q, a
 Fraction in [0, 1) for U1) and rejects everything else, ``bool``
-included.  ``Matrix(...)``, the cochain constructors, :class:`Scalar`
-and the JSON readers call it.  The arithmetic methods take normalized
+included.  ``Matrix(...)``, the cochain constructors and the JSON
+readers call it.  The arithmetic methods take normalized
 values and return normalized values of the exact stored type, so their
 results are trusted from then on: ``Matrix._of`` and the cochains'
 ``_of`` store them without calling ``normalize`` again.
@@ -203,55 +203,6 @@ def parse_ring(text: str) -> CoeffRing:
 
 
 # ---------------------------------------------------------------------------
-# Boxed scalars.  Matrices and cochains hold raw values internally; Scalar is
-# the checked public face used at API boundaries and in serialized form.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Scalar:
-    ring: CoeffRing
-    value: object
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.ring.normalize(self.value))
-
-
-def _same_ring(a: Scalar, b: Scalar) -> CoeffRing:
-    if a.ring != b.ring:
-        raise RingMismatch(f"cannot combine {a.ring} with {b.ring}")
-    return a.ring
-
-
-def add(a: Scalar, b: Scalar) -> Scalar:
-    r = _same_ring(a, b)
-    return Scalar(r, r.add(a.value, b.value))
-
-
-def neg(a: Scalar) -> Scalar:
-    return Scalar(a.ring, a.ring.neg(a.value))
-
-
-def mul(a: Scalar, b: Scalar) -> Scalar:
-    r = _same_ring(a, b)
-    return Scalar(r, r.mul(a.value, b.value))
-
-
-def angle_lift(a: Scalar) -> Scalar:
-    """The canonical rational lift of an angle.
-
-    Returns the representative q in [0, 1) as a rational scalar, so that
-    lifting then reducing mod 1 is the identity on U1.  The defect of
-    additivity, angle_lift(a+b) - angle_lift(a) - angle_lift(b), is always
-    0 or -1; the integer cone differential applied to lifts is what the
-    exponential-sequence encoder consumes.
-    """
-    if a.ring != U1:
-        raise RingMismatch("angle_lift is defined on U1 scalars only")
-    return Scalar(RAT, a.value)
-
-
-# ---------------------------------------------------------------------------
 # JSON forms.  Integers as numbers (decimal strings once past 2**53 so that
 # nothing downstream is tempted to round), rationals and angles as "p/q",
 # residues as {"mod": n, "val": v}.
@@ -315,11 +266,3 @@ def value_from_json(ring: CoeffRing, obj):
         return ring.normalize(obj)
     except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise ParseError(f"bad scalar {_preview(obj)}: {exc}") from None
-
-
-def scalar_to_json(s: Scalar):
-    return value_to_json(s.ring, s.value)
-
-
-def scalar_from_json(ring: CoeffRing, obj) -> Scalar:
-    return Scalar(ring, value_from_json(ring, obj))

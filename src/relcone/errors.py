@@ -38,10 +38,6 @@ class InvalidHomotopy(RelconeError):
     """h d + d h differs from f - g somewhere."""
 
 
-class NonCommutingSquare(RelconeError):
-    """psi f != f' phi, so no cone-to-cone map is induced."""
-
-
 class InvalidComplex(RelconeError):
     """Simplicial data is malformed: duplicate vertices or unknown labels."""
 

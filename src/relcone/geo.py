@@ -8,8 +8,11 @@ produce trivializing witnesses when the obstruction vanishes, compare
 pairs up to coboundary, and run the integrality and Bohr-Sommerfeld
 checks for closed rational pairs against generating relative cycles.
 
-All verdicts are exact; angle equations are solved by clearing
-denominators and working modulo a finite, provably sufficient bound.
+All verdicts are exact.  Every witness, integer or angle-valued, comes
+from the one solver the view keeps per cone degree: a Smith form
+A = U D V of the cone differential.  Q/Z is divisible, so an angle
+equation A w = u (mod 1) is solved directly by dividing U^-1 u by the
+diagonal, with no denominator to clear and no modulus to bound.
 
 Nothing here builds a complex; everything reads the one compiled view
 of a cover map, `cech.CoverMapView`.  Classes and witnesses read its
@@ -23,12 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .cech import (
     CechCochain,
     CoverMap,
-    CoverMapView,
     RelCechCochain,
     bockstein,
     cech_diff,
@@ -48,7 +49,7 @@ from .errors import (
     RingMismatch,
     UnsupportedRing,
 )
-from .homology import AbGroup, solve_int
+from .homology import AbGroup
 from .matrix import Matrix
 from .simplicial import SimplicialMap
 
@@ -267,33 +268,18 @@ def classify(c) -> ClassReport:
 # ---------------------------------------------------------------------------
 
 
-def _solve_mod_one(view: CoverMapView, n: int, target) -> list | None:
-    """Exact rational solution of view.cone.diff(n) @ w = target (mod 1), or None.
-
-    Denominators are cleared to D = lcm of the target's denominators
-    and the equation is solved over Z/(D*e), where e = view.exponent(n)
-    is the lcm of the matrix's nonzero elementary divisors; solvability
-    there is equivalent to solvability mod 1, which keeps the search
-    finite.  The view builds one solver per (n, D*e) and keeps it.
-    """
-    cleared = lcm(*(Fraction(v).denominator for v in target)) if len(target) else 1
-    modulus = cleared * view.exponent(n)
-    ints = [int(Fraction(v) * modulus) for v in target]
-    sol = view.mod_solver(n, modulus).solve(Matrix.column(INT, ints))
-    if sol is None:
-        return None
-    return [Fraction(x, modulus) for x in sol.col(0)]
-
-
 def _witness(u: RelCechCochain) -> RelCechCochain | None:
-    """A relative cochain one degree down with coboundary u, or None."""
+    """A relative cochain one degree down with coboundary u, or None.
+
+    Both rings read the view's solver of the cone differential below u.
+    """
     q = u.degree
-    view = u.m.view
+    solver = u.m.view.solver(1 - q)
     if u.ring == INT:
-        sol = solve_int(view.cone.diff(1 - q), Matrix.column(INT, list(u.vector())))
+        sol = solver.solve(Matrix.column(INT, list(u.vector())))
         vec = None if sol is None else sol.col(0)
     else:
-        vec = _solve_mod_one(view, 1 - q, u.vector())
+        vec = solver.solve_mod_one(u.vector())
     if vec is None:
         return None
     witness = RelCechCochain.from_vector(u.m, q - 1, u.ring, vec)
@@ -305,10 +291,10 @@ def _witness(u: RelCechCochain) -> RelCechCochain | None:
 def trivialize(c) -> RelCechCochain:
     """A witness pair one degree down whose coboundary is the cocycle.
 
-    Over the integers this is an exact lattice solve; over angles the
-    solve runs modulo the cleared-denominator bound.  On failure the
-    cocycle's class is raised; for angle cocycles a zero class with no
-    witness means the obstruction is rational rather than torsion.
+    Over the integers this is an exact lattice solve; over angles it is
+    the same Smith form read over Q/Z.  On failure the cocycle's class
+    is raised; for angle cocycles a zero class with no witness means the
+    obstruction is rational rather than torsion.
     """
     _require_valid(c)
     witness = _witness(c.u)

@@ -2,7 +2,10 @@
 
 All integer work is exact big-integer arithmetic.  The Smith routine
 returns A = U D V with unimodular U, V together with their inverses.
-Kernels, solving and membership read them directly.  A lattice that
+Kernels, solving and membership read them directly.  One
+:class:`IntSolver` per matrix solves A X = B over Z and A w = c over
+Q/Z from the same form: Q/Z is divisible, so the angle equation needs
+only a division by the diagonal, with no modulus.  A lattice that
 one Smith form produced (a kernel, or the column span of a matrix)
 keeps that form's exact coordinate map, so homology presents a
 quotient and expresses a cycle without running another SNF: one on
@@ -23,18 +26,16 @@ generator matrices; its pivot columns name the basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .chain import ComplexMap, GradedComplex, cone_of_map, cone_split
-from .coeffs import INT, CoeffRing
+from .coeffs import INT, RAT, CoeffRing
 from .errors import (
     InvalidChainMap,
-    NonCommutingSquare,
     RingMismatch,
     ShapeMismatch,
     UnsupportedRing,
 )
-from .matrix import Matrix, block, hstack
+from .matrix import Matrix, hstack
 
 # ---------------------------------------------------------------------------
 # Smith normal form
@@ -248,49 +249,46 @@ def kernel_int(a: Matrix, s: SNFResult | None = None) -> Matrix:
 
 
 class IntSolver:
-    """Integer solutions of A X = B from one Smith form of A, for any B.
+    """Solutions of A X = B over Z, and of A w = c over Q/Z, from one Smith form of A.
 
     With A = U D V, X = Vinv[:, :r] @ Y where Y holds the coordinates
     of B in the column span of A (the basis d_i U[:, i], i < r).  `back`
-    keeps the first `ncols` rows of Vinv[:, :r], all of them by default.
+    keeps Vinv[:, :r].
     """
 
     __slots__ = ("lattice", "back")
 
-    def __init__(self, a: Matrix, s: SNFResult | None = None, ncols: int | None = None):
-        if s is None:
-            s = snf(a)
+    def __init__(self, a: Matrix):
+        s = snf(a)
         self.lattice = _image_lattice(a, s)
-        self.back = s.vinv.submatrix(range(a.ncols if ncols is None else ncols), range(s.rank))
+        self.back = s.vinv.submatrix(range(a.ncols), range(s.rank))
 
     def solve(self, b: Matrix) -> Matrix | None:
-        """One solution X, or None if none exists."""
+        """One integer solution X, or None if none exists."""
         if b.nrows != self.lattice.to.nrows:
             raise ShapeMismatch(f"solve: {self.lattice.to.nrows} rows vs rhs {b.shape}")
         y = self.lattice.coords(b)
         return None if y is None else self.back @ y
 
+    def solve_mod_one(self, c) -> tuple | None:
+        """One rational w with A w = c (mod 1), or None if none exists.
 
-def solve_int(a: Matrix, b: Matrix, s: SNFResult | None = None) -> Matrix | None:
+        Q/Z is divisible, so with t = Uinv c each d_i y_i = t_i (mod 1),
+        i < r, has the solution y_i = t_i / d_i: a solution exists
+        exactly when the rows r.. of t are integers, and then
+        w = Vinv[:, :r] y.  Everything is exact over Q; the caller
+        reduces w mod 1.
+        """
+        t = self.lattice.to.zapply(RAT, c)
+        r = len(self.lattice.scale)
+        if any(x.denominator != 1 for x in t[r:]):
+            return None
+        return self.back.zapply(RAT, [x / d for x, d in zip(t, self.lattice.scale)])
+
+
+def solve_int(a: Matrix, b: Matrix) -> Matrix | None:
     """One integer solution X of A X = B, or None if none exists."""
-    return IntSolver(a, s).solve(b)
-
-
-def member_int(gens: Matrix, vec, s: SNFResult | None = None) -> bool:
-    """Is vec in the subgroup generated by the columns of gens?"""
-    return _image_lattice(gens, s).coords(Matrix.column(INT, list(vec))) is not None
-
-
-def torsion_exponent(a: Matrix) -> int:
-    """lcm of the nonzero elementary divisors of a (1 when there are none)."""
-    return lcm(1, *(d for d in snf(a).diag if d))
-
-
-def mod_solver(a: Matrix, k: int) -> IntSolver:
-    """Solutions of A X = B (mod k): the A-block of those of [A | kI] X = B, from one Smith form."""
-    if k <= 0:
-        raise ShapeMismatch("modulus must be positive")
-    return IntSolver(hstack(INT, [a, Matrix.identity(INT, a.nrows).zscale(k)]), ncols=a.ncols)
+    return IntSolver(a).solve(b)
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +579,8 @@ def homology_data(c: GradedComplex, n: int) -> HomologyData:
         return _homology_data_int(c, n)
     if ring.kind == "U1":
         raise UnsupportedRing(
-            "homology over the circle group is undefined; run the integer cone "
-            "and the exponential encoder instead"
+            "homology over the circle group is undefined; use classify on an angle "
+            "cocycle: its Bockstein class lies one degree up in integer cohomology"
         )
     if ring.is_field:
         return _quotient_space_field(ring, c.rank(n), kernel_field(c.diff(n)), c.diff(n + 1))
@@ -803,37 +801,6 @@ def quasi_iso(f: ComplexMap) -> bool:
         if not homology_at(cone, n).is_trivial:
             return False
     return True
-
-
-def five_lemma_transfer(phi: ComplexMap, psi: ComplexMap, f: ComplexMap, f2: ComplexMap) -> bool:
-    """Cone-to-cone transfer (theta, eta) |-> (phi theta, psi eta).
-
-    Requires the square psi f = f2 phi to commute exactly.  When phi and
-    psi are quasi-isomorphisms the transfer must be one too; a violation
-    of that implication raises InvalidChainMap.  Returns whether the
-    transfer is a quasi-isomorphism.
-    """
-    if phi.src != f.src or psi.src != f.dst or phi.dst != f2.src or psi.dst != f2.dst:
-        raise InvalidChainMap("square shapes do not line up")
-    for n in f.degrees():
-        if psi.component(n) @ f.component(n) != f2.component(n) @ phi.component(n):
-            raise NonCommutingSquare(f"psi f != f2 phi at degree {n}")
-    c1 = cone_of_map(f)
-    c2 = cone_of_map(f2)
-    ring = f.ring
-    mats = {}
-    for n in c1.degrees():
-        blocks = [
-            [phi.component(n - 1), Matrix.zeros(ring, f2.src.rank(n - 1), f.dst.rank(n))],
-            [Matrix.zeros(ring, f2.dst.rank(n), f.src.rank(n - 1)), psi.component(n)],
-        ]
-        mats[n] = block(ring, blocks)
-    transfer = ComplexMap(c1, c2, mats)
-    result = quasi_iso(transfer)
-    if quasi_iso(phi) and quasi_iso(psi):
-        if not result:
-            raise InvalidChainMap("five lemma violated: transfer between cones of quasi-isomorphisms is not one")
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -106,9 +106,6 @@ class SimplicialComplex:
             out.extend(self.labels(s) for s in self._by_dim[n] if s not in covered)
         return tuple(out)
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** n * len(ts) for n, ts in self._by_dim.items())
-
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplex):
             return NotImplemented

@@ -14,8 +14,11 @@ reference for the views covers and cover maps compile once.
 The integer solve divides by the Smith diagonal row by row, and the
 cochain cone is assembled from its own block formula, as references
 for the lattice coordinates and the re-sliced chain cone the library
-reads instead.  Angle witnesses run a fresh Smith form of [A | kI] per
-solve, as a reference for the solvers cover-map views keep.  Each
+reads instead.  Angle witnesses clear denominators, bound a modulus by
+the lcm of the elementary divisors and run a fresh Smith form of
+[A | kI] per solve, as a reference for the library's direct solve over
+Q/Z, which divides by the diagonal of one Smith form of A that its
+cover-map views keep per degree.  Each
 simplex-indexed matrix has its own loop, with its own index lookup and
 orientation sign, as a reference for the one incidence builder the
 simplicial layer uses; facets come from an all-pairs scan, and the cone
@@ -209,7 +212,7 @@ def quotient_group_int_via_snf(ambient_rank, num_basis, den_gens):
     k = num_basis.ncols
     if k == 0:
         return None, 0, (), (), ()
-    w = solve_int(num_basis, den_gens, snf(num_basis))
+    w = solve_int(num_basis, den_gens)
     if w is None:
         raise InvalidChainMap("denominator not contained in numerator lattice")
     s2 = snf(w)
@@ -258,13 +261,13 @@ def express_via_solver_snf(data, vec):
     """Class coordinates of vec by solving [gen_matrix | boundary_gens] x = vec over Z."""
     from relcone.coeffs import INT
     from relcone.errors import InvalidChainMap, ShapeMismatch
-    from relcone.homology import snf, solve_int
+    from relcone.homology import solve_int
     from relcone.matrix import Matrix, hstack
 
     if len(vec) != data.ambient_rank:
         raise ShapeMismatch(f"cycle length {len(vec)} vs ambient {data.ambient_rank}")
     solver = hstack(INT, [data.gen_matrix, data.boundary_gens])
-    sol = solve_int(solver, Matrix.column(INT, list(vec)), snf(solver))
+    sol = solve_int(solver, Matrix.column(INT, list(vec)))
     if sol is None:
         raise InvalidChainMap("vector is not a cycle modulo boundaries")
     coords = [sol.entry(i, 0) for i in range(data.ngens)]
@@ -277,15 +280,14 @@ def express_via_solver_snf(data, vec):
 # ---------------------------------------------------------------------------
 
 
-def solve_int_via_diagonal(a, b, s=None):
+def solve_int_via_diagonal(a, b):
     """One integer solution X of A X = B, or None: divide Uinv B by the Smith diagonal row by row."""
     from relcone.coeffs import INT
     from relcone.errors import ShapeMismatch
     from relcone.homology import snf
     from relcone.matrix import Matrix
 
-    if s is None:
-        s = snf(a)
+    s = snf(a)
     if b.nrows != a.nrows:
         raise ShapeMismatch(f"solve: {a.shape} vs rhs {b.shape}")
     c = s.uinv @ b
@@ -371,13 +373,13 @@ def cover_cochains(cover, ring):
 
 def relative_cone(m, ring):
     """Cone of the pullback over `ring`, in chain storage (degree -q)."""
-    from relcone.chain import cochain_map, cone_of_cochain_map
+    from relcone.chain import ComplexMap, cone_of_cochain_map
 
     x = cover_cochains(m.dst, ring)
     y = cover_cochains(m.src, ring)
     top = min(m.src.dim, m.dst.dim)
-    mats = {p: pullback_matrix(m, p, ring) for p in range(top + 1)}
-    return cone_of_cochain_map(cochain_map(x, y, mats))
+    mats = {-p: pullback_matrix(m, p, ring) for p in range(top + 1)}  # cochain degree p sits at chain degree -p
+    return cone_of_cochain_map(ComplexMap(x, y, mats))
 
 
 def cone_data(m, n):

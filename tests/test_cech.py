@@ -15,7 +15,6 @@ from relcone.cech import (
     cech_diff,
     compose_cover_maps,
     cover_cochain_complex,
-    identity_cover_map,
     is_rel_cocycle,
     lift_angles,
     pullback,
@@ -56,6 +55,10 @@ def disk_cover() -> Cover:
 
 def disk_cover_map() -> CoverMap:
     return CoverMap(triangle_cover(), disk_cover(), {"0": "a", "1": "b", "2": "c"})
+
+
+def identity_cover_map(cov: Cover) -> CoverMap:
+    return CoverMap(cov, cov, {n: n for n in cov.names})
 
 
 def collapse_cover_map() -> CoverMap:

@@ -43,7 +43,7 @@ from relcone.fixtures import (
     suspension_cover_map,
 )
 from relcone.homology import HomologyData, IntSolver, homology_at, homology_data
-from relcone.matrix import Matrix, hstack
+from relcone.matrix import Matrix
 from relcone.simplicial import chain_map
 
 Z2 = ZMOD(2)
@@ -200,8 +200,7 @@ def test_many_classes_on_one_map_build_each_complex_once(monkeypatch, name):
     assert all(c.cover_map is m for c in inputs)
     cones = count_calls(monkeypatch, cech, "cone_of_cochain_map")
     nerves = count_calls(monkeypatch, cech, "chain_complex")
-    exponents = count_calls(monkeypatch, cech, "torsion_exponent")
-    solvers = count_calls(monkeypatch, cech, "mod_solver")
+    solvers = count_calls(monkeypatch, cech, "IntSolver")
     smiths = count_calls(monkeypatch, homology, "snf")
     for _ in range(2):
         for c in inputs:
@@ -212,13 +211,15 @@ def test_many_classes_on_one_map_build_each_complex_once(monkeypatch, name):
                 pass
             geo.is_equivalent(c, inputs[0])
     assert len(cones) == 1
-    assert len(exponents) == (base.u.ring == U1)  # one witness degree, one Smith form
     assert nerves == []  # each nerve complex was built once, by the inputs' rel_diff
-    # angle witnesses: one Smith form of [A | kI] per (degree, modulus), however many solves
-    keys = [(a.shape, a.rows, k) for a, k in solvers]
-    assert len(keys) == len(set(keys)) and (len(keys) > 0) == (base.u.ring == U1)
-    augmented = [hstack(INT, [a, Matrix.identity(INT, a.nrows).zscale(k)]) for a, k in solvers]
-    assert [sum(s == aug for (s,) in smiths) for aug in augmented] == [1] * len(augmented)
+    # integer and angle witnesses alike: one solver, so one Smith form, for the one witness degree,
+    # however many solves and denominators there are
+    n = 1 - base.u.degree
+    assert solvers == [(m.view.cone.diff(n),)]
+    assert sum(a is m.view.cone.diff(n) for (a,) in smiths) == 1
+    if base.u.ring == U1:
+        denominators = {x.denominator for c in inputs for x in c.u.vector()}
+        assert len(denominators) > 1
 
 
 def test_a_fresh_cover_map_builds_each_nerve_complex_once(monkeypatch):
@@ -377,13 +378,15 @@ def matrices(root):
 def test_a_view_keeps_no_matrix_twice_or_beside_its_transpose():
     m = suspension_cover_map()
     rng = random.Random(91)
+    witness_degrees = set()
     for ring in (INT, U1):
         for u in cocycles(rng, m, ring):
             geo._class_report(u, "x", "Phi")
             geo._witness(u)
+            witness_degrees.add(1 - u.degree)
     view = m.view
-    solvers = [key for key in view._memo if key[0] == "mod"]
-    assert len({n for _, n, _ in solvers}) < len(solvers)  # some degree has solvers for two moduli
+    # one solver per witness degree, shared by both rings
+    assert sorted(key[1] for key in view._memo if key[0] == "solver") == sorted(witness_degrees)
     assert any(isinstance(x, HomologyData) for x in reachable(view))
     kept = {id(a): a for a in matrices(view) if not a.is_zero()}
     by_entries = {}

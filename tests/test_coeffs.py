@@ -3,21 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from relcone.cech import CechCochain, Cover, lift_angles
 from relcone.coeffs import (
     INT,
     RAT,
     U1,
     ZMOD,
     CoeffRing,
-    Scalar,
-    add,
-    angle_lift,
     int_from_text,
-    mul,
-    neg,
     parse_ring,
-    scalar_from_json,
-    scalar_to_json,
     value_from_json,
     value_to_json,
 )
@@ -51,36 +45,29 @@ def test_normalize_per_ring():
 
 
 def test_scalar_arithmetic_int():
-    a = Scalar(INT, 5)
-    b = Scalar(INT, -3)
-    assert add(a, b).value == 2
-    assert neg(a).value == -5
-    assert mul(a, b).value == -15
+    assert INT.add(5, -3) == 2
+    assert INT.neg(5) == -5
+    assert INT.mul(5, -3) == -15
 
 
 def test_scalar_arithmetic_mod():
     r = ZMOD(6)
-    a = Scalar(r, 4)
-    b = Scalar(r, 5)
-    assert add(a, b).value == 3
-    assert mul(a, b).value == 2
-    assert neg(a).value == 2
+    assert r.add(4, 5) == 3
+    assert r.mul(4, 5) == 2
+    assert r.neg(4) == 2
 
 
 def test_circle_group_addition_wraps():
-    a = Scalar(U1, Fraction(3, 4))
-    b = Scalar(U1, Fraction(1, 2))
-    assert add(a, b).value == Fraction(1, 4)
-    assert neg(a).value == Fraction(1, 4)
-    assert neg(Scalar(U1, 0)).value == 0
+    assert U1.add(Fraction(3, 4), Fraction(1, 2)) == Fraction(1, 4)
+    assert U1.neg(Fraction(3, 4)) == Fraction(1, 4)
+    assert U1.neg(U1.zero()) == 0
 
 
 def test_circle_group_has_no_multiplication():
-    a = Scalar(U1, Fraction(1, 2))
-    with pytest.raises(MulOnAngleQ):
-        mul(a, a)
     with pytest.raises(MulOnAngleQ):
         U1.mul(Fraction(1, 2), Fraction(1, 2))
+    with pytest.raises(MulOnAngleQ):
+        U1.one()
 
 
 def test_integer_action_exists_on_every_ring():
@@ -89,11 +76,6 @@ def test_integer_action_exists_on_every_ring():
     assert ZMOD(5).zmul(7, 3) == 1
     assert U1.zmul(3, Fraction(1, 2)) == Fraction(1, 2)
     assert U1.zmul(2, Fraction(1, 2)) == 0
-
-
-def test_mixed_ring_scalar_ops_rejected():
-    with pytest.raises(RingMismatch):
-        add(Scalar(INT, 1), Scalar(RAT, 1))
 
 
 def test_field_flags_and_inverses():
@@ -105,25 +87,37 @@ def test_field_flags_and_inverses():
         INT.inv(2)
 
 
+def point_cover() -> Cover:
+    """Three disjoint sets: a 0-cochain is one free value per set."""
+    return Cover.from_sets(["a", "b", "c"], [])
+
+
 def test_angle_lift_is_canonical():
-    # the lift picks the rational representative in [0, 1)
-    s = Scalar(U1, Fraction(5, 3))
-    lifted = angle_lift(s)
+    # lift_angles picks the rational representative in [0, 1), and reducing it gives the angle back
+    cov = point_cover()
+    c = CechCochain.from_vector(cov, 0, U1, [Fraction(5, 3), 0, Fraction(-1, 4)])
+    lifted = lift_angles(c)
     assert lifted.ring == RAT
-    assert lifted.value == Fraction(2, 3)
-    assert angle_lift(Scalar(U1, 0)).value == 0
+    assert lifted.vector() == (Fraction(2, 3), 0, Fraction(3, 4))
+    assert all(type(v) is Fraction for v in lifted.vector())
+    assert CechCochain.from_vector(cov, 0, U1, lifted.vector()) == c
     with pytest.raises(RingMismatch):
-        angle_lift(Scalar(RAT, Fraction(1, 2)))
+        lift_angles(CechCochain.from_vector(cov, 0, RAT, [Fraction(1, 2)] * 3))
 
 
 def test_angle_lift_additivity_defect_is_integral():
-    # lift(a + b) - lift(a) - lift(b) is always 0 or -1
+    # lift(a + b) - lift(a) - lift(b) is 0 or -1 on every set
     rng = random.Random(20260823)
-    for _ in range(200):
-        a = Scalar(U1, Fraction(rng.randrange(-40, 40), rng.randrange(1, 12)))
-        b = Scalar(U1, Fraction(rng.randrange(-40, 40), rng.randrange(1, 12)))
-        defect = angle_lift(add(a, b)).value - angle_lift(a).value - angle_lift(b).value
-        assert defect in (0, -1)
+    cov = point_cover()
+    for _ in range(70):
+        a, b = (
+            CechCochain.from_vector(cov, 0, U1, [Fraction(rng.randrange(-40, 40), rng.randrange(1, 12)) for _ in range(3)])
+            for _ in range(2)
+        )
+        for x in lift_angles(a + b).vector():
+            assert 0 <= x < 1
+        defect = lift_angles(a + b) - lift_angles(a) - lift_angles(b)
+        assert all(v in (0, -1) for v in defect.vector())
 
 
 def test_value_json_round_trip():
@@ -142,11 +136,6 @@ def test_value_json_round_trip():
     for ring, v in cases:
         v = ring.normalize(v)
         assert value_from_json(ring, value_to_json(ring, v)) == v
-
-
-def test_scalar_json_round_trip():
-    s = Scalar(ZMOD(11), -3)
-    assert scalar_from_json(ZMOD(11), scalar_to_json(s)) == s
 
 
 def test_big_int_json_uses_strings():
@@ -186,8 +175,6 @@ def test_every_ring_rejects_bool(ring):
     for b in (True, False):
         with pytest.raises(RingMismatch):
             ring.normalize(b)
-        with pytest.raises(RingMismatch):
-            Scalar(ring, b)
         with pytest.raises(RingMismatch):
             Matrix(ring, 1, 1, [[b]])
         with pytest.raises(RingMismatch):

@@ -35,7 +35,6 @@ from relcone.geo import (
     RelGerbeCocycle,
     RelLineBundleCocycle,
     RelRealCochainPair,
-    _solve_mod_one,
     absolute_classify,
     absolute_trivialize,
     bohr_sommerfeld,
@@ -48,7 +47,7 @@ from relcone.geo import (
     trivialize,
     validate,
 )
-from relcone.homology import homology_data, kernel_int, mod_solver, torsion_exponent
+from relcone.homology import IntSolver, homology_data, kernel_int
 from relcone.matrix import Matrix, hstack
 from relcone.simplicial import SimplicialComplex, SimplicialMap, identity_simplicial
 from relcone import fixtures as FX
@@ -335,38 +334,28 @@ def test_is_equivalent():
 def test_trivialize_raises_on_a_non_witness(monkeypatch):
     sq = group_op(half_gerbe(), half_gerbe())
     assert not sq.u.is_zero
-    monkeypatch.setattr(geo, "_solve_mod_one", lambda view, n, target: [0] * view.cone.diff(n).ncols)
+    # the view's solver answers with zeros, which bound nothing here
+    monkeypatch.setattr(IntSolver, "solve_mod_one", lambda self, c: [0] * self.back.nrows)
     with pytest.raises(InvalidChainMap, match="non-witness"):
         trivialize(sq)
 
 
-class OneMatrixView:
-    """Stands in for a cover-map view whose cone differential in every degree is `mtx`."""
-
-    def __init__(self, mtx):
-        self.mtx = mtx
-        self.moduli = []
-
-    def exponent(self, n):
-        return torsion_exponent(self.mtx)
-
-    def mod_solver(self, n, k):
-        self.moduli.append(k)
-        return mod_solver(self.mtx, k)
-
-
 def test_solve_mod_one_direct():
-    two = OneMatrixView(Matrix(INT, 1, 1, [[2]]))
-    assert two.exponent(0) == 2
-    sol = _solve_mod_one(two, 0, [F(1, 2)])
-    assert sol is not None and (2 * sol[0]) % 1 == F(1, 2) % 1
-    assert two.moduli == [4]  # denominator 2 times exponent 2
-    zero = OneMatrixView(Matrix(INT, 1, 1, [[0]]))
-    assert zero.exponent(0) == 1
-    assert _solve_mod_one(zero, 0, [F(1, 3)]) is None
-    assert _solve_mod_one(zero, 0, [F(2, 1)]) is not None
-    assert zero.moduli == [3, 1]
-    assert torsion_exponent(Matrix.from_rows(INT, [[2, 0], [0, 6]])) == 6
+    # one Smith form answers every right-hand side, whatever its denominators: no modulus is chosen
+    two = IntSolver(Matrix(INT, 1, 1, [[2]]))
+    for target in (F(1, 2), F(1, 3), F(5, 7), F(3)):
+        (w,) = two.solve_mod_one([target])
+        assert w == target / 2 and (2 * w - target).denominator == 1
+    zero = IntSolver(Matrix(INT, 1, 1, [[0]]))
+    assert zero.solve_mod_one([F(1, 3)]) is None
+    assert zero.solve_mod_one([F(2, 1)]) is not None
+    # torsion in the cokernel: [[2, 0], [0, 6]] w = (1/2, 1/4) has w = (1/4, 1/24)
+    a = IntSolver(Matrix.from_rows(INT, [[2, 0], [0, 6]]))
+    assert a.solve_mod_one([F(1, 2), F(1, 4)]) == (F(1, 4), F(1, 24))
+    # a row of zeros asks for an integer there
+    tall = IntSolver(Matrix.from_rows(INT, [[3], [0]]))
+    assert tall.solve_mod_one([F(1, 5), F(1, 2)]) is None
+    assert tall.solve_mod_one([F(1, 5), F(4)]) == (F(1, 15),)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from helpers import (
     random_block_complex,
     random_chain_map,
     random_degreewise,
-    random_homotopy_triple,
     random_unimodular,
     random_vector,
     torus,
@@ -35,15 +34,15 @@ from oracles import (
 from relcone.chain import ComplexMap, GradedComplex, cone_of_map, identity_map
 from relcone.coeffs import INT, RAT, U1, ZMOD
 from relcone import homology
-from relcone.errors import InvalidChainMap, NonCommutingSquare, UnsupportedRing
+from relcone.errors import InvalidChainMap, UnsupportedRing
 from relcone.fixtures import fixture_registry, projective_plane
 from relcone.homology import (
     AbGroup,
+    IntSolver,
     _check_snf,
     _quotient_space_field,
     _subgroup_leq_field,
     connecting_hom,
-    five_lemma_transfer,
     homology_at,
     homology_data,
     induced_map,
@@ -51,8 +50,6 @@ from relcone.homology import (
     kernel_int,
     ker_coker_les,
     les_of_cone,
-    member_int,
-    mod_solver,
     quasi_iso,
     snf,
     solve_field,
@@ -263,7 +260,7 @@ def test_kernel_int_spans_null_space():
         assert k.ncols == a.ncols - snf(a).rank
         # saturated: any rational kernel vector scaled integral is expressible
         for j in range(k.ncols):
-            assert member_int(k, k.col(j))
+            assert solve_int(k, Matrix.column(INT, k.col(j))) is not None
 
 
 def test_solve_int_round_trip_and_failure():
@@ -279,11 +276,14 @@ def test_solve_int_round_trip_and_failure():
 
 
 def test_solve_int_mod():
-    a = Matrix.from_rows(INT, [[2]])
-    b = Matrix.from_rows(INT, [[1]])
-    x = mod_solver(a, 5).solve(b)
-    assert x is not None and (2 * x.entry(0, 0) - 1) % 5 == 0
-    assert mod_solver(a, 4).solve(b) is None
+    # over Q/Z, 2 w = 1/5 is solvable (divisibility), while 0 w = 1/3 is not
+    solver = IntSolver(Matrix.from_rows(INT, [[2]]))
+    w = solver.solve_mod_one([Fraction(1, 5)])
+    assert w == (Fraction(1, 10),)
+    assert solver.solve_mod_one([Fraction(7, 2)]) == (Fraction(7, 4),)
+    zero = IntSolver(Matrix.zeros(INT, 1, 1))
+    assert zero.solve_mod_one([Fraction(1, 3)]) is None
+    assert zero.solve_mod_one([Fraction(2)]) == (0,)
 
 
 def test_field_kernel_and_solve():
@@ -636,40 +636,6 @@ def test_quasi_iso_homotopy_perturbation_of_identity():
             mats[n] = Matrix.identity(INT, c.rank(n)) - (hcomp(n - 1) @ c.diff(n) + c.diff(n + 1) @ hcomp(n))
         g = ComplexMap(c, c, mats)
         assert quasi_iso(g)
-
-
-def test_five_lemma_transfer_commuting_square():
-    rng = random.Random(117)
-    xd = random_block_complex(rng, 0, 2)
-    yd = random_block_complex(rng, 0, 2)
-    f = random_chain_map(rng, xd, yd)
-    # psi homotopic to the identity, phi the identity, f2 = psi f
-    _, psi, _h = random_homotopy_triple(rng, yd, yd)
-    # build psi as an identity perturbation instead: reuse quasi-iso recipe
-    c = yd.chain
-    hmats = random_degreewise(rng, c, c, degree_shift=1)
-
-    def hcomp(n):
-        m = hmats.get(n)
-        return m if m is not None else Matrix.zeros(INT, c.rank(n + 1), c.rank(n))
-
-    mats = {}
-    for n in c.degrees():
-        mats[n] = Matrix.identity(INT, c.rank(n)) - (hcomp(n - 1) @ c.diff(n) + c.diff(n + 1) @ hcomp(n))
-    psi = ComplexMap(c, c, mats)
-    phi = identity_map(xd.chain)
-    from relcone.chain import compose
-
-    f2 = compose(psi, f)
-    assert five_lemma_transfer(phi, psi, f, f2) is True
-
-
-def test_five_lemma_rejects_non_commuting_square():
-    c = circle_complex()
-    f = identity_map(c)
-    two = ComplexMap(c, c, {0: Matrix.from_rows(INT, [[2]]), 1: Matrix.from_rows(INT, [[2]])})
-    with pytest.raises(NonCommutingSquare):
-        five_lemma_transfer(f, f, f, two)
 
 
 # ---------------------------------------------------------------------------

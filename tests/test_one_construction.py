@@ -6,24 +6,27 @@ and the pullback of every fixture and star cover map, over Z, Zmod:2
 and U1, and a Cech cone build is pinned to make no matrix products.
 Integer solving and membership read lattice coordinates; they are
 compared with the row-by-row division by the Smith diagonal kept in
-`oracles.py` on zero, rank-deficient, wide and tall matrices.  A
-modular solver, built from one Smith form of [A | kI] and reused for
-every right-hand side, is compared with a fresh solve of the augmented
-system per call.
+`oracles.py` on zero, rank-deficient, wide and tall matrices.  The
+direct angle solve over Q/Z, which reads one Smith form of A for every
+right-hand side, is compared with a fresh solve of [A | kI] per call,
+some of the matrices having elementary divisors other than 1.
 """
 
 import random
+from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
+import oracles
 from helpers import random_block_complex, random_chain_map
-from oracles import cochain_cone_by_blocks, solve_int_mod, solve_int_via_diagonal
+from oracles import cochain_cone_by_blocks, solve_int_via_diagonal
 from relcone.cech import star_cover_map
 from relcone.chain import ComplexMap, cone_of_cochain_map, dual_map, from_int_complex
-from relcone.coeffs import INT, U1, ZMOD
+from relcone.coeffs import INT, RAT, U1, ZMOD
 from relcone.errors import ShapeMismatch
 from relcone.fixtures import fixture_registry, suspension_cover_map
-from relcone.homology import _subgroup_leq_int, member_int, mod_solver, snf, solve_int
+from relcone.homology import IntSolver, _subgroup_leq_int, snf, solve_int
 from relcone.matrix import Matrix, from_int_matrix
 
 RINGS = [INT, ZMOD(2), U1]
@@ -120,16 +123,16 @@ def test_solve_int_matches_diagonal_division():
     rng, mats = seeded_matrices()
     seen = set()
     for a in mats:
-        s = snf(a)
+        solver = IntSolver(a)
         for k in (1, 2, 3):
             for b in right_hand_sides(rng, a, k):
                 want = solve_int_via_diagonal(a, b)
-                assert solve_int(a, b) == want == solve_int(a, b, s), (a, b)
+                assert solve_int(a, b) == want == solver.solve(b), (a, b)
                 if want is not None:
                     assert a @ want == b
                 seen.add(want is None)
         with pytest.raises(ShapeMismatch):
-            solve_int(a, Matrix.zeros(INT, a.nrows + 1, 1), s)
+            solver.solve(Matrix.zeros(INT, a.nrows + 1, 1))
     assert seen == {True, False}
 
 
@@ -138,12 +141,11 @@ def test_member_int_and_subgroup_test_match_diagonal_division():
     verdicts = set()
     witnesses = set()
     for b_gens in mats:
-        s = snf(b_gens)
+        solver = IntSolver(b_gens)
         for rhs in right_hand_sides(rng, b_gens, 3):
             cols = rhs.columns()
             members = [solve_int_via_diagonal(b_gens, Matrix.column(INT, c)) is not None for c in cols]
-            assert [member_int(b_gens, c) for c in cols] == members
-            assert [member_int(b_gens, c, s) for c in cols] == members
+            assert [solver.solve(Matrix.column(INT, c)) is not None for c in cols] == members
             want = (True, None) if all(members) else (False, cols[members.index(False)])
             assert _subgroup_leq_int(rhs, b_gens) == want
             verdicts.update(members)
@@ -152,23 +154,32 @@ def test_member_int_and_subgroup_test_match_diagonal_division():
     assert {0, 1} <= witnesses
 
 
-def test_mod_solver_matches_a_fresh_augmented_solve():
+def rational_targets(rng, a):
+    """Images a @ x of rational x (always solvable mod 1), one shifted at random, and a random rational vector."""
+    def rational(n):
+        return [F(rng.randint(-12, 12), rng.randint(1, 12)) for _ in range(n)]
+
+    image = list(a.zapply(RAT, rational(a.ncols)))
+    return [image, [x + y for x, y in zip(image, rational(a.nrows))], rational(a.nrows)]
+
+
+def test_solve_mod_one_matches_the_augmented_route():
+    """One Smith form of A answers A w = c (mod 1) for every c, as a fresh [A | kI] solve per c decides."""
     rng, mats = seeded_matrices()
     seen = set()
     for a in mats:
-        for k in (1, 2, 4, 6, 9):
-            solver = mod_solver(a, k)  # one Smith form, reused for every right-hand side below
-            for ncols in (1, 2):
-                for b in right_hand_sides(rng, a, ncols):
-                    want = solve_int_mod(a, b, k)
-                    assert solver.solve(b) == want, (a, b, k)
-                    if want is not None:
-                        assert all(x % k == 0 for row in (a @ want - b).rows for x in row)
-                    seen.add((k == 1, want is None))
-            with pytest.raises(ShapeMismatch):
-                solver.solve(Matrix.zeros(INT, a.nrows + 1, 1))
-            with pytest.raises(ShapeMismatch):
-                solve_int_mod(a, Matrix.zeros(INT, a.nrows + 1, 1), k)
-    assert seen == {(True, False), (False, False), (False, True)}  # k = 1 always solves
-    with pytest.raises(ShapeMismatch, match="modulus must be positive"):
-        mod_solver(mats[3], 0)
+        diag = snf(a).diag
+        exponent = lcm(1, *(d for d in diag if d))
+        solver = IntSolver(a)  # one Smith form, reused for every right-hand side below
+        for _ in range(3):
+            for c in rational_targets(rng, a):
+                got = solver.solve_mod_one(c)
+                want = oracles.solve_mod_one(a, c, exponent)
+                assert (got is None) == (want is None), (a, c)
+                for w in (got, want):
+                    if w is not None:
+                        assert all((x - y).denominator == 1 for x, y in zip(a.zapply(RAT, w), c)), (a, c, w)
+                seen.add((exponent > 1, got is None))
+        with pytest.raises(ShapeMismatch):
+            solver.solve_mod_one([F(0)] * (a.nrows + 1))
+    assert seen == {(True, False), (True, True), (False, False), (False, True)}
