@@ -8,28 +8,29 @@ into a target set induces a pullback on cochains, and the mapping cone
 of that pullback computes the cohomology of the map: classes that
 restrict to zero upstairs together with a reason why.
 
-All coboundary and pullback matrices are integer matrices acting
-through the Z-module structure of the coefficients, so the same code
-path serves Z, Q, Z/n and the circle group.
+A cochain stores only its coordinate tuple on the p-overlaps, in the
+nerve's basis order.  Coboundaries and pullbacks are integer matrices
+acting on it through the Z-module structure of the coefficients, so one
+code path serves Z, Q, Z/n and the circle group.
 
 Covers and cover maps are immutable, and each compiles its integer data
 once, on first use, into its `view`: these are the only compiled objects
-in the package.  A :class:`CoverView` holds the nerve's cochain complex;
-a :class:`CoverMapView` holds the pullback matrices and, built on first
-use, the relative Cech cone, the chain cone of the pushforward, each
-cone's integer homology, and one solver per degree of the relative
-cone: a single Smith form of its differential that answers both
-integer witnesses and angle witnesses, the latter solved over Q/Z
-directly.  No matrix is kept beside its transpose.  Every check (d d =
-0, the cochain-map identity, the Smith form postconditions) runs once
-per view, or once per solver, instead of once per call.
+in the package.  A :class:`CoverView` holds only the nerve's cochain
+complex.  A :class:`CoverMapView` holds only the checked pullback
+cochain map and one memo of what is built from it on first use: the
+relative Cech cone, the chain cone of the pushforward, each cone's
+integer homology, and one solver per degree of the relative cone (one
+Smith form answering integer witnesses and, over Q/Z, angle witnesses).
+A cover keeps its absolute map in its own slot.  No matrix is kept
+beside its transpose, and every check (d d = 0, the cochain-map
+identity, the Smith form postconditions) runs once per view or solver.
 Everything in this module and in `geo` reads these views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Mapping, Tuple
 
 from .chain import (
     ComplexMap,
@@ -70,10 +71,10 @@ class Cover(Frozen):
     The view is a :class:`CoverView`, compiled on first use.
     """
 
-    __slots__ = ("nerve", "_view")
+    __slots__ = ("nerve", "_view", "_absolute")
 
     def __init__(self, nerve_complex: SimplicialComplex):
-        self._init(nerve=nerve_complex, _view=None)
+        self._init(nerve=nerve_complex, _view=None, _absolute=None)
 
     @property
     def view(self) -> "CoverView":
@@ -81,15 +82,12 @@ class Cover(Frozen):
 
     @property
     def absolute(self) -> "CoverMap":
-        """The empty cover mapped into this one, made on first use and kept in the view.
+        """The empty cover mapped into this one, made on first use and kept in its own slot.
 
         Its cone is this cover's cochain complex, so absolute classes and
         witnesses run the relative code and share one cone per cover.
         """
-        view = self.view
-        if view.absolute is None:
-            view.absolute = CoverMap(Cover(nerve([], [])), self, {})
-        return view.absolute
+        return self._keep("_absolute", lambda: CoverMap(Cover(nerve([], [])), self, {}))
 
     @classmethod
     def from_sets(cls, sets, intersections) -> "Cover":
@@ -179,19 +177,13 @@ class CoverView:
     `cochains` is the dual of the nerve's validated integer chain
     complex, in chain storage (degree -p): its differential at chain
     degree -p is the coboundary C^p -> C^(p+1).  The chain complex is
-    its dual again, rebuilt where a chain cone needs it.  `absolute`
-    holds :attr:`Cover.absolute` once it is made; it refers back to the
-    cover, so it is only made for absolute classes.
+    its dual again, rebuilt where a chain cone needs it.
     """
 
-    __slots__ = ("cochains", "absolute")
+    __slots__ = ("cochains",)
 
     def __init__(self, cover: Cover):
         self.cochains = dual_complex(chain_complex(cover.nerve, INT))
-        self.absolute = None
-
-    def rank(self, p: int) -> int:
-        return self.cochains.rank(-p)
 
     def coboundary(self, p: int) -> Matrix:
         """d: C^p -> C^(p+1) over Z."""
@@ -210,16 +202,16 @@ class CoverMapView:
     solvers `solver(n)` of its differentials, which every witness reads;
     and `chain_cone`, the mapping cone of the pushforward, with its integer
     homology `chain_data(n)`.  Other rings read these integer matrices
-    through `zapply` or the ring map (`cone_map`).
+    through `zapply` or the ring map (`cone_map`).  Nothing else is
+    kept: the two covers' cochain complexes are `pull_map.dst` and
+    `pull_map.src`, held by the covers' own views.
     """
 
-    __slots__ = ("src", "dst", "pull_map", "_memo")
+    __slots__ = ("pull_map", "_memo")
 
     def __init__(self, m: CoverMap):
-        self.src = m.src.view
-        self.dst = m.dst.view
         pulls = {-p: t.transpose() for p, t in pushforward_matrices(m.nerve_map).items()}
-        self.pull_map = ComplexMap(self.dst.cochains, self.src.cochains, pulls)  # raises unless d f = f d
+        self.pull_map = ComplexMap(m.dst.view.cochains, m.src.view.cochains, pulls)  # raises unless d f = f d
         self._memo = {}
 
     def _once(self, key, build):
@@ -262,34 +254,41 @@ def compose_cover_maps(outer: CoverMap, inner: CoverMap) -> CoverMap:
 
 
 class CechCochain:
-    """A p-cochain on a cover, stored on sorted overlap tuples.
+    """A p-cochain on a cover: its coordinate tuple on the p-overlaps, in nerve basis order.
 
-    Values are looked up and assigned antisymmetrically: listing the
-    same sets in a different order flips the sign by the permutation
-    parity, and a listing with a repeated set reads as zero.
+    The tuple is the only stored form; `vector()` returns it, and every
+    coboundary, pullback and sum builds the next tuple from it.  Values
+    are read and given by name antisymmetrically: listing the same sets
+    in a different order flips the sign by the permutation parity, and
+    a listing with a repeated set reads as zero.
     """
 
+    __slots__ = ("cover", "degree", "ring", "_vec")
+
     def __init__(self, cover: Cover, degree: int, ring: CoeffRing, values: Mapping = ()):
+        self._store(cover, degree, ring, (ring.zero(),) * cover.nerve.n_rank(degree))
+        vec = list(self._vec)
+        for key, raw in dict(values).items():
+            pos, sign = self._resolve(key)
+            v = ring.normalize(raw)
+            vec[pos] = ring.add(vec[pos], ring.neg(v) if sign < 0 else v)
+        self._vec = tuple(vec)
+
+    def _store(self, cover: Cover, degree: int, ring: CoeffRing, vec):
         # degree -1 is the always-zero slot below degree 0; it keeps the
         # source side of cone-degree-0 elements representable
         if degree < -1:
             raise DegreeMismatch("cochain degree must be >= -1")
+        n = cover.nerve.n_rank(degree)
+        if len(vec) != n:
+            raise DegreeMismatch(f"vector length {len(vec)} vs {n} overlaps")
         self.cover = cover
         self.degree = degree
         self.ring = ring
-        vals: Dict[tuple, object] = {}
-        for key, raw in dict(values).items():
-            idx, sign = self._resolve(key)
-            v = ring.normalize(raw)
-            if sign < 0:
-                v = ring.neg(v)
-            if idx in vals:
-                v = ring.add(vals[idx], v)
-            vals[idx] = v
-        self._vals = {k: v for k, v in vals.items() if v != ring.zero()}
+        self._vec = tuple(vec)
 
-    def _resolve(self, key) -> Tuple[tuple, int]:
-        """Sorted index tuple and parity sign for a name listing."""
+    def _resolve(self, key) -> Tuple[int, int]:
+        """Basis position and parity sign for a name listing."""
         names = (key,) if not isinstance(key, tuple) else key
         if len(names) != self.degree + 1:
             raise DegreeMismatch(
@@ -302,9 +301,11 @@ class CechCochain:
             raise CoverMismatch(f"unknown cover set {bad.args[0]!r}") from None
         if len(set(idx)) != len(idx):
             raise CoverMismatch(f"listing {names!r} repeats a cover set")
-        if not k.has(names):
-            raise CoverMismatch(f"sets {names!r} have no recorded common overlap")
-        return tuple(sorted(idx)), _sort_sign(idx)
+        try:
+            pos = k.index_of(self.degree, tuple(sorted(idx)))
+        except KeyError:
+            raise CoverMismatch(f"sets {names!r} have no recorded common overlap") from None
+        return pos, _sort_sign(idx)
 
     def value(self, key):
         """The coefficient on a listing of sets, with antisymmetric sign."""
@@ -313,13 +314,12 @@ class CechCochain:
             if len(names) != self.degree + 1:
                 raise DegreeMismatch(f"listing {names!r} has the wrong length")
             return self.ring.zero()
-        idx, sign = self._resolve(names)
-        v = self._vals.get(idx, self.ring.zero())
+        pos, sign = self._resolve(names)
+        v = self._vec[pos]
         return self.ring.neg(v) if sign < 0 else v
 
     def vector(self) -> tuple:
-        z = self.ring.zero()
-        return tuple(self._vals.get(s, z) for s in self.cover.nerve.simplices(self.degree))
+        return self._vec
 
     @classmethod
     def from_vector(cls, cover: Cover, degree: int, ring: CoeffRing, vec) -> "CechCochain":
@@ -329,22 +329,18 @@ class CechCochain:
     @classmethod
     def _of(cls, cover: Cover, degree: int, ring: CoeffRing, vec) -> "CechCochain":
         """The trusted build: values that ring arithmetic on normalized values produced, stored as they are."""
-        out = cls(cover, degree, ring)
-        simplices = cover.nerve.simplices(degree)
-        if len(vec) != len(simplices):
-            raise DegreeMismatch(f"vector length {len(vec)} vs {len(simplices)} overlaps")
-        z = ring.zero()
-        out._vals = {s: v for s, v in zip(simplices, vec) if v != z}
+        out = cls.__new__(cls)
+        out._store(cover, degree, ring, vec)
         return out
 
     def items(self):
-        """(name tuple, value) pairs on the stored sorted listings."""
+        """(name tuple, value) pairs on the nonzero overlaps, in nerve order."""
         k = self.cover.nerve
-        return tuple((k.labels(s), v) for s, v in sorted(self._vals.items()))
+        return tuple((k.labels(s), v) for s, v in zip(k.simplices(self.degree), self._vec) if v)
 
     @property
     def is_zero(self) -> bool:
-        return not self._vals
+        return not any(self._vec)  # every stored zero (0 or Fraction(0)) is falsy
 
     def _like(self, other: "CechCochain"):
         if self.cover != other.cover:
@@ -379,11 +375,11 @@ class CechCochain:
             self.cover == other.cover
             and self.degree == other.degree
             and self.ring == other.ring
-            and self._vals == other._vals
+            and self._vec == other._vec
         )
 
     def __repr__(self):
-        return f"CechCochain(deg {self.degree}, {self.ring}, {len(self._vals)} nonzero)"
+        return f"CechCochain(deg {self.degree}, {self.ring}, {sum(1 for v in self._vec if v)} nonzero)"
 
 
 def cech_diff(c: CechCochain) -> CechCochain:

@@ -249,9 +249,7 @@ def value_from_json(ring: CoeffRing, obj):
                 raise ParseError(f"expected integer, got {_preview(obj)}")
             return obj
         if ring.kind in ("Q", "U1"):
-            if isinstance(obj, str):
-                if len(obj) < _DIGIT_LIMIT_FLOOR:
-                    return ring.normalize(Fraction(obj))
+            if isinstance(obj, str):  # "p" or "p/q" only: no decimal point, no exponent
                 num, slash, den = obj.partition("/")
                 return ring.normalize(Fraction(int_from_text(num), int_from_text(den) if slash else 1))
             if isinstance(obj, bool) or not isinstance(obj, int):

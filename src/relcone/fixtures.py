@@ -5,6 +5,11 @@ number d is simplicial on the nose; the disk is the cone over the
 hexagon; spheres are unreduced suspensions.
 """
 
+from fractions import Fraction
+
+from .cech import CechCochain, Cover, CoverMap, star_cover_map
+from .coeffs import INT, RAT, U1
+from .geo import RelFunctionCocycle, RelGerbeCocycle, RelLineBundleCocycle, RelRealCochainPair
 from .simplicial import SimplicialComplex, SimplicialMap
 
 
@@ -104,68 +109,46 @@ def projective_plane() -> SimplicialComplex:
 # ---------------------------------------------------------------------------
 
 
-def three_arc_cover() -> "Cover":
+def three_arc_cover() -> Cover:
     """Three overlapping arcs on the circle; nerve is the triangle rim."""
-    from .cech import Cover
-
     return Cover.from_sets(["U0", "U1", "U2"], [(0, 1), (1, 2), (0, 2)])
 
 
-def disk_cover() -> "Cover":
+def disk_cover() -> Cover:
     """The three arcs thickened plus an interior set filling the disk."""
-    from .cech import Cover
-
     return Cover.from_sets(
         ["U0", "U1", "U2", "D"],
         [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (2, 3), (0, 1, 3), (1, 2, 3), (0, 2, 3)],
     )
 
 
-def disk_cover_map() -> "CoverMap":
-    from .cech import CoverMap
-
+def disk_cover_map() -> CoverMap:
     return CoverMap(three_arc_cover(), disk_cover(), {"U0": "U0", "U1": "U1", "U2": "U2"})
 
 
-def point_into_circle_cover_map() -> "CoverMap":
-    from .cech import Cover, CoverMap
-
+def point_into_circle_cover_map() -> CoverMap:
     pt = Cover.from_sets(["P"], [])
     return CoverMap(pt, three_arc_cover(), {"P": "U0"})
 
 
-def circle_doubling_cover_map() -> "CoverMap":
-    from .cech import star_cover_map
-
+def circle_doubling_cover_map() -> CoverMap:
     return star_cover_map(degree_map(2))
 
 
-def suspension_cover_map() -> "CoverMap":
-    from .cech import star_cover_map
-
+def suspension_cover_map() -> CoverMap:
     return star_cover_map(suspended_degree_two())
 
 
-def winding_function_cocycle() -> "RelFunctionCocycle":
+def winding_function_cocycle() -> RelFunctionCocycle:
     """Integer winding generator over the point-into-circle map."""
-    from .cech import CechCochain
-    from .coeffs import INT
-    from .geo import RelFunctionCocycle
-
     m = point_into_circle_cover_map()
     b = CechCochain(m.src, 0, INT)
     a = CechCochain(m.dst, 1, INT, {("U0", "U1"): 1})
     return RelFunctionCocycle(m, b, a)
 
 
-def half_line_bundle_cocycle() -> "RelLineBundleCocycle":
+def half_line_bundle_cocycle() -> RelLineBundleCocycle:
     """Half-angle transition data over the circle doubling map."""
-    from fractions import Fraction
-
-    from .cech import CechCochain
-    from .coeffs import U1
-    from .geo import RelLineBundleCocycle
-
     m = circle_doubling_cover_map()
     h = Fraction(1, 2)
     f = CechCochain(m.src, 0, U1, {("v1",): h, ("v2",): h, ("v3",): h})
@@ -173,19 +156,13 @@ def half_line_bundle_cocycle() -> "RelLineBundleCocycle":
     return RelLineBundleCocycle(m, f, g)
 
 
-def half_gerbe_cocycle() -> "RelGerbeCocycle":
+def half_gerbe_cocycle() -> RelGerbeCocycle:
     """Half-angle gerbe data over the suspended doubling map.
 
     The target 2-cochain concentrates a half angle on one triangle; the
     source 1-cochain solves the pullback equation, offset by a quarter
     angle coboundary so the trivialization tests have nonzero content.
     """
-    from fractions import Fraction
-
-    from .cech import CechCochain
-    from .coeffs import U1
-    from .geo import RelGerbeCocycle
-
     m = suspension_cover_map()
     h = Fraction(1, 2)
     q = Fraction(3, 4)
@@ -209,8 +186,6 @@ def half_gerbe_cocycle() -> "RelGerbeCocycle":
 
 def disk_area_values(total) -> dict:
     """A 2-cochain distributing `total` over the disk's oriented triangles."""
-    from fractions import Fraction
-
     sixth = Fraction(total) / 6
     return {
         ("v0", "v1", "c"): sixth,
@@ -222,17 +197,12 @@ def disk_area_values(total) -> dict:
     }
 
 
-def disk_area_form(total) -> "CechCochain":
-    from .cech import CechCochain, star_cover_map
-    from .coeffs import RAT
-
+def disk_area_form(total) -> CechCochain:
     m = star_cover_map(disk_inclusion())
     return CechCochain(m.dst, 2, RAT, disk_area_values(total))
 
 
-def disk_area_pair(total) -> "RelRealCochainPair":
-    from .geo import RelRealCochainPair
-
+def disk_area_pair(total) -> RelRealCochainPair:
     return RelRealCochainPair.from_values(disk_inclusion(), 2, disk_area_values(total), {})
 
 
@@ -242,10 +212,8 @@ def fixture_registry() -> dict:
     Kinds drive serialization: complex | map | cover | covermap |
     cocycle | pair | form.
     """
-    from fractions import Fraction
-
     half = Fraction(1, 2)
-    reg = {
+    return {
         "rp2": ("complex", projective_plane),
         "fix-s1": ("complex", lambda: cycle_complex(3)),
         "fix-s2": ("complex", lambda: cycle_complex(6)),
@@ -276,4 +244,3 @@ def fixture_registry() -> dict:
         "form-disk-area-1": ("form", lambda: (disk_inclusion(), disk_area_form(1))),
         "form-disk-area-half": ("form", lambda: (disk_inclusion(), disk_area_form(half))),
     }
-    return reg

@@ -14,6 +14,7 @@ from .cech import (
     Cover,
     CoverMap,
     RelCechCochain,
+    star_cover,
 )
 from .chain import ComplexMap, GradedComplex, mat_ring
 from .coeffs import (
@@ -404,8 +405,6 @@ def form_to_json(phi: SimplicialMap, omega: CechCochain) -> dict:
 
 def form_from_json(obj):
     """Parse a form bundled with its map; returns (omega, phi)."""
-    from .cech import star_cover
-
     obj = _as_dict(obj, "form")
     phi = simplicial_map_from_json(_field(obj, "map", "form"))
     degree = _as_int(_field(obj, "degree", "form"), "form degree")

@@ -118,6 +118,16 @@ def test_graded_input_over_another_ring_exits_one(tmp_path, capsys):
         assert err == f"relcone: parse error: complex is over Z, but --ring asked for {ring}\n"
 
 
+@pytest.mark.parametrize("text", ["1e10000000", "1.5"])
+def test_rational_strings_are_p_or_p_over_q_only(tmp_path, capsys, text):
+    # an exponent form once cost time and memory that grew with its value
+    path = tmp_path / "graded-q.json"
+    path.write_text('{"ring":"Q","ranks":{"0":1,"1":1},"diff":{"1":[["%s"]]}}' % text)
+    assert run("homology", "--ring", "Q", str(path)) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("relcone: parse error: ") and err.count("\n") == 1 and text in err
+
+
 def test_circle_group_homology_exits_one_and_points_to_classify(tmp_path, capsys):
     fx = emit_all(tmp_path)
     message = (

@@ -2,11 +2,11 @@
 
 Each case takes an emitted fixture (or a small `snf` matrix), makes one
 or two edits to its JSON -- delete a key, drop or duplicate a list item,
-swap a value for null/true/[]/{}/1.5/2**70, or nudge an integer by one --
-and runs one verb on it in process through `cli.main`, twice.  Whatever
-the input, no exception may escape, the exit code is 0, 1 or 2, stderr
-is one line on exit 1 and empty otherwise, and the second run repeats
-the first byte for byte.
+swap a value for null/true/[]/{}/1.5/2**70/"1e400", or nudge an integer
+by one -- and runs one verb on it in process through `cli.main`, twice.
+Whatever the input, no exception may escape, the exit code is 0, 1 or
+2, stderr is one line on exit 1 and empty otherwise, and the second run
+repeats the first byte for byte.
 
 The tier-1 test runs a few hundred cases on the cheap (fixture, verb)
 pairs.  A longer run over every pair is
@@ -47,7 +47,7 @@ SLOW = {
     for name in ("fix-d3", "fix-d4", "fix-d5", "fix-d6", "fix-disk", "fix-susp-d2")
 }
 SNF_MATRICES = {"snf-2x2": [[2, 4], [6, 8]], "snf-3x3": [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]}
-SWAPS = (None, True, [], {}, 1.5, 2**70)
+SWAPS = (None, True, [], {}, 1.5, 2**70, "1e400")
 
 
 def pairs(slow=False):

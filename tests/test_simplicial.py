@@ -1,5 +1,7 @@
 """Simplicial layer: complexes, maps, cylinders, cones, comparison, nerves."""
 
+import random
+
 import pytest
 
 from relcone.chain import cone_of_map
@@ -11,6 +13,7 @@ from relcone.fixtures import (
     degree_map,
     disk_complex,
     disk_inclusion,
+    fixture_registry,
     point_complex,
     projective_plane,
     suspended_degree_two,
@@ -32,6 +35,7 @@ from relcone.simplicial import (
     prism_operator,
 )
 
+from helpers import seeded_degree_map
 from oracles import RP2_BETTI_F2, RP2_BETTI_Q, degree_map_cone_homology
 
 FIXTURE_MAPS = {
@@ -237,7 +241,7 @@ def test_cone_of_a_vertex_is_an_edge():
 @pytest.mark.parametrize("d", range(7))
 def test_compare_cones_degree_family(d):
     rep = compare_cones(degree_map(d))
-    assert rep.printed_identity and rep.strict_chain_map and rep.iso
+    assert rep.strict_chain_map and rep.iso
     oracle = degree_map_cone_homology(d)
     for n, (free, torsion) in oracle.items():
         got = rep.degrees[n].algebraic
@@ -258,6 +262,20 @@ def test_compare_cones_other_fixtures(name):
     for n, (free, torsion) in expected.items():
         got = rep.degrees[n].algebraic
         assert (got.free_rank, got.torsion) == (free, torsion)
+
+
+def test_compare_cones_reads_the_plain_cone_groups_from_the_augmented_cone():
+    # the augmented cone differs from the plain one by the acyclic Z -> Z in degrees 0 and -1
+    rng = random.Random(14)
+    maps = [build() for kind, build in fixture_registry().values() if kind == "map"]
+    maps += [seeded_degree_map(rng, d) for d in (1, 2, 3, 4)]
+    for phi in maps:
+        rep = compare_cones(phi)
+        cone = cone_of_map(chain_map(phi, INT))
+        assert set(range(0, cone.hi + 1)) <= set(rep.degrees)
+        for n, d in rep.degrees.items():
+            plain = homology_at(cone, n)
+            assert (d.algebraic.free_rank, d.algebraic.torsion) == (plain.free_rank, plain.torsion)
 
 
 def test_compare_cones_identity_trivial():
