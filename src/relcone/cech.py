@@ -8,10 +8,13 @@ into a target set induces a pullback on cochains, and the mapping cone
 of that pullback computes the cohomology of the map: classes that
 restrict to zero upstairs together with a reason why.
 
-A cochain stores only its coordinate tuple on the p-overlaps, in the
-nerve's basis order.  Coboundaries and pullbacks are integer matrices
-acting on it through the Z-module structure of the coefficients, so one
-code path serves Z, Q, Z/n and the circle group.
+A cochain stores only its coordinate tuple: a Cech cochain on the
+p-overlaps, in the nerve's basis order, and a relative cochain on the
+cone basis, the source block first.  Both types share one base class,
+so one sum, negation, integer multiple and equality serves both.
+Coboundaries and pullbacks are integer matrices acting on the tuple
+through the Z-module structure of the coefficients, so one code path
+serves Z, Q, Z/n and the circle group.
 
 Covers and cover maps are immutable, and each compiles its integer data
 once, on first use, into its `view`: these are the only compiled objects
@@ -253,20 +256,98 @@ def compose_cover_maps(outer: CoverMap, inner: CoverMap) -> CoverMap:
     return CoverMap(inner.src, outer.dst, {n: outer(inner(n)) for n in inner.src.names})
 
 
-class CechCochain:
-    """A p-cochain on a cover: its coordinate tuple on the p-overlaps, in nerve basis order.
+class _Cochain:
+    """A cochain over `ring` on `space`, stored only as its coordinate tuple.
 
-    The tuple is the only stored form; `vector()` returns it, and every
-    coboundary, pullback and sum builds the next tuple from it.  Values
-    are read and given by name antisymmetrically: listing the same sets
-    in a different order flips the sign by the permutation parity, and
-    a listing with a repeated set reads as zero.
+    The space is a cover (for a :class:`CechCochain`) or a cover map (for
+    a :class:`RelCechCochain`).  Each subclass names the basis of the
+    tuple through `_check`, which refuses a degree or a length that does
+    not fit its space, and adds the readers of that basis.  Everything
+    else is shared: `vector()` returns the tuple, and sums, negation and
+    integer multiples build the next tuple from it by ring arithmetic.
     """
 
-    __slots__ = ("cover", "degree", "ring", "_vec")
+    __slots__ = ("space", "degree", "ring", "_vec")
+    _apart: str  # the CoverMismatch message for cochains on two spaces
+
+    def _set(self, space, degree: int, ring: CoeffRing, vec):
+        self._check(space, degree, len(vec))
+        self.space = space
+        self.degree = degree
+        self.ring = ring
+        self._vec = tuple(vec)
+
+    @classmethod
+    def from_vector(cls, space, degree: int, ring: CoeffRing, vec):
+        """Coordinates in the subclass's basis; each one is normalized."""
+        return cls._of(space, degree, ring, [ring.normalize(v) for v in vec])
+
+    @classmethod
+    def _of(cls, space, degree: int, ring: CoeffRing, vec):
+        """The trusted build: values that ring arithmetic on normalized values produced, stored as they are."""
+        out = cls.__new__(cls)
+        out._set(space, degree, ring, vec)
+        return out
+
+    def vector(self) -> tuple:
+        return self._vec
+
+    @property
+    def is_zero(self) -> bool:
+        return not any(self._vec)  # every stored zero (0 or Fraction(0)) is falsy
+
+    def _like(self, other: "_Cochain"):
+        if self.space != other.space:
+            raise CoverMismatch(self._apart)
+        if self.ring != other.ring:
+            raise RingMismatch(f"cannot combine {self.ring} with {other.ring}")
+        if self.degree != other.degree:
+            raise DegreeMismatch(f"degree {self.degree} vs {other.degree}")
+
+    def __add__(self, other):
+        self._like(other)
+        vec = [self.ring.add(a, b) for a, b in zip(self._vec, other._vec)]
+        return self._of(self.space, self.degree, self.ring, vec)
+
+    def __neg__(self):
+        return self._of(self.space, self.degree, self.ring, [self.ring.neg(a) for a in self._vec])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def zscale(self, k: int):
+        """Integer multiple, defined over every coefficient module."""
+        k = INT.normalize(k)
+        return self._of(self.space, self.degree, self.ring, [self.ring.zmul(k, a) for a in self._vec])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.space == other.space
+            and self.degree == other.degree
+            and self.ring == other.ring
+            and self._vec == other._vec
+        )
+
+    def __repr__(self):
+        return f"{type(self).__name__}(deg {self.degree}, {self.ring}, {sum(1 for v in self._vec if v)} nonzero)"
+
+
+class CechCochain(_Cochain):
+    """A p-cochain on a cover: its coordinate tuple on the p-overlaps, in nerve basis order.
+
+    Values are read and given by name antisymmetrically: listing the same
+    sets in a different order flips the sign by the permutation parity,
+    and a listing with a repeated set reads as zero.
+    """
+
+    __slots__ = ()
+    cover = _Cochain.space  # the same slot, under the name readers use
+    _apart = "cochains live on different covers"
 
     def __init__(self, cover: Cover, degree: int, ring: CoeffRing, values: Mapping = ()):
-        self._store(cover, degree, ring, (ring.zero(),) * cover.nerve.n_rank(degree))
+        self._set(cover, degree, ring, (ring.zero(),) * cover.nerve.n_rank(degree))
         vec = list(self._vec)
         for key, raw in dict(values).items():
             pos, sign = self._resolve(key)
@@ -274,18 +355,15 @@ class CechCochain:
             vec[pos] = ring.add(vec[pos], ring.neg(v) if sign < 0 else v)
         self._vec = tuple(vec)
 
-    def _store(self, cover: Cover, degree: int, ring: CoeffRing, vec):
+    @staticmethod
+    def _check(cover: Cover, degree: int, n: int):
         # degree -1 is the always-zero slot below degree 0; it keeps the
         # source side of cone-degree-0 elements representable
         if degree < -1:
             raise DegreeMismatch("cochain degree must be >= -1")
-        n = cover.nerve.n_rank(degree)
-        if len(vec) != n:
-            raise DegreeMismatch(f"vector length {len(vec)} vs {n} overlaps")
-        self.cover = cover
-        self.degree = degree
-        self.ring = ring
-        self._vec = tuple(vec)
+        rank = cover.nerve.n_rank(degree)
+        if n != rank:
+            raise DegreeMismatch(f"vector length {n} vs {rank} overlaps")
 
     def _resolve(self, key) -> Tuple[int, int]:
         """Basis position and parity sign for a name listing."""
@@ -318,68 +396,10 @@ class CechCochain:
         v = self._vec[pos]
         return self.ring.neg(v) if sign < 0 else v
 
-    def vector(self) -> tuple:
-        return self._vec
-
-    @classmethod
-    def from_vector(cls, cover: Cover, degree: int, ring: CoeffRing, vec) -> "CechCochain":
-        """Values on the degree-p overlaps in nerve order; each one is normalized."""
-        return cls._of(cover, degree, ring, [ring.normalize(v) for v in vec])
-
-    @classmethod
-    def _of(cls, cover: Cover, degree: int, ring: CoeffRing, vec) -> "CechCochain":
-        """The trusted build: values that ring arithmetic on normalized values produced, stored as they are."""
-        out = cls.__new__(cls)
-        out._store(cover, degree, ring, vec)
-        return out
-
     def items(self):
         """(name tuple, value) pairs on the nonzero overlaps, in nerve order."""
         k = self.cover.nerve
         return tuple((k.labels(s), v) for s, v in zip(k.simplices(self.degree), self._vec) if v)
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self._vec)  # every stored zero (0 or Fraction(0)) is falsy
-
-    def _like(self, other: "CechCochain"):
-        if self.cover != other.cover:
-            raise CoverMismatch("cochains live on different covers")
-        if self.ring != other.ring:
-            raise RingMismatch(f"cannot combine {self.ring} with {other.ring}")
-        if self.degree != other.degree:
-            raise DegreeMismatch(f"degree {self.degree} vs {other.degree}")
-
-    def __add__(self, other: "CechCochain") -> "CechCochain":
-        self._like(other)
-        vec = [self.ring.add(a, b) for a, b in zip(self.vector(), other.vector())]
-        return CechCochain._of(self.cover, self.degree, self.ring, vec)
-
-    def __neg__(self) -> "CechCochain":
-        vec = [self.ring.neg(a) for a in self.vector()]
-        return CechCochain._of(self.cover, self.degree, self.ring, vec)
-
-    def __sub__(self, other: "CechCochain") -> "CechCochain":
-        return self + (-other)
-
-    def zscale(self, k: int) -> "CechCochain":
-        """Integer multiple, defined over every coefficient module."""
-        k = INT.normalize(k)
-        vec = [self.ring.zmul(k, a) for a in self.vector()]
-        return CechCochain._of(self.cover, self.degree, self.ring, vec)
-
-    def __eq__(self, other):
-        if not isinstance(other, CechCochain):
-            return NotImplemented
-        return (
-            self.cover == other.cover
-            and self.degree == other.degree
-            and self.ring == other.ring
-            and self._vec == other._vec
-        )
-
-    def __repr__(self):
-        return f"CechCochain(deg {self.degree}, {self.ring}, {sum(1 for v in self._vec if v)} nonzero)"
 
 
 def cech_diff(c: CechCochain) -> CechCochain:
@@ -420,9 +440,18 @@ def relative_cohomology(m: CoverMap, ring: CoeffRing, q: int) -> AbGroup:
     return homology_at(relative_cone_complex(m, ring), -q)
 
 
-class RelCechCochain:
-    """A relative q-cochain: s of degree q-1 on the source cover, t of
-    degree q on the target cover, tied to the cover map they refine."""
+class RelCechCochain(_Cochain):
+    """A relative q-cochain on a cover map: its cone vector.
+
+    The tuple is in the basis of `CoverMapView.cone` at chain degree -q:
+    the source cover's (q-1)-overlaps come first, then the target
+    cover's q-overlaps.  `s` and `t` read those two blocks as cochains
+    on the two covers; the constructor takes them and stores their join.
+    """
+
+    __slots__ = ()
+    m = _Cochain.space  # the same slot, under the name readers use
+    _apart = "relative cochains refine different cover maps"
 
     def __init__(self, m: CoverMap, s: CechCochain, t: CechCochain):
         if s.cover != m.src:
@@ -433,72 +462,36 @@ class RelCechCochain:
             raise RingMismatch(f"s over {s.ring} but t over {t.ring}")
         if s.degree + 1 != t.degree:
             raise DegreeMismatch(f"degrees ({s.degree}, {t.degree}) are not (q-1, q)")
-        self.m = m
-        self.s = s
-        self.t = t
+        self._set(m, t.degree, t.ring, s.vector() + t.vector())
 
-    @property
-    def degree(self) -> int:
-        return self.t.degree
-
-    @property
-    def ring(self) -> CoeffRing:
-        return self.s.ring
-
-    def vector(self) -> tuple:
-        """Coordinates in the cone basis: s block then t block."""
-        return self.s.vector() + self.t.vector()
-
-    @classmethod
-    def from_vector(cls, m: CoverMap, q: int, ring: CoeffRing, vec) -> "RelCechCochain":
-        """Split a cone vector: the source cover's (q-1)-overlaps come first; each value is normalized."""
-        return cls._of(m, q, ring, [ring.normalize(v) for v in vec])
-
-    @classmethod
-    def _of(cls, m: CoverMap, q: int, ring: CoeffRing, vec) -> "RelCechCochain":
-        """from_vector for trusted values, as `CechCochain._of`."""
-        split = m.src.rank(q - 1)
-        if len(vec) != split + m.dst.rank(q):
+    @staticmethod
+    def _check(m: CoverMap, q: int, n: int):
+        if q < 0:
+            raise DegreeMismatch("relative cochain degree must be >= 0")
+        if n != m.src.rank(q - 1) + m.dst.rank(q):
             raise ShapeMismatch("cone vector has wrong length")
-        s = CechCochain._of(m.src, q - 1, ring, vec[:split])
-        t = CechCochain._of(m.dst, q, ring, vec[split:])
-        return cls(m, s, t)
 
     @property
-    def is_zero(self) -> bool:
-        return self.s.is_zero and self.t.is_zero
+    def s(self) -> CechCochain:
+        """The source block: a (q-1)-cochain on the source cover."""
+        m, q = self.m, self.degree
+        return CechCochain._of(m.src, q - 1, self.ring, self._vec[: m.src.rank(q - 1)])
 
-    def _like(self, other: "RelCechCochain"):
-        if self.m != other.m:
-            raise CoverMismatch("relative cochains refine different cover maps")
-
-    def __add__(self, other: "RelCechCochain") -> "RelCechCochain":
-        self._like(other)
-        return RelCechCochain(self.m, self.s + other.s, self.t + other.t)
-
-    def __neg__(self) -> "RelCechCochain":
-        return RelCechCochain(self.m, -self.s, -self.t)
-
-    def __sub__(self, other: "RelCechCochain") -> "RelCechCochain":
-        return self + (-other)
-
-    def zscale(self, k: int) -> "RelCechCochain":
-        return RelCechCochain(self.m, self.s.zscale(k), self.t.zscale(k))
-
-    def __eq__(self, other):
-        if not isinstance(other, RelCechCochain):
-            return NotImplemented
-        return self.m == other.m and self.s == other.s and self.t == other.t
-
-    def __repr__(self):
-        return f"RelCechCochain(deg {self.degree}, {self.ring})"
+    @property
+    def t(self) -> CechCochain:
+        """The target block: a q-cochain on the target cover."""
+        m, q = self.m, self.degree
+        return CechCochain._of(m.dst, q, self.ring, self._vec[m.src.rank(q - 1) :])
 
 
 def rel_diff(u: RelCechCochain) -> RelCechCochain:
-    """Cone differential: d(s, t) = (pullback(t) - ds, dt)."""
-    s2 = pullback(u.m, u.t) - cech_diff(u.s)
-    t2 = cech_diff(u.t)
-    return RelCechCochain(u.m, s2, t2)
+    """Cone differential: d(s, t) = (pullback(t) - ds, dt).
+
+    Computed block by block, from the coboundaries of the two covers
+    and the pullback of the map.
+    """
+    s, t = u.s, u.t
+    return RelCechCochain(u.m, pullback(u.m, t) - cech_diff(s), cech_diff(t))
 
 
 def is_rel_cocycle(u: RelCechCochain) -> bool:
@@ -565,9 +558,10 @@ def bockstein(u: RelCechCochain) -> BocksteinResult:
     w = _integer_rel_cochain(u.m, q + 1, rel_diff(lift).vector())
     data = u.m.view.data(-(q + 1))
     coords = data.express(w.vector())
-    ones_s = CechCochain.from_vector(u.m.src, q - 1, RAT, [1] * u.m.src.rank(q - 1))
-    ones_t = CechCochain.from_vector(u.m.dst, q, RAT, [-1] * u.m.dst.rank(q))
-    shifted = RelCechCochain(u.m, lift.s + ones_s, lift.t + ones_t)
+    # the lift shifted by +1 on the source block and -1 on the target block
+    split = u.m.src.rank(q - 1)
+    vec = lift.vector()
+    shifted = RelCechCochain.from_vector(u.m, q, RAT, [v + 1 for v in vec[:split]] + [v - 1 for v in vec[split:]])
     w2 = _integer_rel_cochain(u.m, q + 1, rel_diff(shifted).vector())
     if data.express(w2.vector()) != coords:
         raise InvalidChainMap("connecting class depended on the lift")

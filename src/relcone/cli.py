@@ -236,8 +236,15 @@ DISPATCH = {
 # -- argument parsing -------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input errors: exit 1, one line."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="relcone",
         description="Exact relative (co)homology of maps: cones, covers, classes.",
     )
@@ -284,10 +291,9 @@ def _emit(doc, out_path) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    handler = DISPATCH[args.verb]
     try:
-        code, doc = handler(args)
+        args = _build_parser().parse_args(argv)
+        code, doc = DISPATCH[args.verb](args)
     except ParseError as e:
         where = f" (line {e.line}, col {e.col})" if e.line is not None else ""
         print(f"relcone: parse error: {e}{where}", file=sys.stderr)

@@ -25,6 +25,7 @@ results are trusted from then on: ``Matrix._of`` and the cochains'
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -214,13 +215,16 @@ _SAFE_INT = 2**53
 _DIGIT_LIMIT_FLOOR = 640
 
 
+# the one spelling of an integer as text, at every length: no spaces, no
+# underscores, no digits outside ASCII
+_INT_TEXT = re.compile(r"[+-]?[0-9]+")
+
+
 def int_from_text(text: str) -> int:
-    """int(text); a plain [+-]digits literal may have any length."""
-    if len(text) < _DIGIT_LIMIT_FLOOR:
-        return int(text)
-    if not (text[1:] if text[0] in "+-" else text).isdecimal():
-        raise ValueError(f"invalid integer literal of {len(text)} characters")
-    return int(Decimal(text))
+    """The integer that an ASCII [+-]digits literal of any length spells."""
+    if not _INT_TEXT.fullmatch(text):
+        raise ValueError(f"invalid integer literal {_preview(text)}")
+    return int(text) if len(text) < _DIGIT_LIMIT_FLOOR else int(Decimal(text))
 
 
 def _preview(obj) -> str:

@@ -90,7 +90,7 @@ def _field(obj: dict, key: str, what: str):
 
 def _int_key(key, what: str) -> int:
     try:
-        return int(key)
+        return int_from_text(key)
     except (TypeError, ValueError):
         raise ParseError(f"{what} has non-integer degree key {key!r}") from None
 
@@ -100,9 +100,12 @@ def _ring_of(obj: dict, what: str) -> CoeffRing:
         raise ParseError(f"{what} ring must be a string, got {_preview(label)}")
     return parse_ring(label)
 
-def _rewrap(what: str, exc: RelconeError) -> ParseError:
-    # construction errors on parsed data are input errors, not bugs
-    return ParseError(f"invalid {what}: {exc}")
+def _build(what: str, make, *args):
+    """make(*args); a construction error on parsed data is an input error, not a bug."""
+    try:
+        return make(*args)
+    except RelconeError as e:
+        raise ParseError(f"invalid {what}: {e}") from None
 
 
 # -- matrices ---------------------------------------------------------------
@@ -123,10 +126,7 @@ def matrix_from_rows(ring: CoeffRing, obj, what: str, shape=None) -> Matrix:
         raise ParseError(f"{what} has ragged rows")
     if shape is not None and (nrows, ncols) != shape:
         raise ParseError(f"{what} has shape {(nrows, ncols)}, expected {shape}")
-    try:
-        return Matrix(ring, nrows, ncols, parsed)
-    except RelconeError as e:
-        raise _rewrap(what, e) from None
+    return _build(what, Matrix, ring, nrows, ncols, parsed)
 
 
 # -- graded complexes and chain maps ----------------------------------------
@@ -153,10 +153,7 @@ def complex_from_json(obj) -> GradedComplex:
     for key, rows in _as_dict(obj.get("diff", {}), "diff").items():
         n = _int_key(key, "diff")
         diffs[n] = matrix_from_rows(mr, rows, f"diff at degree {n}", (rank(n - 1), rank(n)))
-    try:
-        return GradedComplex(ring, ranks, diffs)
-    except RelconeError as e:
-        raise _rewrap("complex", e) from None
+    return _build("complex", GradedComplex, ring, ranks, diffs)
 
 
 def chain_map_to_json(f: ComplexMap) -> dict:
@@ -181,10 +178,7 @@ def chain_map_from_json(obj) -> ComplexMap:
         mats[n] = matrix_from_rows(
             mat_ring(src.ring), rows, f"component at degree {n}", (dst.rank(n), src.rank(n))
         )
-    try:
-        return ComplexMap(src, dst, mats)
-    except RelconeError as e:
-        raise _rewrap("chain map", e) from None
+    return _build("chain map", ComplexMap, src, dst, mats)
 
 
 # -- simplicial objects -----------------------------------------------------
@@ -217,10 +211,7 @@ def simplicial_from_json(obj) -> SimplicialComplex:
         _labels(f, "facet", "facet vertex")
         for f in _as_list(_field(obj, "facets", "simplicial complex"), "facets")
     ]
-    try:
-        return SimplicialComplex(verts, facets)
-    except RelconeError as e:
-        raise _rewrap("simplicial complex", e) from None
+    return _build("simplicial complex", SimplicialComplex, verts, facets)
 
 
 def simplicial_map_to_json(phi: SimplicialMap) -> dict:
@@ -250,10 +241,7 @@ def simplicial_map_from_json(obj) -> SimplicialMap:
     src = simplicial_from_json(_field(obj, "src", "simplicial map"))
     dst = simplicial_from_json(_field(obj, "dst", "simplicial map"))
     vmap = _pairs(_field(obj, "vmap", "simplicial map"), "vmap")
-    try:
-        return SimplicialMap(src, dst, vmap)
-    except RelconeError as e:
-        raise _rewrap("simplicial map", e) from None
+    return _build("simplicial map", SimplicialMap, src, dst, vmap)
 
 
 # -- covers and cover maps --------------------------------------------------
@@ -272,10 +260,7 @@ def cover_from_json(obj) -> Cover:
     inters = []
     for item in _as_list(_field(obj, "intersections", "cover"), "intersections"):
         inters.append([_as_int(i, "intersection index") for i in _as_list(item, "intersection")])
-    try:
-        return Cover.from_sets(sets, inters)
-    except RelconeError as e:
-        raise _rewrap("cover", e) from None
+    return _build("cover", Cover.from_sets, sets, inters)
 
 
 def cover_map_to_json(m: CoverMap) -> dict:
@@ -291,10 +276,7 @@ def cover_map_from_json(obj) -> CoverMap:
     src = cover_from_json(_field(obj, "src", "cover map"))
     dst = cover_from_json(_field(obj, "dst", "cover map"))
     assignment = _pairs(_field(obj, "assignment", "cover map"), "assignment")
-    try:
-        return CoverMap(src, dst, assignment)
-    except RelconeError as e:
-        raise _rewrap("cover map", e) from None
+    return _build("cover map", CoverMap, src, dst, assignment)
 
 
 # -- cochains ---------------------------------------------------------------
@@ -323,10 +305,7 @@ def _named_values(obj, what: str, ring: CoeffRing) -> dict:
 
 def cochain_from_values(cover: Cover, degree: int, ring: CoeffRing, obj) -> CechCochain:
     values = _named_values(obj, "values", ring)
-    try:
-        return CechCochain(cover, degree, ring, values)
-    except RelconeError as e:
-        raise _rewrap("cochain", e) from None
+    return _build("cochain", CechCochain, cover, degree, ring, values)
 
 
 def rel_cochain_to_json(u: RelCechCochain) -> dict:
@@ -346,10 +325,7 @@ def rel_cochain_from_json(obj) -> RelCechCochain:
     ring = _ring_of(obj, "relative cochain")
     s = cochain_from_values(m.src, degree - 1, ring, _field(obj, "s", "relative cochain"))
     t = cochain_from_values(m.dst, degree, ring, _field(obj, "t", "relative cochain"))
-    try:
-        return RelCechCochain(m, s, t)
-    except RelconeError as e:
-        raise _rewrap("relative cochain", e) from None
+    return _build("relative cochain", RelCechCochain, m, s, t)
 
 
 def cocycle_to_json(c) -> dict:
@@ -365,10 +341,7 @@ def cocycle_from_json(obj):
     if cls is None:
         raise ParseError(f"unknown cocycle kind {_preview(kind)}, expected one of {sorted(COCYCLE_KINDS)}")
     u = rel_cochain_from_json(obj)
-    try:
-        return cls(u.m, u.s, u.t)
-    except RelconeError as e:
-        raise _rewrap(f"{kind} cocycle", e) from None
+    return _build(f"{kind} cocycle", cls, u.m, u.s, u.t)
 
 
 # -- rational pairs and forms -----------------------------------------------
@@ -389,10 +362,7 @@ def pair_from_json(obj) -> RelRealCochainPair:
     degree = _as_int(_field(obj, "degree", "cochain pair"), "pair degree")
     alpha = _named_values(_field(obj, "alpha", "cochain pair"), "alpha", RAT)
     beta = _named_values(_field(obj, "beta", "cochain pair"), "beta", RAT)
-    try:
-        return RelRealCochainPair.from_values(phi, degree, alpha, beta)
-    except RelconeError as e:
-        raise _rewrap("cochain pair", e) from None
+    return _build("cochain pair", RelRealCochainPair.from_values, phi, degree, alpha, beta)
 
 
 def form_to_json(phi: SimplicialMap, omega: CechCochain) -> dict:
@@ -409,10 +379,7 @@ def form_from_json(obj):
     phi = simplicial_map_from_json(_field(obj, "map", "form"))
     degree = _as_int(_field(obj, "degree", "form"), "form degree")
     values = _named_values(_field(obj, "omega", "form"), "omega", RAT)
-    try:
-        omega = CechCochain(star_cover(phi.dst), degree, RAT, values)
-    except RelconeError as e:
-        raise _rewrap("form", e) from None
+    omega = _build("form", CechCochain, star_cover(phi.dst), degree, RAT, values)
     return omega, phi
 
 

@@ -33,6 +33,7 @@ from relcone.errors import (
     InvalidSimplicialMap,
     NotACocycle,
     RingMismatch,
+    ShapeMismatch,
     UnsupportedRing,
 )
 from relcone.homology import HomologyData, homology_at, les_of_cone
@@ -308,6 +309,76 @@ def test_relative_cochain_validation_and_ops():
     v = gerbe_cocycle()
     assert (v - v).is_zero
     assert RelCechCochain.from_vector(m, 2, U1, v.vector()) == v
+
+
+def _cochain_pairs(rng, ring):
+    """Seeded pairs of cochains, and of relative cochains, of one degree over `ring`."""
+    m = suspension_cover_map()
+    pairs = []
+    for _ in range(3):
+        pairs.append((random_cochain(rng, m.src, 1, ring), random_cochain(rng, m.src, 1, ring)))
+        pairs.append(tuple(
+            RelCechCochain(m, random_cochain(rng, m.src, 1, ring), random_cochain(rng, m.dst, 2, ring))
+            for _ in range(2)
+        ))
+    return pairs
+
+
+@pytest.mark.parametrize("ring", [INT, RAT, ZMOD(3), U1], ids=str)
+def test_both_cochain_types_do_elementwise_ring_arithmetic(ring):
+    for a, b in _cochain_pairs(random.Random(53), ring):
+        x, y = a.vector(), b.vector()
+        assert (a + b).vector() == tuple(ring.add(p, q) for p, q in zip(x, y))
+        assert (-a).vector() == tuple(ring.neg(p) for p in x)
+        assert (a - b).vector() == tuple(ring.sub(p, q) for p, q in zip(x, y))
+        for k in (-2, 0, 1, 3):
+            assert a.zscale(k).vector() == tuple(ring.zmul(k, p) for p in x)
+        for c in (a + b, -a, a - b, a.zscale(2)):
+            assert (type(c), c.degree, c.ring) == (type(a), a.degree, ring)
+        assert (a == b) == (x == y)
+        assert a == a.zscale(1) and a - b + b == a
+        assert (a.zscale(0).is_zero, (a - a).is_zero) == (True, True)
+
+
+def test_mismatched_cochains_raise_cover_ring_and_degree_errors():
+    m, other = suspension_cover_map(), disk_cover_map()
+
+    def rel(cm, q, ring):
+        return RelCechCochain(cm, CechCochain(cm.src, q - 1, ring), CechCochain(cm.dst, q, ring))
+
+    a, u = CechCochain(m.src, 1, INT), rel(m, 2, INT)
+    cases = [
+        (a, CechCochain(m.dst, 1, INT), CoverMismatch),
+        (a, CechCochain(m.src, 1, RAT), RingMismatch),
+        (a, CechCochain(m.src, 0, INT), DegreeMismatch),
+        (u, rel(other, 2, INT), CoverMismatch),
+        (u, rel(m, 2, RAT), RingMismatch),
+        (u, rel(m, 1, INT), DegreeMismatch),
+    ]
+    for x, y, error in cases:
+        for op in (lambda: x + y, lambda: x - y, lambda: y + x):
+            with pytest.raises(error):
+                op()
+        assert x != y
+    assert a != u and u != a
+    with pytest.raises(DegreeMismatch, match="degree 2 vs 1"):
+        u + rel(m, 1, INT)
+
+
+def test_relative_cochain_is_its_cone_vector():
+    rng = random.Random(59)
+    m = suspension_cover_map()
+    for ring in (INT, RAT, ZMOD(3), U1):
+        for q in (0, 1, 2):
+            s = random_cochain(rng, m.src, q - 1, ring)
+            t = random_cochain(rng, m.dst, q, ring)
+            u = RelCechCochain(m, s, t)
+            assert u.s == s and u.t == t
+            assert u.vector() == s.vector() + t.vector()
+            assert (u.m, u.degree, u.ring) == (m, q, ring)
+            assert RelCechCochain.from_vector(m, q, ring, u.vector()) == u
+    with pytest.raises(ShapeMismatch):
+        RelCechCochain.from_vector(m, 2, INT, (1,))
 
 
 # ---------------------------------------------------------------------------

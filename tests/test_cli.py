@@ -260,6 +260,25 @@ def test_parse_errors_exit_one(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["homology"], ["homology", "x.json", "--degree", "abc"], ["nope"]],
+    ids=["no-verb", "no-input", "bad-degree", "unknown-verb"],
+)
+def test_usage_errors_exit_one_with_one_line(argv, capsys):
+    """Bad arguments are unparseable input (exit 1), not a negative verdict (exit 2)."""
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("relcone: parse error: ") and err.count("\n") == 1
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["-h"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: relcone")
+
+
 LABEL_EDITS = [
     ("rp2.json", "homology", lambda d: d["facets"][0].__setitem__(0, {}), "facet vertex {}"),
     ("fix-d2.json", "cone", lambda d: d["vmap"][0].__setitem__(0, []), "vmap label []"),

@@ -1,8 +1,10 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from relcone import cli
 from relcone.cech import CechCochain, Cover, lift_angles
 from relcone.coeffs import (
     INT,
@@ -160,6 +162,29 @@ def test_integers_past_the_str_digit_limit_are_exact():
             int_from_text(bad)
         with pytest.raises(ParseError):
             value_from_json(INT, bad)
+
+
+@pytest.mark.parametrize("ring", [INT, RAT], ids=str)
+def test_integer_text_is_ascii_digits_with_an_optional_sign_at_every_length(ring):
+    for bad in ("1_000", " 3", "\u0663"):
+        for text in (bad, bad + "0" * 700):
+            with pytest.raises(ParseError):
+                value_from_json(ring, text)
+    if ring == RAT:
+        for text in (" 3 / 4 ", "3/ 4", "3/4_0"):
+            with pytest.raises(ParseError):
+                value_from_json(ring, text)
+        big = "0" * 700
+        for text in ("-3/4", "3/-4", f"-{big}3/4", f"3/-{big}4"):
+            assert value_from_json(ring, text) == Fraction(-3, 4)
+
+
+def test_degree_keys_follow_the_integer_text_rule(tmp_path, capsys):
+    path = tmp_path / "graded.json"
+    path.write_text(json.dumps({"ring": "Z", "ranks": {"1_0": 1}, "diff": {}}))
+    assert cli.main(["homology", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "relcone: parse error: ranks has non-integer degree key '1_0'\n"
 
 
 def test_ring_equality_and_hash():

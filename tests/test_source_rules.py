@@ -57,10 +57,11 @@ def test_no_process_wide_caches():
     assert found == []
 
 
-# Where a trusted build (`Matrix._of`, `CechCochain._of`, `RelCechCochain._of`)
-# may be named: each of these stores values that ring arithmetic on normalized
-# values produced, so nothing there is normalized again.  Outside input goes
-# through `Matrix(...)` and the cochains' `from_vector`.  A new place is a new
+# Where a trusted build (`Matrix._of`, or the `_of` that both cochain types
+# inherit from `cech._Cochain`) may be named: each of these stores values that
+# ring arithmetic on normalized values produced, so nothing there is
+# normalized again.  Outside input goes through `Matrix(...)` and the
+# cochains' `from_vector`.  A new place is a new
 # entry here, to be read and checked (tests/test_trusted_builds.py re-checks
 # the values at run time).
 TRUSTED_BUILD_CALLERS = {
@@ -70,8 +71,8 @@ TRUSTED_BUILD_CALLERS = {
     },
     "homology.py": {"snf", "_check_snf", "kernel_field", "solve_field", "_Lattice.coords", "_quotient_group_int"},
     "cech.py": {
-        "CechCochain.from_vector", "CechCochain.__add__", "CechCochain.__neg__", "CechCochain.zscale",
-        "cech_diff", "pullback", "RelCechCochain.from_vector", "RelCechCochain._of", "_integer_rel_cochain",
+        "_Cochain.from_vector", "_Cochain.__add__", "_Cochain.__neg__", "_Cochain.zscale",
+        "cech_diff", "pullback", "RelCechCochain.s", "RelCechCochain.t", "_integer_rel_cochain",
     },
 }
 

@@ -1,14 +1,14 @@
 """The trust boundary: a trusted build only ever stores normalized values.
 
-`Matrix._of` and `CechCochain._of` store values without calling
-`CoeffRing.normalize` (`RelCechCochain._of` builds its two parts through
-`CechCochain._of`).  Here both are wrapped so that every value they store
-is checked again: it must have the exact stored type of its ring (an int,
-never a bool, over Z and Zmod; a Fraction over Q and U1), lie in [0, n)
-over Zmod and in [0, 1) over U1, and come back from `ring.normalize`
-equal and of the same type.  The wrapped builds then run over the
-fixture sweep, the replay of `bench/goldens.json`, the cocycle
-operations and field homology.
+`Matrix._of` and the cochains' shared `_of` (on `cech._Cochain`, which
+`CechCochain` and `RelCechCochain` inherit) store values without calling
+`CoeffRing.normalize`.  Here both are wrapped so that every value they
+store is checked again: it must have the exact stored type of its ring
+(an int, never a bool, over Z and Zmod; a Fraction over Q and U1), lie
+in [0, n) over Zmod and in [0, 1) over U1, and come back from
+`ring.normalize` equal and of the same type.  The wrapped builds then run over the
+replay of `bench/goldens.json`, the cocycle operations and field
+homology.
 """
 
 import hashlib
@@ -20,9 +20,8 @@ from fractions import Fraction
 
 import pytest
 
-from test_acceptance import _full_sweep
 from relcone import cli
-from relcone.cech import CechCochain, relative_cohomology
+from relcone.cech import _Cochain, relative_cohomology
 from relcone.coeffs import INT, RAT, U1, ZMOD
 from relcone.fixtures import fixture_registry
 from relcone.geo import classify, group_op, inverse, is_equivalent, trivialize
@@ -68,27 +67,23 @@ class TrustedBuilds:
 def trusted(monkeypatch):
     seen = TrustedBuilds()
     matrix_of = Matrix._of.__func__
-    cochain_of = CechCochain._of.__func__
+    cochain_of = _Cochain._of.__func__
 
     def checked_matrix(cls, ring, nrows, ncols, rows):
         m = matrix_of(cls, ring, nrows, ncols, rows)
         seen.check("Matrix._of", ring, (v for r in m.rows for v in r))
         return m
 
-    def checked_cochain(cls, cover, degree, ring, vec):
-        c = cochain_of(cls, cover, degree, ring, vec)
-        seen.check("CechCochain._of", ring, c.vector())
+    def checked_cochain(cls, space, degree, ring, vec):
+        c = cochain_of(cls, space, degree, ring, vec)
+        seen.check(f"{cls.__name__}._of", ring, c.vector())
         return c
 
     monkeypatch.setattr(Matrix, "_of", classmethod(checked_matrix))
-    monkeypatch.setattr(CechCochain, "_of", classmethod(checked_cochain))
+    monkeypatch.setattr(_Cochain, "_of", classmethod(checked_cochain))
     yield seen
     assert seen.faults == []
     assert seen.values > 0
-
-
-def test_fixture_sweep(trusted, tmp_path):
-    assert "== cocycle-half-gerbe trivialize rc=" in _full_sweep(str(tmp_path))
 
 
 def test_goldens_replay(trusted, tmp_path, monkeypatch):
