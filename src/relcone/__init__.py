@@ -76,7 +76,6 @@ from .homology import (
     homology_data,
     ker_coker_les,
     les_of_cone,
-    quasi_iso,
     snf,
 )
 from .matrix import Matrix

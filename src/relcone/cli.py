@@ -5,6 +5,10 @@ ran and the verdict (if any) is positive; 2 means the computation ran
 and returned a negative verdict (not integral, nontrivial class, cones
 not isomorphic, sequence not exact); 1 means the input could not be
 parsed or a precondition failed, so nothing was decided.
+
+`main(argv)` returns the exit code and may be called any number of times
+in one process; the argument parser is built on the first call and
+reused by every later one.
 """
 
 import argparse
@@ -194,13 +198,12 @@ def cmd_bohr_sommerfeld(args):
 
 def cmd_fixtures(args):
     reg = fixture_registry()
-    if args.action == "list":
-        doc = {"fixtures": [{"name": n, "kind": reg[n][0]} for n in reg]}
-        return 0, doc
     names = args.names or list(reg)
     unknown = [n for n in names if n not in reg]
     if unknown:
         raise ParseError(f"unknown fixture names: {', '.join(sorted(unknown))}")
+    if args.action == "list":
+        return 0, {"fixtures": [{"name": n, "kind": reg[n][0]} for n in names]}
     outdir = args.out or "fixtures"
     try:
         os.makedirs(outdir, exist_ok=True)
@@ -282,6 +285,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = None  # the one parser of this process, built by the first main call
+
+
+def _parser() -> argparse.ArgumentParser:
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    return _PARSER
+
+
 def _emit(doc, out_path) -> None:
     text = jsonio.dumps(doc)
     if out_path:
@@ -292,8 +305,9 @@ def _emit(doc, out_path) -> None:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         code, doc = DISPATCH[args.verb](args)
+        _emit(doc, args.out if args.verb != "fixtures" else None)
     except ParseError as e:
         where = f" (line {e.line}, col {e.col})" if e.line is not None else ""
         print(f"relcone: parse error: {e}{where}", file=sys.stderr)
@@ -301,8 +315,6 @@ def main(argv=None) -> int:
     except RelconeError as e:
         print(f"relcone: error: {e}", file=sys.stderr)
         return 1
-    out = args.out if args.verb != "fixtures" else None
-    _emit(doc, out)
     return code
 
 

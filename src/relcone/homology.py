@@ -794,15 +794,6 @@ def les_of_cone(f: ComplexMap) -> LESReport:
     )
 
 
-def quasi_iso(f: ComplexMap) -> bool:
-    """True when the cone of f has vanishing homology in every degree."""
-    cone = cone_of_map(f)
-    for n in range(cone.lo, cone.hi + 1):
-        if not homology_at(cone, n).is_trivial:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Kernel / cokernel sequence
 # ---------------------------------------------------------------------------

@@ -156,18 +156,6 @@ def complex_from_json(obj) -> GradedComplex:
     return _build("complex", GradedComplex, ring, ranks, diffs)
 
 
-def chain_map_to_json(f: ComplexMap) -> dict:
-    mat = {}
-    for n in f.degrees():
-        if f.src.rank(n) and f.dst.rank(n):
-            mat[str(n)] = matrix_rows(f.component(n))
-    return {
-        "src": complex_to_json(f.src),
-        "dst": complex_to_json(f.dst),
-        "mat": mat,
-    }
-
-
 def chain_map_from_json(obj) -> ComplexMap:
     obj = _as_dict(obj, "chain map")
     src = complex_from_json(_field(obj, "src", "chain map"))

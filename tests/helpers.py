@@ -10,9 +10,11 @@ answer key.
 from dataclasses import dataclass
 from math import gcd
 
+from relcone import jsonio
 from relcone.coeffs import INT
-from relcone.chain import ComplexMap, GradedComplex, Homotopy
+from relcone.chain import ComplexMap, GradedComplex, Homotopy, cone_of_map
 from relcone.fixtures import cycle_complex
+from relcone.homology import homology_at
 from relcone.matrix import Matrix
 from relcone.simplicial import SimplicialComplex, SimplicialMap
 
@@ -329,3 +331,23 @@ def torus(n):
             facets.append((lab(i, j), lab(i + 1, j), lab(i + 1, j + 1)))
             facets.append((lab(i, j), lab(i, j + 1), lab(i + 1, j + 1)))
     return SimplicialComplex([lab(i, j) for i in range(n) for j in range(n)], facets)
+
+
+# ---------------------------------------------------------------------------
+# Test-only readers of library objects
+# ---------------------------------------------------------------------------
+
+
+def quasi_iso(f: ComplexMap) -> bool:
+    """True when the cone of f has vanishing homology in every degree."""
+    cone = cone_of_map(f)
+    return all(homology_at(cone, n).is_trivial for n in range(cone.lo, cone.hi + 1))
+
+
+def chain_map_to_json(f: ComplexMap) -> dict:
+    """The JSON form `jsonio.chain_map_from_json` reads."""
+    mat = {}
+    for n in f.degrees():
+        if f.src.rank(n) and f.dst.rank(n):
+            mat[str(n)] = jsonio.matrix_rows(f.component(n))
+    return {"src": jsonio.complex_to_json(f.src), "dst": jsonio.complex_to_json(f.dst), "mat": mat}

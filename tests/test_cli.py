@@ -346,6 +346,15 @@ def test_fixtures_list_names_all(tmp_path):
     assert kinds == {"complex", "map", "cover", "covermap", "cocycle", "pair", "form"}
 
 
+def test_fixtures_list_takes_the_names_emit_takes(capsys):
+    code, out = run("fixtures", "list", "fix-d0", "rp2")
+    assert code == 0
+    assert json.loads(out)["fixtures"] == [{"name": "fix-d0", "kind": "map"}, {"name": "rp2", "kind": "complex"}]
+    capsys.readouterr()
+    assert run("fixtures", "list", "rp2", "nosuch") == (1, "")
+    assert capsys.readouterr().err == "relcone: parse error: unknown fixture names: nosuch\n"
+
+
 def test_fixtures_emit_is_byte_identical(tmp_path):
     a = emit_all(tmp_path / "a")
     b = emit_all(tmp_path / "b")
@@ -363,6 +372,16 @@ def test_out_flag_writes_report(tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(dest.read_text())["H"]["1"]["torsion"] == [2]
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_unwritable_out_exits_one_with_one_line(tmp_path, capsys, where):
+    fx = emit_all(tmp_path)
+    dest = tmp_path if where == "directory" else tmp_path / "no-such-dir" / "x.json"
+    capsys.readouterr()
+    assert run("homology", f"{fx}/rp2.json", "--out", str(dest)) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith(f"relcone: error: cannot write {dest}: ") and err.count("\n") == 1
 
 
 def test_dispatch_covers_every_verb_and_operation():
@@ -399,6 +418,46 @@ def run_subprocess(argv, optimize=False):
     flags = ["-O"] if optimize else []
     proc = subprocess.run([sys.executable, *flags, "-m", "relcone.cli", *argv], capture_output=True, env=env)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_catching_exit(argv):
+    """Run the CLI in-process; returns (exit code, stdout text, stderr text), -h included."""
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_the_reused_parser_carries_nothing_between_calls(tmp_path, monkeypatch):
+    """Each call after an error, -h or other options prints what a fresh process prints."""
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the same width in both
+    fx = emit_all(tmp_path)
+    rp2, d2 = f"{fx}/rp2.json", f"{fx}/fix-d2.json"
+    calls = [
+        ["cone", "--ring", "Q", "--degree", "1", d2],
+        ["cone", d2],
+        ["homology"],
+        ["homology", rp2],
+        ["nope"],
+        ["homology", "--degree", "1", rp2],
+        ["-h"],
+        ["cone", d2],
+    ]
+    builds = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or build())
+    for argv in calls:
+        code, out, err = run_subprocess(argv)
+        assert run_catching_exit(argv) == (code, out.decode(), err.decode()), argv
+    assert run_catching_exit(["cone", "--ring", "Q", "--degree", "1", d2])[1] != run_catching_exit(["cone", d2])[1]
+    assert len(builds) == 1
 
 
 # Runs CLI verbs twice in one interpreter, then classifies and trivializes

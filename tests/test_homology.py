@@ -10,6 +10,7 @@ import pytest
 
 from helpers import (
     flip,
+    quasi_iso,
     random_block_complex,
     random_chain_map,
     random_degreewise,
@@ -50,7 +51,6 @@ from relcone.homology import (
     kernel_int,
     ker_coker_les,
     les_of_cone,
-    quasi_iso,
     snf,
     solve_field,
     solve_int,

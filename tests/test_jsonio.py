@@ -2,6 +2,7 @@
 
 import pytest
 
+from helpers import chain_map_to_json
 from relcone import jsonio
 from relcone.coeffs import INT, RAT, ZMOD
 from relcone.errors import ParseError
@@ -24,7 +25,7 @@ def test_complex_roundtrip(ring):
 
 def test_chain_map_roundtrip():
     f = chain_map(degree_map(3), INT)
-    back = jsonio.chain_map_from_json(jsonio.loads(jsonio.dumps(jsonio.chain_map_to_json(f))))
+    back = jsonio.chain_map_from_json(jsonio.loads(jsonio.dumps(chain_map_to_json(f))))
     assert back.src == f.src and back.dst == f.dst
     assert all(back.component(n) == f.component(n) for n in f.degrees())
 

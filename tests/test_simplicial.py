@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from helpers import quasi_iso
 from relcone.chain import cone_of_map
 from relcone.coeffs import INT, RAT, ZMOD
 from relcone.errors import InconsistentIntersections, InvalidComplex, InvalidSimplicialMap
@@ -19,7 +20,7 @@ from relcone.fixtures import (
     suspended_degree_two,
     suspension,
 )
-from relcone.homology import homology_at, quasi_iso
+from relcone.homology import homology_at
 from relcone.matrix import Matrix
 from relcone.simplicial import (
     SimplicialComplex,
