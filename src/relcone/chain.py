@@ -2,9 +2,7 @@
 
 A single storage orientation is used: every complex is a chain complex,
 with the differential lowering degree by one.  A cochain complex (X^*, d)
-is stored reindexed as X~_n = X^(-n) with boundary d^(-n); the converters
-:func:`cochain_complex` / :func:`cochain_view` realize that shift and
-round-trip bit-exactly.
+is stored reindexed as X~_n = X^(-n) with boundary d^(-n).
 
 The two cone constructions are
 
@@ -178,19 +176,6 @@ class ComplexMap:
         )
 
 
-def identity_map(c: GradedComplex) -> ComplexMap:
-    mats = {n: Matrix.identity(mat_ring(c.ring), c.rank(n)) for n in c.degrees()}
-    return ComplexMap(c, c, mats, validate=False)
-
-
-def compose(g: ComplexMap, f: ComplexMap) -> ComplexMap:
-    """g after f."""
-    if f.dst is not g.src and f.dst != g.src:
-        raise InvalidChainMap("composition target/source mismatch")
-    mats = {n: g.component(n) @ f.component(n) for n in f.degrees()}
-    return ComplexMap(f.src, g.dst, mats, validate=False)
-
-
 def from_int_map(f: ComplexMap, ring: CoeffRing) -> ComplexMap:
     """An integer chain map read over `ring` through n -> n.1, with its source and target.
 
@@ -263,41 +248,6 @@ def cone_of_map(f: ComplexMap) -> GradedComplex:
     return GradedComplex(f.ring, ranks, diffs, validate=False)
 
 
-def cone_inclusion(f: ComplexMap, cone: GradedComplex | None = None) -> ComplexMap:
-    """j: Y -> Cone(f), beta |-> (0, beta).
-
-    With the differential (theta, eta) |-> (d theta, f theta - d eta)
-    this anticommutes on the nose (d j = -j d), which is why validation
-    is skipped; it still carries cycles to cycles and boundaries to
-    boundaries, so the induced map on homology is the usual one.
-    """
-    if cone is None:
-        cone = cone_of_map(f)
-    x, y = f.src, f.dst
-    mr = mat_ring(f.ring)
-    mats = {}
-    for n in cone.degrees():
-        zero = Matrix.zeros(mr, x.rank(n - 1), y.rank(n))
-        eye = Matrix.identity(mr, y.rank(n))
-        mats[n] = block(mr, [[zero], [eye]])
-    return ComplexMap(y, cone, mats, validate=False)
-
-
-def cone_projection(f: ComplexMap, cone: GradedComplex | None = None) -> ComplexMap:
-    """k: Cone(f) -> X shifted up by one, (theta, eta) |-> theta."""
-    if cone is None:
-        cone = cone_of_map(f)
-    x, y = f.src, f.dst
-    mr = mat_ring(f.ring)
-    xs = shift(x, 1)
-    mats = {}
-    for n in cone.degrees():
-        eye = Matrix.identity(mr, x.rank(n - 1))
-        zero = Matrix.zeros(mr, x.rank(n - 1), y.rank(n))
-        mats[n] = block(mr, [[eye, zero]])
-    return ComplexMap(cone, xs, mats, validate=False)
-
-
 def cone_split(f: ComplexMap, n: int, vec):
     """Split a Cone_n(f) coordinate vector into (theta, eta)."""
     rx = f.src.rank(n - 1)
@@ -366,29 +316,6 @@ def homotopy_cone_iso(h: Homotopy):
     forward = ComplexMap(cf, cg, fwd)
     backward = ComplexMap(cg, cf, bwd)
     return forward, backward
-
-
-# ---------------------------------------------------------------------------
-# Cochain reindexing converters
-# ---------------------------------------------------------------------------
-
-
-def cochain_complex(ring: CoeffRing, ranks_by_codeg: Mapping[int, int], d_by_codeg: Mapping[int, Matrix]) -> GradedComplex:
-    """Store a cochain complex (X^*, d) as the chain complex X~_n = X^(-n)."""
-    ranks = {-q: r for q, r in ranks_by_codeg.items()}
-    diffs = {-q: m for q, m in d_by_codeg.items()}
-    return GradedComplex(ring, ranks, diffs)
-
-
-def cochain_view(c: GradedComplex):
-    """Inverse of :func:`cochain_complex`; returns (ranks, d) by codegree."""
-    ranks = {-n: c.rank(n) for n in c.degrees() if c.rank(n)}
-    d = {}
-    for n in c.degrees():
-        m = c.diff(n)
-        if m.nrows and m.ncols:
-            d[-n] = m
-    return ranks, d
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,12 @@ and returned a negative verdict (not integral, nontrivial class, cones
 not isomorphic, sequence not exact); 1 means the input could not be
 parsed or a precondition failed, so nothing was decided.
 
+`homology`, `cone`, `cone-space` and `cech` print group invariants
+only, read from one certified Smith form per differential
+(`homology_invariants`); `les`, `kercoker`, `compare-cones`, `classify`,
+`trivialize`, `integrality` and `bohr-sommerfeld` build presentations
+with generators.
+
 `main(argv)` returns the exit code and may be called any number of times
 in one process; the argument parser is built on the first call and
 reused by every later one.
@@ -22,13 +28,8 @@ from .coeffs import parse_ring
 from .errors import IoError, NontrivialClass, ParseError, RelconeError
 from .fixtures import fixture_registry
 from .geo import bohr_sommerfeld, classify, is_integral, trivialize
-from .homology import homology_at, ker_coker_les, les_of_cone, snf
+from .homology import homology_invariants, ker_coker_les, les_of_cone, snf
 from .simplicial import chain_complex, chain_map, compare_cones, mapping_cone_space
-
-
-def _sweep(c, degrees) -> dict:
-    """Homology groups at the listed degrees, assembled in list order."""
-    return {n: homology_at(c, n) for n in degrees}
 
 
 def _restrict(degrees, chosen):
@@ -96,7 +97,7 @@ def cmd_snf(args):
 def cmd_homology(args):
     ring = parse_ring(args.ring)
     c, degrees = _complex_from_input(_load_input(args.input), ring)
-    groups = _sweep(c, _restrict(degrees, args.degree))
+    groups = homology_invariants(c, _restrict(degrees, args.degree))
     return 0, jsonio.homology_to_json(groups)
 
 
@@ -107,7 +108,7 @@ def cmd_cone(args):
     degrees = _restrict(list(cone.degrees()), args.degree)
     doc = {
         "cone": jsonio.complex_to_json(cone),
-        "H": jsonio.homology_to_json(_sweep(cone, degrees))["H"],
+        "H": jsonio.homology_to_json(homology_invariants(cone, degrees))["H"],
     }
     return 0, doc
 
@@ -121,7 +122,7 @@ def cmd_cone_space(args):
     doc = {
         "space": jsonio.simplicial_to_json(space),
         "reduced": True,
-        "H": jsonio.homology_to_json(_sweep(reduced, degrees))["H"],
+        "H": jsonio.homology_to_json(homology_invariants(reduced, degrees))["H"],
     }
     return 0, doc
 
@@ -161,7 +162,7 @@ def cmd_cech(args):
         raise ParseError("input must be a cover ('sets') or a cover map ('assignment')")
     # the complex stores cochains in chain orientation at degree -q
     qs = _restrict(list(range(0, -c.lo + 1)), args.degree)
-    groups = _sweep(c, [-q for q in qs])
+    groups = homology_invariants(c, [-q for q in qs])
     doc = {
         "relative": relative,
         "H": {str(q): jsonio.group_to_json(groups[-q]) for q in qs},
@@ -303,9 +304,24 @@ def _emit(doc, out_path) -> None:
         sys.stdout.write(text)
 
 
+def _parse(argv):
+    """The parsed arguments; fixture names may follow an option too (`fixtures emit --out DIR NAME`).
+
+    argparse fills the `names` list before it meets an option, so the
+    names after one come back unrecognized, as does any unknown option.
+    """
+    parser = _parser()
+    args, extra = parser.parse_known_args(argv)
+    if extra and args.verb == "fixtures" and not any(x.startswith("-") for x in extra):
+        args.names = args.names + extra
+    elif extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
         code, doc = DISPATCH[args.verb](args)
         _emit(doc, args.out if args.verb != "fixtures" else None)
     except ParseError as e:

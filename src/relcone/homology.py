@@ -26,6 +26,7 @@ generator matrices; its pivot columns name the basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chain import ComplexMap, GradedComplex, cone_of_map, cone_split
 from .coeffs import INT, RAT, CoeffRing
@@ -573,23 +574,70 @@ def _quotient_space_field(ring, ambient, num: Matrix, den: Matrix) -> HomologyDa
     return HomologyData(ring, ambient, group, (0,) * len(keep), den.submatrix(range(ambient), base))
 
 
-def homology_data(c: GradedComplex, n: int) -> HomologyData:
-    ring = c.ring
-    if ring == INT:
-        return _homology_data_int(c, n)
+def _check_homology_ring(ring: CoeffRing):
+    """Raise UnsupportedRing unless homology over `ring` is computed: Z, Q and Z/p."""
     if ring.kind == "U1":
         raise UnsupportedRing(
             "homology over the circle group is undefined; use classify on an angle "
             "cocycle: its Bockstein class lies one degree up in integer cohomology"
         )
-    if ring.is_field:
-        return _quotient_space_field(ring, c.rank(n), kernel_field(c.diff(n)), c.diff(n + 1))
-    raise UnsupportedRing(f"homology over {ring} is not supported (composite modulus)")
+    if ring.kind != "Z" and not ring.is_field:
+        raise UnsupportedRing(f"homology over {ring} is not supported (composite modulus)")
+
+
+def homology_data(c: GradedComplex, n: int) -> HomologyData:
+    if c.ring == INT:
+        return _homology_data_int(c, n)
+    _check_homology_ring(c.ring)
+    return _quotient_space_field(c.ring, c.rank(n), kernel_field(c.diff(n)), c.diff(n + 1))
 
 
 def homology_at(c: GradedComplex, n: int) -> AbGroup:
     """H_n of a chain-stored complex, as an AbGroup presentation."""
     return homology_data(c, n).group
+
+
+class GroupInvariants(NamedTuple):
+    """The isomorphism type of a homology group: free rank and torsion, as in AbGroup."""
+
+    free_rank: int
+    torsion: tuple
+
+
+def homology_invariants(c: GradedComplex, degrees) -> dict:
+    """{n: GroupInvariants of H_n} for each n in `degrees`, in list order.
+
+    Each differential is read once and serves both degrees it touches:
+    rank H_n = rank C_n - rank d_n - rank d_(n+1), and the torsion of
+    H_n is the diagonal of d_(n+1)'s Smith form from 2 on (im d_(n+1)
+    lies in ker d_n, a direct summand of C_n).  Over Z that is one
+    certified `snf` per differential; over Q and Z/p one `_rref` gives
+    the rank.  A differential with no rows or no columns has rank 0 and
+    is not reduced.  No generators are chosen: `homology_data` presents
+    the group when a caller needs them.
+    """
+    degrees = list(degrees)
+    if degrees:
+        _check_homology_ring(c.ring)
+    forms = {}
+
+    def form(n):  # (rank d_n, Smith diagonal of d_n)
+        if n not in forms:
+            d = c.diff(n)
+            if not (d.nrows and d.ncols):
+                forms[n] = (0, ())
+            elif c.ring == INT:
+                s = snf(d)
+                forms[n] = (s.rank, s.diag[: s.rank])
+            else:
+                forms[n] = (len(_rref(d)[1]), ())
+        return forms[n]
+
+    out = {}
+    for n in degrees:
+        up, diag = form(n + 1)
+        out[n] = GroupInvariants(c.rank(n) - form(n)[0] - up, tuple(x for x in diag if x >= 2))
+    return out
 
 
 # ---------------------------------------------------------------------------

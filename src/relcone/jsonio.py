@@ -375,6 +375,7 @@ def form_from_json(obj):
 
 
 def group_to_json(g) -> dict:
+    """Rank and torsion of an AbGroup or a homology.GroupInvariants; both print the same."""
     out = {"rank": g.free_rank}
     if g.torsion:
         out["torsion"] = [value_to_json(INT, t) for t in g.torsion]

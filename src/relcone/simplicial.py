@@ -6,8 +6,8 @@ sign.  The cylinder and cone constructions introduce fresh labels
 ("x:v" for the source copy, "y:w" for the target copy, "*" for the cone
 apex) so that the result is again a plain labeled complex.  One
 builder, `_incidence`, fills every simplex-indexed matrix (boundaries,
-pushforwards, the cone and prism operators, the cone comparison), so
-index lookup and orientation sign live in one place.  Chain complexes
+pushforwards, the cone comparison), so index lookup and orientation
+sign live in one place.  Chain complexes
 and chain maps are built and checked over Z only; every other ring
 reads the checked integer data through n -> n.1.
 
@@ -179,10 +179,6 @@ class SimplicialMap(Frozen):
         return f"SimplicialMap({len(self.src.vertices)} -> {len(self.dst.vertices)} vertices)"
 
 
-def identity_simplicial(k: SimplicialComplex) -> SimplicialMap:
-    return SimplicialMap(k, k, {v: v for v in k.vertices})
-
-
 # ---------------------------------------------------------------------------
 # Chain complexes and chain maps
 # ---------------------------------------------------------------------------
@@ -254,7 +250,7 @@ def _sort_sign(seq) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Cylinder, cone space, cone operator, prisms
+# Cylinder, cone space, prisms
 # ---------------------------------------------------------------------------
 
 APEX = "*"
@@ -327,32 +323,6 @@ def mapping_cone_space(phi: SimplicialMap) -> SimplicialComplex:
 def _faces(k: SimplicialComplex, n: int) -> list:
     """The (n-1)-simplices of k by label; for n = 0, the empty simplex, whose apex join is the apex."""
     return [k.labels(s) for s in k.simplices(n - 1)] if n else [()]
-
-
-def cone_operator(k: SimplicialComplex):
-    """The join-with-apex operator h against the plain cone of k (apex joined to every simplex).
-
-    Returns (cone, h) where h[n]: C~_(n-1)(k) -> C~_n(cone) on augmented
-    chains; h sends a simplex to its apex join and the empty simplex to
-    the apex.  The identity h d + d h = k-inclusion is exact; tests
-    assert it.
-    """
-    if APEX in k._index:
-        raise InvalidComplex("complex already uses the apex label")
-    cone = SimplicialComplex([APEX, *k.vertices], [(APEX,)] + [(APEX, *f) for f in k.facets()])
-    joins = lambda n: [[([cone._index[v] for v in (APEX, *f)], 1)] for f in _faces(k, n)]
-    return cone, {n: _incidence(INT, cone, n, joins(n)) for n in range(k.dim + 2)}
-
-
-def prism_operator(phi: SimplicialMap, ambient: SimplicialComplex, ring: CoeffRing = INT) -> Dict[int, Matrix]:
-    """P[n]: C_n(src) -> C_(n+1)(ambient) over the cylinder prisms.
-
-    ambient is any complex containing the cylinder (the cylinder itself
-    or a cone space built on it).  Satisfies dP + Pd = (y-copy of phi)
-    minus (x-copy inclusion); tests assert the identity degreewise.
-    """
-    prisms = lambda n: [_prism_terms(phi, ambient, phi.src.labels(s)) for s in phi.src.simplices(n)]
-    return {n: _incidence(ring, ambient, n + 1, prisms(n)) for n in range(phi.src.dim + 1)}
 
 
 # ---------------------------------------------------------------------------

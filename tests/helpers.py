@@ -12,10 +12,11 @@ from math import gcd
 
 from relcone import jsonio
 from relcone.coeffs import INT
-from relcone.chain import ComplexMap, GradedComplex, Homotopy, cone_of_map
+from relcone.chain import ComplexMap, GradedComplex, Homotopy, cone_of_map, mat_ring, shift
+from relcone.errors import InvalidChainMap
 from relcone.fixtures import cycle_complex
 from relcone.homology import homology_at
-from relcone.matrix import Matrix
+from relcone.matrix import Matrix, block
 from relcone.simplicial import SimplicialComplex, SimplicialMap
 
 
@@ -338,6 +339,19 @@ def torus(n):
 # ---------------------------------------------------------------------------
 
 
+def count_calls(monkeypatch, module, name):
+    """The argument tuples of every call to `module.name` from here on (the attribute is wrapped)."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def quasi_iso(f: ComplexMap) -> bool:
     """True when the cone of f has vanishing homology in every degree."""
     cone = cone_of_map(f)
@@ -351,3 +365,61 @@ def chain_map_to_json(f: ComplexMap) -> dict:
         if f.src.rank(n) and f.dst.rank(n):
             mat[str(n)] = jsonio.matrix_rows(f.component(n))
     return {"src": jsonio.complex_to_json(f.src), "dst": jsonio.complex_to_json(f.dst), "mat": mat}
+
+
+# ---------------------------------------------------------------------------
+# Test-only chain maps and converters
+# ---------------------------------------------------------------------------
+
+
+def identity_map(c: GradedComplex) -> ComplexMap:
+    mats = {n: Matrix.identity(mat_ring(c.ring), c.rank(n)) for n in c.degrees()}
+    return ComplexMap(c, c, mats, validate=False)
+
+
+def compose(g: ComplexMap, f: ComplexMap) -> ComplexMap:
+    """g after f."""
+    if f.dst is not g.src and f.dst != g.src:
+        raise InvalidChainMap("composition target/source mismatch")
+    mats = {n: g.component(n) @ f.component(n) for n in f.degrees()}
+    return ComplexMap(f.src, g.dst, mats, validate=False)
+
+
+def cone_inclusion(f: ComplexMap, cone: GradedComplex) -> ComplexMap:
+    """j: Y -> Cone(f), beta |-> (0, beta).
+
+    With the differential (theta, eta) |-> (d theta, f theta - d eta)
+    this anticommutes on the nose (d j = -j d), which is why validation
+    is skipped; it still carries cycles to cycles and boundaries to
+    boundaries, so the induced map on homology is the usual one.
+    """
+    x, y = f.src, f.dst
+    mr = mat_ring(f.ring)
+    column = lambda n: [[Matrix.zeros(mr, x.rank(n - 1), y.rank(n))], [Matrix.identity(mr, y.rank(n))]]
+    return ComplexMap(y, cone, {n: block(mr, column(n)) for n in cone.degrees()}, validate=False)
+
+
+def cone_projection(f: ComplexMap, cone: GradedComplex) -> ComplexMap:
+    """k: Cone(f) -> X shifted up by one, (theta, eta) |-> theta."""
+    x, y = f.src, f.dst
+    mr = mat_ring(f.ring)
+    row = lambda n: [[Matrix.identity(mr, x.rank(n - 1)), Matrix.zeros(mr, x.rank(n - 1), y.rank(n))]]
+    return ComplexMap(cone, shift(x, 1), {n: block(mr, row(n)) for n in cone.degrees()}, validate=False)
+
+
+def cochain_complex(ring, ranks_by_codeg: dict, d_by_codeg: dict) -> GradedComplex:
+    """Store a cochain complex (X^*, d) as the chain complex X~_n = X^(-n)."""
+    ranks = {-q: r for q, r in ranks_by_codeg.items()}
+    diffs = {-q: m for q, m in d_by_codeg.items()}
+    return GradedComplex(ring, ranks, diffs)
+
+
+def cochain_view(c: GradedComplex):
+    """Inverse of :func:`cochain_complex`; returns (ranks, d) by codegree."""
+    ranks = {-n: c.rank(n) for n in c.degrees() if c.rank(n)}
+    d = {-n: c.diff(n) for n in c.degrees() if c.diff(n).nrows and c.diff(n).ncols}
+    return ranks, d
+
+
+def identity_simplicial(k: SimplicialComplex) -> SimplicialMap:
+    return SimplicialMap(k, k, {v: v for v in k.vertices})

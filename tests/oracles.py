@@ -364,7 +364,7 @@ def pullback_matrix(m, p, ring=None):
 
 
 def cover_cochains(cover, ring):
-    from relcone.chain import cochain_complex
+    from helpers import cochain_complex
 
     d = cover.nerve.dim
     ranks = {p: cover.rank(p) for p in range(d + 1)}

@@ -17,7 +17,7 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
-from helpers import seeded_degree_map
+from helpers import count_calls, seeded_degree_map
 from relcone import cech, geo, homology
 from relcone.cech import (
     CechCochain,
@@ -177,18 +177,6 @@ def test_classify_trivialize_and_equivalence_match_the_oracle(name):
         assert ok == (oracles.rel_witness_vector(diff.u) is not None)
         if ok:
             assert rel_diff(w) == diff.u
-
-
-def count_calls(monkeypatch, module, name):
-    calls = []
-    real = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
 
 
 @pytest.mark.parametrize("name", ["winding", "half-bundle", "half-gerbe"])

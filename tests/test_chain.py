@@ -4,6 +4,12 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    cochain_complex,
+    cochain_view,
+    compose,
+    cone_inclusion,
+    cone_projection,
+    identity_map,
     random_block_complex,
     random_chain_map,
     random_homotopy_triple,
@@ -14,19 +20,13 @@ from relcone.chain import (
     ConeElement,
     GradedComplex,
     Homotopy,
-    cochain_complex,
     cochain_cone_split,
-    cochain_view,
-    compose,
-    cone_inclusion,
     cone_of_cochain_map,
     cone_of_map,
-    cone_projection,
     cone_split,
     dual_complex,
     dual_map,
     homotopy_cone_iso,
-    identity_map,
     kronecker,
     mat_ring,
     shift,

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import relcone
+from helpers import identity_simplicial
 from relcone import cli, jsonio
 from relcone.cech import rel_diff
 from relcone.fixtures import (
@@ -19,7 +20,6 @@ from relcone.fixtures import (
 )
 from relcone.geo import group_op
 from relcone.matrix import Matrix
-from relcone.simplicial import identity_simplicial
 
 
 def run(*argv):
@@ -355,6 +355,29 @@ def test_fixtures_list_takes_the_names_emit_takes(capsys):
     assert capsys.readouterr().err == "relcone: parse error: unknown fixture names: nosuch\n"
 
 
+def test_fixture_names_may_follow_an_option(tmp_path, capsys):
+    """`fixtures list|emit --out DIR NAME...` gives the bytes of `fixtures list|emit NAME... --out DIR`."""
+    names = ["fix-d0", "rp2"]
+    for action in ("list", "emit"):
+        before = run("fixtures", action, *names, "--out", str(tmp_path / "before"))
+        after = run("fixtures", action, "--out", str(tmp_path / "after"), *names)
+        mixed = run("fixtures", action, names[0], "--out", str(tmp_path / "after"), names[1])
+        assert before[0] == after[0] == mixed[0] == 0
+        assert before[1].replace("before", "after") == after[1] == mixed[1]
+    for name in names:
+        assert (tmp_path / "before" / f"{name}.json").read_bytes() == (tmp_path / "after" / f"{name}.json").read_bytes()
+    capsys.readouterr()
+    for argv, message in [
+        (("list", "--out", "x", "rp2", "nosuch"), "unknown fixture names: nosuch"),
+        (("emit", "--out", str(tmp_path / "bad"), "nosuch"), "unknown fixture names: nosuch"),
+        (("list", "--bogus", "rp2"), "unrecognized arguments: --bogus rp2"),
+        (("emit", "rp2", "--out", str(tmp_path / "bad"), "--bogus"), "unrecognized arguments: --bogus"),
+    ]:
+        assert run("fixtures", *argv) == (1, ""), argv
+        assert capsys.readouterr().err == f"relcone: parse error: {message}\n", argv
+    assert not (tmp_path / "bad").exists()
+
+
 def test_fixtures_emit_is_byte_identical(tmp_path):
     a = emit_all(tmp_path / "a")
     b = emit_all(tmp_path / "b")
@@ -393,7 +416,7 @@ def test_dispatch_covers_every_verb_and_operation():
     assert set(cli.DISPATCH) == verbs
     # every core library operation is reachable from some handler
     for op in (
-        "snf", "homology_at", "cone_of_map", "mapping_cone_space",
+        "snf", "homology_invariants", "cone_of_map", "mapping_cone_space",
         "compare_cones", "les_of_cone", "ker_coker_les",
         "cover_cochain_complex", "relative_cone_complex", "classify",
         "trivialize", "is_integral", "bohr_sommerfeld", "fixture_registry",
@@ -507,6 +530,10 @@ def test_optimized_interpreter_gives_identical_bytes(tmp_path):
     for argv in (
         ("homology", "--ring", "Q", f"{fx}/rp2.json"),
         ("homology", "--ring", "Zmod:2", f"{fx}/rp2.json"),
+        ("homology", "--ring", "Z", f"{fx}/rp2.json"),
+        ("cone", "--ring", "Z", f"{fx}/fix-d2.json"),
+        ("cone", "--ring", "Zmod:2", f"{fx}/fix-d2.json"),
+        ("cone-space", "--degree", "2", f"{fx}/fix-d2.json"),
         ("les", "--ring", "Q", f"{fx}/fix-d2.json"),
         ("les", "--ring", "Z", f"{fx}/fix-d2.json"),
         ("kercoker", f"{fx}/fix-d0.json"),
@@ -526,10 +553,10 @@ def test_optimized_interpreter_gives_identical_bytes(tmp_path):
 
     graded = tmp_path / "graded-z.json"
     graded.write_text(GRADED_Z)
-    argv = ("homology", "--ring", "Q", str(graded))
-    plain = run_subprocess(argv)
-    assert plain[:2] == (1, b"") and plain[2].count(b"\n") == 1
-    assert run_subprocess(argv, optimize=True) == plain
+    for argv in (("homology", "--ring", "Q", str(graded)), ("cech", "--ring", "Zmod:4", f"{fx}/covermap-disk.json")):
+        plain = run_subprocess(argv)
+        assert plain[:2] == (1, b"") and plain[2].count(b"\n") == 1, argv
+        assert run_subprocess(argv, optimize=True) == plain, argv
 
     cocycles = [f"{fx}/{name}.json" for name, (kind, _) in fixture_registry().items() if kind == "cocycle"]
     argvs = [("cech", "--ring", "Zmod:2", f"{fx}/covermap-susp-d2.json")]

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from helpers import identity_simplicial
 from relcone.cech import (
     CechCochain,
     Cover,
@@ -49,7 +50,7 @@ from relcone.geo import (
 )
 from relcone.homology import IntSolver, homology_data, kernel_int
 from relcone.matrix import Matrix, hstack
-from relcone.simplicial import SimplicialComplex, SimplicialMap, identity_simplicial
+from relcone.simplicial import SimplicialComplex, SimplicialMap
 from relcone import fixtures as FX
 
 

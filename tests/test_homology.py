@@ -10,6 +10,7 @@ import pytest
 
 from helpers import (
     flip,
+    identity_map,
     quasi_iso,
     random_block_complex,
     random_chain_map,
@@ -32,7 +33,7 @@ from oracles import (
     rank_rational,
     smith_diagonal_via_minors,
 )
-from relcone.chain import ComplexMap, GradedComplex, cone_of_map, identity_map
+from relcone.chain import ComplexMap, GradedComplex, cone_of_map
 from relcone.coeffs import INT, RAT, U1, ZMOD
 from relcone import homology
 from relcone.errors import InvalidChainMap, UnsupportedRing

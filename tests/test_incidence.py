@@ -1,9 +1,9 @@
 """One incidence builder fills every simplex-indexed matrix.
 
-Boundaries, pushforwards, the cone and prism operators and the cone
-comparison map are compared with the separate loops kept in
-`oracles.py`, each with its own index lookup and orientation sign; the
-one-pass facets with the all-pairs scan; and the cone space built from
+Boundaries, pushforwards, the signed prisms and the cone comparison map
+are compared with the separate loops kept in `oracles.py`, each with its
+own index lookup and orientation sign; the one-pass facets with the
+all-pairs scan; and the cone space built from
 the cylinder's generating family with the one read back from a built
 cylinder.  Inputs: the fixture complexes and maps, seeded degree maps
 with shuffled vertex orders, tori T(3)-T(5), spheres, RP^2 and a
@@ -23,7 +23,7 @@ from itertools import combinations
 import pytest
 
 import oracles
-from helpers import seeded_degree_map, torus
+from helpers import identity_simplicial, seeded_degree_map, torus
 from relcone import simplicial
 from relcone.chain import ComplexMap, GradedComplex, cone_of_map, mat_ring
 from relcone.coeffs import INT, RAT, ZMOD
@@ -34,13 +34,12 @@ from relcone.simplicial import (
     SimplicialComplex,
     SimplicialMap,
     _comparison_map,
+    _incidence,
+    _prism_terms,
     chain_complex,
     chain_map,
-    cone_operator,
-    identity_simplicial,
     mapping_cone_space,
     mapping_cylinder,
-    prism_operator,
     pushforward_matrices,
 )
 
@@ -162,17 +161,18 @@ def test_a_corrupted_entry_is_refused_over_every_ring(monkeypatch, ring):
             chain_map(phi, ring)
 
 
+def prisms(phi, ambient, ring):
+    """The signed prisms of the comparison map, one `_incidence` call per degree."""
+    terms = lambda n: [_prism_terms(phi, ambient, phi.src.labels(s)) for s in phi.src.simplices(n)]
+    return {n: _incidence(ring, ambient, n + 1, terms(n)) for n in range(phi.src.dim + 1)}
+
+
 @pytest.mark.parametrize("ring", RINGS, ids=str)
 def test_pushforwards_and_prisms_match_their_loops(ring):
     for name, phi in maps().items():
         assert pushforward_matrices(phi, ring) == oracles.pushforward_by_rows(phi, ring), name
         for ambient in (mapping_cylinder(phi)[0], mapping_cone_space(phi)):
-            assert prism_operator(phi, ambient, ring) == oracles.prism_operator_by_columns(phi, ambient, ring), name
-
-
-def test_cone_operators_match_the_row_loop():
-    for name, k in complexes().items():
-        assert cone_operator(k) == oracles.cone_operator_by_rows(k), name
+            assert prisms(phi, ambient, ring) == oracles.prism_operator_by_columns(phi, ambient, ring), name
 
 
 def test_comparison_maps_match_the_prism_column_sums():

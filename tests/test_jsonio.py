@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import chain_map_to_json
+from helpers import chain_map_to_json, identity_simplicial
 from relcone import jsonio
 from relcone.coeffs import INT, RAT, ZMOD
 from relcone.errors import ParseError
@@ -13,7 +13,7 @@ from relcone.fixtures import (
     half_gerbe_cocycle,
     projective_plane,
 )
-from relcone.simplicial import chain_complex, chain_map, identity_simplicial
+from relcone.simplicial import chain_complex, chain_map
 
 
 @pytest.mark.parametrize("ring", [INT, RAT, ZMOD(5)])

@@ -28,16 +28,19 @@ from relcone.simplicial import (
     chain_complex,
     chain_map,
     compare_cones,
-    cone_operator,
-    identity_simplicial,
     mapping_cone_space,
     mapping_cylinder,
     nerve,
-    prism_operator,
 )
 
-from helpers import seeded_degree_map
-from oracles import RP2_BETTI_F2, RP2_BETTI_Q, degree_map_cone_homology
+from helpers import compose, identity_simplicial, seeded_degree_map
+from oracles import (
+    RP2_BETTI_F2,
+    RP2_BETTI_Q,
+    cone_operator_by_rows,
+    degree_map_cone_homology,
+    prism_operator_by_columns,
+)
 
 FIXTURE_MAPS = {
     "d0": degree_map(0),
@@ -179,12 +182,10 @@ def test_cylinder_deformation_retracts_to_target(name):
 def test_prism_identity(name):
     phi = FIXTURE_MAPS[name]
     cyl, inc_src, inc_dst = mapping_cylinder(phi)
-    prisms = prism_operator(phi, cyl)
+    prisms = prism_operator_by_columns(phi, cyl, INT)
     ccyl = chain_complex(cyl, INT)
     csrc = chain_complex(phi.src, INT)
     top = chain_map(inc_dst, INT)
-    from relcone.chain import compose
-
     glued = compose(top, chain_map(phi, INT))
     free = chain_map(inc_src, INT)
     for n in range(phi.src.dim + 1):
@@ -221,7 +222,7 @@ def test_cone_space_of_constant_map_is_a_sphere():
 @pytest.mark.parametrize("build", [lambda: cycle_complex(3), disk_complex, projective_plane])
 def test_cone_operator_identity(build):
     k = build()
-    cone, h = cone_operator(k)
+    cone, h = cone_operator_by_rows(k)
     ck = chain_complex(k, INT, augmented=True)
     cc = chain_complex(cone, INT, augmented=True)
     inc = chain_map(SimplicialMap(k, cone, {v: v for v in k.vertices}), INT, augmented=True)
@@ -234,7 +235,7 @@ def test_cone_operator_identity(build):
 
 def test_cone_of_a_vertex_is_an_edge():
     k = point_complex()
-    cone, h = cone_operator(k)
+    cone, h = cone_operator_by_rows(k)
     assert cone.has(("*", "pt"))
     assert list(h[1].col(0)) == [1]  # one edge, hit once
 

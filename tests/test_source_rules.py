@@ -112,14 +112,12 @@ def test_trusted_builds_only_from_the_allowlist():
 # Where a complex or chain map may be built with `validate=False`, skipping its
 # d d = 0 or d f = f d check.  Most of these build one whose identities follow
 # from data that was checked: a ring map n -> n.1 of a checked integer complex
-# or map (`from_int_complex`, `from_int_map`), or a shift, transpose,
-# composite, identity or cone of checked data.  `cone_inclusion` commutes only
-# up to sign, and `compare_cones` keeps a map that failed its check in order to
+# or map (`from_int_complex`, `from_int_map`), or a shift, transpose or cone of
+# checked data.  `compare_cones` keeps a map that failed its check in order to
 # report it.  A new place is a new entry here, to be read and checked.
 UNCHECKED_BUILD_CALLERS = {
     "chain.py": {
-        "from_int_complex", "from_int_map", "shift", "identity_map", "compose", "cone_of_map",
-        "cone_inclusion", "cone_projection", "cone_of_cochain_map", "dual_complex", "dual_map",
+        "from_int_complex", "from_int_map", "shift", "cone_of_map", "cone_of_cochain_map", "dual_complex", "dual_map",
     },
     "simplicial.py": {"compare_cones"},
 }
