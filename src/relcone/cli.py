@@ -7,10 +7,10 @@ not isomorphic, sequence not exact); 1 means the input could not be
 parsed or a precondition failed, so nothing was decided.
 
 `homology`, `cone`, `cone-space` and `cech` print group invariants
-only, read from one certified Smith form per differential
-(`homology_invariants`); `les`, `kercoker`, `compare-cones`, `classify`,
-`trivialize`, `integrality` and `bohr-sommerfeld` build presentations
-with generators.
+only (`homology_invariants`): over Z one Smith diagonal per differential,
+certified by replaying its row and column operations.  `snf`, `les`,
+`kercoker`, `compare-cones`, `classify`, `trivialize`, `integrality` and
+`bohr-sommerfeld` read Z transforms certified by `_check_snf`'s products.
 
 `main(argv)` returns the exit code and may be called any number of times
 in one process; the argument parser is built on the first call and

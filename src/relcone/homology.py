@@ -1,8 +1,11 @@
 """Smith normal form, homology presentations, and long exact sequences.
 
-All integer work is exact big-integer arithmetic.  The Smith routine
-returns A = U D V with unimodular U, V together with their inverses.
-Kernels, solving and membership read them directly.  One
+All integer work is exact big-integer arithmetic.  `snf` returns
+A = U D V with unimodular U, V and their inverses, certified by the
+products of `_check_snf`; kernels, solving and membership read them.
+`smith_diagonal`, all that `homology_invariants` and so the verbs
+`homology`, `cone`, `cone-space` and `cech` read, builds no transforms
+and certifies its diagonal by replaying the pivot loop's log.  One
 :class:`IntSolver` per matrix solves A X = B over Z and A w = c over
 Q/Z from the same form: Q/Z is divisible, so the angle equation needs
 only a division by the diagonal, with no modulus.  A lattice that
@@ -56,65 +59,98 @@ class SNFResult:
     rank: int
 
 
+_SWAP, _ADD, _NEG = 0, 1, 2  # the kinds of a logged operation; see _smith_eliminate
+
+
 def snf(a: Matrix) -> SNFResult:
-    """Smith normal form over Z.
+    """Smith normal form over Z, with both transforms and their inverses.
 
     Pivoting picks the minimal absolute nonzero entry of the remaining
     submatrix; the returned diagonal is nonnegative and satisfies
-    d1 | d2 | ... .  `_check_snf` certifies every result, under any
-    interpreter flags, and a failure raises InvalidChainMap.  It runs
-    the cheap scans of the diagonal first (signs, divisibility, D
-    diagonal with `rank` nonzeros), then A = U D V as one rank-r
-    product, then U Uinv = I and V Vinv = I.
+    d1 | d2 | ... .  U, Uinv, V and Vinv follow each operation of the
+    pivot loop.  `_check_snf` certifies every result, under any
+    interpreter flags, and a failure raises InvalidChainMap: the scans
+    of the diagonal first, then A = U D V as one rank-r product, then
+    U Uinv = I and V Vinv = I.  Verbs that read transforms (`snf`, `les`,
+    `kercoker`, `compare-cones`, `classify`, `trivialize`, `integrality`,
+    `bohr-sommerfeld`) come here; `homology`, `cone`, `cone-space` and
+    `cech` read `smith_diagonal`, certified by replay instead.
     """
     if a.ring != INT:
         raise UnsupportedRing("snf is defined over Z")
     m, n = a.nrows, a.ncols
     d = [list(r) for r in a.rows]
-    u = _eye_rows(m)
-    uinv = _eye_rows(m)
-    v = _eye_rows(n)
-    vinv = _eye_rows(n)
+    ut, uinv, v, vinvt = ([[0] * i + [1] + [0] * (k - i - 1) for i in range(k)] for k in (m, m, n, n))
+    for kind, on_rows, i, j, k in _smith_eliminate(d, m, n):
+        # D' = E D F gives Uinv' = E Uinv, U'^T = E^-T U^T, V' = F^-1 V and
+        # Vinv'^T = F^T Vinv^T: with U and Vinv kept transposed, all are row operations
+        same, dual = (uinv, ut) if on_rows else (vinvt, v)
+        if kind == _SWAP:
+            same[i], same[j], dual[i], dual[j] = same[j], same[i], dual[j], dual[i]
+        elif kind == _ADD:
+            same[i] = [x + k * y for x, y in zip(same[i], same[j])]
+            dual[j] = [x - k * y for x, y in zip(dual[j], dual[i])]
+        else:
+            same[i], dual[i] = [-x for x in same[i]], [-x for x in dual[i]]
+    limit = min(m, n)
+    res = SNFResult(
+        u=Matrix._of(INT, m, m, zip(*ut)),
+        d=Matrix._of(INT, m, n, d),
+        v=Matrix._of(INT, n, n, v),
+        uinv=Matrix._of(INT, m, m, uinv),
+        vinv=Matrix._of(INT, n, n, zip(*vinvt)),
+        diag=tuple(d[i][i] for i in range(limit)),
+        rank=sum(1 for i in range(limit) if d[i][i]),
+    )
+    _check_snf(a, res)
+    return res
 
-    def row_swap(i, j):
-        d[i], d[j] = d[j], d[i]
-        for r in u:
-            r[i], r[j] = r[j], r[i]
-        uinv[i], uinv[j] = uinv[j], uinv[i]
 
-    def row_add(i, j, k):
-        # row i of D += k * row j; U col j -= k * U col i; Uinv row i += k * row j
-        di, dj = d[i], d[j]
-        for c in range(n):
-            di[c] += k * dj[c]
-        for r in u:
-            r[j] -= k * r[i]
-        ui, uj = uinv[i], uinv[j]
-        for c in range(m):
-            ui[c] += k * uj[c]
+def smith_diagonal(a: Matrix) -> tuple:
+    """(rank, Smith diagonal) of an integer matrix, with no transforms.
 
-    def row_negate(i):
-        d[i] = [-x for x in d[i]]
-        for r in u:
-            r[i] = -r[i]
-        uinv[i] = [-x for x in uinv[i]]
+    The pivot loop of `snf` reduces a copy of A and logs its operations.
+    Replaying them on a fresh copy with `_apply` (no code shared with the
+    loop's updates of D) must give the Smith diagonal matrix of `diag`:
+    that is P A Q with unimodular P, Q, and A has one Smith form.  This
+    certificate runs on every call; a failure raises InvalidChainMap.
+    """
+    if a.ring != INT:
+        raise UnsupportedRing("snf is defined over Z")
+    d, replay = [list(r) for r in a.rows], [list(r) for r in a.rows]
+    for op in _smith_eliminate(d, a.nrows, a.ncols):
+        _apply(replay, op)
+    diag = tuple(d[i][i] for i in range(min(a.shape)))
+    rank = sum(1 for x in diag if x)
+    _check_smith_diagonal(a.shape, a.shape, replay, diag, rank)
+    return rank, diag
 
-    def col_swap(i, j):
-        for r in d:
-            r[i], r[j] = r[j], r[i]
-        v[i], v[j] = v[j], v[i]
-        for r in vinv:
-            r[i], r[j] = r[j], r[i]
 
-    def col_add(i, j, k):
-        # col i of D += k * col j; V row j -= k * row i; Vinv col i += k * col j
-        for r in d:
-            r[i] += k * r[j]
-        vj, vi = v[j], v[i]
-        for c in range(n):
-            vj[c] -= k * vi[c]
-        for r in vinv:
-            r[i] += k * r[j]
+def _smith_eliminate(d, m, n):
+    """The one pivot loop: reduce the m x n row lists `d` in place to Smith normal form.
+
+    Returns the operations applied to `d`, in order, as (kind, on_rows, i, j, k):
+    swap lines i and j (_SWAP), add k times line j to line i (_ADD) or negate line i (_NEG).
+    """
+    log = []
+
+    def step(kind, on_rows, i, j, k=0):
+        # the loop's own in-place update of D, then the log
+        if on_rows and kind == _SWAP:
+            d[i], d[j] = d[j], d[i]
+        elif on_rows and kind == _ADD:
+            di, dj = d[i], d[j]
+            for c in range(n):
+                di[c] += k * dj[c]
+        elif on_rows:
+            d[i] = [-x for x in d[i]]
+        elif kind == _SWAP:
+            for r in d:
+                r[i], r[j] = r[j], r[i]
+        else:
+            for r in d:
+                r[i] += k * r[j]
+        log.append((kind, on_rows, i, j, k))
 
     def find_pivot(t):
         best = None
@@ -140,11 +176,11 @@ def snf(a: Matrix) -> SNFResult:
         while True:
             i0, j0 = piv
             if i0 != t:
-                row_swap(t, i0)
+                step(_SWAP, True, t, i0)
             if j0 != t:
-                col_swap(t, j0)
+                step(_SWAP, False, t, j0)
             if d[t][t] < 0:
-                row_negate(t)
+                step(_NEG, True, t, t)
             p = d[t][t]
             dirty = False
             for i in range(t + 1, m):
@@ -152,7 +188,7 @@ def snf(a: Matrix) -> SNFResult:
                 if x:
                     q = x // p
                     if q:
-                        row_add(i, t, -q)
+                        step(_ADD, True, i, t, -q)
                     if d[i][t]:
                         dirty = True
             for j in range(t + 1, n):
@@ -160,7 +196,7 @@ def snf(a: Matrix) -> SNFResult:
                 if x:
                     q = x // p
                     if q:
-                        col_add(j, t, -q)
+                        step(_ADD, False, j, t, -q)
                     if d[t][j]:
                         dirty = True
             if dirty:
@@ -177,56 +213,61 @@ def snf(a: Matrix) -> SNFResult:
                     break
             if bad is None:
                 break
-            row_add(t, bad, 1)
+            step(_ADD, True, t, bad, 1)
             piv = (t, t)
         t += 1
-
-    res = SNFResult(
-        u=Matrix._of(INT, m, m, u),
-        d=Matrix._of(INT, m, n, d),
-        v=Matrix._of(INT, n, n, v),
-        uinv=Matrix._of(INT, m, m, uinv),
-        vinv=Matrix._of(INT, n, n, vinv),
-        diag=tuple(d[i][i] for i in range(limit)),
-        rank=sum(1 for i in range(limit) if d[i][i]),
-    )
-    _check_snf(a, res)
-    return res
+    return log
 
 
-def _eye_rows(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _apply(rows, op):
+    """Apply a logged operation to the row lists `rows` by full lines; refuse bad lines and self-adds."""
+    kind, on_rows, i, j, k = op
+    size = len(rows) if on_rows else len(rows[0]) if rows else 0
+    if not (0 <= i < size and 0 <= j < size) or (kind == _ADD and i == j):
+        raise InvalidChainMap(f"snf: bad logged operation {op}")
+    if on_rows and kind == _SWAP:
+        rows[i], rows[j] = rows[j], rows[i]
+    elif on_rows:
+        rows[i] = [x + k * y for x, y in zip(rows[i], rows[j])] if kind == _ADD else [-x for x in rows[i]]
+    elif kind == _SWAP:
+        for r in rows:
+            r[i], r[j] = r[j], r[i]
+    else:
+        for r in rows:
+            r[i] = r[i] + k * r[j] if kind == _ADD else -r[i]
 
 
-def _check_snf(a: Matrix, r: SNFResult):
-    """Raise InvalidChainMap unless `r` is a Smith normal form of `a`.
-
-    The O(mn) scans run first: no diagonal entry is negative; the
-    nonzero entries divide their successors and zeros come last; `d` is
-    the m x n diagonal matrix of `diag`, and `rank` counts its nonzeros.
-    D is then zero outside its first r diagonal entries, so U D V is
-    exactly U[:, :r] diag(d_1..d_r) V[:r, :], and A = U D V is checked as
-    that one m x r x n product.  It never reads U's columns or V's rows
-    beyond r; U Uinv = I and V Vinv = I certify those, as they certify
-    that U and V are unimodular.
-    """
-    m, n = a.nrows, a.ncols
-    diag = r.diag
+def _check_smith_diagonal(shape, d_shape, d_rows, diag, rank):
+    """Raise InvalidChainMap unless `d_rows` (shape `d_shape`) is the Smith form `diag` of rank `rank`."""
     if any(x < 0 for x in diag):
         raise InvalidChainMap("snf: negative diagonal")
     for i in range(len(diag) - 1):
         # nonzeros divide their successors, and zeros come last
         if diag[i + 1] and not (diag[i] and diag[i + 1] % diag[i] == 0):
             raise InvalidChainMap("snf: divisibility chain broken")
-    if r.d.shape != a.shape or len(diag) != min(m, n):
+    if d_shape != shape or len(diag) != min(shape):
         raise InvalidChainMap("snf: D not diagonal")
-    for i, row in enumerate(r.d.rows):
+    for i, row in enumerate(d_rows):
         # diag[i] in column i (there is none when i >= n), zeros elsewhere
-        if any(row[:i]) or any(row[i + 1 :]) or row[i : i + 1] != diag[i : i + 1]:
+        if any(row[:i]) or any(row[i + 1 :]) or tuple(row[i : i + 1]) != diag[i : i + 1]:
             raise InvalidChainMap("snf: D not diagonal")
-    k = r.rank
-    if k != sum(1 for x in diag if x):
+    if rank != sum(1 for x in diag if x):
         raise InvalidChainMap("snf: rank is not the number of nonzero diagonal entries")
+
+
+def _check_snf(a: Matrix, r: SNFResult):
+    """Raise InvalidChainMap unless `r` is a Smith normal form of `a`.
+
+    The O(mn) scans of `_check_smith_diagonal` run first.  D is then
+    zero outside its first r diagonal entries, so A = U D V is checked
+    as the one m x r x n product U[:, :r] diag(d_1..d_r) V[:r, :].  It
+    never reads U's columns or V's rows beyond r; U Uinv = I and
+    V Vinv = I certify those, and that U and V are unimodular.
+    """
+    m, n = a.nrows, a.ncols
+    diag = r.diag
+    _check_smith_diagonal(a.shape, r.d.shape, r.d.rows, diag, r.rank)
+    k = r.rank
     scaled_v = Matrix._of(INT, k, n, [[d * x for x in row] for d, row in zip(diag[:k], r.v.rows)])
     if r.u.submatrix(range(m), range(k)) @ scaled_v != a:
         raise InvalidChainMap("snf: A != U D V")
@@ -611,7 +652,7 @@ def homology_invariants(c: GradedComplex, degrees) -> dict:
     rank H_n = rank C_n - rank d_n - rank d_(n+1), and the torsion of
     H_n is the diagonal of d_(n+1)'s Smith form from 2 on (im d_(n+1)
     lies in ker d_n, a direct summand of C_n).  Over Z that is one
-    certified `snf` per differential; over Q and Z/p one `_rref` gives
+    `smith_diagonal` per differential; over Q and Z/p one `_rref` gives
     the rank.  A differential with no rows or no columns has rank 0 and
     is not reduced.  No generators are chosen: `homology_data` presents
     the group when a caller needs them.
@@ -627,8 +668,7 @@ def homology_invariants(c: GradedComplex, degrees) -> dict:
             if not (d.nrows and d.ncols):
                 forms[n] = (0, ())
             elif c.ring == INT:
-                s = snf(d)
-                forms[n] = (s.rank, s.diag[: s.rank])
+                forms[n] = smith_diagonal(d)
             else:
                 forms[n] = (len(_rref(d)[1]), ())
         return forms[n]

@@ -5,7 +5,8 @@ what this routine returns.  It is checked against answers that do not
 come from it: the construction of seeded block complexes, the
 presentation path `homology_at`, Smith diagonals from minor gcds, and
 Betti numbers by plain Gaussian elimination.  Counting tests pin one
-Smith form per differential, shared by the two degrees that read it.
+`smith_diagonal` per differential, shared by the two degrees that read
+it, and no `snf` or `homology_data` call.
 """
 
 import io
@@ -143,20 +144,24 @@ def test_cone_space_reduces_each_differential_of_its_window_once(monkeypatch, fx
     space = mapping_cone_space(fixture_registry()["fix-d3"][1]())
     reduced = chain_complex(space, INT, augmented=True)
     window = range(0, space.dim + 2)  # degrees 0..dim read d_0..d_(dim+1)
+    diagonals = count_calls(monkeypatch, homology, "smith_diagonal")
     smiths = count_calls(monkeypatch, homology, "snf")
     presentations = count_calls(monkeypatch, homology, "homology_data")
     assert run_cli("cone-space", f"{fx}/fix-d3.json")[0] == 0
     nonempty = [n for n in window if reduced.diff(n).nrows and reduced.diff(n).ncols]
     assert nonempty == list(range(0, space.dim + 1))  # d_(dim+1) has no columns and needs no form
-    assert len(smiths) == len(nonempty)
-    assert degrees_of(smiths, reduced, window) == nonempty
-    assert presentations == []
+    assert len(diagonals) == len(nonempty)
+    assert degrees_of(diagonals, reduced, window) == nonempty
+    assert smiths == [] and presentations == []
 
 
 def test_homology_at_one_degree_reduces_its_two_differentials(monkeypatch, fx):
     c = chain_complex(projective_plane(), INT)
+    diagonals = count_calls(monkeypatch, homology, "smith_diagonal")
     smiths = count_calls(monkeypatch, homology, "snf")
+    presentations = count_calls(monkeypatch, homology, "homology_data")
     code, out, _ = run_cli("homology", "--degree", "1", f"{fx}/rp2.json")
     assert (code, out) == (0, '{"H":{"1":{"rank":0,"torsion":[2]}}}\n')
-    assert degrees_of(smiths, c, range(0, 4)) == [1, 2]
-    assert len(smiths) == 2
+    assert degrees_of(diagonals, c, range(0, 4)) == [1, 2]
+    assert len(diagonals) == 2
+    assert smiths == [] and presentations == []
