@@ -6,11 +6,13 @@ and returned a negative verdict (not integral, nontrivial class, cones
 not isomorphic, sequence not exact); 1 means the input could not be
 parsed or a precondition failed, so nothing was decided.
 
-`homology`, `cone`, `cone-space` and `cech` print group invariants
-only (`homology_invariants`): over Z one Smith diagonal per differential,
-certified by replaying its row and column operations.  `snf`, `les`,
-`kercoker`, `compare-cones`, `classify`, `trivialize`, `integrality` and
-`bohr-sommerfeld` read Z transforms certified by `_check_snf`'s products.
+`homology`, `cone`, `cone-space`, `cech` and `compare-cones` print group
+invariants only (`homology_invariants`): over Z one Smith diagonal per
+differential, certified by replaying its row and column operations;
+`compare-cones` reads the isomorphism in degree n off the cone of its
+comparison map, acyclic in n and n+1.  `snf`, `les`, `kercoker`,
+`classify`, `trivialize`, `integrality` and `bohr-sommerfeld` read Z
+transforms certified by `_check_snf`'s products.
 
 `main(argv)` returns the exit code and may be called any number of times
 in one process; the argument parser is built on the first call and

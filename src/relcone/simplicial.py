@@ -33,7 +33,7 @@ from .errors import (
     InvalidComplex,
     InvalidSimplicialMap,
 )
-from .homology import AbGroup, _is_presentation_iso, _on_generators, homology_data
+from .homology import GroupInvariants, _is_presentation_iso, _on_generators, homology_data, homology_invariants
 from .matrix import Matrix
 
 
@@ -332,9 +332,15 @@ def _faces(k: SimplicialComplex, n: int) -> list:
 
 @dataclass(frozen=True)
 class DegreeComparison:
-    algebraic: AbGroup  # H_n of the algebraic cone
-    reduced: AbGroup  # reduced H_n of the cone space
-    matrix: Matrix  # generator images under the comparison map
+    """The two groups of one degree n and whether l induces an isomorphism between them.
+
+    `iso` is True when the cone of the twisted comparison has H_n = H_(n+1)
+    = 0, or, where that cone has homology there, when the induced map on
+    presentations is an isomorphism.
+    """
+
+    algebraic: GroupInvariants  # H_n of the algebraic cone
+    reduced: GroupInvariants  # reduced H_n of the cone space
     iso: bool
 
 
@@ -343,7 +349,8 @@ class ConeComparison:
     """Per-degree comparison, and whether the (-1)^n twist of l passed its chain-map check.
 
     That check, d (twist l) = (twist l) d with shapes, is the identity
-    d l + l d = 0 of the raw comparison with the sign moved.
+    d l + l d = 0 of the raw comparison with the sign moved.  When it
+    fails, no degree is compared and every `iso` is False.
     """
 
     degrees: Dict[int, DegreeComparison]
@@ -373,31 +380,41 @@ def compare_cones(phi: SimplicialMap) -> ConeComparison:
     The raw comparison l(x, y) = (apex join + prism)(x) - (y-copy of y)
     satisfies d l + l d = 0 exactly, so its (-1)^n twist is a strict
     chain map from the augmented algebraic cone to the augmented chains
-    of the cone space; it is checked once, as a `ComplexMap`, and
-    induces isomorphisms degreewise.  Only the augmented cone is built:
-    its part X_-1 + Y_-1 = (Z -> Z, the identity) is an acyclic
-    subcomplex with the plain cone as quotient, so its H_n is H_n(phi)
-    in every degree.
+    of the cone space; it is checked once, as a `ComplexMap`.  Only the
+    augmented cone is built: its part X_-1 + Y_-1 = (Z -> Z, the
+    identity) is an acyclic subcomplex with the plain cone as quotient,
+    so its H_n is H_n(phi) in every degree.
+
+    The groups are invariants only (`homology_invariants`).  The
+    isomorphism certificate is the cone M of the twisted l: by the long
+    exact sequence H_(n+1)(M) -> H_n(alg) -> H_n(space) -> H_n(M), l
+    induces an isomorphism in degree n when H_n(M) = H_(n+1)(M) = 0.  A
+    degree that certificate leaves open, which only a comparison that is
+    not a quasi-isomorphism has, is decided on full presentations: the
+    images of the generators and `_is_presentation_iso`.
     """
     conea = cone_of_map(chain_map(phi, INT, augmented=True))
     space = mapping_cone_space(phi)
     caug = chain_complex(space, INT, augmented=True)
     twisted = {n: (m if n % 2 == 0 else -m) for n, m in _comparison_map(phi, space, conea.hi).items()}
+    window = range(0, max(conea.hi, caug.hi) + 1)
+    algebraic = homology_invariants(conea, window)
+    reduced = homology_invariants(caug, window)
     try:
         lmap = ComplexMap(conea, caug, twisted)
-        strict = True
     except InvalidChainMap:
-        lmap = ComplexMap(conea, caug, twisted, validate=False)
-        strict = False
+        return ConeComparison({n: DegreeComparison(algebraic[n], reduced[n], False) for n in window}, False)
 
+    cone = homology_invariants(cone_of_map(lmap), range(0, window.stop + 1))
     degrees = {}
-    for n in range(0, max(conea.hi, caug.hi) + 1):
-        da = homology_data(conea, n)
-        db = homology_data(caug, n)
-        mtx = _on_generators(da, db, lmap.component(n).apply) if strict else Matrix.zeros(INT, db.ngens, 0)
-        iso = strict and _is_presentation_iso(mtx, da, db)
-        degrees[n] = DegreeComparison(da.group, db.group, mtx, iso)
-    return ConeComparison(degrees, strict)
+    for n in window:
+        iso = cone[n] == cone[n + 1] == (0, ())
+        if not iso:
+            da = homology_data(conea, n)
+            db = homology_data(caug, n)
+            iso = _is_presentation_iso(_on_generators(da, db, lmap.component(n).apply), da, db)
+        degrees[n] = DegreeComparison(algebraic[n], reduced[n], iso)
+    return ConeComparison(degrees, True)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ answer key.
 from dataclasses import dataclass
 from math import gcd
 
-from relcone import jsonio
+from relcone import jsonio, simplicial
 from relcone.coeffs import INT
 from relcone.chain import ComplexMap, GradedComplex, Homotopy, cone_of_map, mat_ring, shift
 from relcone.errors import InvalidChainMap
@@ -350,6 +350,12 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def double_the_cone_comparison(monkeypatch):
+    """Make `compare_cones` use 2 l in every degree: still a chain map, inducing x2 on every group."""
+    real = simplicial._comparison_map
+    monkeypatch.setattr(simplicial, "_comparison_map", lambda *a: {n: m + m for n, m in real(*a).items()})
 
 
 def quasi_iso(f: ComplexMap) -> bool:

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import relcone
-from helpers import identity_simplicial
+from helpers import double_the_cone_comparison, identity_simplicial
 from relcone import cli, jsonio
 from relcone.cech import rel_diff
 from relcone.fixtures import (
@@ -58,6 +58,17 @@ def test_compare_cones_golden(tmp_path):
         "reduced": {"rank": 0, "torsion": [2]},
         "iso": True,
     }
+
+
+def test_compare_cones_exits_two_when_the_comparison_is_not_an_iso(tmp_path, monkeypatch):
+    fx = emit_all(tmp_path)
+    double_the_cone_comparison(monkeypatch)  # x2 on H_2 = Z of the disk pair
+    code, out = run("compare-cones", f"{fx}/fix-disk.json")
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["iso"] is False
+    assert {n for n, d in doc["degrees"].items() if not d["iso"]} == {"2"}
+    assert doc["degrees"]["2"]["algebraic"] == doc["degrees"]["2"]["reduced"] == {"rank": 1}
 
 
 def test_snf_golden():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from helpers import quasi_iso
+from relcone import homology, simplicial
 from relcone.chain import cone_of_map
 from relcone.coeffs import INT, RAT, ZMOD
 from relcone.errors import InconsistentIntersections, InvalidComplex, InvalidSimplicialMap
@@ -33,7 +34,7 @@ from relcone.simplicial import (
     nerve,
 )
 
-from helpers import compose, identity_simplicial, seeded_degree_map
+from helpers import compose, count_calls, double_the_cone_comparison, identity_simplicial, seeded_degree_map
 from oracles import (
     RP2_BETTI_F2,
     RP2_BETTI_Q,
@@ -278,12 +279,52 @@ def test_compare_cones_reads_the_plain_cone_groups_from_the_augmented_cone():
         for n, d in rep.degrees.items():
             plain = homology_at(cone, n)
             assert (d.algebraic.free_rank, d.algebraic.torsion) == (plain.free_rank, plain.torsion)
+        assert rep.iso
 
 
 def test_compare_cones_identity_trivial():
     rep = compare_cones(identity_simplicial(cycle_complex(3)))
     assert rep.iso
-    assert all(d.algebraic.is_trivial and d.reduced.is_trivial for d in rep.degrees.values())
+    trivial = lambda g: g.free_rank == 0 and not g.torsion
+    assert all(trivial(d.algebraic) and trivial(d.reduced) for d in rep.degrees.values())
+
+
+@pytest.mark.parametrize("name,not_iso", [("disk", {2}), ("susp-d2", {2}), ("d3", set())])
+def test_compare_cones_flags_a_doubled_comparison_degree_by_degree(monkeypatch, name, not_iso):
+    # 2 l induces x2 on every group: not onto Z (disk), zero on Z/2 (susp-d2), a unit on Z/3 (d3)
+    double_the_cone_comparison(monkeypatch)
+    presentations = count_calls(monkeypatch, simplicial, "homology_data")
+    rep = compare_cones(FIXTURE_MAPS[name])
+    assert rep.strict_chain_map
+    assert {n for n, d in rep.degrees.items() if not d.iso} == not_iso
+    assert rep.iso == (not not_iso)
+    assert {0, 1, 2} <= set(rep.degrees)
+    # the cone of 2 l has homology exactly where x2 is not invertible, so only then are presentations built
+    assert bool(presentations) == bool(not_iso)
+
+
+def test_compare_cones_reports_a_comparison_that_is_no_chain_map(monkeypatch):
+    want = compare_cones(FIXTURE_MAPS["d2"])
+    real = simplicial._comparison_map
+    monkeypatch.setattr(simplicial, "_comparison_map", lambda *a: {n: m + m if n == 1 else m for n, m in real(*a).items()})
+    rep = compare_cones(FIXTURE_MAPS["d2"])
+    assert not rep.strict_chain_map and not rep.iso
+    assert [(n, d.algebraic, d.reduced, d.iso) for n, d in rep.degrees.items()] == [
+        (n, d.algebraic, d.reduced, False) for n, d in want.degrees.items()
+    ]
+
+
+def test_compare_cones_builds_no_presentation(monkeypatch):
+    # the cone of the comparison is acyclic on every fixture map, so invariants settle every degree
+    maps = [build() for kind, build in fixture_registry().values() if kind == "map"]
+    smiths = count_calls(monkeypatch, homology, "snf")
+    presentations = count_calls(monkeypatch, homology, "homology_data")
+    presentations_here = count_calls(monkeypatch, simplicial, "homology_data")
+    diagonals = count_calls(monkeypatch, homology, "smith_diagonal")
+    for phi in maps:
+        assert compare_cones(phi).iso
+    assert smiths == [] and presentations == [] and presentations_here == []
+    assert diagonals
 
 
 def test_algebraic_cone_groups_match_cone_space_for_degree_maps():
