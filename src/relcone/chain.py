@@ -36,7 +36,7 @@ from .errors import (
     RingMismatch,
     ShapeMismatch,
 )
-from .matrix import Matrix, block, from_int_matrix
+from .matrix import Matrix, block, from_int_matrix, product_nonzeros
 
 
 def mat_ring(ring: CoeffRing) -> CoeffRing:
@@ -75,6 +75,7 @@ class GradedComplex:
         return sum(self._ranks.values())
 
     def _validate(self):
+        """Ring and shape of every differential, then d d = 0 on the nonzero entries of each product."""
         mr = mat_ring(self.ring)
         for n, m in self._diffs.items():
             if m.ring != mr:
@@ -85,8 +86,7 @@ class GradedComplex:
                     f"expected {(self.rank(n - 1), self.rank(n))}"
                 )
         for n in range(self.lo, self.hi + 2):
-            prod = self.diff(n - 1) @ self.diff(n)
-            if not prod.is_zero():
+            if product_nonzeros([(self.diff(n - 1), self.diff(n))]):
                 raise InvalidChainMap(f"d d != 0 at degree {n}")
 
     def __eq__(self, other):
@@ -152,6 +152,7 @@ class ComplexMap:
         return range(lo, hi + 1)
 
     def _validate(self):
+        """Ring and shape of every component, then d f = f d on the nonzero entries of both products."""
         mr = mat_ring(self.ring)
         for n, m in self._mats.items():
             if m.ring != mr:
@@ -162,9 +163,9 @@ class ComplexMap:
                     f"expected {(self.dst.rank(n), self.src.rank(n))}"
                 )
         for n in self.degrees():
-            lhs = self.dst.diff(n) @ self.component(n)
-            rhs = self.component(n - 1) @ self.src.diff(n)
-            if lhs != rhs:
+            dy, fn, fm, dx = self.dst.diff(n), self.component(n), self.component(n - 1), self.src.diff(n)
+            lhs = product_nonzeros([(dy, fn)])
+            if lhs != product_nonzeros([(fm, dx)]) or (dy.nrows, fn.ncols) != (fm.nrows, dx.ncols):
                 raise InvalidChainMap(f"d f != f d at degree {n}")
 
     def __eq__(self, other):
@@ -205,15 +206,17 @@ class Homotopy:
         return m
 
     def validate(self):
+        """h d + d h = f - g in every degree, compared on nonzero entries."""
         f, g = self.f, self.g
         if f.src != g.src or f.dst != g.dst:
             raise InvalidHomotopy("f and g do not share source and target")
         x, y = f.src, f.dst
         for n in f.degrees():
-            lhs = self.component(n - 1) @ x.diff(n)
-            lhs = lhs + y.diff(n + 1) @ self.component(n)
+            h, d = self.component(n - 1), x.diff(n)
+            lhs = product_nonzeros([(h, d), (y.diff(n + 1), self.component(n))])
             rhs = f.component(n) - g.component(n)
-            if lhs != rhs:
+            entries = {(i, j): v for i, r in enumerate(rhs.rows) for j, v in enumerate(r) if v}
+            if lhs != entries or (h.nrows, d.ncols) != rhs.shape:
                 raise InvalidHomotopy(f"h d + d h != f - g at degree {n}")
         return self
 

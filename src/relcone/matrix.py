@@ -1,9 +1,12 @@
 """Dense exact matrices over a coefficient ring.
 
 Entries are raw normalized values (int / Fraction / residue int) and the
-ring travels with the matrix.  Everything here is small and dense; these
+ring travels with the matrix.  Storage and ``@`` are dense; these
 matrices carry boundary and coboundary maps of finite complexes, so
-clarity and exactness win over asymptotics.
+clarity and exactness win over asymptotics.  The one exception is
+:func:`product_nonzeros`, which the identity checks of ``chain`` (d d = 0,
+d f = f d, h d + d h = f - g) read: boundary matrices have at most n + 2
+nonzeros per column, and those checks walk only the nonzero entries.
 
 Shape conventions follow the rest of the package: a map between free
 modules is stored as a (target rank) x (source rank) matrix acting on
@@ -225,6 +228,54 @@ class Matrix:
 
     def to_lists(self):
         return [list(r) for r in self.rows]
+
+
+def product_nonzeros(pairs) -> dict:
+    """The nonzero entries {(i, j): value} of the sum A_1 B_1 + ... + A_k B_k of `pairs`.
+
+    Exact over Z, Q and Z/n; it reads only the nonzero entries of each
+    factor.  Every pair is checked as ``A @ B`` checks it (`RingMismatch`,
+    then `ShapeMismatch`), and each product after the first as ``+``
+    checks it against the sum so far, in that order.  An empty `pairs`
+    has no entries.
+
+    ``__matmul__`` stays dense on purpose: a sparse shared product would
+    speed the integer ladder into more benchmark passes, and the harness
+    keeps every pass's results, so its peak memory would grow past its
+    bound.  Once the harness stops keeping them (ROADMAP item 1), this
+    walk becomes the body of ``__matmul__``.
+    """
+    ring = shape = None
+    acc = {}  # row -> {column: running sum}, in plain int / Fraction arithmetic
+    for a, b in pairs:
+        if a.ring != b.ring:
+            raise RingMismatch(f"{a.ring} vs {b.ring}")
+        if a.ncols != b.nrows:
+            raise ShapeMismatch(f"{a.shape} @ {b.shape}")
+        if shape is None:
+            ring, shape = a.ring, (a.nrows, b.ncols)
+        elif a.ring != ring:
+            raise RingMismatch(f"{ring} vs {a.ring}")
+        elif (a.nrows, b.ncols) != shape:
+            raise ShapeMismatch(f"{shape} vs {(a.nrows, b.ncols)}")
+        brows = [[(j, y) for j, y in enumerate(r) if y] for r in b.rows]
+        for i, r in enumerate(a.rows):
+            row = acc.setdefault(i, {})
+            for k, x in enumerate(r):
+                if x:
+                    for j, y in brows[k]:
+                        row[j] = row.get(j, 0) + x * y
+    # Z/n sums are reduced once at the end, which gives the same residue as
+    # reducing after every step; the zero of every ring here is falsy.
+    mod = ring.modulus if ring is not None and ring.kind == "Zmod" else None
+    out = {}
+    for i, row in acc.items():
+        for j, v in row.items():
+            if mod is not None:
+                v %= mod
+            if v:
+                out[i, j] = v
+    return out
 
 
 def hstack(ring: CoeffRing, mats) -> Matrix:

@@ -323,6 +323,24 @@ def seeded_degree_map(rng, d):
     return SimplicialMap(src, dst, {f"v{i}": f"w{(i + r) % 3}" for i in range(3 * d)})
 
 
+def random_simplicial_map(rng, max_vertices=6, max_dim=3, tries=6):
+    """A seeded random simplicial map K -> L, both of dimension at most `max_dim`.
+
+    L is the closure of a few random simplices on up to `max_vertices`
+    vertices (every vertex a simplex).  A random vertex map sends K's
+    vertices into L, and K is the closure of the random simplices among
+    `tries` draws whose images are simplices of L, plus every vertex.
+    Both vertex orders are shuffled, so boundary signs vary too.
+    """
+    lverts = [f"b{i}" for i in range(rng.randrange(1, max_vertices + 1))]
+    draw = lambda verts: rng.sample(verts, rng.randrange(1, min(len(verts), max_dim + 1) + 1))
+    dst = SimplicialComplex(rng.sample(lverts, len(lverts)), [(v,) for v in lverts] + [draw(lverts) for _ in range(tries)])
+    kverts = [f"a{i}" for i in range(rng.randrange(1, max_vertices + 1))]
+    vmap = {v: rng.choice(lverts) for v in kverts}
+    facets = [(v,) for v in kverts] + [s for s in (draw(kverts) for _ in range(tries)) if dst.has({vmap[v] for v in s})]
+    return SimplicialMap(SimplicialComplex(rng.sample(kverts, len(kverts)), facets), dst, vmap)
+
+
 def torus(n):
     """The n x n grid torus, 2n^2 triangles."""
     lab = lambda i, j: f"t{i % n}.{j % n}"

@@ -113,6 +113,10 @@ def test_homology_graded_input_and_degree_flag(tmp_path):
 
 
 GRADED_Z = '{"ring":"Z","ranks":{"0":1,"1":1},"diff":{"1":[[2]]}}'
+# d_1 d_2 = 1, and a map with d f = 2 but f d = 1 in degree 1
+DD_NONZERO = '{"ring":"Z","ranks":{"0":1,"1":1,"2":1},"diff":{"1":[[1]],"2":[[1]]}}'
+_INTERVAL = '{"ring":"Z","ranks":{"0":1,"1":1},"diff":{"1":[[1]]}}'
+DF_NOT_FD = f'{{"src":{_INTERVAL},"dst":{_INTERVAL},"mat":{{"0":[[1]],"1":[[2]]}}}}'
 
 
 def test_graded_input_over_another_ring_exits_one(tmp_path, capsys):
@@ -564,9 +568,20 @@ def test_optimized_interpreter_gives_identical_bytes(tmp_path):
 
     graded = tmp_path / "graded-z.json"
     graded.write_text(GRADED_Z)
-    for argv in (("homology", "--ring", "Q", str(graded)), ("cech", "--ring", "Zmod:4", f"{fx}/covermap-disk.json")):
+    not_complex = tmp_path / "dd-nonzero.json"
+    not_complex.write_text(DD_NONZERO)
+    not_chain_map = tmp_path / "df-not-fd.json"
+    not_chain_map.write_text(DF_NOT_FD)
+    refused = {
+        ("homology", "--ring", "Q", str(graded)): None,
+        ("cech", "--ring", "Zmod:4", f"{fx}/covermap-disk.json"): None,
+        ("homology", str(not_complex)): b"relcone: parse error: invalid complex: d d != 0 at degree 2\n",
+        ("cone", str(not_chain_map)): b"relcone: parse error: invalid chain map: d f != f d at degree 1\n",
+    }
+    for argv, line in refused.items():
         plain = run_subprocess(argv)
         assert plain[:2] == (1, b"") and plain[2].count(b"\n") == 1, argv
+        assert line is None or plain[2] == line, argv
         assert run_subprocess(argv, optimize=True) == plain, argv
 
     cocycles = [f"{fx}/{name}.json" for name, (kind, _) in fixture_registry().items() if kind == "cocycle"]

@@ -14,7 +14,8 @@ complex and no map.
 Chains over Q and Zmod:n are the integer chains carried by n -> n.1, with
 no second check; they are compared, entry types included, with a direct
 build over the ring that runs its own d d = 0 and chain-map checks, and a
-corrupted incidence entry must still be refused over every ring.
+corrupted incidence entry (in a complex, a cone space or a chain map) or a
+wrong homotopy must still be refused over every ring.
 """
 
 import random
@@ -25,9 +26,9 @@ import pytest
 import oracles
 from helpers import identity_simplicial, seeded_degree_map, torus
 from relcone import simplicial
-from relcone.chain import ComplexMap, GradedComplex, cone_of_map, mat_ring
+from relcone.chain import ComplexMap, GradedComplex, Homotopy, cone_of_map, mat_ring
 from relcone.coeffs import INT, RAT, ZMOD
-from relcone.errors import InvalidChainMap
+from relcone.errors import InvalidChainMap, InvalidHomotopy
 from relcone.fixtures import fixture_registry, projective_plane, suspension
 from relcone.matrix import Matrix
 from relcone.simplicial import (
@@ -140,9 +141,18 @@ def bump(m):
     return Matrix(m.ring, m.nrows, m.ncols, rows)
 
 
+def single_entry(ring, nrows, ncols):
+    """The nrows x ncols matrix over `ring` with a 1 at (0, 0) and zeros elsewhere."""
+    return Matrix(ring, nrows, ncols, [[int(i == j == 0) for j in range(ncols)] for i in range(nrows)])
+
+
 @pytest.mark.parametrize("ring", [RAT, ZMOD(2), ZMOD(3), ZMOD(4)], ids=str)
 def test_a_corrupted_entry_is_refused_over_every_ring(monkeypatch, ring):
-    """The checks that run over Z still guard the chains and maps read over Q and Zmod:n."""
+    """The checks that run over Z still guard the chains and maps read over Q and Zmod:n.
+
+    Each refusal names its identity and the first degree where it fails,
+    in the words the dense products gave.
+    """
     real_incidence, real_push = simplicial._incidence, simplicial.pushforward_matrices
 
     def corrupted(mring, k, n, columns):  # every d_2 gets one wrong entry
@@ -150,15 +160,24 @@ def test_a_corrupted_entry_is_refused_over_every_ring(monkeypatch, ring):
         return bump(m) if n == 1 else m
 
     monkeypatch.setattr(simplicial, "_incidence", corrupted)
-    for k in (torus(3), projective_plane()):
+    spaces = [torus(3), projective_plane(), mapping_cone_space(seeded_degree_map(random.Random(7), 2))]
+    for k in spaces:
         for augmented in (False, True):
-            with pytest.raises(InvalidChainMap, match="d d != 0"):
+            with pytest.raises(InvalidChainMap, match="^d d != 0 at degree 2$"):
                 chain_complex(k, ring, augmented)
     monkeypatch.undo()
     monkeypatch.setattr(simplicial, "pushforward_matrices", lambda phi: {**real_push(phi), 1: bump(real_push(phi)[1])})
     for phi in (identity_simplicial(projective_plane()), seeded_degree_map(random.Random(7), 2)):
-        with pytest.raises(InvalidChainMap, match="d f != f d"):
+        with pytest.raises(InvalidChainMap, match="^d f != f d at degree 1$"):
             chain_map(phi, ring)
+    monkeypatch.undo()
+    f = chain_map(identity_simplicial(projective_plane()), ring)
+    mr = mat_ring(ring)
+    assert Homotopy(f, f).validate()  # h = 0 joins f to itself
+    for n in (0, 1):  # h_n sends the first n-simplex to the first (n+1)-simplex
+        wrong = Homotopy(f, f, {n: single_entry(mr, f.dst.rank(n + 1), f.src.rank(n))})
+        with pytest.raises(InvalidHomotopy, match=f"^h d \\+ d h != f - g at degree {n}$"):
+            wrong.validate()
 
 
 def prisms(phi, ambient, ring):

@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
 
+from helpers import torus
 from relcone.coeffs import INT, RAT, U1, ZMOD
-from relcone.errors import RingMismatch, ShapeMismatch
-from relcone.matrix import Matrix, block, from_int_matrix, hstack, vstack
+from relcone.errors import RelconeError, RingMismatch, ShapeMismatch
+from relcone.matrix import Matrix, block, from_int_matrix, hstack, product_nonzeros, vstack
+from relcone.simplicial import chain_complex
 
 
 def rand_matrix(rng, ring, m, n, lo=-5, hi=5):
@@ -140,3 +144,89 @@ def test_hash_consistency():
     a = Matrix.from_rows(INT, [[1, 2]])
     b = Matrix.from_rows(INT, [[1, 2]])
     assert hash(a) == hash(b) and a == b
+
+
+# -- product_nonzeros against the dense product --------------------------------
+
+RINGS = [INT, RAT, ZMOD(2), ZMOD(3), ZMOD(4)]
+
+
+def dense_nonzeros(m):
+    """The nonzero entries of a dense matrix, each with its type (1 == Fraction(1) in Python)."""
+    return {(i, j): (type(v), v) for i, r in enumerate(m.rows) for j, v in enumerate(r) if v != m.ring.zero()}
+
+
+def typed(entries):
+    return {ij: (type(v), v) for ij, v in entries.items()}
+
+
+def random_entries(rng, ring, m, n, density):
+    """An m x n matrix whose entries are nonzero with probability `density`; over Q, with denominators."""
+    value = lambda: Fraction(rng.randrange(-6, 7), rng.randrange(1, 4)) if ring == RAT else rng.randrange(-6, 7)
+    return Matrix(ring, m, n, [[value() if rng.random() < density else 0 for _ in range(n)] for _ in range(m)])
+
+
+def boundary_like(rng, ring, m, n, per_col=3):
+    """At most `per_col` entries of +-1 in each column, as in a boundary matrix."""
+    rows = [[0] * n for _ in range(m)]
+    for j in range(n):
+        for i in rng.sample(range(m), min(m, per_col)):
+            rows[i][j] = rng.choice([-1, 1])
+    return Matrix(ring, m, n, rows)
+
+
+def factor_pairs(rng, ring):
+    """(A, B) pairs of every kind: empty shapes, zero, dense, sparse +-1, and boundary products."""
+    k = rng.randrange(1, 5)
+    yield Matrix.zeros(ring, 0, k), random_entries(rng, ring, k, 3, 0.7)
+    yield random_entries(rng, ring, 3, k, 0.7), Matrix.zeros(ring, k, 0)
+    yield Matrix.zeros(ring, 3, 0), Matrix.zeros(ring, 0, 4)
+    yield Matrix.zeros(ring, 3, k), random_entries(rng, ring, k, 2, 1.0)
+    yield random_entries(rng, ring, 3, k, 1.0), Matrix.zeros(ring, k, 2)
+    for _ in range(6):
+        m, k, n = (rng.randrange(1, 7) for _ in range(3))
+        yield random_entries(rng, ring, m, k, 1.0), random_entries(rng, ring, k, n, 1.0)
+        yield random_entries(rng, ring, m, k, 0.3), random_entries(rng, ring, k, n, 0.3)
+        yield boundary_like(rng, ring, m, k), boundary_like(rng, ring, k, n)
+    t = chain_complex(torus(3), ring)
+    yield t.diff(1), t.diff(2)  # d d = 0: no entries
+    yield t.diff(2).transpose(), t.diff(2)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_product_nonzeros_match_the_dense_product(ring):
+    rng = random.Random(f"product {ring}")
+    pairs = list(factor_pairs(rng, ring))
+    for a, b in pairs:
+        assert typed(product_nonzeros([(a, b)])) == dense_nonzeros(a @ b), (a, b)
+    for a, b in pairs:  # a sum of two products of the same shape, with cancellation among them
+        c, d = random_entries(rng, ring, a.nrows, 3, 0.5), random_entries(rng, ring, 3, b.ncols, 0.5)
+        for second in ((c, d), (a.scale(-1), b), (a, b)):
+            want = a @ b + second[0] @ second[1]
+            assert typed(product_nonzeros([(a, b), second])) == dense_nonzeros(want), (a, b, second)
+    assert product_nonzeros([]) == {}
+
+
+def raised(fn):
+    try:
+        fn()
+    except RelconeError as e:
+        return type(e), str(e)
+    return None
+
+
+def test_product_nonzeros_refuse_what_matmul_and_add_refuse():
+    z23, z32, z33 = Matrix.zeros(INT, 2, 3), Matrix.zeros(INT, 3, 2), Matrix.zeros(INT, 3, 3)
+    q32, q23 = Matrix.zeros(RAT, 3, 2), Matrix.zeros(RAT, 2, 3)
+    refused = [
+        [(z23, q32)],  # rings differ inside a product
+        [(z23, z23)],  # inner dimensions differ
+        [(Matrix.zeros(ZMOD(3), 2, 2), Matrix.zeros(ZMOD(4), 2, 2))],
+        [(z23, z32), (q23, q32)],  # rings differ between the products
+        [(z23, z32), (z23, z33)],  # shapes differ: 2x2 against 2x3
+        [(z23, z32), (z32, z23)],  # 2x2 against 3x3
+        [(z23, z32), (z23, z23)],  # the second product itself is refused first
+    ]
+    for pairs in refused:
+        want = raised(lambda: reduce(add, [a @ b for a, b in pairs]))
+        assert want is not None and raised(lambda: product_nonzeros(pairs)) == want, pairs

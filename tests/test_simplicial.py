@@ -327,6 +327,16 @@ def test_compare_cones_builds_no_presentation(monkeypatch):
     assert diagonals
 
 
+def test_cone_space_and_comparison_make_no_dense_product(monkeypatch):
+    # d d = 0 of the cone space and d l = l d of the comparison are checked on nonzero entries
+    maps = [build() for kind, build in fixture_registry().values() if kind == "map"]
+    products = count_calls(monkeypatch, Matrix, "__matmul__")
+    for phi in maps:
+        chain_complex(mapping_cone_space(phi), INT, augmented=True)
+        assert compare_cones(phi).iso
+    assert products == []
+
+
 def test_algebraic_cone_groups_match_cone_space_for_degree_maps():
     # same content as compare_cones but computed without the comparison map
     for d in [0, 2, 3]:
