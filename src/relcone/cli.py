@@ -12,7 +12,8 @@ differential, certified by replaying its row and column operations;
 `compare-cones` reads the isomorphism in degree n off the cone of its
 comparison map, acyclic in n and n+1.  `snf`, `les`, `kercoker`,
 `classify`, `trivialize`, `integrality` and `bohr-sommerfeld` read Z
-transforms certified by `_check_snf`'s products.
+transforms certified by `_check_snf`'s products; `les` and `kercoker`
+certify each distinct matrix once per report.
 
 `main(argv)` returns the exit code and may be called any number of times
 in one process; the argument parser is built on the first call and

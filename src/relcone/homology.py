@@ -13,6 +13,13 @@ one Smith form produced (a kernel, or the column span of a matrix)
 keeps that form's exact coordinate map, so homology presents a
 quotient and expresses a cycle without running another SNF: one on
 d_n for the cycle lattice and one on the boundaries in its coordinates.
+A long exact sequence (`les_of_cone`, `ker_coker_les`) meets the same
+matrix many times (each differential, kernel and solver system in
+several groups and maps), so for the length of one such call `snf`
+keeps a table {matrix: certified SNFResult} and reduces and certifies
+each distinct matrix once.  The table is opened when the call starts
+and dropped when it returns or raises; outside a sequence `snf` keeps
+nothing.
 
 Homology groups are presented as
 :class:`AbGroup` values: free rank, divisibility-ordered torsion, and
@@ -28,6 +35,8 @@ generator matrices; its pivot columns name the basis.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -61,6 +70,19 @@ class SNFResult:
 
 _SWAP, _ADD, _NEG = 0, 1, 2  # the kinds of a logged operation; see _smith_eliminate
 
+# {Matrix: SNFResult} of the sequence being built, or None outside one; see `snf`
+_SEQUENCE_FORMS = ContextVar("_SEQUENCE_FORMS", default=None)
+
+
+@contextmanager
+def _sharing_smith_forms():
+    """Open a fresh table of certified Smith forms for the body; drop it when the body returns or raises."""
+    token = _SEQUENCE_FORMS.set({})
+    try:
+        yield
+    finally:
+        _SEQUENCE_FORMS.reset(token)
+
 
 def snf(a: Matrix) -> SNFResult:
     """Smith normal form over Z, with both transforms and their inverses.
@@ -75,9 +97,21 @@ def snf(a: Matrix) -> SNFResult:
     `kercoker`, `compare-cones`, `classify`, `trivialize`, `integrality`,
     `bohr-sommerfeld`) come here; `homology`, `cone`, `cone-space` and
     `cech` read `smith_diagonal`, certified by replay instead.
+
+    Inside one `les_of_cone` or `ker_coker_les` call, a matrix equal to
+    one already reduced in that call (same ring, shape and entries) gets
+    the same result back, with no second reduction or certificate.  A
+    form enters the call's table only after `_check_snf` has passed on
+    it, and Matrix and SNFResult are immutable, so every shared form is
+    a certified one.  The table is dropped when the call returns or
+    raises; no other caller, and no later call, sees it.
     """
     if a.ring != INT:
         raise UnsupportedRing("snf is defined over Z")
+    forms = _SEQUENCE_FORMS.get()
+    known = None if forms is None else forms.get(a)
+    if known is not None:
+        return known
     m, n = a.nrows, a.ncols
     d = [list(r) for r in a.rows]
     ut, uinv, v, vinvt = ([[0] * i + [1] + [0] * (k - i - 1) for i in range(k)] for k in (m, m, n, n))
@@ -103,6 +137,8 @@ def snf(a: Matrix) -> SNFResult:
         rank=sum(1 for i in range(limit) if d[i][i]),
     )
     _check_snf(a, res)
+    if forms is not None:
+        forms[a] = res
     return res
 
 
@@ -131,6 +167,11 @@ def _smith_eliminate(d, m, n):
 
     Returns the operations applied to `d`, in order, as (kind, on_rows, i, j, k):
     swap lines i and j (_SWAP), add k times line j to line i (_ADD) or negate line i (_NEG).
+
+    Once pivot p has cleared its row and column, the trailing block is
+    scanned for an entry p does not divide.  A pivot of 1 divides every
+    entry, so that scan could find nothing and is skipped; it logs no
+    operation, so the log (and every result) is the same either way.
     """
     log = []
 
@@ -202,6 +243,8 @@ def _smith_eliminate(d, m, n):
             if dirty:
                 piv = find_pivot(t)
                 continue
+            if p == 1:
+                break
             bad = None
             for i in range(t + 1, m):
                 di = d[i]
@@ -847,6 +890,7 @@ def _assemble_les(kind, groups, degrees, a, b, c, labels, j, k, delta) -> LESRep
     return LESReport(kind, groups, maps, tuple(positions))
 
 
+@_sharing_smith_forms()
 def les_of_cone(f: ComplexMap) -> LESReport:
     """The long exact sequence of the mapping cone.
 
@@ -948,6 +992,7 @@ def _coker_homology_data(f: ComplexMap, n: int) -> HomologyData:
     return _quotient_space_field(ring, g, gl, den)
 
 
+@_sharing_smith_forms()
 def ker_coker_les(f: ComplexMap) -> LESReport:
     """The long exact sequence relating ker f, the cone, and coker f.
 

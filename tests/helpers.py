@@ -14,7 +14,7 @@ from relcone import jsonio, simplicial
 from relcone.coeffs import INT
 from relcone.chain import ComplexMap, GradedComplex, Homotopy, cone_of_map, mat_ring, shift
 from relcone.errors import InvalidChainMap
-from relcone.fixtures import cycle_complex
+from relcone.fixtures import cycle_complex, degree_map, suspension
 from relcone.homology import homology_at
 from relcone.matrix import Matrix, block
 from relcone.simplicial import SimplicialComplex, SimplicialMap
@@ -321,6 +321,12 @@ def seeded_degree_map(rng, d):
     dst = SimplicialComplex(rng.sample(dst.vertices, 3), dst.facets())
     r = rng.randrange(3)
     return SimplicialMap(src, dst, {f"v{i}": f"w{(i + r) % 3}" for i in range(3 * d)})
+
+
+def suspended_degree_map(d):
+    """The suspension of `degree_map(d)`: a degree-d self-map of the 2-sphere (`suspended_degree_two` for d = 2)."""
+    base = degree_map(d)
+    return SimplicialMap(suspension(base.src), suspension(base.dst), dict(base.vmap, n="n", s="s"))
 
 
 def random_simplicial_map(rng, max_vertices=6, max_dim=3, tries=6):

@@ -10,8 +10,9 @@ import pytest
 
 import relcone
 from helpers import double_the_cone_comparison, identity_simplicial
-from relcone import cli, jsonio
+from relcone import cli, homology, jsonio
 from relcone.cech import rel_diff
+from relcone.errors import InvalidChainMap
 from relcone.fixtures import (
     disk_area_form,
     disk_inclusion,
@@ -172,6 +173,23 @@ def test_cone_space_and_les_and_kercoker(tmp_path):
     code, out = run("kercoker", f"{fx}/fix-d0.json")
     assert code == 0
     assert json.loads(out)["kind"] == "kercoker"
+
+
+@pytest.mark.parametrize("verb", ["les", "kercoker"])
+def test_a_failed_smith_certificate_in_a_sequence_exits_one_with_one_line(tmp_path, capsys, monkeypatch, verb):
+    """A form that fails `_check_snf` is never shared: the verb stops at it, and a later run reduces afresh."""
+    path = f"{emit_all(tmp_path)}/fix-d2.json"
+    good = run(verb, path)
+
+    def refuse(a, r):
+        raise InvalidChainMap("snf: A != U D V")
+
+    monkeypatch.setattr(homology, "_check_snf", refuse)
+    capsys.readouterr()
+    assert run(verb, path) == (1, "")
+    assert capsys.readouterr().err == "relcone: error: snf: A != U D V\n"
+    monkeypatch.undo()
+    assert run(verb, path) == good
 
 
 def test_cech_cover_and_cover_map(tmp_path):

@@ -3,19 +3,24 @@
 The coordinate-map route of `_quotient_group_int` and `express` is
 checked against the earlier route kept in `oracles.py` (a Smith form of
 the numerator basis, and one of [generators | boundaries] per group),
-and the number of Smith forms each step runs is pinned.
+and the number of Smith forms each step runs is pinned.  Inside one
+long exact sequence each distinct matrix is reduced and certified once,
+and nothing of that sharing outlives the sequence.
 """
 
 import random
+from collections import Counter
+
+import pytest
 
 from helpers import random_block_complex, random_chain_map, random_vector, torus
 from oracles import express_via_solver_snf, quotient_group_int_via_snf
 from relcone import homology
-from relcone.chain import ComplexMap, cone_of_map
+from relcone.chain import ComplexMap, GradedComplex, cone_of_map
 from relcone.coeffs import INT
-from relcone.errors import RelconeError
+from relcone.errors import InvalidChainMap, RelconeError
 from relcone.fixtures import degree_map, fixture_registry, projective_plane
-from relcone.homology import homology_data, ker_coker_les, les_of_cone
+from relcone.homology import homology_data, ker_coker_les, les_of_cone, snf
 from relcone.matrix import Matrix
 from relcone.simplicial import chain_complex, chain_map
 
@@ -133,3 +138,63 @@ def test_les_of_cone_computes_each_homology_once(monkeypatch):
     monkeypatch.setattr(homology, "homology_data", lambda c, n: calls.append((id(c), n)) or real(c, n))
     les_of_cone(chain_map(degree_map(2), INT))
     assert len(calls) == len(set(calls)) == 18
+
+
+def counting_certificates(monkeypatch):
+    """Every matrix `_check_snf` certifies from here on, counted by the matrix."""
+    checked = Counter()
+    real = homology._check_snf
+    monkeypatch.setattr(homology, "_check_snf", lambda a, r: checked.update([a]) or real(a, r))
+    return checked
+
+
+def test_a_sequence_certifies_each_distinct_matrix_once(monkeypatch):
+    # the map fixtures include degree_map(d) for d = 0..6
+    maps = [(name, chain_map(build(), INT)) for name, (kind, build) in fixture_registry().items() if kind == "map"]
+    maps += [(f"{k} on rp2", scaled_identity(chain_complex(projective_plane(), INT), k)) for k in (2, 3)]
+    checked = counting_certificates(monkeypatch)
+    calls = []
+    real = homology.snf
+    monkeypatch.setattr(homology, "snf", lambda a: calls.append(a) or real(a))
+    certified = 0
+    for name, f in maps:
+        for sequence in (les_of_cone, ker_coker_les):
+            checked.clear()
+            sequence(f)
+            assert checked and max(checked.values()) == 1, (name, sequence.__name__)
+            certified += len(checked)
+    assert len(calls) > 2 * certified, (len(calls), certified)  # the table answers most calls
+
+
+def reduced_again(checked, used):
+    """The matrices in `used` whose fresh `snf` runs no certificate."""
+    missed = []
+    for a in used:
+        checked.clear()
+        snf(a)
+        if checked != Counter([a]):
+            missed.append(a)
+    return missed
+
+
+def test_the_table_is_dropped_when_a_sequence_returns(monkeypatch):
+    f = chain_map(degree_map(2), INT)
+    checked = counting_certificates(monkeypatch)
+    les_of_cone(f)
+    first = Counter(checked)
+    assert reduced_again(checked, first) == []
+    checked.clear()
+    les_of_cone(f)
+    assert checked == first  # the second sequence shares nothing with the first
+
+
+def test_the_table_is_dropped_when_a_sequence_raises(monkeypatch):
+    c = GradedComplex(INT, {0: 1}, {})
+    f = ComplexMap(c, c, {0: Matrix.from_rows(INT, [[2]])})
+    checked = counting_certificates(monkeypatch)
+    monkeypatch.setattr(homology, "_solve", lambda *args: None)
+    with pytest.raises(InvalidChainMap, match="cokernel cycle does not lift"):
+        ker_coker_les(f)
+    used = list(checked)
+    assert used
+    assert reduced_again(checked, used) == []
