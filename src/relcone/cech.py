@@ -17,17 +17,17 @@ through the Z-module structure of the coefficients, so one code path
 serves Z, Q, Z/n and the circle group.
 
 Covers and cover maps are immutable, and each compiles its integer data
-once, on first use, into its `view`: these are the only compiled objects
-in the package.  A :class:`CoverView` holds only the nerve's cochain
-complex.  A :class:`CoverMapView` holds only the checked pullback
-cochain map and one memo of what is built from it on first use: the
-relative Cech cone, the chain cone of the pushforward, each cone's
-integer homology, and one solver per degree of the relative cone (one
-Smith form answering integer witnesses and, over Q/Z, angle witnesses).
-A cover keeps its absolute map in its own slot.  No matrix is kept
+once, on first use: these are the only compiled objects in the package.
+A cover keeps the nerve's integer cochain complex in its `cochains`
+slot, and its absolute map in another.  A cover map keeps its `view`, a
+:class:`CoverMapView`, which holds only the checked pullback cochain map
+and one memo of what is built from it on first use: the relative Cech
+cone, the chain cone of the pushforward, each cone's integer homology,
+and one solver per degree of the relative cone (one Smith form answering
+integer witnesses and, over Q/Z, angle witnesses).  No matrix is kept
 beside its transpose, and every check (d d = 0, the cochain-map
-identity, the Smith form postconditions) runs once per view or solver.
-Everything in this module and in `geo` reads these views.
+identity, the Smith form postconditions) runs once per cochain complex,
+view or solver.  Everything in this module and in `geo` reads these.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from .errors import (
     UnsupportedRing,
 )
 from .homology import AbGroup, HomologyData, IntSolver, homology_at, homology_data
-from .matrix import Matrix
 from .simplicial import (
     Frozen,
     SimplicialComplex,
@@ -71,17 +70,19 @@ from .simplicial import (
 class Cover(Frozen):
     """An open cover, known only through its nerve.
 
-    The view is a :class:`CoverView`, compiled on first use.
+    `cochains`, built on first use and kept in its own slot, is the dual
+    of the nerve's validated integer chain complex in chain storage: its
+    differential at degree -p is the coboundary C^p -> C^(p+1) over Z.
     """
 
-    __slots__ = ("nerve", "_view", "_absolute")
+    __slots__ = ("nerve", "_cochains", "_absolute")
 
     def __init__(self, nerve_complex: SimplicialComplex):
-        self._init(nerve=nerve_complex, _view=None, _absolute=None)
+        self._init(nerve=nerve_complex, _cochains=None, _absolute=None)
 
     @property
-    def view(self) -> "CoverView":
-        return self._keep("_view", lambda: CoverView(self))
+    def cochains(self) -> GradedComplex:
+        return self._keep("_cochains", lambda: dual_complex(chain_complex(self.nerve, INT)))
 
     @property
     def absolute(self) -> "CoverMap":
@@ -174,25 +175,6 @@ class CoverMap(Frozen):
         return f"CoverMap({len(self.src.names)} -> {len(self.dst.names)} sets)"
 
 
-class CoverView:
-    """A cover's compiled integer data.
-
-    `cochains` is the dual of the nerve's validated integer chain
-    complex, in chain storage (degree -p): its differential at chain
-    degree -p is the coboundary C^p -> C^(p+1).  The chain complex is
-    its dual again, rebuilt where a chain cone needs it.
-    """
-
-    __slots__ = ("cochains",)
-
-    def __init__(self, cover: Cover):
-        self.cochains = dual_complex(chain_complex(cover.nerve, INT))
-
-    def coboundary(self, p: int) -> Matrix:
-        """d: C^p -> C^(p+1) over Z."""
-        return self.cochains.diff(-p)
-
-
 class CoverMapView:
     """A cover map's compiled integer data.
 
@@ -207,24 +189,20 @@ class CoverMapView:
     homology `chain_data(n)`.  Other rings read these integer matrices
     through `zapply` or the ring map (`cone_map`).  Nothing else is
     kept: the two covers' cochain complexes are `pull_map.dst` and
-    `pull_map.src`, held by the covers' own views.
+    `pull_map.src`, held by the covers themselves.
     """
 
     __slots__ = ("pull_map", "_memo")
 
     def __init__(self, m: CoverMap):
         pulls = {-p: t.transpose() for p, t in pushforward_matrices(m.nerve_map).items()}
-        self.pull_map = ComplexMap(m.dst.view.cochains, m.src.view.cochains, pulls)  # raises unless d f = f d
+        self.pull_map = ComplexMap(m.dst.cochains, m.src.cochains, pulls)  # raises unless d f = f d
         self._memo = {}
 
     def _once(self, key, build):
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
-
-    def pull(self, p: int) -> Matrix:
-        """The pullback C^p(dst) -> C^p(src) over Z."""
-        return self.pull_map.component(-p)
 
     def cone_map(self, ring: CoeffRing) -> ComplexMap:
         """The pullback as a cochain map over `ring`, read from the checked integer map."""
@@ -404,7 +382,7 @@ class CechCochain(_Cochain):
 
 def cech_diff(c: CechCochain) -> CechCochain:
     """Alternating-sum coboundary, one degree up."""
-    m = c.cover.view.coboundary(c.degree)
+    m = c.cover.cochains.diff(-c.degree)
     return CechCochain._of(c.cover, c.degree + 1, c.ring, m.zapply(c.ring, c.vector()))
 
 
@@ -416,13 +394,13 @@ def pullback(m: CoverMap, c: CechCochain) -> CechCochain:
     """
     if c.cover != m.dst:
         raise CoverMismatch("cochain does not live on the map's target cover")
-    t = m.view.pull(c.degree)
+    t = m.view.pull_map.component(-c.degree)
     return CechCochain._of(m.src, c.degree, c.ring, t.zapply(c.ring, c.vector()))
 
 
 def cover_cochain_complex(cover: Cover, ring: CoeffRing) -> GradedComplex:
     """The cochain complex of the nerve, in chain storage (degree -p)."""
-    return from_int_complex(cover.view.cochains, ring)
+    return from_int_complex(cover.cochains, ring)
 
 
 def relative_cone_complex(m: CoverMap, ring: CoeffRing) -> GradedComplex:

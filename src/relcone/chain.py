@@ -386,7 +386,9 @@ def kronecker(x: ConeElement, y: ConeElement):
 
     x is the cochain-side element, y the chain-side one; the value lands
     in the common coefficient system.  Integer chains pair with rational
-    or angle cochains through the Z-module structure.
+    or angle cochains through the Z-module structure.  Here alpha is the
+    source block; `geo.is_integral` puts alpha on the target and reports
+    alpha(eta) - beta(theta), minus this pairing of (beta, alpha).
     """
     if x.degree != y.degree:
         raise DegreeMismatch(f"pairing degree {x.degree} against {y.degree}")

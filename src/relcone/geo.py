@@ -37,6 +37,7 @@ from .cech import (
     rel_diff,
     star_cover_map,
 )
+from .chain import ConeElement, kronecker
 from .coeffs import INT, RAT, U1, CoeffRing
 from .errors import (
     CoverMismatch,
@@ -455,22 +456,18 @@ def is_integral(p: RelRealCochainPair) -> IntegralityReport:
     """Pair (alpha, beta) against every generator of the map's homology.
 
     The pairing of a relative cycle (theta, eta) is alpha(eta) minus
-    beta(theta); for a closed pair this depends only on the class.
+    beta(theta); for a closed pair this depends only on the class.  It is
+    minus `chain.kronecker` of (beta, alpha), which is beta(theta) - alpha(eta).
     """
     if not p.is_closed:
         raise NotClosed("d(beta, alpha) is nonzero in the relative cone")
     n = p.degree
     data = p.m.view.chain_data(n)
     split = p.phi.src.n_rank(n - 1)
-    alpha_vec = p.alpha.vector()
-    beta_vec = p.beta.vector()
+    x = ConeElement(RAT, n, p.beta.vector(), p.alpha.vector())
     pairings = []
     for order, g in zip(data.orders, data.group.generators):
-        theta, eta = g[:split], g[split:]
-        value = Fraction(
-            sum(a * y for a, y in zip(alpha_vec, eta))
-            - sum(b * x for b, x in zip(beta_vec, theta))
-        )
+        value = -kronecker(x, ConeElement(INT, n, g[:split], g[split:]))
         scaled = value * order if order else value
         pairings.append(GeneratorPairing(order, value, scaled.denominator == 1, tuple(g)))
     return IntegralityReport(n, tuple(pairings))

@@ -641,10 +641,6 @@ def _quotient_group_int(ambient_rank: int, num_basis: Matrix, num: _Lattice, den
     return HomologyData(INT, ambient_rank, group, tuple(kept_orders), den_gens, num, to_gens)
 
 
-def _homology_data_int(c: GradedComplex, n: int) -> HomologyData:
-    return _quotient_group_int(c.rank(n), *_kernel_lattice(c.diff(n)), c.diff(n + 1))
-
-
 def _quotient_space_field(ring, ambient, num: Matrix, den: Matrix) -> HomologyData:
     """span(num)/span(den) over a field, den inside span(num), by one RREF of [den | num].
 
@@ -671,7 +667,7 @@ def _check_homology_ring(ring: CoeffRing):
 
 def homology_data(c: GradedComplex, n: int) -> HomologyData:
     if c.ring == INT:
-        return _homology_data_int(c, n)
+        return _quotient_group_int(c.rank(n), *_kernel_lattice(c.diff(n)), c.diff(n + 1))
     _check_homology_ring(c.ring)
     return _quotient_space_field(c.ring, c.rank(n), kernel_field(c.diff(n)), c.diff(n + 1))
 
@@ -803,10 +799,6 @@ def _subgroup_leq(gens_a: Matrix, gens_b: Matrix):
     return leq(gens_a, gens_b)
 
 
-def _image_subgroup(incoming: Matrix, rel: Matrix) -> Matrix:
-    return hstack(incoming.ring, [incoming, rel])
-
-
 def _kernel_subgroup(outgoing: Matrix, target_rel: Matrix, rel: Matrix) -> Matrix:
     """Generators of ker(outgoing) + relations in generator coordinates."""
     ring = outgoing.ring
@@ -839,7 +831,7 @@ def _exact_at(label, here: HomologyData, incoming: Matrix, outgoing: Matrix, tar
     """Exactness of  prev --incoming--> here --outgoing--> target."""
     rel = here.relation_matrix()
     trel = target.relation_matrix()
-    im = _image_subgroup(incoming, rel)
+    im = hstack(incoming.ring, [incoming, rel])
     ker = _kernel_subgroup(outgoing, trel, rel)
     ok1, w1 = _subgroup_leq(im, ker)
     ok2, w2 = _subgroup_leq(ker, im)
@@ -861,7 +853,7 @@ def _is_presentation_iso(m: Matrix, src: HomologyData, dst: HomologyData) -> boo
     """
     rel_src = src.relation_matrix()
     rel_dst = dst.relation_matrix()
-    onto, _ = _subgroup_leq(Matrix.identity(dst.ring, dst.ngens), _image_subgroup(m, rel_dst))
+    onto, _ = _subgroup_leq(Matrix.identity(dst.ring, dst.ngens), hstack(m.ring, [m, rel_dst]))
     return onto and _subgroup_leq(_kernel_subgroup(m, rel_dst, rel_src), rel_src)[0]
 
 

@@ -88,11 +88,14 @@ def _field(obj: dict, key: str, what: str):
         raise ParseError(f"{what} is missing the {key!r} field")
     return obj[key]
 
-def _int_key(key, what: str) -> int:
+def _int_key(key, what: str, seen) -> int:
     try:
-        return int_from_text(key)
+        n = int_from_text(key)
     except (TypeError, ValueError):
         raise ParseError(f"{what} has non-integer degree key {key!r}") from None
+    if n in seen:
+        raise ParseError(f"{what} lists degree {n} more than once")
+    return n
 
 def _ring_of(obj: dict, what: str) -> CoeffRing:
     label = _field(obj, "ring", what)
@@ -147,11 +150,11 @@ def complex_from_json(obj) -> GradedComplex:
     mr = mat_ring(ring)
     ranks = {}
     for key, val in _as_dict(_field(obj, "ranks", "complex"), "ranks").items():
-        ranks[_int_key(key, "ranks")] = _as_int(val, f"rank at degree {key}")
+        ranks[_int_key(key, "ranks", ranks)] = _as_int(val, f"rank at degree {key}")
     rank = lambda n: ranks.get(n, 0)
     diffs = {}
     for key, rows in _as_dict(obj.get("diff", {}), "diff").items():
-        n = _int_key(key, "diff")
+        n = _int_key(key, "diff", diffs)
         diffs[n] = matrix_from_rows(mr, rows, f"diff at degree {n}", (rank(n - 1), rank(n)))
     return _build("complex", GradedComplex, ring, ranks, diffs)
 
@@ -162,7 +165,7 @@ def chain_map_from_json(obj) -> ComplexMap:
     dst = complex_from_json(_field(obj, "dst", "chain map"))
     mats = {}
     for key, rows in _as_dict(obj.get("mat", {}), "mat").items():
-        n = _int_key(key, "mat")
+        n = _int_key(key, "mat", mats)
         mats[n] = matrix_from_rows(
             mat_ring(src.ring), rows, f"component at degree {n}", (dst.rank(n), src.rank(n))
         )

@@ -3,10 +3,12 @@
 Entries are raw normalized values (int / Fraction / residue int) and the
 ring travels with the matrix.  Storage and ``@`` are dense; these
 matrices carry boundary and coboundary maps of finite complexes, so
-clarity and exactness win over asymptotics.  The one exception is
-:func:`product_nonzeros`, which the identity checks of ``chain`` (d d = 0,
-d f = f d, h d + d h = f - g) read: boundary matrices have at most n + 2
-nonzeros per column, and those checks walk only the nonzero entries.
+clarity and exactness win over asymptotics.  Two routines walk only the
+nonzero entries, since boundary matrices have at most n + 2 nonzeros per
+column: :meth:`Matrix.zapply`, the one matrix-vector product (``apply``
+is ``zapply`` over the matrix's own ring), and :func:`product_nonzeros`,
+which the identity checks of ``chain`` (d d = 0, d f = f d,
+h d + d h = f - g) read.
 
 Shape conventions follow the rest of the package: a map between free
 modules is stored as a (target rank) x (source rank) matrix acting on
@@ -27,7 +29,7 @@ already of the stored type.
 from __future__ import annotations
 
 from .coeffs import INT, CoeffRing
-from .errors import RingMismatch, ShapeMismatch
+from .errors import MulOnAngleQ, RingMismatch, ShapeMismatch
 
 
 class Matrix:
@@ -193,27 +195,21 @@ class Matrix:
 
     def apply(self, vec):
         """Matrix times column vector, returned as a tuple of values."""
-        if len(vec) != self.ncols:
-            raise ShapeMismatch(f"vector length {len(vec)} vs {self.shape}")
-        add, mul, zero = self.ring.add, self.ring.mul, self.ring.zero()
-        vec = [self.ring.normalize(v) for v in vec]
-        out = []
-        for r in self.rows:
-            acc = zero
-            for a, b in zip(r, vec):
-                acc = add(acc, mul(a, b))
-            out.append(acc)
-        return tuple(out)
+        return self.zapply(self.ring, vec)
 
     def zapply(self, ring: CoeffRing, vec):
-        """Apply an integer matrix to a vector over any module `ring`.
+        """Matrix times a column vector over `ring`, returned as a tuple of values.
 
-        The matrix must be over Z; entries act through the Z-module
-        structure, which is what lets integer coboundary matrices act on
-        angle-valued cochains.
+        The matrix is over `ring` itself or over Z; integer entries act
+        through the Z-module structure, which is what lets integer
+        coboundary matrices act on angle-valued cochains.  The walk reads
+        only nonzero entries, in plain int / Fraction arithmetic, and
+        normalizes each row's sum once.
         """
-        if self.ring != INT:
-            raise RingMismatch("zapply needs an integer matrix")
+        if self.ring != ring and self.ring != INT:
+            raise RingMismatch(f"a matrix over {self.ring} cannot act on a vector over {ring}")
+        if self.ring.kind == "U1":
+            raise MulOnAngleQ("the circle group has no ring multiplication")
         if len(vec) != self.ncols:
             raise ShapeMismatch(f"vector length {len(vec)} vs {self.shape}")
         vec = [ring.normalize(v) for v in vec]

@@ -337,6 +337,11 @@ def random_simplicial_map(rng, max_vertices=6, max_dim=3, tries=6):
     vertices into L, and K is the closure of the random simplices among
     `tries` draws whose images are simplices of L, plus every vertex.
     Both vertex orders are shuffled, so boundary signs vary too.
+
+    About two maps in five then glue in the degree-p map of circles of
+    `fixtures.degree_map(p)`, p in {2, 3, 5}: its 3p-gon is a new
+    component of K, and its target triangle meets L in one random vertex
+    of L.  Its cone is a summand of the whole cone, so H_1 gains Z/p.
     """
     lverts = [f"b{i}" for i in range(rng.randrange(1, max_vertices + 1))]
     draw = lambda verts: rng.sample(verts, rng.randrange(1, min(len(verts), max_dim + 1) + 1))
@@ -344,7 +349,18 @@ def random_simplicial_map(rng, max_vertices=6, max_dim=3, tries=6):
     kverts = [f"a{i}" for i in range(rng.randrange(1, max_vertices + 1))]
     vmap = {v: rng.choice(lverts) for v in kverts}
     facets = [(v,) for v in kverts] + [s for s in (draw(kverts) for _ in range(tries)) if dst.has({vmap[v] for v in s})]
-    return SimplicialMap(SimplicialComplex(rng.sample(kverts, len(kverts)), facets), dst, vmap)
+    src = SimplicialComplex(rng.sample(kverts, len(kverts)), facets)
+    if rng.randrange(5) >= 2:
+        return SimplicialMap(src, dst, vmap)
+    piece = degree_map(rng.choice((2, 3, 5)))
+    glue = {"w0": rng.choice(lverts)}  # the piece's vertex that becomes a vertex of L
+
+    def wedge(k, extra):
+        verts = list(k.vertices) + [v for v in extra.vertices if v not in glue]
+        return SimplicialComplex(rng.sample(verts, len(verts)), list(k.facets()) + [[glue.get(v, v) for v in f] for f in extra.facets()])
+
+    vmap.update((v, glue.get(w, w)) for v, w in piece.vmap.items())
+    return SimplicialMap(wedge(src, piece.src), wedge(dst, piece.dst), vmap)
 
 
 def torus(n):

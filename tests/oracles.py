@@ -18,7 +18,9 @@ reads instead.  Angle witnesses clear denominators, bound a modulus by
 the lcm of the elementary divisors and run a fresh Smith form of
 [A | kI] per solve, as a reference for the library's direct solve over
 Q/Z, which divides by the diagonal of one Smith form of A that its
-cover-map views keep per degree.  Each
+cover-map views keep per degree.  The integrality pairing is a plain
+sum over lists, as a reference for the one Kronecker pairing the library
+reads.  Each
 simplex-indexed matrix has its own loop, with its own index lookup and
 orientation sign, as a reference for the one incidence builder the
 simplicial layer uses; facets come from an all-pairs scan, and the cone
@@ -453,6 +455,18 @@ def rel_witness_vector(u):
         exponent = exponent * d // gcd(exponent, d) if d else exponent
     sol = solve_mod_one(mtx, u.vector(), exponent)
     return None if sol is None else tuple(u.ring.normalize(v) for v in sol)
+
+
+def real_pairing(alpha, beta, g, split):
+    """alpha(eta) - beta(theta) on the chain-cone generator g = (theta, eta), theta its first `split` entries.
+
+    Plain sums over lists, with alpha on the target and beta on the
+    source, as the paper pairs a closed rational pair with a relative
+    cycle; no cone element and no sign convention of `chain.kronecker`.
+    """
+    theta, eta = list(g[:split]), list(g[split:])
+    assert len(alpha) == len(eta) and len(beta) == len(theta), "pair and cycle shapes differ"
+    return Fraction(sum(a * y for a, y in zip(alpha, eta)) - sum(b * x for b, x in zip(beta, theta)))
 
 
 # ---------------------------------------------------------------------------

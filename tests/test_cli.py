@@ -360,6 +360,24 @@ def test_a_source_listed_twice_exits_one_with_one_line(tmp_path, capsys, name, v
     assert capsys.readouterr().err == f"relcone: parse error: {message}\n"
 
 
+POINT_COMPLEX = {"ring": "Z", "ranks": {"0": 1}}
+DEGREE_REPEATS = [
+    ("homology", {"ring": "Z", "ranks": {"0": 1, "+1": 1, "1": 2}, "diff": {"1": [[0, 0]]}}, "ranks lists degree 1 more than once"),
+    ("homology", {"ring": "Z", "ranks": {"0": 1, "1": 1}, "diff": {"1": [[2]], "+1": [[3]]}}, "diff lists degree 1 more than once"),
+    ("cone", {"src": POINT_COMPLEX, "dst": POINT_COMPLEX, "mat": {"0": [[1]], "-0": [[2]]}}, "mat lists degree 0 more than once"),
+]
+
+
+@pytest.mark.parametrize("verb,doc,message", DEGREE_REPEATS, ids=["ranks", "diff", "mat"])
+def test_a_degree_listed_twice_exits_one_with_one_line(tmp_path, capsys, verb, doc, message):
+    """Two spellings of one degree ("1" and "+1", "0" and "-0") name one entry twice, and neither may silently win."""
+    path = tmp_path / "repeat.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(verb, str(path)) == (1, "")
+    assert capsys.readouterr().err == f"relcone: parse error: {message}\n"
+
+
 def test_unhashable_cocycle_kind_exits_one_with_one_line(tmp_path, capsys):
     doc = jsonio.cocycle_to_json(half_gerbe_cocycle())
     doc["kind"] = []

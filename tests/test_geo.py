@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import oracles
 from helpers import identity_simplicial
 from relcone.cech import (
     CechCochain,
@@ -513,6 +514,42 @@ def test_integrality_invariant_under_coboundary_shifts():
             got = is_integral(shifted)
             assert [(p.order, p.value) for p in got.pairings] == want
             assert got.integral == (total == 1)
+
+
+def test_integrality_pairings_match_the_plain_sum():
+    """Every `is_integral` value is alpha(eta) - beta(theta), summed over plain lists.
+
+    On the disk-area pairs (totals 1 and 1/2), their seeded coboundary
+    shifts, and the golden pair and form fixtures.
+    """
+    rng = random.Random(47)
+    inc = FX.disk_inclusion()
+    m = star_cover_map(inc)
+    cases = []
+    for total in (1, F(1, 2)):
+        base = RelRealCochainPair.from_values(inc, 2, area_values(total), {})
+        cases.append(base)
+        for _ in range(10):
+            low = RelCechCochain(
+                m, random_cochain(rng, m.src, 0, RAT), random_cochain(rng, m.dst, 1, RAT)
+            )
+            cases.append(base.shift_by_coboundary(low))
+    cases = [(p, is_integral(p)) for p in cases]
+    for kind, build in FX.fixture_registry().values():
+        if kind == "pair":
+            p = build()
+            cases.append((p, is_integral(p)))
+        elif kind == "form":
+            phi, omega = build()
+            p = RelRealCochainPair(phi, omega, CechCochain(star_cover_map(phi).src, omega.degree - 1, RAT))
+            cases.append((p, bohr_sommerfeld(omega, phi)))
+    assert len(cases) == 26
+    for p, rep in cases:
+        split = p.phi.src.n_rank(p.degree - 1)
+        assert rep.pairings
+        for g in rep.pairings:
+            assert g.value == oracles.real_pairing(p.alpha.vector(), p.beta.vector(), g.cycle, split)
+    assert {p.pairings[0].value for _, p in cases} == {1, F(1, 2)}
 
 
 def test_torsion_generators_pair_to_zero():

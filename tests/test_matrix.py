@@ -7,7 +7,7 @@ import pytest
 
 from helpers import torus
 from relcone.coeffs import INT, RAT, U1, ZMOD
-from relcone.errors import RelconeError, RingMismatch, ShapeMismatch
+from relcone.errors import MulOnAngleQ, RelconeError, RingMismatch, ShapeMismatch
 from relcone.matrix import Matrix, block, from_int_matrix, hstack, product_nonzeros, vstack
 from relcone.simplicial import chain_complex
 
@@ -78,11 +78,27 @@ def test_matmul_associativity_random():
 
 
 def test_apply_matches_matmul():
+    """`apply` agrees with `@` on a column, value and stored type, with zero entries, rows and columns."""
     rng = random.Random(8)
-    a = rand_matrix(rng, INT, 3, 4)
-    v = [rng.randrange(-5, 6) for _ in range(4)]
-    col = a @ Matrix.column(INT, v)
-    assert a.apply(v) == tuple(col.entry(i, 0) for i in range(3))
+    for ring in (INT, RAT, ZMOD(3)):
+        for _ in range(20):
+            m, n = rng.randrange(0, 5), rng.randrange(0, 5)
+            rows = [[rng.choice((0, 0, 1, -1, 2, Fraction(-3, 2))) for _ in range(n)] for _ in range(m)]
+            if ring != RAT:
+                rows = [[int(x) for x in r] for r in rows]
+            for i in rng.sample(range(m), m // 2):  # zero rows
+                rows[i] = [0] * n
+            for j in rng.sample(range(n), n // 2):  # zero columns
+                for r in rows:
+                    r[j] = 0
+            a = Matrix(ring, m, n, rows)
+            v = [rng.randrange(-5, 6) for _ in range(n)]
+            col = a @ Matrix.column(ring, v)
+            got = a.apply(v)
+            assert got == tuple(col.entry(i, 0) for i in range(m))
+            assert all(type(x) is type(ring.zero()) for x in got)
+    with pytest.raises(MulOnAngleQ):
+        Matrix.from_rows(U1, [[Fraction(1, 2)]]).apply([Fraction(1, 3)])
 
 
 def test_zero_dimension_edge_cases():

@@ -9,6 +9,9 @@ same group.  With the sequence check on, `les_of_cone` and
 the `les` report must be the plain cone's invariants.  A disagreement
 names its seed and prints the map as JSON.
 
+The generator glues a degree-p circle map (p = 2, 3 or 5) into about two
+maps in five, so their cones have torsion; the tier-1 test checks that
+at least a quarter of its maps have torsion and that some of it is odd.
 The tier-1 test runs 200 maps, the first 50 with the sequence check.  A
 longer run, every map with the sequence check, is
 
@@ -78,6 +81,17 @@ def check(seed, count, sequences=True):
 def test_three_routes_agree_on_random_maps():
     assert check(seed=0, count=50) == []
     assert check(seed=50, count=150, sequences=False) == []
+
+
+def test_a_quarter_of_the_maps_have_torsion_and_some_of_it_is_odd():
+    """The routes are compared on torsion too, not only on free ranks."""
+    torsion = []
+    for s in range(200):
+        cone = cone_of_map(chain_map(random_simplicial_map(random.Random(s)), INT))
+        groups = homology_invariants(cone, range(cone.lo, cone.hi + 1))
+        torsion.append([d for g in groups.values() for d in g.torsion])
+    assert sum(1 for t in torsion if t) >= 50
+    assert any(d % 2 for t in torsion for d in t)
 
 
 @pytest.mark.parametrize(
