@@ -4,8 +4,14 @@ All integer work is exact big-integer arithmetic.  `snf` returns
 A = U D V with unimodular U, V and their inverses, certified by the
 products of `_check_snf`; kernels, solving and membership read them.
 `smith_diagonal`, all that `homology_invariants` and so the verbs
-`homology`, `cone`, `cone-space` and `cech` read, builds no transforms
-and certifies its diagonal by replaying the pivot loop's log.  One
+`homology`, `cone`, `cone-space`, `cech` and `compare-cones` read,
+builds no transforms.  It first takes +-1 pivots on sparse rows by row
+operations only (a boundary matrix is almost all unit pivots), then
+runs the dense pivot loop on the small core that is left.  Replaying
+the logged row operations on a fresh copy of the matrix must show it
+as [[T, X], [0, C]] with T unit upper triangular, so the diagonal is
+1 for each pivot followed by the Smith diagonal of the core C, which
+is certified by replaying the dense loop's log.  One
 :class:`IntSolver` per matrix solves A X = B over Z and A w = c over
 Q/Z from the same form: Q/Z is divisible, so the angle equation needs
 only a division by the diagonal, with no modulus.  A lattice that
@@ -38,6 +44,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from itertools import compress
 from typing import NamedTuple
 
 from .chain import ComplexMap, GradedComplex, cone_of_map, cone_split
@@ -145,21 +153,145 @@ def snf(a: Matrix) -> SNFResult:
 def smith_diagonal(a: Matrix) -> tuple:
     """(rank, Smith diagonal) of an integer matrix, with no transforms.
 
-    The pivot loop of `snf` reduces a copy of A and logs its operations.
-    Replaying them on a fresh copy with `_apply` (no code shared with the
-    loop's updates of D) must give the Smith diagonal matrix of `diag`:
-    that is P A Q with unimodular P, Q, and A has one Smith form.  This
-    certificate runs on every call; a failure raises InvalidChainMap.
+    Two phases.  The unit phase (`_unit_pivots`) works on sparse rows:
+    it takes +-1 pivots one at a time, each in a column with the fewest
+    active nonzeros and a row with the fewest nonzeros, clears the
+    pivot's column in the other active rows by row additions only, logs
+    each (target row, pivot row, multiplier), and retires the pivot row.
+    The core phase hands what is left, the non-pivot rows x non-pivot
+    columns with their zero lines dropped, to the dense pivot loop of
+    `snf`.  On a boundary matrix almost every pivot is a unit, so the
+    dense loop sees a small core or none.
+
+    Both phases are certified on every call, by code that shares nothing
+    with the loops' updates; a failure raises InvalidChainMap.
+    `_unit_certificate` replays the logged row operations on a fresh
+    sparse copy of A and checks that pivot rows and pivot columns are
+    distinct, every pivot entry is +-1, and pivot column j_k is nonzero
+    only on pivot rows i_1..i_k.  Then P A = [[T, X], [0, C]] up to the
+    order of lines, with P unimodular and T unit upper triangular, so
+    SNF(A) = 1^p + SNF(C).  The core C is read from that replayed copy.
+    Replaying the dense loop's log on a fresh copy of C with `_apply`
+    must give the Smith diagonal matrix of C, as in `_check_smith_diagonal`.
     """
     if a.ring != INT:
         raise UnsupportedRing("snf is defined over Z")
-    d, replay = [list(r) for r in a.rows], [list(r) for r in a.rows]
-    for op in _smith_eliminate(d, a.nrows, a.ncols):
-        _apply(replay, op)
-    diag = tuple(d[i][i] for i in range(min(a.shape)))
-    rank = sum(1 for x in diag if x)
-    _check_smith_diagonal(a.shape, a.shape, replay, diag, rank)
-    return rank, diag
+    m, n = a.shape
+    if any(1 in r or -1 in r for r in a.rows):
+        rows = [dict(compress(enumerate(r), r)) for r in a.rows]
+        pivots, ops = _unit_pivots([dict(r) for r in rows], n)
+        core = _unit_certificate(rows, m, n, pivots, ops)
+    else:  # no unit entry: no pivot, and the core is A
+        pivots, core = (), [list(r) for r in a.rows]
+    rank = len(pivots)
+    core_diag = ()
+    if core:
+        mc, nc = len(core), len(core[0])
+        d, replay = core, [list(r) for r in core]
+        for op in _smith_eliminate(d, mc, nc):
+            _apply(replay, op)
+        core_diag = tuple(d[i][i] for i in range(min(mc, nc)))
+        core_rank = sum(1 for x in core_diag if x)
+        _check_smith_diagonal((mc, nc), (mc, nc), replay, core_diag, core_rank)
+        rank += core_rank
+    return rank, (1,) * len(pivots) + core_diag + (0,) * (min(m, n) - len(pivots) - len(core_diag))
+
+
+def _unit_pivots(rows, n):
+    """The unit phase of `smith_diagonal`: +-1 pivots on the sparse rows `rows`, in place.
+
+    `rows` holds one {column: value} dict of nonzeros per row of a matrix
+    with `n` columns.  A heap orders the columns by their number of active
+    nonzeros (stale entries are skipped when popped); in the first column
+    that holds a +-1 entry, the unit row with the fewest nonzeros is the
+    pivot.  Its column is cleared in every other active row by adding a
+    multiple of the pivot row, and the pivot row is then retired: no later
+    operation reads or changes it.  Only the pivot row's columns change,
+    and they go back on the heap.
+
+    Returns (pivots, ops): the (row, column) of each pivot in order, and
+    each row operation (target row, pivot row, multiplier) in order.
+    """
+    at = [set() for _ in range(n)]  # column -> active rows with a nonzero in it
+    for i, r in enumerate(rows):
+        for j in r:
+            at[j].add(i)
+    heap = [(len(s), j) for j, s in enumerate(at) if s]
+    heapify(heap)
+    pivots, ops = [], []
+    while heap:
+        count, j = heappop(heap)
+        live = at[j]
+        if count != len(live):
+            continue
+        p = None
+        for i in live:
+            if rows[i][j] in (1, -1) and (p is None or len(rows[i]) < len(rows[p])):
+                p = i
+        if p is None:
+            continue
+        prow = rows[p]
+        u = prow[j]
+        for i in [i for i in live if i != p]:
+            ri = rows[i]
+            k = -u * ri[j]
+            for c, x in prow.items():
+                v = ri.get(c)
+                if v is None:
+                    ri[c] = k * x
+                    at[c].add(i)
+                    continue
+                v += k * x
+                if v:
+                    ri[c] = v
+                else:
+                    del ri[c]
+                    at[c].discard(i)
+            ops.append((i, p, k))
+        pivots.append((p, j))
+        for c in prow:
+            at[c].discard(p)
+            if at[c]:
+                heappush(heap, (len(at[c]), c))
+    return pivots, ops
+
+
+def _unit_certificate(rows, m, n, pivots, ops):
+    """Certify the unit phase on `rows`, a fresh sparse copy of A; return the dense core.
+
+    Replays `ops` on `rows` (refusing lines outside the matrix and
+    self-adds), then checks that the pivots are distinct lines, that each
+    replayed pivot entry is +-1, and that pivot column j_k is nonzero only
+    on pivot rows i_1..i_k.  The core is the non-pivot rows x non-pivot
+    columns of the replayed copy, without its zero rows and columns.
+    """
+    for op in ops:
+        i, p, k = op
+        if not (0 <= i < m and 0 <= p < m) or i == p:
+            raise InvalidChainMap(f"snf: bad logged operation {op}")
+        ri = rows[i]
+        for c, x in rows[p].items():
+            v = ri.get(c, 0) + k * x
+            if v:
+                ri[c] = v
+            else:
+                ri.pop(c, None)
+    row_at, col_at = {}, {}
+    for t, (i, j) in enumerate(pivots):
+        if not (0 <= i < m and 0 <= j < n):
+            raise InvalidChainMap(f"snf: bad pivot {(i, j)}")
+        if row_at.setdefault(i, t) != t or col_at.setdefault(j, t) != t:
+            raise InvalidChainMap(f"snf: pivot {(i, j)} repeats a line")
+        if rows[i].get(j) not in (1, -1):
+            raise InvalidChainMap(f"snf: pivot {(i, j)} is not a unit")
+    for i, r in enumerate(rows):
+        t = row_at.get(i, len(pivots))
+        for j in r:
+            if col_at.get(j, t) < t:
+                raise InvalidChainMap(f"snf: pivot column {j} is not cleared below its pivot")
+    core = [r for i, r in enumerate(rows) if r and i not in row_at]
+    cols = sorted(set().union(*core))
+    return [[r.get(j, 0) for j in cols] for r in core]
 
 
 def _smith_eliminate(d, m, n):

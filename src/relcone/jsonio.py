@@ -42,10 +42,22 @@ def dumps(obj) -> str:
 
 
 def loads(text: str):
+    """Parse JSON text; a key repeated within one object is an error, not a silent overwrite."""
     try:
-        return json.loads(text, parse_int=int_from_text)
+        return json.loads(text, parse_int=int_from_text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ParseError(f"bad JSON: {e.msg}", line=e.lineno, col=e.colno) from None
+
+
+def _unique_keys(pairs) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"bad JSON: duplicate key {key!r}")
+            seen.add(key)
+    return obj
 
 
 def read_json(path: str):

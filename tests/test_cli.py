@@ -378,6 +378,24 @@ def test_a_degree_listed_twice_exits_one_with_one_line(tmp_path, capsys, verb, d
     assert capsys.readouterr().err == f"relcone: parse error: {message}\n"
 
 
+def test_a_key_repeated_in_one_object_exits_one_with_one_line(tmp_path, capsys):
+    """A JSON object that names one key twice has no one value to keep, at the top or nested in a cocycle."""
+    cocycle = jsonio.dumps(jsonio.cocycle_to_json(half_gerbe_cocycle()))
+    assert '"s":{"v0,n":"3/4",' in cocycle
+    cases = [
+        ("homology", '{"ring":"Z","ranks":{"0":1,"1":1,"1":2},"diff":{"1":[[0,0]]}}', "'1'"),
+        ("classify", cocycle.replace('"s":{"v0,n":"3/4",', '"s":{"v0,n":"3/4","v0,n":"1/4",'), "'v0,n'"),
+    ]
+    path = tmp_path / "repeat.json"
+    path.write_text(cocycle)
+    assert run("classify", str(path))[0] == 0
+    for verb, text, key in cases:
+        path.write_text(text)
+        capsys.readouterr()
+        assert run(verb, str(path)) == (1, ""), verb
+        assert capsys.readouterr().err == f"relcone: parse error: bad JSON: duplicate key {key}\n"
+
+
 def test_unhashable_cocycle_kind_exits_one_with_one_line(tmp_path, capsys):
     doc = jsonio.cocycle_to_json(half_gerbe_cocycle())
     doc["kind"] = []
