@@ -177,12 +177,9 @@ def smith_diagonal(a: Matrix) -> tuple:
     if a.ring != INT:
         raise UnsupportedRing("snf is defined over Z")
     m, n = a.shape
-    if any(1 in r or -1 in r for r in a.rows):
-        rows = [dict(compress(enumerate(r), r)) for r in a.rows]
-        pivots, ops = _unit_pivots([dict(r) for r in rows], n)
-        core = _unit_certificate(rows, m, n, pivots, ops)
-    else:  # no unit entry: no pivot, and the core is A
-        pivots, core = (), [list(r) for r in a.rows]
+    rows = [dict(compress(enumerate(r), r)) for r in a.rows]
+    pivots, ops = _unit_pivots([dict(r) for r in rows])
+    core = _unit_certificate(rows, m, n, pivots, ops)
     rank = len(pivots)
     core_diag = ()
     if core:
@@ -197,11 +194,11 @@ def smith_diagonal(a: Matrix) -> tuple:
     return rank, (1,) * len(pivots) + core_diag + (0,) * (min(m, n) - len(pivots) - len(core_diag))
 
 
-def _unit_pivots(rows, n):
+def _unit_pivots(rows):
     """The unit phase of `smith_diagonal`: +-1 pivots on the sparse rows `rows`, in place.
 
-    `rows` holds one {column: value} dict of nonzeros per row of a matrix
-    with `n` columns.  A heap orders the columns by their number of active
+    `rows` holds one {column: value} dict of nonzeros per row of a matrix.
+    A heap orders the columns by their number of active
     nonzeros (stale entries are skipped when popped); in the first column
     that holds a +-1 entry, the unit row with the fewest nonzeros is the
     pivot.  Its column is cleared in every other active row by adding a
@@ -212,11 +209,11 @@ def _unit_pivots(rows, n):
     Returns (pivots, ops): the (row, column) of each pivot in order, and
     each row operation (target row, pivot row, multiplier) in order.
     """
-    at = [set() for _ in range(n)]  # column -> active rows with a nonzero in it
+    at = {}  # column -> active rows with a nonzero in it; fill-in lands only in these columns
     for i, r in enumerate(rows):
         for j in r:
-            at[j].add(i)
-    heap = [(len(s), j) for j, s in enumerate(at) if s]
+            at.setdefault(j, set()).add(i)
+    heap = [(len(s), j) for j, s in at.items()]
     heapify(heap)
     pivots, ops = [], []
     while heap:

@@ -150,7 +150,7 @@ def test_tori_and_random_map_cones_match_snf():
 
 
 def test_unit_pivots_leave_the_dense_loop_a_small_core_or_none(monkeypatch):
-    """A torus boundary is all unit pivots; a matrix with no unit entry goes to the dense loop whole."""
+    """A torus boundary is all unit pivots; a matrix with no unit entry finds no pivot, and its core is all of it."""
     cores = count_calls(monkeypatch, homology, "_smith_eliminate")
     for k in (1, 2):
         d = chain_complex(torus(8), INT).diff(k)
@@ -184,8 +184,8 @@ def test_only_integer_matrices_are_reduced():
 def corrupted_units(real, how):
     """A stand-in for `_unit_pivots` that runs it and then breaks its pivots or its log."""
 
-    def run(rows, n):
-        pivots, ops = real(rows, n)
+    def run(rows):
+        pivots, ops = real(rows)
         if how == "drop":
             del ops[len(ops) // 2]
         elif how == "multiplier":
@@ -214,6 +214,10 @@ def corrupted_core(real, how):
             d[0][0] += 1
         elif how == "core":
             del log[len(log) // 2]
+        elif how == "core-self-add":
+            log.append((homology._ADD, True, 0, 0, 1))
+        elif how == "core-outside":
+            log.append((homology._SWAP, False, 0, n, 0))  # column n of an m x n core
         return log
 
     return run
@@ -229,11 +233,14 @@ CORRUPTIONS = {
     "non-unit": "snf: pivot ",
     "entry": "snf: D not diagonal",
     "core": "snf: D not diagonal",
+    "core-self-add": "snf: bad logged operation ",
+    "core-outside": "snf: bad logged operation ",
 }
+CORE_CORRUPTIONS = ("entry", "core", "core-self-add", "core-outside")
 
 
 def corrupt(monkeypatch, how):
-    if how in ("entry", "core"):
+    if how in CORE_CORRUPTIONS:
         monkeypatch.setattr(homology, "_smith_eliminate", corrupted_core(homology._smith_eliminate, how))
     else:
         monkeypatch.setattr(homology, "_unit_pivots", corrupted_units(homology._unit_pivots, how))
@@ -284,8 +291,8 @@ from relcone.coeffs import INT
 
 units, core = homology._unit_pivots, homology._smith_eliminate
 
-def dropping_unit_op(rows, n):
-    pivots, ops = units(rows, n)
+def dropping_unit_op(rows):
+    pivots, ops = units(rows)
     return pivots, ops[1:]
 
 def dropping_core_op(d, m, n):
