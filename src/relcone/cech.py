@@ -6,28 +6,32 @@ coefficient to each nonempty (p+1)-fold overlap, antisymmetrically in
 the listing order.  A map of covered spaces that sends each source set
 into a target set induces a pullback on cochains, and the mapping cone
 of that pullback computes the cohomology of the map: classes that
-restrict to zero upstairs together with a reason why.
+restrict to zero upstairs together with a reason why.  Its differential
+is d(s, t) = (f^*t - ds, dt).
 
 A cochain stores only its coordinate tuple: a Cech cochain on the
 p-overlaps, in the nerve's basis order, and a relative cochain on the
 cone basis, the source block first.  Both types share one base class,
 so one sum, negation, integer multiple and equality serves both.
-Coboundaries and pullbacks are integer matrices acting on the tuple
-through the Z-module structure of the coefficients, so one code path
-serves Z, Q, Z/n and the circle group.
+Coboundaries and cone differentials are integer matrices acting on the
+tuple through the Z-module structure of the coefficients, so one code
+path serves Z, Q, Z/n and the circle group.
 
 Covers and cover maps are immutable, and each compiles its integer data
 once, on first use: these are the only compiled objects in the package.
 A cover keeps the nerve's integer cochain complex in its `cochains`
-slot, and its absolute map in another.  A cover map keeps its `view`, a
-:class:`CoverMapView`, which holds only the checked pullback cochain map
-and one memo of what is built from it on first use: the relative Cech
-cone, the chain cone of the pushforward, each cone's integer homology,
-and one solver per degree of the relative cone (one Smith form answering
-integer witnesses and, over Q/Z, angle witnesses).  No matrix is kept
-beside its transpose, and every check (d d = 0, the cochain-map
-identity, the Smith form postconditions) runs once per cochain complex,
-view or solver.  Everything in this module and in `geo` reads these.
+slot, built only for `cech_diff` and the `cech` verb, and its absolute
+map in another.  A cover map keeps its `view`, a
+:class:`CoverMapView`, which holds the relative Cech cone and one memo
+of what is read from it on first use: its integer homology, one solver
+per degree (one Smith form answering integer witnesses and, over Q/Z,
+angle witnesses), and the chain cone of the pushforward with its
+integer homology.  Every relative differential, pullback and
+closedness check is one product with a differential of that cone.  No
+matrix is kept beside its transpose, and every check (d d = 0, the
+chain-map identity, the Smith form postconditions) runs once per
+complex, cone or solver built.  Everything in this module and in `geo`
+reads these.
 """
 
 from __future__ import annotations
@@ -35,16 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Tuple
 
-from .chain import (
-    ComplexMap,
-    GradedComplex,
-    cone_of_cochain_map,
-    cone_of_map,
-    dual_complex,
-    dual_map,
-    from_int_complex,
-    from_int_map,
-)
+from .chain import GradedComplex, cone_of_cochain_map, cone_of_map, dual_complex, dual_map, from_int_complex
 from .coeffs import INT, RAT, U1, CoeffRing
 from .errors import (
     CoverMismatch,
@@ -62,8 +57,8 @@ from .simplicial import (
     SimplicialMap,
     _sort_sign,
     chain_complex,
+    chain_map,
     nerve,
-    pushforward_matrices,
 )
 
 
@@ -73,6 +68,8 @@ class Cover(Frozen):
     `cochains`, built on first use and kept in its own slot, is the dual
     of the nerve's validated integer chain complex in chain storage: its
     differential at degree -p is the coboundary C^p -> C^(p+1) over Z.
+    Only `cech_diff` and `cover_cochain_complex` read it; a cover map
+    reads its own cone instead.
     """
 
     __slots__ = ("nerve", "_cochains", "_absolute")
@@ -157,7 +154,7 @@ class CoverMap(Frozen):
 
     @property
     def view(self) -> "CoverMapView":
-        return self._keep("_view", lambda: CoverMapView(self))
+        return self._keep("_view", lambda: CoverMapView(self.nerve_map))
 
     def __call__(self, name):
         return self.assignment[name]
@@ -176,41 +173,36 @@ class CoverMap(Frozen):
 
 
 class CoverMapView:
-    """A cover map's compiled integer data.
+    """A cover map's compiled integer data: its relative Cech cone.
 
-    `pull_map` is the pullback C^p(dst) -> C^p(src) as an integer
-    cochain map between the two covers' `cochains` (chain degree -p):
-    its components are the transposes of the nerve map's pushforward,
-    checked once, when the view is made, to commute with the
-    coboundaries.  One memo keeps what is built on first use: `cone`,
-    the relative Cech cone, with its integer homology `data(n)` and the
-    solvers `solver(n)` of its differentials, which every witness reads;
-    and `chain_cone`, the mapping cone of the pushforward, with its integer
-    homology `chain_data(n)`.  Other rings read these integer matrices
-    through `zapply` or the ring map (`cone_map`).  Nothing else is
-    kept: the two covers' cochain complexes are `pull_map.dst` and
-    `pull_map.src`, held by the covers themselves.
+    `cone` is the cone of the pullback, in chain storage: at chain degree
+    -q it holds C^(q-1)(src) + C^q(dst), and its differential there is
+    d(s, t) = (f^*t - ds, dt).  It is built once, when the view is made,
+    as the cochain cone of the transposed pushforward on the nerves'
+    integer chains, which is checked then as a chain map (d d = 0 on
+    both sides, d f = f d).  Nothing built on the way (the chain map,
+    its transpose, the covers' cochain complexes) is kept.  Every other
+    ring reads the cone's integer matrices through `zapply` or n -> n.1.
+
+    One memo keeps what is read on first use: the cone's integer
+    homology `data(n)`, the solvers `solver(n)` of its differentials,
+    which every witness reads, and `chain_cone`, the mapping cone of the
+    pushforward, with its integer homology `chain_data(n)`.  The chain
+    cone is built from `nerve_map`, the cover map's own field (referred
+    to, not copied), and the pushforward is checked again then.
     """
 
-    __slots__ = ("pull_map", "_memo")
+    __slots__ = ("nerve_map", "cone", "_memo")
 
-    def __init__(self, m: CoverMap):
-        pulls = {-p: t.transpose() for p, t in pushforward_matrices(m.nerve_map).items()}
-        self.pull_map = ComplexMap(m.dst.cochains, m.src.cochains, pulls)  # raises unless d f = f d
+    def __init__(self, nerve_map: SimplicialMap):
+        self.nerve_map = nerve_map
+        self.cone = cone_of_cochain_map(dual_map(chain_map(nerve_map, INT)))  # raises unless d f = f d
         self._memo = {}
 
     def _once(self, key, build):
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
-
-    def cone_map(self, ring: CoeffRing) -> ComplexMap:
-        """The pullback as a cochain map over `ring`, read from the checked integer map."""
-        return from_int_map(self.pull_map, ring)
-
-    @property
-    def cone(self) -> GradedComplex:
-        return self._once("cone", lambda: cone_of_cochain_map(self.cone_map(INT)))
 
     def data(self, n: int) -> HomologyData:
         return self._once(("data", n), lambda: homology_data(self.cone, n))
@@ -221,8 +213,8 @@ class CoverMapView:
 
     @property
     def chain_cone(self) -> GradedComplex:
-        """Cone of the pushforward, the dual of the checked pullback on the nerves' chains."""
-        return self._once("chain_cone", lambda: cone_of_map(dual_map(self.cone_map(INT))))
+        """Cone of the pushforward on the nerves' integer chains, built and checked on first use."""
+        return self._once("chain_cone", lambda: cone_of_map(chain_map(self.nerve_map, INT)))
 
     def chain_data(self, n: int) -> HomologyData:
         return self._once(("chain_data", n), lambda: homology_data(self.chain_cone, n))
@@ -390,12 +382,15 @@ def pullback(m: CoverMap, c: CechCochain) -> CechCochain:
     """Pull a target-cover cochain back along a cover map.
 
     The value on a source overlap is the value on the image overlap;
-    listings whose image repeats a set read as zero.
+    listings whose image repeats a set read as zero.  It is the source
+    block of the relative cone differential applied to (0, c), which
+    also serves degree -1, where every cochain is zero.
     """
     if c.cover != m.dst:
         raise CoverMismatch("cochain does not live on the map's target cover")
-    t = m.view.pull_map.component(-c.degree)
-    return CechCochain._of(m.src, c.degree, c.ring, t.zapply(c.ring, c.vector()))
+    q, ring = c.degree, c.ring
+    vec = m.view.cone.diff(-q).zapply(ring, (ring.zero(),) * m.src.rank(q - 1) + c.vector())
+    return CechCochain._of(m.src, q, ring, vec[: m.src.rank(q)])
 
 
 def cover_cochain_complex(cover: Cover, ring: CoeffRing) -> GradedComplex:
@@ -465,11 +460,11 @@ class RelCechCochain(_Cochain):
 def rel_diff(u: RelCechCochain) -> RelCechCochain:
     """Cone differential: d(s, t) = (pullback(t) - ds, dt).
 
-    Computed block by block, from the coboundaries of the two covers
-    and the pullback of the map.
+    One product of the view's cone differential at chain degree -q with
+    the stored cone vector.
     """
-    s, t = u.s, u.t
-    return RelCechCochain(u.m, pullback(u.m, t) - cech_diff(s), cech_diff(t))
+    q = u.degree
+    return RelCechCochain._of(u.m, q + 1, u.ring, u.m.view.cone.diff(-q).zapply(u.ring, u.vector()))
 
 
 def is_rel_cocycle(u: RelCechCochain) -> bool:

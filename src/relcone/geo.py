@@ -33,7 +33,6 @@ from .cech import (
     RelCechCochain,
     bockstein,
     cech_diff,
-    pullback,
     rel_diff,
     star_cover_map,
 )
@@ -477,16 +476,20 @@ def bohr_sommerfeld(omega: CechCochain, phi: SimplicialMap) -> IntegralityReport
     """Integrality of (omega, 0) for a map with isotropic pullback.
 
     `omega` is a pre-normalized rational 2-cochain on the target model;
-    any constant factor is the caller's responsibility.
+    any constant factor is the caller's responsibility.  One relative
+    differential of (0, omega) decides both conditions: its source block
+    is the pullback of omega (isotropy), its target block d omega
+    (closedness).
     """
     m = star_cover_map(phi)
     if omega.ring != RAT:
         raise RingMismatch("omega must be rational-valued")
     if omega.cover != m.dst:
         raise CoverMismatch("omega must live on the target model's star cover")
-    if not pullback(m, omega).is_zero:
-        raise NotIsotropic("omega pulls back nonzero along the map")
-    if not cech_diff(omega).is_zero:
-        raise NotClosed("omega is not closed")
     beta = CechCochain(m.src, omega.degree - 1, RAT)
+    w = rel_diff(RelCechCochain(m, beta, omega))
+    if not w.s.is_zero:
+        raise NotIsotropic("omega pulls back nonzero along the map")
+    if not w.t.is_zero:
+        raise NotClosed("omega is not closed")
     return is_integral(RelRealCochainPair(phi, omega, beta))

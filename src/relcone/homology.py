@@ -454,12 +454,10 @@ def _check_snf(a: Matrix, r: SNFResult):
 # ---------------------------------------------------------------------------
 
 
-def kernel_int(a: Matrix, s: SNFResult | None = None) -> Matrix:
+def kernel_int(a: Matrix) -> Matrix:
     """Basis of the (saturated) integer kernel, as columns."""
-    if s is None:
-        s = snf(a)
-    cols = list(range(s.rank, a.ncols))
-    return s.vinv.submatrix(range(a.ncols), cols)
+    s = snf(a)
+    return s.vinv.submatrix(range(a.ncols), range(s.rank, a.ncols))
 
 
 class IntSolver:
@@ -474,7 +472,7 @@ class IntSolver:
 
     def __init__(self, a: Matrix):
         s = snf(a)
-        self.lattice = _image_lattice(a, s)
+        self.lattice = _image_lattice(s)
         self.back = s.vinv.submatrix(range(a.ncols), range(s.rank))
 
     def solve(self, b: Matrix) -> Matrix | None:
@@ -710,17 +708,15 @@ def _kernel_lattice(a: Matrix) -> tuple:
     """(basis, lattice) of ker(a): columns r.. of Vinv; x = Vinv (V x) lies in it when (V x)[:r] = 0."""
     s = snf(a)
     n = a.ncols
-    return kernel_int(a, s), _Lattice(s.v, range(s.rank, n), (1,) * (n - s.rank))
+    return s.vinv.submatrix(range(n), range(s.rank, n)), _Lattice(s.v, range(s.rank, n), (1,) * (n - s.rank))
 
 
-def _image_lattice(a: Matrix, s: SNFResult | None = None) -> _Lattice:
-    """Column span of a = span of the d_i U[:, i], i < r.
+def _image_lattice(s: SNFResult) -> _Lattice:
+    """Column span of A = U D V, read from its Smith form s: the span of the d_i U[:, i], i < r.
 
     x = U (Uinv x) lies in it when d_i divides (Uinv x)_i for i < r and
     (Uinv x)_i = 0 for i >= r.
     """
-    if s is None:
-        s = snf(a)
     return _Lattice(s.uinv, range(s.rank), s.diag[: s.rank])
 
 
@@ -908,7 +904,7 @@ def connecting_hom(
 
 def _subgroup_leq_int(gens_a: Matrix, gens_b: Matrix):
     """Is span(cols of A) contained in span(cols of B)?  Returns (ok, witness)."""
-    lat = _image_lattice(gens_b)
+    lat = _image_lattice(snf(gens_b))
     for col in gens_a.columns():
         if lat.coords(Matrix.column(INT, col)) is None:
             return False, col
@@ -1109,7 +1105,7 @@ def _coker_homology_data(f: ComplexMap, n: int) -> HomologyData:
     if ring == INT:
         s = snf(gl)
         basis = Matrix.from_columns(INT, g, [[d * v for v in s.u.col(i)] for i, d in enumerate(s.diag[: s.rank])])
-        return _quotient_group_int(g, basis, _image_lattice(gl, s), den)
+        return _quotient_group_int(g, basis, _image_lattice(s), den)
     return _quotient_space_field(ring, g, gl, den)
 
 

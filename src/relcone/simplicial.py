@@ -6,10 +6,10 @@ sign.  The cylinder and cone constructions introduce fresh labels
 ("x:v" for the source copy, "y:w" for the target copy, "*" for the cone
 apex) so that the result is again a plain labeled complex.  One
 builder, `_incidence`, fills every simplex-indexed matrix (boundaries,
-pushforwards, the cone comparison), so index lookup and orientation
-sign live in one place.  Chain complexes
-and chain maps are built and checked over Z only; every other ring
-reads the checked integer data through n -> n.1.
+pushforwards, the cone comparison) with plain ints, so index lookup and
+orientation sign live in one place and no entry is normalized.  Chain
+complexes and chain maps are built and checked over Z only; every other
+ring reads the checked integer data through n -> n.1.
 
 Simplicial maps are immutable (:class:`Frozen`, shared with covers and
 cover maps) and compile nothing themselves.  A map keeps only its star
@@ -25,7 +25,7 @@ from operator import gt
 from types import MappingProxyType
 from typing import Dict, Mapping
 
-from .chain import ComplexMap, GradedComplex, cone_of_map, from_int_complex, from_int_map, mat_ring
+from .chain import ComplexMap, GradedComplex, cone_of_map, from_int_complex, from_int_map
 from .coeffs import INT, CoeffRing
 from .errors import (
     InconsistentIntersections,
@@ -184,11 +184,12 @@ class SimplicialMap(Frozen):
 # ---------------------------------------------------------------------------
 
 
-def _incidence(ring: CoeffRing, k: SimplicialComplex, n: int, columns) -> Matrix:
-    """The matrix into C_n(k) whose column j sums c * sign * e_s over the (seq, c) in columns[j].
+def _incidence(k: SimplicialComplex, n: int, columns) -> Matrix:
+    """The integer matrix into C_n(k) whose column j sums c * sign * e_s over the (seq, c) in columns[j].
 
     `seq` lists the vertex indices of an n-simplex s of k in any order;
-    sign is the parity of the permutation that sorts it.
+    sign is the parity of the permutation that sorts it.  Every c is an
+    int, so the sums are stored as they are, with no `normalize` pass.
     """
     columns = list(columns)
     rows = [[0] * len(columns) for _ in range(k.n_rank(n))]
@@ -196,7 +197,7 @@ def _incidence(ring: CoeffRing, k: SimplicialComplex, n: int, columns) -> Matrix
         for seq, c in terms:
             key = tuple(sorted(seq))
             rows[k.index_of(n, key)][j] += c if key == seq else c * _sort_sign(seq)  # a sorted tuple has sign +1
-    return Matrix(mat_ring(ring), len(rows), len(columns), rows)
+    return Matrix._of(INT, len(rows), len(columns), rows)
 
 
 def chain_complex(k: SimplicialComplex, ring: CoeffRing, augmented: bool = False) -> GradedComplex:
@@ -210,7 +211,7 @@ def chain_complex(k: SimplicialComplex, ring: CoeffRing, augmented: bool = False
     """
     ranks = {n: k.n_rank(n) for n in range(k.dim + 1)}
     faces = lambda s: [(s[:i] + s[i + 1 :], (-1) ** i) for i in range(len(s))]
-    diffs = {n: _incidence(INT, k, n - 1, map(faces, k.simplices(n))) for n in range(1, k.dim + 1)}
+    diffs = {n: _incidence(k, n - 1, map(faces, k.simplices(n))) for n in range(1, k.dim + 1)}
     if augmented:
         ranks[-1] = 1
         if k.n_rank(0):
@@ -218,15 +219,15 @@ def chain_complex(k: SimplicialComplex, ring: CoeffRing, augmented: bool = False
     return from_int_complex(GradedComplex(INT, ranks, diffs), ring)
 
 
-def pushforward_matrices(phi: SimplicialMap, ring: CoeffRing = INT) -> Dict[int, Matrix]:
-    """The matrices of the pushforward C_n(src) -> C_n(dst), n = 0..src.dim.
+def pushforward_matrices(phi: SimplicialMap) -> Dict[int, Matrix]:
+    """The integer matrices of the pushforward C_n(src) -> C_n(dst), n = 0..src.dim.
 
     Degenerate simplices go to zero; nothing is validated here.
     """
     image = [phi.dst._index[phi.vmap[v]] for v in phi.src.vertices]
     images = lambda n: ([image[i] for i in s] for s in phi.src.simplices(n))
     columns = lambda n: [[(q, 1)] if len(set(q)) == len(q) else [] for q in images(n)]
-    return {n: _incidence(ring, phi.dst, n, columns(n)) for n in range(phi.src.dim + 1)}
+    return {n: _incidence(phi.dst, n, columns(n)) for n in range(phi.src.dim + 1)}
 
 
 def chain_map(phi: SimplicialMap, ring: CoeffRing, augmented: bool = False) -> ComplexMap:
@@ -370,7 +371,7 @@ def _comparison_map(phi: SimplicialMap, space: SimplicialComplex, top: int) -> D
             for f in _faces(phi.src, n)
         ]
         cols += [[([space._index[_yl(w)] for w in phi.dst.labels(t)], -1)] for t in phi.dst.simplices(n)]
-        lt[n] = _incidence(INT, space, n, cols)
+        lt[n] = _incidence(space, n, cols)
     return lt
 
 

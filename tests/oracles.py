@@ -365,6 +365,23 @@ def pullback_matrix(m, p, ring=None):
     return chain_map(m.nerve_map, ring or INT).component(p).transpose()
 
 
+def rel_diff_by_blocks(u):
+    """The cone vector of d(s, t) = (pullback(t) - ds, dt), assembled block by block.
+
+    u is a relative q-cochain: its first (q-1)-overlap count of source
+    coordinates is s, the rest t.  Each block is a rebuilt integer
+    matrix acting on its part through the Z-module structure.
+    """
+    m, q, ring = u.m, u.degree, u.ring
+    vec = u.vector()
+    split = m.src.nerve.n_rank(q - 1)
+    s, t = vec[:split], vec[split:]
+    pulled = pullback_matrix(m, q).zapply(ring, t)
+    ds = nerve_coboundary(m.src, q - 1).zapply(ring, s)
+    dt = nerve_coboundary(m.dst, q).zapply(ring, t)
+    return tuple(ring.sub(a, b) for a, b in zip(pulled, ds)) + dt
+
+
 def cover_cochains(cover, ring):
     from helpers import cochain_complex
 

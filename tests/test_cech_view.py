@@ -5,10 +5,17 @@ Every result read from a view is checked against the routines in
 relative cone on each call: coboundaries, pullbacks, relative
 cohomology, classes, Bockstein classes, witnesses and equivalence
 verdicts, over Z, Zmod:2 and U1, on the fixture cover maps and on star
-covers of seeded degree-d maps.  The chain cone homology that the
-integrality checks read is checked against a rebuilt chain cone of the
-nerve map.  Build counts pin the compile-once behaviour, and mutation
-of a compiled object raises.
+covers of seeded degree-d maps.  The relative differential, the
+pullback and the closedness checks, which all read one differential of
+the view's cone, are checked over Z, Q, Zmod:3 and U1 against the
+block formula (pullback(t) - ds, dt) in every degree up to dim + 1, and
+`bohr_sommerfeld` refuses in that formula's order: isotropy (the source
+block) before closedness (the target block).  The chain cone homology
+that the integrality checks read is checked against a rebuilt chain
+cone of the nerve map.  Build counts pin the compile-once behaviour (one
+checked pushforward per cone, and no cover's own cochain complex on the
+way to a class, a witness or an integrality verdict), and mutation of a
+compiled object raises.
 """
 
 import random
@@ -18,7 +25,7 @@ import pytest
 
 import oracles
 from helpers import count_calls, seeded_degree_map
-from relcone import cech, geo, homology
+from relcone import cech, geo, homology, simplicial
 from relcone.cech import (
     CechCochain,
     Cover,
@@ -26,6 +33,7 @@ from relcone.cech import (
     RelCechCochain,
     bockstein,
     cech_diff,
+    is_rel_cocycle,
     pullback,
     rel_diff,
     relative_cohomology,
@@ -33,8 +41,8 @@ from relcone.cech import (
     star_cover_map,
 )
 from relcone.chain import ComplexMap, cone_of_map
-from relcone.coeffs import INT, U1, ZMOD
-from relcone.errors import NontrivialClass
+from relcone.coeffs import INT, RAT, U1, ZMOD
+from relcone.errors import NontrivialClass, NotClosed, NotIsotropic
 from relcone.fixtures import (
     circle_doubling_cover_map,
     disk_cover_map,
@@ -68,8 +76,10 @@ MAPS = sorted(cover_maps())
 def random_cochain(rng, cover, p, ring):
     if ring == INT:
         vec = [rng.randint(-3, 3) for _ in range(cover.rank(p))]
-    elif ring == Z2:
-        vec = [rng.randrange(2) for _ in range(cover.rank(p))]
+    elif ring.kind == "Zmod":
+        vec = [rng.randrange(ring.modulus) for _ in range(cover.rank(p))]
+    elif ring == RAT:
+        vec = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(cover.rank(p))]
     else:
         vec = [F(rng.randrange(12), 12) for _ in range(cover.rank(p))]
     return CechCochain.from_vector(cover, p, ring, vec)
@@ -114,6 +124,57 @@ def test_coboundary_and_pullback_match_the_rebuilt_matrices(name):
         for p in range(m.dst.dim + 1):
             c = random_cochain(rng, m.dst, p, ring)
             assert pullback(m, c).vector() == oracles.pullback_matrix(m, p).zapply(ring, c.vector())
+
+
+@pytest.mark.parametrize("name", MAPS)
+def test_rel_diff_and_pullback_match_the_block_formula(name):
+    """One product with the cone differential against (pullback(t) - ds, dt) assembled from rebuilt blocks."""
+    m = cover_maps()[name]
+    rng = random.Random(f"blocks-{name}")
+    top = max(m.src.dim, m.dst.dim) + 1
+    for ring in (INT, RAT, ZMOD(3), U1):
+        for p in range(-1, top + 1):
+            c = random_cochain(rng, m.dst, p, ring)
+            assert pullback(m, c).vector() == oracles.pullback_matrix(m, p).zapply(ring, c.vector())
+        for q in range(top + 1):
+            u = RelCechCochain(m, random_cochain(rng, m.src, q - 1, ring), random_cochain(rng, m.dst, q, ring))
+            want = oracles.rel_diff_by_blocks(u)
+            assert rel_diff(u).vector() == want
+            assert is_rel_cocycle(u) == (not any(want))
+            closed = RelCechCochain.from_vector(m, q + 1, ring, want)
+            assert is_rel_cocycle(closed) and not any(oracles.rel_diff_by_blocks(closed))
+            pair = RelCechCochain(m, CechCochain(m.src, q - 1, ring), u.t)
+            assert pullback(m, u.t).vector() == oracles.rel_diff_by_blocks(pair)[: m.src.rank(q)]
+
+
+def test_bohr_sommerfeld_refuses_in_the_block_formula_order():
+    """NotIsotropic when the source block of d(0, omega) is nonzero, else NotClosed when its target block is."""
+    from relcone.fixtures import fixture_registry
+
+    rng = random.Random(31)
+    registry = fixture_registry()
+    maps = [registry[name][1]() for name in ("fix-disk", "fix-susp-d2")] + [seeded_degree_map(rng, 2)]
+    seen = set()
+    for phi in maps:
+        m = star_cover_map(phi)
+        for q in range(m.dst.dim + 1):
+            n = m.dst.rank(q)
+            omegas = [CechCochain.from_vector(m.dst, q, RAT, [int(i == j) for i in range(n)]) for j in range(n)]
+            for omega in omegas + [random_cochain(rng, m.dst, q, RAT)]:
+                want = oracles.rel_diff_by_blocks(RelCechCochain(m, CechCochain(m.src, q - 1, RAT), omega))
+                split = m.src.rank(q)
+                if any(want[:split]):
+                    with pytest.raises(NotIsotropic, match="^omega pulls back nonzero along the map$"):
+                        geo.bohr_sommerfeld(omega, phi)
+                    seen.add("not isotropic")
+                elif any(want[split:]):
+                    with pytest.raises(NotClosed, match="^omega is not closed$"):
+                        geo.bohr_sommerfeld(omega, phi)
+                    seen.add("not closed")
+                else:
+                    assert geo.bohr_sommerfeld(omega, phi).degree == q
+                    seen.add("checked")
+    assert seen == {"not isotropic", "not closed", "checked"}
 
 
 @pytest.mark.parametrize("name", MAPS)
@@ -183,11 +244,14 @@ def test_classify_trivialize_and_equivalence_match_the_oracle(name):
 def test_many_classes_on_one_map_build_each_complex_once(monkeypatch, name):
     base = fixture_cocycles()[name]
     rng = random.Random(f"count-{name}")
-    inputs = [shifted(rng, base, k) for k in range(6)]  # fresh cover map views start here
+    cones = count_calls(monkeypatch, cech, "cone_of_cochain_map")
+    nerves = count_calls(monkeypatch, simplicial, "chain_complex")
+    checks = count_calls(monkeypatch, ComplexMap, "_validate")
+    inputs = [shifted(rng, base, k) for k in range(6)]  # a fresh view: the inputs' rel_diff builds its cone
     m = base.cover_map
     assert all(c.cover_map is m for c in inputs)
-    cones = count_calls(monkeypatch, cech, "cone_of_cochain_map")
-    nerves = count_calls(monkeypatch, cech, "chain_complex")
+    assert (len(cones), len(nerves), len(checks)) == (1, 2, 1)  # one checked pushforward, between two nerves
+    cochains = count_calls(monkeypatch, cech, "chain_complex")
     solvers = count_calls(monkeypatch, cech, "IntSolver")
     smiths = count_calls(monkeypatch, homology, "snf")
     for _ in range(2):
@@ -198,8 +262,8 @@ def test_many_classes_on_one_map_build_each_complex_once(monkeypatch, name):
             except NontrivialClass:
                 pass
             geo.is_equivalent(c, inputs[0])
-    assert len(cones) == 1
-    assert nerves == []  # each nerve complex was built once, by the inputs' rel_diff
+    assert (len(cones), len(nerves), len(checks)) == (1, 2, 1)  # nothing more is built for any verdict
+    assert cochains == []  # no cover builds its own cochain complex
     # integer and angle witnesses alike: one solver, so one Smith form, for the one witness degree,
     # however many solves and denominators there are
     n = 1 - base.u.degree
@@ -212,15 +276,18 @@ def test_many_classes_on_one_map_build_each_complex_once(monkeypatch, name):
 
 def test_a_fresh_cover_map_builds_each_nerve_complex_once(monkeypatch):
     cones = count_calls(monkeypatch, cech, "cone_of_cochain_map")
-    nerves = count_calls(monkeypatch, cech, "chain_complex")
+    nerves = count_calls(monkeypatch, simplicial, "chain_complex")
+    checks = count_calls(monkeypatch, ComplexMap, "_validate")
+    cochains = count_calls(monkeypatch, cech, "chain_complex")
     m = suspension_cover_map()
     rng = random.Random(77)
     for _ in range(5):
         u = rel_diff(random_low(rng, m, 2, INT))
         geo._class_report(u, "x", "Phi")
         assert rel_diff(geo._witness(u)) == u
-    assert sorted(k.n_rank(0) for k, _ in nerves) == sorted([m.src.rank(0), m.dst.rank(0)])
-    assert len(cones) == 1
+    assert sorted(k.n_rank(0) for k, *_ in nerves) == sorted([m.src.rank(0), m.dst.rank(0)])
+    assert len(cones) == len(checks) == 1
+    assert cochains == []
 
 
 def test_absolute_calls_on_one_cover_build_its_cone_once(monkeypatch):
@@ -240,22 +307,26 @@ def test_simplicial_map_builds_its_chain_cone_once(monkeypatch):
 
     phi = disk_inclusion()
     cones = count_calls(monkeypatch, cech, "cone_of_map")
-    nerves = count_calls(monkeypatch, cech, "chain_complex")
+    nerves = count_calls(monkeypatch, simplicial, "chain_complex")
+    checks = count_calls(monkeypatch, ComplexMap, "_validate")
     for total in (F(1), F(1, 2), F(3)):
         pair = geo.RelRealCochainPair.from_values(phi, 2, disk_area_values(total), {})
         assert pair.m is star_cover_map(phi)
         rep = geo.is_integral(pair)
         assert [p.value for p in rep.pairings] == [total] and rep.integral == (total.denominator == 1)
     assert len(cones) == 1
-    assert len(nerves) == 2  # one cochain complex per star cover
+    # the closedness check builds the Cech cone and the pairing the chain cone, each from
+    # one checked pushforward between the two nerve complexes
+    assert len(checks) == 2 and len(nerves) == 4
 
 
 def test_pairs_and_classes_on_one_star_cover_map_share_one_view(monkeypatch):
     from relcone.fixtures import disk_area_values
 
     phi = disk_inclusion()
-    nerves = count_calls(monkeypatch, cech, "chain_complex")
+    nerves = count_calls(monkeypatch, simplicial, "chain_complex")
     checks = count_calls(monkeypatch, ComplexMap, "_validate")
+    cochains = count_calls(monkeypatch, cech, "chain_complex")
     chain_cones = count_calls(monkeypatch, cech, "cone_of_map")
     cech_cones = count_calls(monkeypatch, cech, "cone_of_cochain_map")
     homologies = count_calls(monkeypatch, cech, "homology_data")
@@ -269,9 +340,9 @@ def test_pairs_and_classes_on_one_star_cover_map_share_one_view(monkeypatch):
         c = cls(m, u.s, u.t)
         assert geo.classify(c).is_zero
         assert rel_diff(geo.trivialize(c)) == u
-    assert len(nerves) == 2  # one chain complex per star cover, dualized in place
-    assert len(checks) == 1  # the pushforward, checked once as a chain map
-    assert len(chain_cones) == 1 and len(cech_cones) == 1
+    assert len(nerves) == 4  # both nerve complexes, once for each cone
+    assert len(checks) == 2  # the pushforward, checked once as a chain map for each cone
+    assert len(chain_cones) == 1 and len(cech_cones) == 1 and cochains == []
     assert len(homologies) == 4  # chain degrees 2 and 1, Cech cone degrees -1 and -2
 
 

@@ -726,7 +726,7 @@ def test_quotient_group_int_guard_raises():
     two = Matrix.from_rows(INT, [[2]])
     cases = [
         (homology._kernel_lattice(Matrix.from_rows(INT, [[1, -1]])), Matrix.from_rows(INT, [[1], [0]])),
-        ((two, homology._image_lattice(two)), Matrix.from_rows(INT, [[1]])),
+        ((two, homology._image_lattice(snf(two))), Matrix.from_rows(INT, [[1]])),
     ]
     for (basis, num), den in cases:
         with pytest.raises(InvalidChainMap, match="denominator not contained"):

@@ -72,8 +72,9 @@ TRUSTED_BUILD_CALLERS = {
     "homology.py": {"snf", "_check_snf", "kernel_field", "solve_field", "_Lattice.coords", "_quotient_group_int"},
     "cech.py": {
         "_Cochain.from_vector", "_Cochain.__add__", "_Cochain.__neg__", "_Cochain.zscale",
-        "cech_diff", "pullback", "RelCechCochain.s", "RelCechCochain.t", "_integer_rel_cochain",
+        "cech_diff", "pullback", "rel_diff", "RelCechCochain.s", "RelCechCochain.t", "_integer_rel_cochain",
     },
+    "simplicial.py": {"_incidence"},
 }
 
 
