@@ -142,8 +142,8 @@ class CoverMap(Frozen):
         self._init(src=src, dst=dst, nerve_map=SimplicialMap(src.nerve, dst.nerve, assignment), _view=None)
 
     @classmethod
-    def _of_nerve_map(cls, src: Cover, dst: Cover, nerve_map: SimplicialMap) -> "CoverMap":
-        """The cover map whose nerve map is `nerve_map`, already validated between the two nerves."""
+    def _of(cls, src: Cover, dst: Cover, nerve_map: SimplicialMap) -> "CoverMap":
+        """The trusted build: the cover map whose nerve map is `nerve_map`, a checked map of the two nerves."""
         m = cls.__new__(cls)
         m._init(src=src, dst=dst, nerve_map=nerve_map, _view=None)
         return m
@@ -553,4 +553,4 @@ def star_cover_map(phi: SimplicialMap) -> CoverMap:
     map's star covers shares one cover map and its view.  Its nerve map
     is phi itself, so the view's chain cone is the cone of phi's chain map.
     """
-    return phi._keep("_star", lambda: CoverMap._of_nerve_map(star_cover(phi.src), star_cover(phi.dst), phi))
+    return phi._keep("_star", lambda: CoverMap._of(star_cover(phi.src), star_cover(phi.dst), phi))

@@ -9,12 +9,12 @@ The two cone constructions are
     Cone_n(f)  = X_(n-1) (+) Y_n      d(theta, eta) = (d theta, f theta - d eta)
     Cone^n(f)  = Y^(n-1) (+) X^n      d(alpha, beta) = (f beta - d alpha, d beta)
 
-for a chain map f: X -> Y and a cochain map f: X -> Y respectively.  The
-cochain cone is the chain cone re-sliced: the plain block swap
-(a, b) -> (b, a) together with the degree shift Cone~(f)_n =
-Cone(f~)_(n+1) intertwines the two differentials exactly, with no
-auxiliary signs, so each cochain cone differential is a submatrix of a
-chain cone differential.
+for a chain map f: X -> Y and a cochain map f: X -> Y respectively; in
+chain storage the cochain cone differential is [[-d_Y, f], [0, d_X]].
+
+Every complex, chain map and homotopy is checked when it is built.  Only
+`_of`, the trusted build of a complex or chain map derived from checked
+data (a ring map, shift, cone or transpose of one), stores it unchecked.
 
 Duality is the plain transpose.  With the printed conventions the dual
 of the chain cone and the cochain cone of the dual map agree only up to
@@ -44,20 +44,31 @@ def mat_ring(ring: CoeffRing) -> CoeffRing:
     return INT if ring.kind == "U1" else ring
 
 
+def _trusted(cls, *args):
+    """The trusted build: `_set` without the check, for data derived from checked data."""
+    obj = cls.__new__(cls)
+    obj._set(*args)
+    return obj
+
+
 class GradedComplex:
     """A bounded complex of free modules in chain orientation."""
 
     __slots__ = ("ring", "_ranks", "_diffs", "lo", "hi")
 
-    def __init__(self, ring: CoeffRing, ranks: Mapping[int, int], diffs: Mapping[int, Matrix], validate: bool = True):
+    def __init__(self, ring: CoeffRing, ranks: Mapping[int, int], diffs: Mapping[int, Matrix]):
+        self._set(ring, ranks, diffs)
+        self._validate()
+
+    _of = classmethod(_trusted)
+
+    def _set(self, ring, ranks, diffs):
         self.ring = ring
         self._ranks = {int(n): int(r) for n, r in ranks.items() if r}
         self._diffs = {int(n): m for n, m in diffs.items() if m.nrows or m.ncols}
         degs = list(self._ranks) or [0]
         self.lo = min(degs)
         self.hi = max(degs)
-        if validate:
-            self._validate()
 
     def rank(self, n: int) -> int:
         return self._ranks.get(n, 0)
@@ -105,21 +116,21 @@ class GradedComplex:
 def from_int_complex(c: GradedComplex, ring: CoeffRing) -> GradedComplex:
     """An integer complex read over `ring` through n -> n.1.
 
-    A ring map keeps d d = 0, so the result is not validated again.
+    A ring map keeps d d = 0, so the result is not checked again.
     """
     if c.ring != INT:
         raise RingMismatch("expected an integer complex")
     if ring == INT:
         return c
     diffs = {n: from_int_matrix(m, ring) for n, m in c._diffs.items()}
-    return GradedComplex(ring, c._ranks, diffs, validate=False)
+    return GradedComplex._of(ring, c._ranks, diffs)
 
 
 def shift(c: GradedComplex, s: int) -> GradedComplex:
     """Degree shift: shift(C, s)_n = C_(n-s), differential carried unchanged."""
     ranks = {n + s: c.rank(n) for n in c.degrees()}
     diffs = {n + s: c.diff(n) for n in c.degrees() if c.diff(n).nrows or c.diff(n).ncols}
-    return GradedComplex(c.ring, ranks, diffs, validate=False)
+    return GradedComplex._of(c.ring, ranks, diffs)
 
 
 class ComplexMap:
@@ -127,14 +138,18 @@ class ComplexMap:
 
     __slots__ = ("src", "dst", "_mats")
 
-    def __init__(self, src: GradedComplex, dst: GradedComplex, mats: Mapping[int, Matrix], validate: bool = True):
+    def __init__(self, src: GradedComplex, dst: GradedComplex, mats: Mapping[int, Matrix]):
+        self._set(src, dst, mats)
+        self._validate()
+
+    _of = classmethod(_trusted)
+
+    def _set(self, src, dst, mats):
         if src.ring != dst.ring:
             raise RingMismatch("chain map between complexes over different rings")
         self.src = src
         self.dst = dst
         self._mats = {int(n): m for n, m in mats.items() if m.nrows or m.ncols}
-        if validate:
-            self._validate()
 
     @property
     def ring(self) -> CoeffRing:
@@ -188,12 +203,12 @@ def from_int_map(f: ComplexMap, ring: CoeffRing) -> ComplexMap:
     if ring == INT:
         return f
     mats = {n: from_int_matrix(m, ring) for n, m in f._mats.items()}
-    return ComplexMap(from_int_complex(f.src, ring), from_int_complex(f.dst, ring), mats, validate=False)
+    return ComplexMap._of(from_int_complex(f.src, ring), from_int_complex(f.dst, ring), mats)
 
 
 @dataclass(frozen=True)
 class Homotopy:
-    """h: X_n -> Y_(n+1) with h d + d h = f - g, recorded with f and g."""
+    """h: X_n -> Y_(n+1) with h d + d h = f - g, recorded with f and g and checked when built."""
 
     f: ComplexMap
     g: ComplexMap
@@ -205,12 +220,20 @@ class Homotopy:
             m = Matrix.zeros(mat_ring(self.f.ring), self.f.dst.rank(n + 1), self.f.src.rank(n))
         return m
 
-    def validate(self):
-        """h d + d h = f - g in every degree, compared on nonzero entries."""
+    def __post_init__(self):
+        """Ring and shape of every component, then h d + d h = f - g in every degree, compared on nonzero entries."""
         f, g = self.f, self.g
         if f.src != g.src or f.dst != g.dst:
             raise InvalidHomotopy("f and g do not share source and target")
         x, y = f.src, f.dst
+        mr = mat_ring(f.ring)
+        for n, m in self.mats.items():
+            if m.ring != mr:
+                raise InvalidHomotopy(f"map component at degree {n} over {m.ring}, expected {mr}")
+            if m.shape != (y.rank(n + 1), x.rank(n)):
+                raise InvalidHomotopy(
+                    f"component at degree {n} has shape {m.shape}, expected {(y.rank(n + 1), x.rank(n))}"
+                )
         for n in f.degrees():
             h, d = self.component(n - 1), x.diff(n)
             lhs = product_nonzeros([(h, d), (y.diff(n + 1), self.component(n))])
@@ -218,7 +241,6 @@ class Homotopy:
             entries = {(i, j): v for i, r in enumerate(rhs.rows) for j, v in enumerate(r) if v}
             if lhs != entries or (h.nrows, d.ncols) != rhs.shape:
                 raise InvalidHomotopy(f"h d + d h != f - g at degree {n}")
-        return self
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +264,9 @@ def cone_of_map(f: ComplexMap) -> GradedComplex:
             ranks[n] = r
     diffs = {}
     for n in ranks:
-        dx = x.diff(n - 1)
-        dy = y.diff(n)
-        fm = f.component(n - 1)
-        top = [dx, Matrix.zeros(mr, dx.nrows, dy.ncols)]
-        bot = [fm, -dy]
-        diffs[n] = block(mr, [top, bot])
-    return GradedComplex(f.ring, ranks, diffs, validate=False)
+        dx, dy = x.diff(n - 1), y.diff(n)
+        diffs[n] = block(mr, [[dx, Matrix.zeros(mr, dx.nrows, dy.ncols)], [f.component(n - 1), -dy]])
+    return GradedComplex._of(f.ring, ranks, diffs)
 
 
 def cone_split(f: ComplexMap, n: int, vec):
@@ -264,21 +282,22 @@ def cone_of_cochain_map(f: ComplexMap) -> GradedComplex:
 
     The input is the chain-stored form f~: X~ -> Y~ of a cochain map
     f: X^* -> Y^*.  The output D satisfies D_m = Y~_(m+1) (+) X~_m,
-    which is Cone^(-m)(f) = Y^(-m-1) (+) X^(-m) on the nose.  It is
-    cone_of_map(f~) moved down one degree with its two blocks swapped:
-    each differential is a re-sliced chain cone differential.
+    which is Cone^(-m)(f) = Y^(-m-1) (+) X^(-m) on the nose, with
+    differential [[-d_Y, f], [0, d_X]]; rows and columns are ordered
+    target block first.
     """
     x, y = f.src, f.dst
-    chain_cone = cone_of_map(f)
-
-    def order(m):
-        # Cone_(m+1)(f~) = X~_m (+) Y~_(m+1), listed Y~ block first
-        rx = x.rank(m)
-        return list(range(rx, rx + y.rank(m + 1))) + list(range(rx))
-
-    ranks = {n - 1: r for n, r in chain_cone._ranks.items()}
-    diffs = {m: chain_cone.diff(m + 1).submatrix(order(m - 1), order(m)) for m in ranks}
-    return GradedComplex(f.ring, ranks, diffs, validate=False)
+    mr = mat_ring(f.ring)
+    ranks = {}
+    for m in range(min(y.lo - 1, x.lo), max(y.hi - 1, x.hi) + 1):
+        r = y.rank(m + 1) + x.rank(m)
+        if r:
+            ranks[m] = r
+    diffs = {}
+    for m in ranks:
+        dy, dx = y.diff(m + 1), x.diff(m)
+        diffs[m] = block(mr, [[-dy, f.component(m)], [Matrix.zeros(mr, dx.nrows, dy.ncols), dx]])
+    return GradedComplex._of(f.ring, ranks, diffs)
 
 
 def cochain_cone_split(f: ComplexMap, q: int, vec):
@@ -299,9 +318,8 @@ def homotopy_cone_iso(h: Homotopy):
     For h with h d + d h = f - g, F(theta, eta) = (theta, -h(theta) + eta)
     is an isomorphism Cone(f) -> Cone(g) with inverse
     (theta, eta) |-> (theta, h(theta) + eta).  Returns (F, F_inverse),
-    both validated chain maps.
+    both checked chain maps.
     """
-    h.validate()
     f, g = h.f, h.g
     cf = cone_of_map(f)
     cg = cone_of_map(g)
@@ -338,7 +356,7 @@ def dual_complex(c: GradedComplex) -> GradedComplex:
         t = c.diff(-m + 1).transpose()
         if t.nrows or t.ncols:
             diffs[m] = t
-    return GradedComplex(c.ring, ranks, diffs, validate=False)
+    return GradedComplex._of(c.ring, ranks, diffs)
 
 
 def dual_map(f: ComplexMap) -> ComplexMap:
@@ -348,7 +366,7 @@ def dual_map(f: ComplexMap) -> ComplexMap:
         t = f.component(-m).transpose()
         if t.nrows or t.ncols:
             mats[m] = t
-    return ComplexMap(dual_complex(f.dst), dual_complex(f.src), mats, validate=False)
+    return ComplexMap._of(dual_complex(f.dst), dual_complex(f.src), mats)
 
 
 @dataclass(frozen=True)

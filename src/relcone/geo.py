@@ -32,7 +32,7 @@ from .cech import (
     CoverMap,
     RelCechCochain,
     bockstein,
-    cech_diff,
+    is_rel_cocycle,
     rel_diff,
     star_cover_map,
 )
@@ -327,10 +327,11 @@ def _absolute_pair(t: CechCochain) -> RelCechCochain:
     classes and witnesses are the absolute ones.  The cover owns the
     map, so repeated calls on one cover build its cone once.
     """
-    if not cech_diff(t).is_zero:
-        raise NotACocycle("cochain is not closed")
     m = t.cover.absolute
-    return RelCechCochain(m, CechCochain(m.src, t.degree - 1, t.ring), t)
+    u = RelCechCochain(m, CechCochain(m.src, t.degree - 1, t.ring), t)
+    if not is_rel_cocycle(u):
+        raise NotACocycle("cochain is not closed")
+    return u
 
 
 def absolute_classify(t: CechCochain, kind: str = "absolute") -> ClassReport:

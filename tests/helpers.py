@@ -216,7 +216,7 @@ def random_homotopy_triple(rng, xd: BlockComplex, yd: BlockComplex):
         if gm.nrows and gm.ncols:
             gmats[n] = gm
     g = ComplexMap(x, y, gmats)
-    h = Homotopy(f, g, hmats).validate()
+    h = Homotopy(f, g, hmats)
     return f, g, h
 
 
@@ -420,7 +420,7 @@ def chain_map_to_json(f: ComplexMap) -> dict:
 
 def identity_map(c: GradedComplex) -> ComplexMap:
     mats = {n: Matrix.identity(mat_ring(c.ring), c.rank(n)) for n in c.degrees()}
-    return ComplexMap(c, c, mats, validate=False)
+    return ComplexMap._of(c, c, mats)
 
 
 def compose(g: ComplexMap, f: ComplexMap) -> ComplexMap:
@@ -428,21 +428,22 @@ def compose(g: ComplexMap, f: ComplexMap) -> ComplexMap:
     if f.dst is not g.src and f.dst != g.src:
         raise InvalidChainMap("composition target/source mismatch")
     mats = {n: g.component(n) @ f.component(n) for n in f.degrees()}
-    return ComplexMap(f.src, g.dst, mats, validate=False)
+    return ComplexMap._of(f.src, g.dst, mats)
 
 
 def cone_inclusion(f: ComplexMap, cone: GradedComplex) -> ComplexMap:
     """j: Y -> Cone(f), beta |-> (0, beta).
 
     With the differential (theta, eta) |-> (d theta, f theta - d eta)
-    this anticommutes on the nose (d j = -j d), which is why validation
-    is skipped; it still carries cycles to cycles and boundaries to
-    boundaries, so the induced map on homology is the usual one.
+    this anticommutes on the nose (d j = -j d), which is why it is built
+    with `_of`, skipping the check; it still carries cycles to cycles and
+    boundaries to boundaries, so the induced map on homology is the usual
+    one.
     """
     x, y = f.src, f.dst
     mr = mat_ring(f.ring)
     column = lambda n: [[Matrix.zeros(mr, x.rank(n - 1), y.rank(n))], [Matrix.identity(mr, y.rank(n))]]
-    return ComplexMap(y, cone, {n: block(mr, column(n)) for n in cone.degrees()}, validate=False)
+    return ComplexMap._of(y, cone, {n: block(mr, column(n)) for n in cone.degrees()})
 
 
 def cone_projection(f: ComplexMap, cone: GradedComplex) -> ComplexMap:
@@ -450,7 +451,7 @@ def cone_projection(f: ComplexMap, cone: GradedComplex) -> ComplexMap:
     x, y = f.src, f.dst
     mr = mat_ring(f.ring)
     row = lambda n: [[Matrix.identity(mr, x.rank(n - 1)), Matrix.zeros(mr, x.rank(n - 1), y.rank(n))]]
-    return ComplexMap(cone, shift(x, 1), {n: block(mr, row(n)) for n in cone.degrees()}, validate=False)
+    return ComplexMap._of(cone, shift(x, 1), {n: block(mr, row(n)) for n in cone.degrees()})
 
 
 def cochain_complex(ring, ranks_by_codeg: dict, d_by_codeg: dict) -> GradedComplex:

@@ -12,8 +12,8 @@ rank-r product the library checks instead.  The Cech helpers rebuild
 every nerve complex, pullback and relative cone per call, as a
 reference for the views covers and cover maps compile once.
 The integer solve divides by the Smith diagonal row by row, and the
-cochain cone is assembled from its own block formula, as references
-for the lattice coordinates and the re-sliced chain cone the library
+cochain cone is re-sliced out of the chain cone, as references for the
+lattice coordinates and the block-assembled cochain cone the library
 reads instead.  Angle witnesses clear denominators, bound a modulus by
 the lcm of the elementary divisors and run a fresh Smith form of
 [A | kI] per solve, as a reference for the library's direct solve over
@@ -317,27 +317,27 @@ def solve_int_via_diagonal(a, b):
     return s.vinv @ y
 
 
-def cochain_cone_by_blocks(f):
-    """Cone of a chain-stored cochain map: D_m = Y~_(m+1) (+) X~_m, d = [[-d_Y, f], [0, d_X]]."""
-    from relcone.chain import GradedComplex, mat_ring
-    from relcone.matrix import Matrix, block
+def cochain_cone_by_reslice(f):
+    """Cone of a chain-stored cochain map, re-sliced out of the chain cone of f.
+
+    The plain block swap (a, b) -> (b, a) together with the degree shift
+    D_m = Cone(f)_(m+1) intertwines the two differentials exactly, with
+    no auxiliary signs, so each differential of D_m = Y~_(m+1) (+) X~_m
+    is a submatrix of a chain cone differential.
+    """
+    from relcone.chain import GradedComplex, cone_of_map
 
     x, y = f.src, f.dst
-    mr = mat_ring(f.ring)
-    ranks = {}
-    for m in range(min(y.lo - 1, x.lo), max(y.hi - 1, x.hi) + 1):
-        r = y.rank(m + 1) + x.rank(m)
-        if r:
-            ranks[m] = r
-    diffs = {}
-    for m in ranks:
-        dy = y.diff(m + 1)
-        dx = x.diff(m)
-        fm = f.component(m)
-        top = [-dy, fm]
-        bot = [Matrix.zeros(mr, dx.nrows, dy.ncols), dx]
-        diffs[m] = block(mr, [top, bot])
-    return GradedComplex(f.ring, ranks, diffs, validate=False)
+    chain_cone = cone_of_map(f)
+
+    def order(m):
+        # Cone_(m+1)(f) = X~_m (+) Y~_(m+1), listed Y~ block first
+        rx = x.rank(m)
+        return list(range(rx, rx + y.rank(m + 1))) + list(range(rx))
+
+    ranks = {n - 1: chain_cone.rank(n) for n in chain_cone.degrees()}
+    diffs = {m: chain_cone.diff(m + 1).submatrix(order(m - 1), order(m)) for m in ranks}
+    return GradedComplex._of(f.ring, ranks, diffs)
 
 
 # ---------------------------------------------------------------------------

@@ -302,6 +302,17 @@ def test_absolute_calls_on_one_cover_build_its_cone_once(monkeypatch):
     assert cov.absolute is cov.absolute
 
 
+def test_an_absolute_class_builds_the_nerve_complex_once(monkeypatch):
+    """Closedness is read off the absolute map's cone, so the cover builds no cochain complex of its own."""
+    cov = star_cover(suspension_cover_map().dst.nerve)
+    t = CechCochain(cov, 2, U1, {("w0", "w1", "n"): F(1, 2)})
+    nerves = count_calls(monkeypatch, simplicial, "chain_complex")
+    cochains = count_calls(monkeypatch, cech, "chain_complex")
+    geo.absolute_classify(t)
+    assert [k for k, *_ in nerves + cochains if k.n_rank(0)] == [cov.nerve]
+    assert cov.rank(0) == 5 and cochains == []
+
+
 def test_simplicial_map_builds_its_chain_cone_once(monkeypatch):
     from relcone.fixtures import disk_area_values
 

@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 
@@ -84,8 +85,8 @@ def test_chain_map_validation():
     # degree-0 component 1, degree-1 component 1: 1*2 != 4*1
     with pytest.raises(InvalidChainMap):
         ComplexMap(c, d, {0: Matrix.from_rows(INT, [[1]]), 1: Matrix.from_rows(INT, [[1]])})
-    f = ComplexMap(c, d, {0: Matrix.from_rows(INT, [[1]]), 1: Matrix.from_rows(INT, [[1]])}, validate=False)
-    # validate=False really skips the check
+    f = ComplexMap._of(c, d, {0: Matrix.from_rows(INT, [[1]]), 1: Matrix.from_rows(INT, [[1]])})
+    # the trusted build really skips the check
     assert f.component(1).entry(0, 0) == 1
     ok = ComplexMap(c, d, {0: Matrix.from_rows(INT, [[4]]), 1: Matrix.from_rows(INT, [[2]])})
     assert ok.component(0).entry(0, 0) == 4
@@ -151,8 +152,26 @@ def test_homotopy_validation_rejects_wrong_data():
     g = ComplexMap(c, c, {0: Matrix.from_rows(INT, [[3]]), 1: Matrix.from_rows(INT, [[3]])})
     # h = 1 in the only slot gives h d + d h = 2, but f - g = -2
     with pytest.raises(InvalidHomotopy):
-        Homotopy(f, g, {0: Matrix.from_rows(INT, [[1]])}).validate()
-    Homotopy(f, g, {0: Matrix.from_rows(INT, [[-1]])}).validate()
+        Homotopy(f, g, {0: Matrix.from_rows(INT, [[1]])})
+    Homotopy(f, g, {0: Matrix.from_rows(INT, [[-1]])})
+
+
+def test_constructors_take_no_option_to_skip_their_check():
+    """`_of` is the only unchecked build of a complex or chain map, and a homotopy checks itself."""
+    assert list(inspect.signature(GradedComplex).parameters) == ["ring", "ranks", "diffs"]
+    assert list(inspect.signature(ComplexMap).parameters) == ["src", "dst", "mats"]
+    assert not hasattr(Homotopy, "validate")
+
+
+def test_homotopy_checks_ring_and_shape_of_every_component():
+    """Components outside the degrees that h d + d h = f - g reads are refused too."""
+    z = GradedComplex(INT, {0: 1}, {})
+    f = identity_map(z)
+    with pytest.raises(InvalidHomotopy, match=r"^component at degree 5 has shape \(2, 2\), expected \(0, 0\)$"):
+        Homotopy(f, f, {5: Matrix.identity(INT, 2)})
+    with pytest.raises(InvalidHomotopy, match="^map component at degree 0 over Q, expected Z$"):
+        Homotopy(f, f, {0: Matrix.zeros(RAT, 0, 1)})
+    Homotopy(f, f, {0: Matrix.zeros(INT, 0, 1), 5: Matrix.zeros(INT, 0, 0)})
 
 
 def test_homotopy_cone_iso_round_trip():

@@ -29,6 +29,7 @@ from relcone.errors import (
     NotClosed,
     NotIsotropic,
     RingMismatch,
+    UnsupportedRing,
 )
 from relcone import geo
 from relcone.geo import (
@@ -403,6 +404,17 @@ def test_absolute_rational_obstruction_is_reported_with_zero_class():
     with pytest.raises(NontrivialClass) as exc:
         absolute_trivialize(t)
     assert exc.value.cls.is_zero
+
+
+def test_absolute_closedness_is_refused_before_the_ring():
+    """An open cochain is refused as not closed over every ring; a closed one over Q as unsupported."""
+    cov = star_cover(FX.projective_plane())
+    for verb in (absolute_classify, absolute_trivialize):
+        for ring, value in ((INT, 1), (RAT, F(1, 3)), (U1, F(1, 3))):
+            with pytest.raises(NotACocycle, match="^cochain is not closed$"):
+                verb(CechCochain(cov, 1, ring, {cov.overlaps(1)[0]: value}))
+        with pytest.raises(UnsupportedRing):
+            verb(CechCochain(cov, 1, RAT))
 
 
 def closed_cochains(rng, cov, q, ring):

@@ -1,9 +1,10 @@
 """Each derived object has one construction, checked against the other.
 
-The cochain cone is the chain cone re-sliced; it is compared with the
-block assembly kept in `oracles.py` on seeded cochain maps, their duals
-and the pullback of every fixture and star cover map, over Z, Zmod:2
-and U1, and a Cech cone build is pinned to make no matrix products.
+The cochain cone is assembled block by block, [[-d_Y, f], [0, d_X]]; it
+is compared with the chain cone re-sliced, kept in `oracles.py`, on
+seeded cochain maps, their duals and the pullback of every fixture and
+star cover map, over Z, Zmod:2 and U1, and a Cech cone build is pinned
+to make no matrix products.
 Integer solving and membership read lattice coordinates; they are
 compared with the row-by-row division by the Smith diagonal kept in
 `oracles.py` on zero, rank-deficient, wide and tall matrices.  The
@@ -20,7 +21,7 @@ import pytest
 
 import oracles
 from helpers import random_block_complex, random_chain_map
-from oracles import cochain_cone_by_blocks, solve_int_via_diagonal
+from oracles import cochain_cone_by_reslice, solve_int_via_diagonal
 from relcone.cech import star_cover_map
 from relcone.chain import ComplexMap, cone_of_cochain_map, dual_map, from_int_complex
 from relcone.coeffs import INT, RAT, U1, ZMOD
@@ -36,7 +37,7 @@ RINGS = [INT, ZMOD(2), U1]
 def over(f: ComplexMap, ring) -> ComplexMap:
     """An integer chain map read over `ring`."""
     mats = {n: from_int_matrix(f.component(n), ring) for n in f.degrees()}
-    return ComplexMap(from_int_complex(f.src, ring), from_int_complex(f.dst, ring), mats, validate=False)
+    return ComplexMap._of(from_int_complex(f.src, ring), from_int_complex(f.dst, ring), mats)
 
 
 def seeded_maps():
@@ -65,14 +66,14 @@ def cover_maps():
 def test_cochain_cone_matches_block_assembly_on_seeded_maps(ring):
     for name, f in seeded_maps():
         g = over(f, ring)
-        assert cone_of_cochain_map(g) == cochain_cone_by_blocks(g), name
+        assert cone_of_cochain_map(g) == cochain_cone_by_reslice(g), name
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=str)
 def test_cochain_cone_matches_block_assembly_on_cover_map_pullbacks(ring):
     for name, m in cover_maps().items():
         f = dual_map(chain_map(m.nerve_map, ring))
-        assert cone_of_cochain_map(f) == cochain_cone_by_blocks(f), name
+        assert cone_of_cochain_map(f) == cochain_cone_by_reslice(f), name
 
 
 def test_a_cech_cone_build_makes_no_matrix_products(monkeypatch):

@@ -57,13 +57,19 @@ def test_no_process_wide_caches():
     assert found == []
 
 
-# Where a trusted build (`Matrix._of`, or the `_of` that both cochain types
-# inherit from `cech._Cochain`) may be named: each of these stores values that
-# ring arithmetic on normalized values produced, so nothing there is
-# normalized again.  Outside input goes through `Matrix(...)` and the
-# cochains' `from_vector`.  A new place is a new
-# entry here, to be read and checked (tests/test_trusted_builds.py re-checks
-# the values at run time).
+# Where a trusted build may be named: `Matrix._of`, the `_of` that both
+# cochain types inherit from `cech._Cochain`, `GradedComplex._of`,
+# `ComplexMap._of` and `CoverMap._of`.  Each stores what it is given
+# without the check its constructor runs: the matrix and cochain builds
+# store values that ring arithmetic on normalized values produced, so
+# nothing there is normalized again; the complex and chain map builds store
+# a ring map, shift, cone or transpose of checked data, whose d d = 0 and
+# d f = f d follow from the checks that data passed; `star_cover_map`
+# reuses a checked simplicial map as its nerve map.  Outside input goes
+# through the constructors (`Matrix(...)`, the cochains' `from_vector`,
+# `GradedComplex(...)`, `ComplexMap(...)`, `CoverMap(...)`), which always
+# check.  A new place is a new entry here, to be read and checked
+# (tests/test_trusted_builds.py re-checks the builds at run time).
 TRUSTED_BUILD_CALLERS = {
     "matrix.py": {
         "Matrix.zeros", "Matrix.identity", "Matrix.__add__", "Matrix.__neg__", "Matrix.scale",
@@ -73,8 +79,12 @@ TRUSTED_BUILD_CALLERS = {
     "cech.py": {
         "_Cochain.from_vector", "_Cochain.__add__", "_Cochain.__neg__", "_Cochain.zscale",
         "cech_diff", "pullback", "rel_diff", "RelCechCochain.s", "RelCechCochain.t", "_integer_rel_cochain",
+        "star_cover_map",
     },
     "simplicial.py": {"_incidence"},
+    "chain.py": {
+        "from_int_complex", "from_int_map", "shift", "cone_of_map", "cone_of_cochain_map", "dual_complex", "dual_map",
+    },
 }
 
 
@@ -106,30 +116,6 @@ def _found_in_src(hit):
 
 
 def test_trusted_builds_only_from_the_allowlist():
-    """Trusted builds skip `normalize`, so the places that use them stay few and named."""
+    """Trusted builds skip `normalize` or a check, so the places that use them stay few and named."""
     assert _found_in_src(lambda n: isinstance(n, ast.Attribute) and n.attr == "_of") == TRUSTED_BUILD_CALLERS
 
-
-# Where a complex or chain map may be built with `validate=False`, skipping its
-# d d = 0 or d f = f d check.  Most of these build one whose identities follow
-# from data that was checked: a ring map n -> n.1 of a checked integer complex
-# or map (`from_int_complex`, `from_int_map`), or a shift, transpose or cone of
-# checked data.  Nothing keeps a map that failed its check: `compare_cones`
-# reports such a map as not strict and reads no generator images through it.
-# A new place is a new entry here, to be read and checked.
-UNCHECKED_BUILD_CALLERS = {
-    "chain.py": {
-        "from_int_complex", "from_int_map", "shift", "cone_of_map", "cone_of_cochain_map", "dual_complex", "dual_map",
-    },
-}
-
-
-def _skips_a_check(node):
-    return isinstance(node, ast.keyword) and node.arg == "validate" and not (
-        isinstance(node.value, ast.Constant) and node.value.value is True
-    )
-
-
-def test_skipped_checks_only_from_the_allowlist():
-    """Every other build runs its check, under every interpreter flag."""
-    assert _found_in_src(_skips_a_check) == UNCHECKED_BUILD_CALLERS

@@ -1,4 +1,4 @@
-"""The trust boundary: a trusted build only ever stores normalized values.
+"""The trust boundary: a trusted build only ever stores what its check would pass.
 
 `Matrix._of` and the cochains' shared `_of` (on `cech._Cochain`, which
 `CechCochain` and `RelCechCochain` inherit) store values without calling
@@ -6,9 +6,11 @@
 store is checked again: it must have the exact stored type of its ring
 (an int, never a bool, over Z and Zmod; a Fraction over Q and U1), lie
 in [0, n) over Zmod and in [0, 1) over U1, and come back from
-`ring.normalize` equal and of the same type.  The wrapped builds then run over the
-replay of `bench/goldens.json`, the cocycle operations and field
-homology.
+`ring.normalize` equal and of the same type.  `GradedComplex._of` and
+`ComplexMap._of` store a complex or chain map without its check; here
+each such build runs the check its constructor runs (ring, shape,
+d d = 0, d f = f d).  The wrapped builds then run over the replay of
+`bench/goldens.json`, the cocycle operations and field homology.
 """
 
 import hashlib
@@ -22,10 +24,11 @@ import pytest
 
 from relcone import cli
 from relcone.cech import _Cochain, relative_cohomology
+from relcone.chain import ComplexMap, GradedComplex
 from relcone.coeffs import INT, RAT, U1, ZMOD
 from relcone.fixtures import fixture_registry
 from relcone.geo import classify, group_op, inverse, is_equivalent, trivialize
-from relcone.errors import NontrivialClass
+from relcone.errors import NontrivialClass, RelconeError
 from relcone.homology import homology_at, ker_coker_les, les_of_cone
 from relcone.matrix import Matrix
 from relcone.simplicial import chain_complex, chain_map
@@ -49,18 +52,30 @@ def _fault(ring, v):
 
 
 class TrustedBuilds:
-    """Counts the values that trusted builds store, and records every fault."""
+    """Counts the values and the complexes and chain maps that trusted builds store, and records every fault."""
 
     def __init__(self):
         self.values = 0
+        self.chain_builds = 0
         self.faults = []
+
+    def fault(self, text):
+        if len(self.faults) < 20:
+            self.faults.append(text)
 
     def check(self, where, ring, values):
         for v in values:
             self.values += 1
             fault = _fault(ring, v)
-            if fault is not None and len(self.faults) < 20:
-                self.faults.append(f"{where}: {fault}")
+            if fault is not None:
+                self.fault(f"{where}: {fault}")
+
+    def check_chain(self, obj):
+        self.chain_builds += 1
+        try:
+            obj._validate()
+        except RelconeError as e:
+            self.fault(f"{type(obj).__name__}._of: {e}")
 
 
 @pytest.fixture
@@ -79,11 +94,21 @@ def trusted(monkeypatch):
         seen.check(f"{cls.__name__}._of", ring, c.vector())
         return c
 
+    def checked_chain(of):
+        def build(cls, *args):
+            obj = of(cls, *args)
+            seen.check_chain(obj)
+            return obj
+
+        return classmethod(build)
+
     monkeypatch.setattr(Matrix, "_of", classmethod(checked_matrix))
     monkeypatch.setattr(_Cochain, "_of", classmethod(checked_cochain))
+    for cls in (GradedComplex, ComplexMap):
+        monkeypatch.setattr(cls, "_of", checked_chain(cls._of.__func__))
     yield seen
     assert seen.faults == []
-    assert seen.values > 0
+    assert seen.values > 0 and seen.chain_builds > 0
 
 
 def test_goldens_replay(trusted, tmp_path, monkeypatch):
