@@ -13,7 +13,8 @@ differential, certified by replaying its row and column operations;
 comparison map, acyclic in n and n+1.  `snf`, `les`, `kercoker`,
 `classify`, `trivialize`, `integrality` and `bohr-sommerfeld` read Z
 transforms certified by `_check_snf`'s products; `les` and `kercoker`
-certify each distinct matrix once per report.
+pass one table of certified forms to every reduction of a report, so
+each distinct matrix is certified once per report.
 
 `main(argv)` returns the exit code and may be called any number of times
 in one process; the argument parser is built on the first call and

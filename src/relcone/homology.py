@@ -21,11 +21,10 @@ quotient and expresses a cycle without running another SNF: one on
 d_n for the cycle lattice and one on the boundaries in its coordinates.
 A long exact sequence (`les_of_cone`, `ker_coker_les`) meets the same
 matrix many times (each differential, kernel and solver system in
-several groups and maps), so for the length of one such call `snf`
-keeps a table {matrix: certified SNFResult} and reduces and certifies
-each distinct matrix once.  The table is opened when the call starts
-and dropped when it returns or raises; outside a sequence `snf` keeps
-nothing.
+several groups and maps), so each such call owns one table {matrix:
+certified SNFResult} and passes it to every reduction it causes; `snf`
+reduces and certifies each distinct matrix once per sequence.  The
+table is a local of the call, and nothing is shared outside a sequence.
 
 Homology groups are presented as
 :class:`AbGroup` values: free rank, divisibility-ordered torsion, and
@@ -41,8 +40,6 @@ generator matrices; its pivot columns name the basis.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import compress
@@ -78,21 +75,8 @@ class SNFResult:
 
 _SWAP, _ADD, _NEG = 0, 1, 2  # the kinds of a logged operation; see _smith_eliminate
 
-# {Matrix: SNFResult} of the sequence being built, or None outside one; see `snf`
-_SEQUENCE_FORMS = ContextVar("_SEQUENCE_FORMS", default=None)
 
-
-@contextmanager
-def _sharing_smith_forms():
-    """Open a fresh table of certified Smith forms for the body; drop it when the body returns or raises."""
-    token = _SEQUENCE_FORMS.set({})
-    try:
-        yield
-    finally:
-        _SEQUENCE_FORMS.reset(token)
-
-
-def snf(a: Matrix) -> SNFResult:
+def snf(a: Matrix, forms: dict | None = None) -> SNFResult:
     """Smith normal form over Z, with both transforms and their inverses.
 
     Pivoting picks the minimal absolute nonzero entry of the remaining
@@ -106,17 +90,17 @@ def snf(a: Matrix) -> SNFResult:
     `bohr-sommerfeld`) come here; `homology`, `cone`, `cone-space` and
     `cech` read `smith_diagonal`, certified by replay instead.
 
-    Inside one `les_of_cone` or `ker_coker_les` call, a matrix equal to
-    one already reduced in that call (same ring, shape and entries) gets
-    the same result back, with no second reduction or certificate.  A
-    form enters the call's table only after `_check_snf` has passed on
-    it, and Matrix and SNFResult are immutable, so every shared form is
-    a certified one.  The table is dropped when the call returns or
-    raises; no other caller, and no later call, sees it.
+    `forms`, when given, is the {Matrix: SNFResult} table of one
+    `les_of_cone` or `ker_coker_les` call, which passes it to every
+    reduction it causes: a matrix equal to one already in it (same ring,
+    shape and entries) gets the same result back, with no second
+    reduction or certificate.  A form enters the table only after
+    `_check_snf` has passed on it, and Matrix and SNFResult are
+    immutable, so every shared form is a certified one.  With no table,
+    nothing is kept.
     """
     if a.ring != INT:
         raise UnsupportedRing("snf is defined over Z")
-    forms = _SEQUENCE_FORMS.get()
     known = None if forms is None else forms.get(a)
     if known is not None:
         return known
@@ -454,9 +438,9 @@ def _check_snf(a: Matrix, r: SNFResult):
 # ---------------------------------------------------------------------------
 
 
-def kernel_int(a: Matrix) -> Matrix:
+def kernel_int(a: Matrix, forms: dict | None = None) -> Matrix:
     """Basis of the (saturated) integer kernel, as columns."""
-    s = snf(a)
+    s = snf(a, forms)
     return s.vinv.submatrix(range(a.ncols), range(s.rank, a.ncols))
 
 
@@ -470,8 +454,8 @@ class IntSolver:
 
     __slots__ = ("lattice", "back")
 
-    def __init__(self, a: Matrix):
-        s = snf(a)
+    def __init__(self, a: Matrix, forms: dict | None = None):
+        s = snf(a, forms)
         self.lattice = _image_lattice(s)
         self.back = s.vinv.submatrix(range(a.ncols), range(s.rank))
 
@@ -498,9 +482,9 @@ class IntSolver:
         return self.back.zapply(RAT, [x / d for x, d in zip(t, self.lattice.scale)])
 
 
-def solve_int(a: Matrix, b: Matrix) -> Matrix | None:
+def solve_int(a: Matrix, b: Matrix, forms: dict | None = None) -> Matrix | None:
     """One integer solution X of A X = B, or None if none exists."""
-    return IntSolver(a).solve(b)
+    return IntSolver(a, forms).solve(b)
 
 
 # ---------------------------------------------------------------------------
@@ -704,9 +688,9 @@ class _Lattice:
         return Matrix._of(INT, len(out), x.ncols, out)
 
 
-def _kernel_lattice(a: Matrix) -> tuple:
+def _kernel_lattice(a: Matrix, forms=None) -> tuple:
     """(basis, lattice) of ker(a): columns r.. of Vinv; x = Vinv (V x) lies in it when (V x)[:r] = 0."""
-    s = snf(a)
+    s = snf(a, forms)
     n = a.ncols
     return s.vinv.submatrix(range(n), range(s.rank, n)), _Lattice(s.v, range(s.rank, n), (1,) * (n - s.rank))
 
@@ -727,7 +711,7 @@ def _canonical_sign(col):
     return 1
 
 
-def _quotient_group_int(ambient_rank: int, num_basis: Matrix, num: _Lattice, den_gens: Matrix) -> HomologyData:
+def _quotient_group_int(ambient_rank: int, num_basis: Matrix, num: _Lattice, den_gens: Matrix, forms=None) -> HomologyData:
     """Present span(num_basis)/span(den_gens) with den inside num.
 
     num_basis columns must be the basis of the numerator lattice that
@@ -741,7 +725,7 @@ def _quotient_group_int(ambient_rank: int, num_basis: Matrix, num: _Lattice, den
     w = num.coords(den_gens)
     if w is None:
         raise InvalidChainMap("denominator not contained in numerator lattice")
-    s2 = snf(w)
+    s2 = snf(w, forms)
     orders = []
     for i in range(k):
         orders.append(s2.diag[i] if i < len(s2.diag) else 0)
@@ -790,9 +774,9 @@ def _check_homology_ring(ring: CoeffRing):
         raise UnsupportedRing(f"homology over {ring} is not supported (composite modulus)")
 
 
-def homology_data(c: GradedComplex, n: int) -> HomologyData:
+def homology_data(c: GradedComplex, n: int, forms: dict | None = None) -> HomologyData:
     if c.ring == INT:
-        return _quotient_group_int(c.rank(n), *_kernel_lattice(c.diff(n)), c.diff(n + 1))
+        return _quotient_group_int(c.rank(n), *_kernel_lattice(c.diff(n), forms), c.diff(n + 1), forms)
     _check_homology_ring(c.ring)
     return _quotient_space_field(c.ring, c.rank(n), kernel_field(c.diff(n)), c.diff(n + 1))
 
@@ -902,9 +886,9 @@ def connecting_hom(
 # ---------------------------------------------------------------------------
 
 
-def _subgroup_leq_int(gens_a: Matrix, gens_b: Matrix):
+def _subgroup_leq_int(gens_a: Matrix, gens_b: Matrix, forms=None):
     """Is span(cols of A) contained in span(cols of B)?  Returns (ok, witness)."""
-    lat = _image_lattice(snf(gens_b))
+    lat = _image_lattice(snf(gens_b, forms))
     for col in gens_a.columns():
         if lat.coords(Matrix.column(INT, col)) is None:
             return False, col
@@ -919,15 +903,14 @@ def _subgroup_leq_field(gens_a: Matrix, gens_b: Matrix):
     return True, None
 
 
-def _subgroup_leq(gens_a: Matrix, gens_b: Matrix):
-    leq = _subgroup_leq_int if gens_a.ring == INT else _subgroup_leq_field
-    return leq(gens_a, gens_b)
+def _subgroup_leq(gens_a: Matrix, gens_b: Matrix, forms=None):
+    return _subgroup_leq_int(gens_a, gens_b, forms) if gens_a.ring == INT else _subgroup_leq_field(gens_a, gens_b)
 
 
-def _kernel_subgroup(outgoing: Matrix, target_rel: Matrix, rel: Matrix) -> Matrix:
+def _kernel_subgroup(outgoing: Matrix, target_rel: Matrix, rel: Matrix, forms=None) -> Matrix:
     """Generators of ker(outgoing) + relations in generator coordinates."""
     ring = outgoing.ring
-    kern = _kernel(ring, hstack(ring, [outgoing, target_rel]))
+    kern = _kernel(ring, hstack(ring, [outgoing, target_rel]), forms)
     proj = kern.submatrix(range(outgoing.ncols), range(kern.ncols))
     return hstack(ring, [proj, rel])
 
@@ -952,14 +935,14 @@ class LESReport:
         return all(p.exact for p in self.positions)
 
 
-def _exact_at(label, here: HomologyData, incoming: Matrix, outgoing: Matrix, target: HomologyData):
+def _exact_at(label, here: HomologyData, incoming: Matrix, outgoing: Matrix, target: HomologyData, forms):
     """Exactness of  prev --incoming--> here --outgoing--> target."""
     rel = here.relation_matrix()
     trel = target.relation_matrix()
     im = hstack(incoming.ring, [incoming, rel])
-    ker = _kernel_subgroup(outgoing, trel, rel)
-    ok1, w1 = _subgroup_leq(im, ker)
-    ok2, w2 = _subgroup_leq(ker, im)
+    ker = _kernel_subgroup(outgoing, trel, rel, forms)
+    ok1, w1 = _subgroup_leq(im, ker, forms)
+    ok2, w2 = _subgroup_leq(ker, im, forms)
     if ok1 and ok2:
         return LESPosition(label, here.group, True, None)
     if not ok1:
@@ -969,7 +952,7 @@ def _exact_at(label, here: HomologyData, incoming: Matrix, outgoing: Matrix, tar
     return LESPosition(label, here.group, False, defect)
 
 
-def _is_presentation_iso(m: Matrix, src: HomologyData, dst: HomologyData) -> bool:
+def _is_presentation_iso(m: Matrix, src: HomologyData, dst: HomologyData, forms=None) -> bool:
     """Is the map of presented groups with matrix m an isomorphism?
 
     Onto: every target generator lies in im(m) + the target relations.
@@ -978,18 +961,19 @@ def _is_presentation_iso(m: Matrix, src: HomologyData, dst: HomologyData) -> boo
     """
     rel_src = src.relation_matrix()
     rel_dst = dst.relation_matrix()
-    onto, _ = _subgroup_leq(Matrix.identity(dst.ring, dst.ngens), hstack(m.ring, [m, rel_dst]))
-    return onto and _subgroup_leq(_kernel_subgroup(m, rel_dst, rel_src), rel_src)[0]
+    onto, _ = _subgroup_leq(Matrix.identity(dst.ring, dst.ngens), hstack(m.ring, [m, rel_dst]), forms)
+    return onto and _subgroup_leq(_kernel_subgroup(m, rel_dst, rel_src, forms), rel_src, forms)[0]
 
 
-def _assemble_les(kind, groups, degrees, a, b, c, labels, j, k, delta) -> LESReport:
+def _assemble_les(kind, groups, degrees, a, b, c, labels, j, k, delta, forms) -> LESReport:
     """The sequence ... -> A_n -j-> B_n -k-> C_n -delta-> A_(n-1) -> ... over `degrees`.
 
     a, b and c give the HomologyData of A_n, B_n and C_n (a also one
     degree below the range) and labels(n) names the three.  j(n, g) and
     k(n, g) send a generator g to a cycle of the next group; delta(n) is
     the matrix of delta_n.  Every map is built before exactness is
-    checked at B_n, at C_n and, inside the range, at A_(n-1).
+    checked at B_n, at C_n and, inside the range, at A_(n-1), with the
+    sequence's table `forms` of Smith forms.
     """
     maps = {}
     for n in degrees:
@@ -1000,14 +984,13 @@ def _assemble_les(kind, groups, degrees, a, b, c, labels, j, k, delta) -> LESRep
     for n in degrees:
         jn, kn, dn = maps[f"j_{n}"], maps[f"k_{n}"], maps[f"delta_{n}"]
         _, label_b, label_c = labels(n)
-        positions.append(_exact_at(label_b, b[n], jn, kn, c[n]))
-        positions.append(_exact_at(label_c, c[n], kn, dn, a[n - 1]))
+        positions.append(_exact_at(label_b, b[n], jn, kn, c[n], forms))
+        positions.append(_exact_at(label_c, c[n], kn, dn, a[n - 1], forms))
         if n - 1 in degrees:
-            positions.append(_exact_at(labels(n - 1)[0], a[n - 1], dn, maps[f"j_{n - 1}"], b[n - 1]))
+            positions.append(_exact_at(labels(n - 1)[0], a[n - 1], dn, maps[f"j_{n - 1}"], b[n - 1], forms))
     return LESReport(kind, groups, maps, tuple(positions))
 
 
-@_sharing_smith_forms()
 def les_of_cone(f: ComplexMap) -> LESReport:
     """The long exact sequence of the mapping cone.
 
@@ -1015,15 +998,17 @@ def les_of_cone(f: ComplexMap) -> LESReport:
     with j(beta) = (0, beta), k(theta, eta) = theta, and delta the
     induced map of f in degree n-1 (checked against the snake recipe;
     a mismatch raises InvalidChainMap).  Exactness is checked at every
-    position over the full degree range.
+    position over the full degree range.  One table of certified Smith
+    forms (see `snf`) serves every reduction of the sequence.
     """
+    forms = {}
     cone = cone_of_map(f)
     x, y = f.src, f.dst
     degrees = range(cone.lo - 1, cone.hi + 2)
     around = range(cone.lo - 2, cone.hi + 2)
-    hx = {n: homology_data(x, n) for n in around}
-    hy = {n: homology_data(y, n) for n in around}
-    hc = {n: homology_data(cone, n) for n in around}
+    hx = {n: homology_data(x, n, forms) for n in around}
+    hy = {n: homology_data(y, n, forms) for n in around}
+    hc = {n: homology_data(cone, n, forms) for n in around}
     groups = {}
     for n in degrees:
         groups[f"H_{n}(X)"] = hx[n].group
@@ -1040,6 +1025,7 @@ def les_of_cone(f: ComplexMap) -> LESReport:
         lambda n, g: (0,) * x.rank(n - 1) + tuple(g),
         lambda n, g: cone_split(f, n, g)[0],
         lambda n: connecting_hom(f, n, cone, hx[n - 1], hy[n - 1]),
+        forms,
     )
 
 
@@ -1048,22 +1034,22 @@ def les_of_cone(f: ComplexMap) -> LESReport:
 # ---------------------------------------------------------------------------
 
 
-def _kernel(ring, a: Matrix) -> Matrix:
-    return kernel_int(a) if ring == INT else kernel_field(a)
+def _kernel(ring, a: Matrix, forms=None) -> Matrix:
+    return kernel_int(a, forms) if ring == INT else kernel_field(a)
 
 
-def _solve(ring, a: Matrix, b: Matrix):
-    return solve_int(a, b) if ring == INT else solve_field(a, b)
+def _solve(ring, a: Matrix, b: Matrix, forms):
+    return solve_int(a, b, forms) if ring == INT else solve_field(a, b)
 
 
-def _kernel_complex(f: ComplexMap):
+def _kernel_complex(f: ComplexMap, forms):
     """The degreewise-kernel subcomplex, with its embedding bases."""
     ring = f.ring
     x = f.src
     bases = {}
     ranks = {}
     for n in range(x.lo, x.hi + 1):
-        k = _kernel(ring, f.component(n))
+        k = _kernel(ring, f.component(n), forms)
         bases[n] = k
         if k.ncols:
             ranks[n] = k.ncols
@@ -1077,7 +1063,7 @@ def _kernel_complex(f: ComplexMap):
                 raise InvalidChainMap("kernel complex not closed under the differential")
             diffs[n] = Matrix.zeros(ring, 0, kn.ncols)
             continue
-        w = _solve(ring, km, img)
+        w = _solve(ring, km, img, forms)
         if w is None:
             raise InvalidChainMap("kernel complex not closed under the differential")
         diffs[n] = w
@@ -1085,7 +1071,7 @@ def _kernel_complex(f: ComplexMap):
     return kc, bases
 
 
-def _coker_homology_data(f: ComplexMap, n: int) -> HomologyData:
+def _coker_homology_data(f: ComplexMap, n: int, forms) -> HomologyData:
     """Homology of the cokernel complex at degree n.
 
     The cokernel is a complex of presented groups Y_n / im(f_n), not free
@@ -1099,17 +1085,16 @@ def _coker_homology_data(f: ComplexMap, n: int) -> HomologyData:
     rel_here = f.component(n)
     # numerator: {x : d x in im(f_(n-1))}
     stacked = hstack(dn.ring, [dn, rel_prev])
-    kern = _kernel(ring, stacked)
+    kern = _kernel(ring, stacked, forms)
     gl = kern.submatrix(range(g), range(kern.ncols))
     den = hstack(dn.ring, [y.diff(n + 1), rel_here])
     if ring == INT:
-        s = snf(gl)
+        s = snf(gl, forms)
         basis = Matrix.from_columns(INT, g, [[d * v for v in s.u.col(i)] for i, d in enumerate(s.diag[: s.rank])])
-        return _quotient_group_int(g, basis, _image_lattice(s), den)
+        return _quotient_group_int(g, basis, _image_lattice(s), den, forms)
     return _quotient_space_field(ring, g, gl, den)
 
 
-@_sharing_smith_forms()
 def ker_coker_les(f: ComplexMap) -> LESReport:
     """The long exact sequence relating ker f, the cone, and coker f.
 
@@ -1120,23 +1105,25 @@ def ker_coker_les(f: ComplexMap) -> LESReport:
 
     When f is degreewise injective, k must be an isomorphism in every
     degree; when degreewise surjective, j must.  A failure raises
-    InvalidChainMap.
+    InvalidChainMap.  One table of certified Smith forms (see `snf`)
+    serves every reduction of the sequence.
     """
     ring = f.ring
     if ring != INT and not ring.is_field:
         raise UnsupportedRing(f"kernel/cokernel sequence over {ring} is not supported")
+    forms = {}
     cone = cone_of_map(f)
     x, y = f.src, f.dst
-    kc, kbases = _kernel_complex(f)
+    kc, kbases = _kernel_complex(f, forms)
     degrees = range(cone.lo - 1, cone.hi + 2)
     around = range(cone.lo - 2, cone.hi + 2)
-    hker = {n: homology_data(kc, n) for n in range(cone.lo - 3, cone.hi + 2)}
-    hcone = {n: homology_data(cone, n) for n in around}
-    hcok = {n: _coker_homology_data(f, n) for n in around}
+    hker = {n: homology_data(kc, n, forms) for n in range(cone.lo - 3, cone.hi + 2)}
+    hcone = {n: homology_data(cone, n, forms) for n in around}
+    hcok = {n: _coker_homology_data(f, n, forms) for n in around}
 
     injective = all(kbases[n].ncols == 0 for n in kbases)
     surjective = all(
-        _solve(ring, f.component(n), Matrix.identity(ring, y.rank(n))) is not None
+        _solve(ring, f.component(n), Matrix.identity(ring, y.rank(n)), forms) is not None
         for n in range(y.lo, y.hi + 1)
     )
 
@@ -1148,7 +1135,7 @@ def ker_coker_les(f: ComplexMap) -> LESReport:
     def lift_boundary(n, g):
         # a cycle eta of coker f goes to w with kbasis(n - 2) w = d theta, f(theta) = d eta
         deta = Matrix.column(ring, list(y.diff(n).apply(g)))
-        theta = _solve(ring, f.component(n - 1), deta)
+        theta = _solve(ring, f.component(n - 1), deta, forms)
         if theta is None:
             raise InvalidChainMap("cokernel cycle does not lift")
         dtheta = x.diff(n - 1).apply(theta.col(0))
@@ -1157,7 +1144,7 @@ def ker_coker_les(f: ComplexMap) -> LESReport:
             if any(v != zero for v in dtheta):
                 raise InvalidChainMap("connecting image misses the kernel complex")
             return ()
-        w = _solve(ring, kb, Matrix.column(ring, list(dtheta)))
+        w = _solve(ring, kb, Matrix.column(ring, list(dtheta)), forms)
         if w is None:
             raise InvalidChainMap("connecting image misses the kernel complex")
         return w.col(0)
@@ -1178,13 +1165,14 @@ def ker_coker_les(f: ComplexMap) -> LESReport:
         lambda n, g: kbasis(n - 1).apply(g) + (zero,) * y.rank(n),
         lambda n, g: cone_split(f, n, g)[1],
         lambda n: _on_generators(hcok[n], hker[n - 2], lambda g: lift_boundary(n, g)),
+        forms,
     )
     if injective:
         for n in degrees:
-            if not _is_presentation_iso(rep.maps[f"k_{n}"], hcone[n], hcok[n]):
+            if not _is_presentation_iso(rep.maps[f"k_{n}"], hcone[n], hcok[n], forms):
                 raise InvalidChainMap(f"injective specialization failed: k not iso at degree {n}")
     if surjective:
         for n in degrees:
-            if not _is_presentation_iso(rep.maps[f"j_{n}"], hker[n - 1], hcone[n]):
+            if not _is_presentation_iso(rep.maps[f"j_{n}"], hker[n - 1], hcone[n], forms):
                 raise InvalidChainMap(f"surjective specialization failed: j not iso at degree {n}")
     return rep

@@ -52,6 +52,7 @@ from relcone.homology import (
     kernel_int,
     ker_coker_les,
     les_of_cone,
+    smith_diagonal,
     snf,
     solve_field,
     solve_int,
@@ -96,6 +97,35 @@ def test_snf_random_properties():
                 assert s.diag[i + 1] % s.diag[i] == 0
         if m <= 4 and n <= 4:
             assert s.diag == smith_diagonal_via_minors(a.to_lists())
+
+
+def empty_shape_results(forms):
+    """Smith forms, kernels and solvers of matrices with no rows or no columns, given `forms` as the table."""
+    out = {}
+    for shape in ((0, 3), (3, 0), (0, 0)):
+        a = Matrix.zeros(INT, *shape)
+        s = snf(a, forms)
+        out[shape] = ((s.u, s.d, s.v, s.rank, s.diag), smith_diagonal(a), kernel_int(a, forms))
+    tall, wide = IntSolver(Matrix.zeros(INT, 3, 0), forms), IntSolver(Matrix.zeros(INT, 0, 3), forms)
+    out["tall"] = (
+        tall.solve(Matrix.zeros(INT, 3, 1)),
+        tall.solve(Matrix.column(INT, [1, 0, 0])),
+        tall.solve_mod_one((1, 0, 2)),
+        tall.solve_mod_one((Fraction(1, 2), 0, 0)),
+    )
+    out["wide"] = (wide.solve(Matrix.zeros(INT, 0, 2)), wide.solve_mod_one(()))
+    return out
+
+
+def test_empty_shapes_reduce_the_same_with_and_without_a_table():
+    got = empty_shape_results(None)
+    assert empty_shape_results({}) == got
+    i3, e = Matrix.identity(INT, 3), Matrix.zeros(INT, 0, 0)
+    assert got[0, 3] == ((e, Matrix.zeros(INT, 0, 3), i3, 0, ()), (0, ()), i3)
+    assert got[3, 0] == ((i3, Matrix.zeros(INT, 3, 0), e, 0, ()), (0, ()), e)
+    assert got[0, 0] == ((e, e, e, 0, ()), (0, ()), e)
+    assert got["tall"] == (Matrix.zeros(INT, 0, 1), None, (), None)
+    assert got["wide"] == (Matrix.zeros(INT, 3, 2), (0, 0, 0))
 
 
 # Feeds _check_snf one corrupted Smith form per postcondition, and counts
@@ -759,15 +789,15 @@ def test_kercoker_connecting_guard_raises(monkeypatch):
     real_solve, real_kernel_complex = homology._solve, homology._kernel_complex
     armed = []
 
-    def kernel_complex(g):
-        out = real_kernel_complex(g)
+    def kernel_complex(g, forms):
+        out = real_kernel_complex(g, forms)
         armed.append(True)
         return out
 
-    def solve(ring, a, b):
+    def solve(ring, a, b, forms):
         if armed and a not in comps:
             return None
-        return real_solve(ring, a, b)
+        return real_solve(ring, a, b, forms)
 
     monkeypatch.setattr(homology, "_kernel_complex", kernel_complex)
     monkeypatch.setattr(homology, "_solve", solve)

@@ -56,8 +56,8 @@ def recording_quotients(monkeypatch):
     seen = []
     real = homology._quotient_group_int
 
-    def record(ambient, basis, num, den):
-        data = real(ambient, basis, num, den)
+    def record(ambient, basis, num, den, forms=None):
+        data = real(ambient, basis, num, den, forms)
         seen.append((ambient, basis, num, den, data))
         return data
 
@@ -119,7 +119,7 @@ def test_integer_homology_snf_budget(monkeypatch):
     rng = random.Random(4102)
     shapes = []
     real = homology.snf
-    monkeypatch.setattr(homology, "snf", lambda a: shapes.append(a.shape) or real(a))
+    monkeypatch.setattr(homology, "snf", lambda a, forms=None: shapes.append(a.shape) or real(a, forms))
     for name, c in integer_complexes(rng):
         for n in range(c.lo - 1, c.hi + 2):
             shapes.clear()
@@ -135,7 +135,7 @@ def test_integer_homology_snf_budget(monkeypatch):
 def test_les_of_cone_computes_each_homology_once(monkeypatch):
     calls = []
     real = homology.homology_data
-    monkeypatch.setattr(homology, "homology_data", lambda c, n: calls.append((id(c), n)) or real(c, n))
+    monkeypatch.setattr(homology, "homology_data", lambda c, n, forms=None: calls.append((id(c), n)) or real(c, n, forms))
     les_of_cone(chain_map(degree_map(2), INT))
     assert len(calls) == len(set(calls)) == 18
 
@@ -155,7 +155,7 @@ def test_a_sequence_certifies_each_distinct_matrix_once(monkeypatch):
     checked = counting_certificates(monkeypatch)
     calls = []
     real = homology.snf
-    monkeypatch.setattr(homology, "snf", lambda a: calls.append(a) or real(a))
+    monkeypatch.setattr(homology, "snf", lambda a, forms=None: calls.append(a) or real(a, forms))
     certified = 0
     for name, f in maps:
         for sequence in (les_of_cone, ker_coker_les):

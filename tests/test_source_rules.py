@@ -57,6 +57,43 @@ def test_no_process_wide_caches():
     assert found == []
 
 
+def _import_time_nodes(tree):
+    """The nodes of a module that run when it is imported, outside every function and class body."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _is_constant(node):
+    return isinstance(node, ast.Constant) or (
+        isinstance(node, ast.Tuple) and all(isinstance(e, ast.Constant) for e in node.elts)
+    )
+
+
+def test_no_context_variables_or_module_state():
+    """A table of Smith forms is an argument of the sequence that owns it, never a context
+    variable or a module-level value: no module imports `contextvars`, and `homology.py`
+    binds module-level names only to constants and tuples of constants."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            names += [node.module] if isinstance(node, ast.ImportFrom) else []
+            found += [f"{path.name}:{node.lineno}"] if "contextvars" in names else []
+    path = SRC / "homology.py"
+    for node in _import_time_nodes(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.NamedExpr) or (
+            isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+            and node.value is not None
+            and not _is_constant(node.value)
+        ):
+            found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 # Where a trusted build may be named: `Matrix._of`, the `_of` that both
 # cochain types inherit from `cech._Cochain`, `GradedComplex._of`,
 # `ComplexMap._of` and `CoverMap._of`.  Each stores what it is given
