@@ -35,14 +35,20 @@ rank bookkeeping alone.
 
 Over Q and Z/p each quotient (homology group, cokernel homology,
 subgroup test) is one reduced row echelon form of the side-by-side
-generator matrices; its pivot columns name the basis.
+generator matrices; its pivot columns name the basis.  Over Q the
+elimination runs on integer rows, with no Fraction arithmetic, and
+builds reduced values only for the callers that read them:
+`kernel_field` and `solve_field` (so `HomologyData.express`).
+Quotients, subgroup tests and ranks read pivot columns only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .chain import ComplexMap, GradedComplex, cone_of_map, cone_split
@@ -495,9 +501,24 @@ def solve_int(a: Matrix, b: Matrix, forms: dict | None = None) -> Matrix | None:
 def _rref(*mats):
     """Reduced row echelon form of [M1 | M2 | ...] over Q or Z/p.
 
-    Returns (plain row lists, pivot columns).  Column c is a pivot exactly
-    when it is not in the span of the columns before it.  A pivot row is
-    zero left of its pivot, so each row update walks only its nonzero entries.
+    Returns (reduced, pivot columns); ``reduced(cols)`` lists, for each
+    pivot row in order, its reduced entries in columns `cols`.  Column c
+    is a pivot exactly when it is not in the span of the columns before
+    it.  A pivot row is zero left of its pivot, so each row update walks
+    only the pivot row's nonzero entries.
+
+    Over Q elimination is fraction-free on integer rows (integer-
+    preserving as in Bareiss, Math. Comp. 22, 1968, with gcds in place of
+    his exact divisions).  Each rational row is scaled once by the lcm of
+    its denominators and divided by the gcd of its entries; then
+    row_i <- (a/g) row_i - (f/g) pivot row, with a > 0 the pivot (the
+    pivot row's sign taken out), f the entry of row_i in the pivot column
+    and g = gcd(a, f).  When a/g is 1 the update walks only the pivot
+    row's nonzeros, as over Z/p; otherwise row_i is scaled whole and
+    divided by the gcd of its entries again, so scaling never compounds.
+    The reduced form is unique, so a pivot row divided by its pivot is
+    the reduced row: ``reduced`` builds one Fraction per distinct (entry,
+    pivot) pair it reads, and a caller that reads only pivots builds none.
     """
     ring = mats[0].ring
     if not ring.is_field:
@@ -509,6 +530,8 @@ def _rref(*mats):
             raise ShapeMismatch(f"cannot place {m.shape} beside {mats[0].shape}")
     rows = [[x for r in rs for x in r] for rs in zip(*(m.rows for m in mats))]
     p = ring.modulus  # None over Q
+    if p is None:
+        rows = [_primitive(_cleared(row)) for row in rows]
     pivots = []
     for c in range(sum(m.ncols for m in mats)):
         r = len(pivots)
@@ -516,44 +539,85 @@ def _rref(*mats):
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = ring.inv(rows[r][c])
-        nz = [(j, x * inv if p is None else x * inv % p) for j, x in enumerate(rows[r]) if j >= c and x]
-        for j, x in nz:
-            rows[r][j] = x
+        if p is None:
+            a = rows[r][c]
+            nz = [(j, x if a > 0 else -x) for j, x in enumerate(rows[r]) if j >= c and x]
+            a = abs(a)
+        else:
+            inv = ring.inv(rows[r][c])
+            nz = [(j, x * inv % p) for j, x in enumerate(rows[r]) if j >= c and x]
+            for j, x in nz:
+                rows[r][j] = x
         for i, row in enumerate(rows):
             f = row[c]
             if f and i != r:
                 if p is None:
+                    g = gcd(a, f)
+                    if g != a:
+                        s = a // g
+                        row = [s * x for x in row]
+                    f //= g
                     for j, x in nz:
                         row[j] -= f * x
+                    if g != a:
+                        rows[i] = _primitive(row)
                 else:
                     for j, x in nz:
                         row[j] = (row[j] - f * x) % p
         pivots.append(c)
-    return rows, pivots
+
+    def reduced(cols):
+        if p is not None:
+            return [[row[j] for j in cols] for row in rows[: len(pivots)]]
+        made, zero = {}, ring.zero()
+
+        def value(x, a):
+            return made.get((x, a)) or made.setdefault((x, a), Fraction(x, a))
+
+        return [[value(x, row[c]) if x else zero for x in map(row.__getitem__, cols)] for row, c in zip(rows, pivots)]
+
+    return reduced, pivots
+
+
+def _cleared(row):
+    """A row of Fractions times the lcm of its denominators, as integers."""
+    m = lcm(*(x.denominator for x in row))
+    return [x.numerator * (m // x.denominator) for x in row]
+
+
+def _primitive(row):
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def kernel_field(a: Matrix) -> Matrix:
-    """Basis of the null space over a field, as columns."""
-    rows, pivots = _rref(a)
+    """Basis of the null space over a field, as columns.
+
+    Over Q only the reduced entries in the free columns become Fractions.
+    """
+    reduced, pivots = _rref(a)
     free = sorted(set(range(a.ncols)) - set(pivots))
     zero, one, neg = a.ring.zero(), a.ring.one(), a.ring.neg
     out = [[zero] * len(free) for _ in range(a.ncols)]
     for k, fc in enumerate(free):
         out[fc][k] = one
-    for r, pc in enumerate(pivots):
-        out[pc] = [neg(x) if x else zero for x in map(rows[r].__getitem__, free)]
+    for pc, vals in zip(pivots, reduced(free)):
+        out[pc] = [neg(x) if x else zero for x in vals]
     return Matrix._of(a.ring, a.ncols, len(free), out)
 
 
 def solve_field(a: Matrix, b: Matrix) -> Matrix | None:
-    """One field solution of A X = B, or None."""
-    rows, pivots = _rref(a, b)
+    """One field solution of A X = B, or None.
+
+    Over Q only the reduced entries in B's columns become Fractions.
+    """
+    reduced, pivots = _rref(a, b)
     if pivots and pivots[-1] >= a.ncols:
         return None
     out = [[a.ring.zero()] * b.ncols for _ in range(a.ncols)]
-    for r, pc in enumerate(pivots):
-        out[pc] = rows[r][a.ncols:]
+    for pc, vals in zip(pivots, reduced(range(a.ncols, a.ncols + b.ncols))):
+        out[pc] = vals
     return Matrix._of(a.ring, a.ncols, b.ncols, out)
 
 

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written from scratch with different
 algorithms than the package: Bareiss fraction-free determinants, minor
-gcds, naive mod-p elimination.  The integer quotient helpers keep the
+gcds, naive mod-p elimination.  Reduced row echelon form over Q runs in
+Fraction arithmetic, as a reference for the library's elimination on
+primitive integer rows.  The integer quotient helpers keep the
 library's earlier route through extra Smith forms, as a reference for
 the Smith-form coordinate maps the library uses now; it multiplies the
 numerator basis by all of U, where the library computes only the
@@ -191,6 +193,38 @@ def first_column_outside_span(a_cols, b_cols, p=None):
         if _rank_of_columns(b_cols + [col], p) > rb:
             return col
     return None
+
+
+def rref_fraction(rows, p=None):
+    """Reduced row echelon form over Q (p None), in Fraction arithmetic, or over Z/p.
+
+    The library's earlier field elimination, kept as the reference for its
+    fraction-free one over Q.  Returns (rows, pivot columns) with every row
+    reduced; the rows past the pivot rows are zero.
+    """
+    rows = [[Fraction(x) if p is None else x % p for x in row] for row in rows]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = 1 / rows[r][c] if p is None else pow(rows[r][c], -1, p)
+        nz = [(j, x * inv if p is None else x * inv % p) for j, x in enumerate(rows[r]) if j >= c and x]
+        for j, x in nz:
+            rows[r][j] = x
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                if p is None:
+                    for j, x in nz:
+                        row[j] -= f * x
+                else:
+                    for j, x in nz:
+                        row[j] = (row[j] - f * x) % p
+        pivots.append(c)
+    return rows, pivots
 
 
 # ---------------------------------------------------------------------------

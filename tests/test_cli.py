@@ -5,11 +5,13 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import relcone
 from helpers import double_the_cone_comparison, identity_simplicial
+from oracles import rank_rational
 from relcone import cli, homology, jsonio
 from relcone.cech import rel_diff
 from relcone.errors import InvalidChainMap
@@ -173,6 +175,60 @@ def test_cone_space_and_les_and_kercoker(tmp_path):
     code, out = run("kercoker", f"{fx}/fix-d0.json")
     assert code == 0
     assert json.loads(out)["kind"] == "kercoker"
+
+
+# A complex over Q with fractional differentials (the rows of d_1 are
+# orthogonal to the columns of d_2) and the null-homotopic chain map
+# f = d h + h d on it, with fractional h: every rank is read over Q.
+FRACTIONAL_D = {
+    1: [["2/3", "0", "-1/2", "0"], ["-10/21", "-5/7", "0", "0"], ["4/21", "-5/7", "-1/2", "0"]],
+    2: [["1/2", "1"], ["-1/3", "-2/3"], ["2/3", "4/3"], ["0", "0"]],
+}
+FRACTIONAL_H = {  # h_n: C_n -> C_(n+1)
+    0: [["1/2", "0", "-1/3"], ["0", "2/3", "0"], ["-5/7", "0", "0"], ["0", "1", "1/2"]],
+    1: [["-1/3", "0", "5/7", "1"], ["0", "1/2", "0", "-2/3"]],
+}
+
+
+def test_fractional_q_input_through_homology_les_and_kercoker(tmp_path):
+    ranks = {0: 3, 1: 4, 2: 2}
+    c = lambda n: ranks.get(n, 0)
+    q = lambda rows: [[Fraction(x) for x in row] for row in rows]
+    d = lambda n: q(FRACTIONAL_D[n]) if n in FRACTIONAL_D else [[0] * c(n) for _ in range(c(n - 1))]
+    h = lambda n: q(FRACTIONAL_H[n]) if n in FRACTIONAL_H else [[0] * c(n) for _ in range(c(n + 1))]
+    mul = lambda a, b, ncols: [[sum(row[k] * b[k][j] for k in range(len(b))) for j in range(ncols)] for row in a]
+    add = lambda a, b: [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]
+    f = lambda n: add(mul(d(n + 1), h(n), c(n)), mul(h(n - 1), d(n), c(n)))
+
+    rk = rank_rational
+    beside = lambda a, b: [r + s for r, s in zip(a, b)]
+    cone_d = lambda n: [r + [0] * c(n) for r in d(n - 1)] + beside(f(n - 1), d(n))
+    want = {}
+    for n in range(-3, 6):
+        want[f"H_{n}(X)"] = want[f"H_{n}(Y)"] = c(n) - rk(d(n)) - rk(d(n + 1))
+        want[f"H_{n}(cone)"] = want[f"H_{n}(f)"] = c(n - 1) + c(n) - rk(cone_d(n)) - rk(cone_d(n + 1))
+        want[f"H_{n}(ker)"] = c(n) - rk(f(n) + d(n)) - rk(f(n + 1) + d(n + 1)) + rk(f(n + 1))
+        want[f"H_{n}(coker)"] = c(n) + rk(f(n - 1)) - rk(beside(d(n), f(n - 1))) - rk(beside(d(n + 1), f(n)))
+    assert [want[f"H_{n}(X)"] for n in range(3)] == [1, 1, 1]
+
+    text = lambda rows: [[str(x) for x in row] for row in rows]
+    graded = {"ring": "Q", "ranks": {str(n): r for n, r in ranks.items()}, "diff": FRACTIONAL_D}
+    complex_path, map_path = tmp_path / "graded-q.json", tmp_path / "map-q.json"
+    complex_path.write_text(json.dumps(graded))
+    map_path.write_text(json.dumps({"src": graded, "dst": graded, "mat": {n: text(f(n)) for n in ranks}}))
+    assert any(x.denominator > 1 for n in ranks for row in f(n) for x in row)
+
+    code, out = run("homology", "--ring", "Q", str(complex_path))
+    assert code == 0
+    assert json.loads(out) == {"H": {str(n): {"rank": want[f"H_{n}(X)"]} for n in ranks}}
+    for verb, kind in (("les", "cone"), ("kercoker", "kercoker")):
+        code, out = run(verb, "--ring", "Q", str(map_path))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["exact"] is True and doc["kind"] == kind
+        assert doc["positions"] and all(p["exact"] for p in doc["positions"])
+        for p in doc["positions"]:
+            assert p["group"] == {"rank": want[p["position"]]}, (verb, p)
 
 
 @pytest.mark.parametrize("verb", ["les", "kercoker"])
