@@ -25,6 +25,14 @@ several groups and maps), so each such call owns one table {matrix:
 certified SNFResult} and passes it to every reduction it causes; `snf`
 reduces and certifies each distinct matrix once per sequence.  The
 table is a local of the call, and nothing is shared outside a sequence.
+A sequence reads what its certified forms already give rather than
+reducing more: a solve against a kernel basis reads the lattice of the
+form that produced the basis, the classes of all generators of a map
+come from one coordinate product, an image lies in the next kernel when
+one product lands in the target's relations (only otherwise does the
+subgroup test run, for its witness), and `ker_coker_les` reads whether
+f_n is onto off the form of f_n.  A matrix with no rows or no columns
+is never reduced: `snf` reads its form off the shape.
 
 Homology groups are presented as
 :class:`AbGroup` values: free rank, divisibility-ordered torsion, and
@@ -46,6 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import gcd, lcm
@@ -91,7 +100,10 @@ def snf(a: Matrix, forms: dict | None = None) -> SNFResult:
     pivot loop.  `_check_snf` certifies every result, under any
     interpreter flags, and a failure raises InvalidChainMap: the scans
     of the diagonal first, then A = U D V as one rank-r product, then
-    U Uinv = I and V Vinv = I.  Verbs that read transforms (`snf`, `les`,
+    U Uinv = I and V Vinv = I.  A matrix with no rows or no columns has
+    no entry to reduce: its form is read off the shape (U, Uinv = I_m,
+    V, Vinv = I_n, D = A, an empty diagonal, rank 0), with no reduction
+    and so nothing to certify.  Verbs that read transforms (`snf`, `les`,
     `kercoker`, `compare-cones`, `classify`, `trivialize`, `integrality`,
     `bohr-sommerfeld`) come here; `homology`, `cone`, `cone-space` and
     `cech` read `smith_diagonal`, certified by replay instead.
@@ -100,9 +112,10 @@ def snf(a: Matrix, forms: dict | None = None) -> SNFResult:
     `les_of_cone` or `ker_coker_les` call, which passes it to every
     reduction it causes: a matrix equal to one already in it (same ring,
     shape and entries) gets the same result back, with no second
-    reduction or certificate.  A form enters the table only after
-    `_check_snf` has passed on it, and Matrix and SNFResult are
-    immutable, so every shared form is a certified one.  With no table,
+    reduction or certificate.  A reduced form enters the table only
+    after `_check_snf` has passed on it (an empty shape's form with
+    none), and Matrix and SNFResult are immutable, so every shared form
+    is a certified one.  With no table,
     nothing is kept.
     """
     if a.ring != INT:
@@ -111,30 +124,35 @@ def snf(a: Matrix, forms: dict | None = None) -> SNFResult:
     if known is not None:
         return known
     m, n = a.nrows, a.ncols
-    d = [list(r) for r in a.rows]
-    ut, uinv, v, vinvt = ([[0] * i + [1] + [0] * (k - i - 1) for i in range(k)] for k in (m, m, n, n))
-    for kind, on_rows, i, j, k in _smith_eliminate(d, m, n):
-        # D' = E D F gives Uinv' = E Uinv, U'^T = E^-T U^T, V' = F^-1 V and
-        # Vinv'^T = F^T Vinv^T: with U and Vinv kept transposed, all are row operations
-        same, dual = (uinv, ut) if on_rows else (vinvt, v)
-        if kind == _SWAP:
-            same[i], same[j], dual[i], dual[j] = same[j], same[i], dual[j], dual[i]
-        elif kind == _ADD:
-            same[i] = [x + k * y for x, y in zip(same[i], same[j])]
-            dual[j] = [x - k * y for x, y in zip(dual[j], dual[i])]
-        else:
-            same[i], dual[i] = [-x for x in same[i]], [-x for x in dual[i]]
-    limit = min(m, n)
-    res = SNFResult(
-        u=Matrix._of(INT, m, m, zip(*ut)),
-        d=Matrix._of(INT, m, n, d),
-        v=Matrix._of(INT, n, n, v),
-        uinv=Matrix._of(INT, m, m, uinv),
-        vinv=Matrix._of(INT, n, n, zip(*vinvt)),
-        diag=tuple(d[i][i] for i in range(limit)),
-        rank=sum(1 for i in range(limit) if d[i][i]),
-    )
-    _check_snf(a, res)
+    if not (m and n):
+        # no entry to reduce: the identity forms, read off the shape
+        i_m, i_n = Matrix.identity(INT, m), Matrix.identity(INT, n)
+        res = SNFResult(u=i_m, d=a, v=i_n, uinv=i_m, vinv=i_n, diag=(), rank=0)
+    else:
+        d = [list(r) for r in a.rows]
+        ut, uinv, v, vinvt = ([[0] * i + [1] + [0] * (k - i - 1) for i in range(k)] for k in (m, m, n, n))
+        for kind, on_rows, i, j, k in _smith_eliminate(d, m, n):
+            # D' = E D F gives Uinv' = E Uinv, U'^T = E^-T U^T, V' = F^-1 V and
+            # Vinv'^T = F^T Vinv^T: with U and Vinv kept transposed, all are row operations
+            same, dual = (uinv, ut) if on_rows else (vinvt, v)
+            if kind == _SWAP:
+                same[i], same[j], dual[i], dual[j] = same[j], same[i], dual[j], dual[i]
+            elif kind == _ADD:
+                same[i] = [x + k * y for x, y in zip(same[i], same[j])]
+                dual[j] = [x - k * y for x, y in zip(dual[j], dual[i])]
+            else:
+                same[i], dual[i] = [-x for x in same[i]], [-x for x in dual[i]]
+        limit = min(m, n)
+        res = SNFResult(
+            u=Matrix._of(INT, m, m, zip(*ut)),
+            d=Matrix._of(INT, m, n, d),
+            v=Matrix._of(INT, n, n, v),
+            uinv=Matrix._of(INT, m, m, uinv),
+            vinv=Matrix._of(INT, n, n, zip(*vinvt)),
+            diag=tuple(d[i][i] for i in range(limit)),
+            rank=sum(1 for i in range(limit) if d[i][i]),
+        )
+        _check_snf(a, res)
     if forms is not None:
         forms[a] = res
     return res
@@ -899,8 +917,21 @@ def homology_invariants(c: GradedComplex, degrees) -> dict:
 
 def _on_generators(src_data: HomologyData, dst_data: HomologyData, fn) -> Matrix:
     """Matrix sending each generator g of src_data to the class of fn(g) in dst_data."""
-    cols = [dst_data.express(fn(g)) for g in src_data.group.generators]
-    return Matrix.from_columns(dst_data.ring, dst_data.ngens, cols)
+    return _classes(dst_data, [fn(g) for g in src_data.group.generators])
+
+
+def _classes(data: HomologyData, cycles) -> Matrix:
+    """The classes of the vectors `cycles` in data's generators, as columns, each as `express` gives it.
+
+    Over Z one `coords` product and one `to_gens` product express them all.
+    """
+    if data.ring != INT:
+        return Matrix.from_columns(data.ring, data.ngens, [data.express(v) for v in cycles])
+    y = data.lattice.coords(Matrix.from_columns(INT, data.ambient_rank, cycles))
+    if y is None:
+        raise InvalidChainMap("vector is not a cycle modulo boundaries")
+    rows = [[c % d if d else c for c in row] for row, d in zip((data.to_gens @ y).rows, data.orders)]
+    return Matrix(INT, data.ngens, y.ncols, rows)
 
 
 def induced_map(f: ComplexMap, n: int, src_data: HomologyData | None = None, dst_data: HomologyData | None = None) -> Matrix:
@@ -953,6 +984,8 @@ def connecting_hom(
 def _subgroup_leq_int(gens_a: Matrix, gens_b: Matrix, forms=None):
     """Is span(cols of A) contained in span(cols of B)?  Returns (ok, witness)."""
     lat = _image_lattice(snf(gens_b, forms))
+    if lat.coords(gens_a) is not None:
+        return True, None
     for col in gens_a.columns():
         if lat.coords(Matrix.column(INT, col)) is None:
             return False, col
@@ -999,13 +1032,23 @@ class LESReport:
         return all(p.exact for p in self.positions)
 
 
+def _in_relations(m: Matrix, orders) -> bool:
+    """Does every column of m lie in the span of the relations d_i e_i, d_i in `orders` (0 for free)?"""
+    return not any(x % d if d else x for row, d in zip(m.rows, orders) for x in row)
+
+
 def _exact_at(label, here: HomologyData, incoming: Matrix, outgoing: Matrix, target: HomologyData, forms):
-    """Exactness of  prev --incoming--> here --outgoing--> target."""
+    """Exactness of  prev --incoming--> here --outgoing--> target.
+
+    The image lies in the kernel when outgoing sends it into the
+    target's relations; only when it does not is the subgroup test run,
+    for its verdict and its witness.
+    """
     rel = here.relation_matrix()
     trel = target.relation_matrix()
     im = hstack(incoming.ring, [incoming, rel])
     ker = _kernel_subgroup(outgoing, trel, rel, forms)
-    ok1, w1 = _subgroup_leq(im, ker, forms)
+    ok1, w1 = (True, None) if _in_relations(outgoing @ im, target.orders) else _subgroup_leq(im, ker, forms)
     ok2, w2 = _subgroup_leq(ker, im, forms)
     if ok1 and ok2:
         return LESPosition(label, here.group, True, None)
@@ -1102,32 +1145,36 @@ def _kernel(ring, a: Matrix, forms=None) -> Matrix:
     return kernel_int(a, forms) if ring == INT else kernel_field(a)
 
 
-def _solve(ring, a: Matrix, b: Matrix, forms):
-    return solve_int(a, b, forms) if ring == INT else solve_field(a, b)
+def _kernel_coords(ring, a: Matrix, forms):
+    """(basis, coords): a basis of ker a as columns, and the map that sends columns
+    to their coordinates in it (None when one lies outside).
+
+    Over Z the coordinates are read through the lattice of the Smith form
+    that gave the basis; the basis has full column rank, so they are the
+    one solution there is, and no Smith form of the basis is built.
+    """
+    if ring == INT:
+        basis, lattice = _kernel_lattice(a, forms)
+        return basis, lattice.coords
+    basis = kernel_field(a)
+    return basis, partial(solve_field, basis)
 
 
 def _kernel_complex(f: ComplexMap, forms):
-    """The degreewise-kernel subcomplex, with its embedding bases."""
+    """The degreewise-kernel subcomplex, with {degree: (basis, coords)} of its embeddings (see `_kernel_coords`)."""
     ring = f.ring
     x = f.src
-    bases = {}
-    ranks = {}
-    for n in range(x.lo, x.hi + 1):
-        k = _kernel(ring, f.component(n), forms)
-        bases[n] = k
-        if k.ncols:
-            ranks[n] = k.ncols
+    bases = {n: _kernel_coords(ring, f.component(n), forms) for n in range(x.lo, x.hi + 1)}
+    ranks = {n: basis.ncols for n, (basis, _) in bases.items() if basis.ncols}
     diffs = {}
     for n in ranks:
-        kn = bases[n]
-        km = bases.get(n - 1, Matrix.zeros(ring, x.rank(n - 1), 0))
-        img = x.diff(n) @ kn
-        if km.ncols == 0:
+        img = x.diff(n) @ bases[n][0]
+        if n - 1 not in ranks:
             if not img.is_zero():
                 raise InvalidChainMap("kernel complex not closed under the differential")
-            diffs[n] = Matrix.zeros(ring, 0, kn.ncols)
+            diffs[n] = Matrix.zeros(ring, 0, ranks[n])
             continue
-        w = _solve(ring, km, img, forms)
+        w = bases[n - 1][1](img)
         if w is None:
             raise InvalidChainMap("kernel complex not closed under the differential")
         diffs[n] = w
@@ -1159,6 +1206,15 @@ def _coker_homology_data(f: ComplexMap, n: int, forms) -> HomologyData:
     return _quotient_space_field(ring, g, gl, den)
 
 
+def _onto(a: Matrix, forms) -> bool:
+    """Is A onto?  Over Z, A X = I is solvable exactly when A's Smith form has
+    rank = rows and every invariant factor 1; over a field, when rank = rows."""
+    if a.ring != INT:
+        return len(_rref(a)[1]) == a.nrows
+    s = snf(a, forms)
+    return s.rank == a.nrows and all(d == 1 for d in s.diag)
+
+
 def ker_coker_les(f: ComplexMap) -> LESReport:
     """The long exact sequence relating ker f, the cone, and coker f.
 
@@ -1185,33 +1241,32 @@ def ker_coker_les(f: ComplexMap) -> LESReport:
     hcone = {n: homology_data(cone, n, forms) for n in around}
     hcok = {n: _coker_homology_data(f, n, forms) for n in around}
 
-    injective = all(kbases[n].ncols == 0 for n in kbases)
-    surjective = all(
-        _solve(ring, f.component(n), Matrix.identity(ring, y.rank(n)), forms) is not None
-        for n in range(y.lo, y.hi + 1)
-    )
+    injective = all(basis.ncols == 0 for basis, _ in kbases.values())
+    surjective = all(_onto(f.component(n), forms) for n in range(y.lo, y.hi + 1))
 
     def kbasis(n):
-        return kbases.get(n, Matrix.zeros(ring, x.rank(n), 0))
+        return kbases[n][0] if n in kbases else Matrix.zeros(ring, x.rank(n), 0)
 
     zero = ring.zero()
 
-    def lift_boundary(n, g):
-        # a cycle eta of coker f goes to w with kbasis(n - 2) w = d theta, f(theta) = d eta
-        deta = Matrix.column(ring, list(y.diff(n).apply(g)))
-        theta = _solve(ring, f.component(n - 1), deta, forms)
+    def delta(n):
+        # each generator eta of H_n(coker f) goes to w with kbasis(n - 2) w = d theta, f(theta) = d eta;
+        # all generators lift in one solve, and read their coordinates w in one call
+        gens = hcok[n].group.generators
+        deta = Matrix.from_columns(ring, y.rank(n - 1), [y.diff(n).apply(g) for g in gens])
+        fn = f.component(n - 1)
+        theta = solve_int(fn, deta, forms) if ring == INT else solve_field(fn, deta)
         if theta is None:
             raise InvalidChainMap("cokernel cycle does not lift")
-        dtheta = x.diff(n - 1).apply(theta.col(0))
-        kb = kbasis(n - 2)
-        if kb.ncols == 0:
-            if any(v != zero for v in dtheta):
+        dtheta = x.diff(n - 1) @ theta
+        if kbasis(n - 2).ncols == 0:
+            if not dtheta.is_zero():
                 raise InvalidChainMap("connecting image misses the kernel complex")
-            return ()
-        w = _solve(ring, kb, Matrix.column(ring, list(dtheta)), forms)
+            return Matrix.zeros(ring, hker[n - 2].ngens, len(gens))
+        w = kbases[n - 2][1](dtheta)
         if w is None:
             raise InvalidChainMap("connecting image misses the kernel complex")
-        return w.col(0)
+        return _classes(hker[n - 2], w.columns())
 
     groups = {}
     for n in degrees:
@@ -1228,7 +1283,7 @@ def ker_coker_les(f: ComplexMap) -> LESReport:
         lambda n: (f"H_{n - 1}(ker)", f"H_{n}(f)", f"H_{n}(coker)"),
         lambda n, g: kbasis(n - 1).apply(g) + (zero,) * y.rank(n),
         lambda n, g: cone_split(f, n, g)[1],
-        lambda n: _on_generators(hcok[n], hker[n - 2], lambda g: lift_boundary(n, g)),
+        delta,
         forms,
     )
     if injective:

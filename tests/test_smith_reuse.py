@@ -166,6 +166,59 @@ def test_a_sequence_certifies_each_distinct_matrix_once(monkeypatch):
     assert len(calls) > 2 * certified, (len(calls), certified)  # the table answers most calls
 
 
+# Certificates per fixture map (les_of_cone, ker_coker_les).  A sequence
+# reduces no matrix with no rows or no columns and no kernel basis it
+# solves against; these counts may only go down.
+CERTIFICATES_PER_MAP = {
+    "fix-d0": (7, 11),
+    "fix-d1": (5, 6),
+    "fix-d2": (9, 12),
+    "fix-d3": (9, 12),
+    "fix-d4": (9, 12),
+    "fix-d5": (9, 12),
+    "fix-d6": (9, 12),
+    "fix-const": (4, 4),
+    "fix-disk": (8, 12),
+    "fix-susp-d2": (14, 20),
+}
+
+
+def test_a_sequence_certifies_no_empty_shape_and_no_kernel_basis(monkeypatch):
+    # a kernel basis may equal another matrix a sequence reduces (I_3 does on fix-d0),
+    # so the bases are told apart from the certified matrices by identity
+    checked, bases = [], []
+    real_check, real_lattice, real_kernel = homology._check_snf, homology._kernel_lattice, homology.kernel_int
+
+    def lattice(a, forms=None):
+        out = real_lattice(a, forms)
+        bases.append(out[0])
+        return out
+
+    def kernel(a, forms=None):
+        bases.append(real_kernel(a, forms))
+        return bases[-1]
+
+    monkeypatch.setattr(homology, "_check_snf", lambda a, r: checked.append(a) or real_check(a, r))
+    monkeypatch.setattr(homology, "_kernel_lattice", lattice)
+    monkeypatch.setattr(homology, "kernel_int", kernel)
+    counts = {}
+    for name, (kind, build) in fixture_registry().items():
+        if kind != "map":
+            continue
+        f = chain_map(build(), INT)
+        counts[name] = []
+        for sequence in (les_of_cone, ker_coker_les):
+            checked.clear()
+            bases.clear()
+            sequence(f)
+            assert not [a.shape for a in checked if not (a.nrows and a.ncols)], (name, sequence.__name__)
+            assert bases and not [b for b in bases if any(b is a for a in checked)], (name, sequence.__name__)
+            counts[name].append(len(checked))
+    assert counts.keys() == CERTIFICATES_PER_MAP.keys()
+    for name, pinned in CERTIFICATES_PER_MAP.items():
+        assert all(n <= p for n, p in zip(counts[name], pinned)), (name, counts[name], pinned)
+
+
 def reduced_again(checked, used):
     """The matrices in `used` whose fresh `snf` runs no certificate."""
     missed = []
@@ -192,7 +245,7 @@ def test_the_table_is_dropped_when_a_sequence_raises(monkeypatch):
     c = GradedComplex(INT, {0: 1}, {})
     f = ComplexMap(c, c, {0: Matrix.from_rows(INT, [[2]])})
     checked = counting_certificates(monkeypatch)
-    monkeypatch.setattr(homology, "_solve", lambda *args: None)
+    monkeypatch.setattr(homology.IntSolver, "solve", lambda self, b: None)
     with pytest.raises(InvalidChainMap, match="cokernel cycle does not lift"):
         ker_coker_les(f)
     used = list(checked)
