@@ -32,7 +32,16 @@ come from one coordinate product, an image lies in the next kernel when
 one product lands in the target's relations (only otherwise does the
 subgroup test run, for its witness), and `ker_coker_les` reads whether
 f_n is onto off the form of f_n.  A matrix with no rows or no columns
-is never reduced: `snf` reads its form off the shape.
+is never reduced: `snf` reads its form off the shape.  Over Z a
+sequence reads each complex's invariants (`homology_invariants`,
+certified by replay) before it presents a group, and presents only the
+nonzero ones: a zero group has no generators, and its lattice keeps
+only its cycle test, d_n x = 0.  The cokernel complex Y / im f need
+not be free, so its invariants are read off the cone of the inclusion
+im f -> Y, a complex of free groups quasi-isomorphic to it, with im f
+built from the Smith forms of the f_n in the table; a zero cokernel
+group tests whether d_n y lies in im f_(n-1).  Exactness at a group
+with no generators holds with no test, over every ring.
 
 Homology groups are presented as
 :class:`AbGroup` values: free rank, divisibility-ordered torsion, and
@@ -910,6 +919,35 @@ def homology_invariants(c: GradedComplex, degrees) -> dict:
     return out
 
 
+def _zero_group(ambient_rank: int, cycles: _Lattice, boundary_gens: Matrix) -> HomologyData:
+    """The zero group over Z: no generators, and `cycles` as its cycle test.
+
+    `express` and `_classes` read a vector's coordinates in `cycles`
+    (InvalidChainMap when it lies outside) and send them to no generator.
+    """
+    group = AbGroup(0, (), ())
+    return HomologyData(INT, ambient_rank, group, (), boundary_gens, cycles, Matrix.zeros(INT, 0, len(cycles.rows)))
+
+
+def _presentations(c: GradedComplex, degrees, forms) -> dict:
+    """{n: HomologyData of H_n(c)} for n in `degrees`, as a sequence reads them.
+
+    Over Z the invariants come first, one certified Smith diagonal per
+    differential, and only a nonzero group is presented by
+    `homology_data`.  A zero group gets no generators, and its cycle
+    test is d_n x = 0: the lattice of d_n's coordinates with no row
+    left free.  Over Q and Z/p every group is presented, since one RREF
+    per group costs about what its invariants would.
+    """
+    if c.ring != INT:
+        return {n: homology_data(c, n, forms) for n in degrees}
+    inv = homology_invariants(c, degrees)
+    return {
+        n: _zero_group(c.rank(n), _Lattice(c.diff(n), range(0), ()), c.diff(n + 1)) if inv[n] == (0, ()) else homology_data(c, n, forms)
+        for n in degrees
+    }
+
+
 # ---------------------------------------------------------------------------
 # Induced and connecting maps
 # ---------------------------------------------------------------------------
@@ -1040,10 +1078,14 @@ def _in_relations(m: Matrix, orders) -> bool:
 def _exact_at(label, here: HomologyData, incoming: Matrix, outgoing: Matrix, target: HomologyData, forms):
     """Exactness of  prev --incoming--> here --outgoing--> target.
 
-    The image lies in the kernel when outgoing sends it into the
-    target's relations; only when it does not is the subgroup test run,
-    for its verdict and its witness.
+    A group with no generators is 0, and so are the image and the kernel
+    in it: the position is exact with no test.  Otherwise the image lies
+    in the kernel when outgoing sends it into the target's relations;
+    only when it does not is the subgroup test run, for its verdict and
+    its witness.
     """
+    if not here.ngens:
+        return LESPosition(label, here.group, True, None)
     rel = here.relation_matrix()
     trel = target.relation_matrix()
     im = hstack(incoming.ring, [incoming, rel])
@@ -1106,16 +1148,18 @@ def les_of_cone(f: ComplexMap) -> LESReport:
     induced map of f in degree n-1 (checked against the snake recipe;
     a mismatch raises InvalidChainMap).  Exactness is checked at every
     position over the full degree range.  One table of certified Smith
-    forms (see `snf`) serves every reduction of the sequence.
+    forms (see `snf`) serves every reduction of the sequence.  Over Z
+    only the nonzero groups of X, Y and the cone are presented; a zero
+    group keeps only its cycle test (see `_presentations`).
     """
     forms = {}
     cone = cone_of_map(f)
     x, y = f.src, f.dst
     degrees = range(cone.lo - 1, cone.hi + 2)
     around = range(cone.lo - 2, cone.hi + 2)
-    hx = {n: homology_data(x, n, forms) for n in around}
-    hy = {n: homology_data(y, n, forms) for n in around}
-    hc = {n: homology_data(cone, n, forms) for n in around}
+    hx = _presentations(x, around, forms)
+    hy = _presentations(y, around, forms)
+    hc = _presentations(cone, around, forms)
     groups = {}
     for n in degrees:
         groups[f"H_{n}(X)"] = hx[n].group
@@ -1201,9 +1245,60 @@ def _coker_homology_data(f: ComplexMap, n: int, forms) -> HomologyData:
     den = hstack(dn.ring, [y.diff(n + 1), rel_here])
     if ring == INT:
         s = snf(gl, forms)
-        basis = Matrix.from_columns(INT, g, [[d * v for v in s.u.col(i)] for i, d in enumerate(s.diag[: s.rank])])
-        return _quotient_group_int(g, basis, _image_lattice(s), den, forms)
+        return _quotient_group_int(g, _image_basis(s), _image_lattice(s), den, forms)
     return _quotient_space_field(ring, g, gl, den)
+
+
+def _image_basis(s: SNFResult) -> Matrix:
+    """The basis d_i U[:, i], i < r, of the column span of A = U D V, as columns."""
+    return Matrix.from_columns(INT, s.u.nrows, [[d * v for v in s.u.col(i)] for i, d in enumerate(s.diag[: s.rank])])
+
+
+def _image_inclusion(f: ComplexMap, forms) -> ComplexMap:
+    """The inclusion im f -> Y over Z, with im f a complex of free groups.
+
+    Degree n of im f has the basis of `_image_basis` from the Smith form
+    of f_n, and its differential is d_Y on that basis, read in the image
+    lattice of f_(n-1).  A read that fails raises InvalidChainMap; the
+    constructors then check d d = 0 and d i = i d.
+    """
+    y = f.dst
+    forms_of = {n: snf(f.component(n), forms) for n in range(y.lo - 1, y.hi + 1)}
+    incl = {n: _image_basis(forms_of[n]) for n in range(y.lo, y.hi + 1)}
+    diffs = {}
+    for n, basis in incl.items():
+        w = _image_lattice(forms_of[n - 1]).coords(y.diff(n) @ basis)
+        if w is None:
+            raise InvalidChainMap("image of f is not a subcomplex")
+        diffs[n] = w
+    image = GradedComplex(INT, {n: b.ncols for n, b in incl.items()}, diffs)
+    return ComplexMap(image, y, incl)
+
+
+def _coker_presentations(f: ComplexMap, degrees, forms) -> dict:
+    """{n: HomologyData of H_n(coker f)} for n in `degrees`, as `ker_coker_les` reads them.
+
+    Over Z, H_n(coker f) is H_n of the cone of the inclusion im f -> Y
+    (the cone of an injective chain map is quasi-isomorphic to its
+    quotient), and that cone is a complex of free groups: its invariants
+    come first, and only a nonzero group is presented by
+    `_coker_homology_data`.  A zero group gets no generators, and its
+    cycle test is "d_n y lies in im f_(n-1)", read through the Smith
+    form of f_(n-1).  Over Q and Z/p every group is presented.
+    """
+    if f.ring != INT:
+        return {n: _coker_homology_data(f, n, forms) for n in degrees}
+    inv = homology_invariants(cone_of_map(_image_inclusion(f, forms)), degrees)
+    y = f.dst
+    out = {}
+    for n in degrees:
+        if inv[n] != (0, ()):
+            out[n] = _coker_homology_data(f, n, forms)
+            continue
+        s = snf(f.component(n - 1), forms)
+        cycles = _Lattice(s.uinv @ y.diff(n), range(s.rank), s.diag[: s.rank])
+        out[n] = _zero_group(y.rank(n), cycles, hstack(INT, [y.diff(n + 1), f.component(n)]))
+    return out
 
 
 def _onto(a: Matrix, forms) -> bool:
@@ -1226,7 +1321,10 @@ def ker_coker_les(f: ComplexMap) -> LESReport:
     When f is degreewise injective, k must be an isomorphism in every
     degree; when degreewise surjective, j must.  A failure raises
     InvalidChainMap.  One table of certified Smith forms (see `snf`)
-    serves every reduction of the sequence.
+    serves every reduction of the sequence.  Over Z only the nonzero
+    groups of ker f, the cone and coker f are presented: the cokernel's
+    invariants are read off the cone of the inclusion im f -> Y (see
+    `_coker_presentations`), and a zero group keeps only its cycle test.
     """
     ring = f.ring
     if ring != INT and not ring.is_field:
@@ -1237,9 +1335,9 @@ def ker_coker_les(f: ComplexMap) -> LESReport:
     kc, kbases = _kernel_complex(f, forms)
     degrees = range(cone.lo - 1, cone.hi + 2)
     around = range(cone.lo - 2, cone.hi + 2)
-    hker = {n: homology_data(kc, n, forms) for n in range(cone.lo - 3, cone.hi + 2)}
-    hcone = {n: homology_data(cone, n, forms) for n in around}
-    hcok = {n: _coker_homology_data(f, n, forms) for n in around}
+    hker = _presentations(kc, range(cone.lo - 3, cone.hi + 2), forms)
+    hcone = _presentations(cone, around, forms)
+    hcok = _coker_presentations(f, around, forms)
 
     injective = all(basis.ncols == 0 for basis, _ in kbases.values())
     surjective = all(_onto(f.component(n), forms) for n in range(y.lo, y.hi + 1))

@@ -8,6 +8,7 @@ answer key.
 """
 
 from dataclasses import dataclass
+from itertools import permutations
 from math import gcd
 
 from relcone import jsonio, simplicial
@@ -372,6 +373,42 @@ def torus(n):
             facets.append((lab(i, j), lab(i + 1, j), lab(i + 1, j + 1)))
             facets.append((lab(i, j), lab(i, j + 1), lab(i + 1, j + 1)))
     return SimplicialComplex([lab(i, j) for i in range(n) for j in range(n)], facets)
+
+
+def barycentre(simplex) -> str:
+    """The vertex of sd(K) at the barycentre of a simplex of K, named by the simplex's labels."""
+    return "b(" + ",".join(map(str, simplex)) + ")"
+
+
+def subdivision(k: SimplicialComplex) -> SimplicialComplex:
+    """The barycentric subdivision sd(K): a vertex per simplex of K, a simplex per flag of simplices.
+
+    Each facet of K with vertices p_0, ..., p_m in some order gives the
+    facet {p_0} < {p_0, p_1} < ... of sd(K); the flags of its faces are
+    their faces.  sd multiplies the n-simplices of a pure n-complex by (n+1)!.
+    """
+    simplices = [k.labels(s) for n in range(k.dim + 1) for s in k.simplices(n)]
+    facets = []
+    for facet in k.facets():
+        for order in permutations(facet):
+            facets.append([barycentre(sorted(order[: i + 1], key=k.vertices.index)) for i in range(len(order))])
+    return SimplicialComplex([barycentre(s) for s in simplices], facets)
+
+
+def last_vertex_map(k: SimplicialComplex, rng=None) -> SimplicialMap:
+    """lambda: sd(K) -> K, sending the barycentre of a simplex to its last vertex in K's order.
+
+    With `rng`, each barycentre goes to a vertex of its simplex drawn from
+    `rng` instead.  Any such rule is a simplicial approximation of the
+    identity of |K| (Hatcher, Thm 2C.1), so every choice is a homotopy
+    equivalence: its cone is acyclic over every ring.
+    """
+    vmap = {}
+    for n in range(k.dim + 1):
+        for s in k.simplices(n):
+            labels = k.labels(s)
+            vmap[barycentre(labels)] = labels[-1] if rng is None else rng.choice(labels)
+    return SimplicialMap(subdivision(k), k, vmap)
 
 
 # ---------------------------------------------------------------------------

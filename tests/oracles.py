@@ -31,6 +31,10 @@ rerun with each class expressed on its own, a Smith form of each kernel
 basis to solve against it, a subgroup test for every image inside its
 kernel and a solve of f_n X = I for surjectivity, as a reference for
 the batched reads of the lattices each sequence has already certified.
+They are also rerun with every group presented (a Smith form of each
+differential, and of each cokernel numerator) and every position tested
+for exactness, as a reference for the sequences' reads of the
+invariants, which present no zero group.
 Frozen expected values for the fixed test cases live at the bottom.
 """
 
@@ -391,6 +395,52 @@ PER_COLUMN_ROUTE = {
     "_subgroup_leq": subgroup_leq_per_column,
     "_exact_at": exact_at_via_subgroups,
     "_onto": onto_via_solve,
+}
+
+
+# ---------------------------------------------------------------------------
+# The long exact sequences with every group presented: homology_data and
+# _coker_homology_data in every degree, and both subgroup tests at every
+# position, a zero group's included
+# ---------------------------------------------------------------------------
+
+
+def presentations_of_every_group(c, degrees, forms):
+    """{n: homology_data(c, n)} for every n in `degrees`, zero or not."""
+    from relcone.homology import homology_data
+
+    return {n: homology_data(c, n, forms) for n in degrees}
+
+
+def coker_presentations_of_every_group(f, degrees, forms):
+    """{n: _coker_homology_data(f, n)} for every n in `degrees`, zero or not."""
+    from relcone.homology import _coker_homology_data
+
+    return {n: _coker_homology_data(f, n, forms) for n in degrees}
+
+
+def exact_at_every_position(label, here, incoming, outgoing, target, forms):
+    """Exactness at `here` by the subgroup tests, run at a group with no generators too."""
+    from relcone.homology import LESPosition, _in_relations, _kernel_subgroup, _subgroup_leq
+    from relcone.matrix import hstack
+
+    rel = here.relation_matrix()
+    im = hstack(incoming.ring, [incoming, rel])
+    ker = _kernel_subgroup(outgoing, target.relation_matrix(), rel, forms)
+    ok1, w1 = (True, None) if _in_relations(outgoing @ im, target.orders) else _subgroup_leq(im, ker, forms)
+    ok2, w2 = _subgroup_leq(ker, im, forms)
+    if ok1 and ok2:
+        return LESPosition(label, here.group, True, None)
+    defect = f"image not contained in kernel; witness {list(w1)}" if not ok1 else f"kernel class not hit; witness {list(w2)}"
+    return LESPosition(label, here.group, False, defect)
+
+
+# The `homology` names the every-group route replaces, set the same way as
+# PER_COLUMN_ROUTE's.
+EVERY_GROUP_ROUTE = {
+    "_presentations": presentations_of_every_group,
+    "_coker_presentations": coker_presentations_of_every_group,
+    "_exact_at": exact_at_every_position,
 }
 
 
