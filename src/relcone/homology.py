@@ -942,10 +942,13 @@ def _presentations(c: GradedComplex, degrees, forms) -> dict:
     if c.ring != INT:
         return {n: homology_data(c, n, forms) for n in degrees}
     inv = homology_invariants(c, degrees)
-    return {
-        n: _zero_group(c.rank(n), _Lattice(c.diff(n), range(0), ()), c.diff(n + 1)) if inv[n] == (0, ()) else homology_data(c, n, forms)
-        for n in degrees
-    }
+    out = {}
+    for n in degrees:
+        if inv[n] != (0, ()):
+            out[n] = homology_data(c, n, forms)
+        else:
+            out[n] = _zero_group(c.rank(n), _Lattice(c.diff(n), range(0), ()), c.diff(n + 1))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1294,10 +1297,10 @@ def _coker_presentations(f: ComplexMap, degrees, forms) -> dict:
     for n in degrees:
         if inv[n] != (0, ()):
             out[n] = _coker_homology_data(f, n, forms)
-            continue
-        s = snf(f.component(n - 1), forms)
-        cycles = _Lattice(s.uinv @ y.diff(n), range(s.rank), s.diag[: s.rank])
-        out[n] = _zero_group(y.rank(n), cycles, hstack(INT, [y.diff(n + 1), f.component(n)]))
+        else:
+            s = snf(f.component(n - 1), forms)
+            cycles = _Lattice(s.uinv @ y.diff(n), range(s.rank), s.diag[: s.rank])
+            out[n] = _zero_group(y.rank(n), cycles, hstack(INT, [y.diff(n + 1), f.component(n)]))
     return out
 
 
