@@ -32,16 +32,17 @@ come from one coordinate product, an image lies in the next kernel when
 one product lands in the target's relations (only otherwise does the
 subgroup test run, for its witness), and `ker_coker_les` reads whether
 f_n is onto off the form of f_n.  A matrix with no rows or no columns
-is never reduced: `snf` reads its form off the shape.  Over Z a
-sequence reads each complex's invariants (`homology_invariants`,
-certified by replay) before it presents a group, and presents only the
-nonzero ones: a zero group has no generators, and its lattice keeps
-only its cycle test, d_n x = 0.  The cokernel complex Y / im f need
-not be free, so its invariants are read off the cone of the inclusion
-im f -> Y, a complex of free groups quasi-isomorphic to it, with im f
-built from the Smith forms of the f_n in the table; a zero cokernel
-group tests whether d_n y lies in im f_(n-1).  Exactness at a group
-with no generators holds with no test, over every ring.
+is never reduced: `snf` reads its form off the shape.  Every group a
+sequence prints is the homology of a free complex, presented by one
+routine (`_presentations`) over Z, Q and Z/p alike: it reads the
+complex's invariants first (`homology_invariants`) and presents only
+the nonzero groups; a zero group has no generators, and its lattice
+keeps only its cycle test, d_n x = 0.  ker f and im f are free
+subcomplexes of X and Y, built by one routine (`_subcomplex`) from the
+forms of the f_n.  The cokernel complex Y / im f need not be free, so
+its homology is that of the cone of the inclusion im f -> Y, a complex
+of free groups quasi-isomorphic to it because the inclusion is
+injective.  Exactness at a group with no generators holds with no test.
 
 Homology groups are presented as
 :class:`AbGroup` values: free rank, divisibility-ordered torsion, and
@@ -50,12 +51,12 @@ generators first.  Exactness of long sequences is decided by
 torsion-aware subgroup membership in generator coordinates, never by
 rank bookkeeping alone.
 
-Over Q and Z/p each quotient (homology group, cokernel homology,
-subgroup test) is one reduced row echelon form of the side-by-side
-generator matrices; its pivot columns name the basis.  Over Q the
-elimination runs on integer rows, with no Fraction arithmetic, and
-builds reduced values only for the callers that read them:
-`kernel_field` and `solve_field` (so `HomologyData.express`).
+Over Q and Z/p each quotient (homology group, subgroup test) is one
+reduced row echelon form of the side-by-side generator matrices; its
+pivot columns name the basis.  Over Q the elimination runs on integer
+rows, with no Fraction arithmetic, and builds reduced values only for
+the callers that read them: `kernel_field` and `solve_field` (so
+`HomologyData.express`).
 Quotients, subgroup tests and ranks read pivot columns only.
 """
 
@@ -473,8 +474,7 @@ def _check_snf(a: Matrix, r: SNFResult):
 
 def kernel_int(a: Matrix, forms: dict | None = None) -> Matrix:
     """Basis of the (saturated) integer kernel, as columns."""
-    s = snf(a, forms)
-    return s.vinv.submatrix(range(a.ncols), range(s.rank, a.ncols))
+    return _kernel_lattice(a, forms)[0]
 
 
 class IntSolver:
@@ -691,10 +691,11 @@ class AbGroup:
 class HomologyData:
     """An AbGroup together with the machinery to express cycles in it.
 
-    Over Z, ``lattice`` is the numerator with its coordinate map and
-    ``to_gens`` sends lattice coordinates to generator coordinates
-    (before the torsion reduction); over a field both are None and
-    ``express`` solves against generators and boundaries.
+    Over Z, and for a zero group over any ring, ``lattice`` is the
+    numerator with its coordinate map and ``to_gens`` sends lattice
+    coordinates to generator coordinates (before the torsion reduction);
+    otherwise both are None and ``express`` solves against generators
+    and boundaries.
     """
 
     def __init__(self, ring, ambient_rank, group, orders, boundary_gens, lattice=None, to_gens=None):
@@ -735,7 +736,7 @@ class HomologyData:
         if len(vec) != self.ambient_rank:
             raise ShapeMismatch(f"cycle length {len(vec)} vs ambient {self.ambient_rank}")
         b = Matrix.column(self.ring, list(vec))
-        if self.ring == INT:
+        if self.lattice is not None:
             y = self.lattice.coords(b)
             if y is None:
                 raise InvalidChainMap("vector is not a cycle modulo boundaries")
@@ -919,35 +920,30 @@ def homology_invariants(c: GradedComplex, degrees) -> dict:
     return out
 
 
-def _zero_group(ambient_rank: int, cycles: _Lattice, boundary_gens: Matrix) -> HomologyData:
-    """The zero group over Z: no generators, and `cycles` as its cycle test.
+def _zero_group(c: GradedComplex, n: int) -> HomologyData:
+    """H_n(c) known to be 0: no generators, and d_n x = 0 as its cycle test.
 
-    `express` and `_classes` read a vector's coordinates in `cycles`
-    (InvalidChainMap when it lies outside) and send them to no generator.
+    The test is the lattice of d_n's coordinates with no row left free:
+    `express` and `_classes` read a vector's coordinates in it
+    (InvalidChainMap when d_n does not kill it) and send them to no
+    generator.  It carries c's ring, over Z, Q and Z/p alike.
     """
-    group = AbGroup(0, (), ())
-    return HomologyData(INT, ambient_rank, group, (), boundary_gens, cycles, Matrix.zeros(INT, 0, len(cycles.rows)))
+    cycles = _Lattice(c.diff(n), range(0), ())
+    return HomologyData(c.ring, c.rank(n), AbGroup(0, (), (), c.ring), (), c.diff(n + 1), cycles, Matrix.zeros(INT, 0, 0))
 
 
 def _presentations(c: GradedComplex, degrees, forms) -> dict:
     """{n: HomologyData of H_n(c)} for n in `degrees`, as a sequence reads them.
 
-    Over Z the invariants come first, one certified Smith diagonal per
-    differential, and only a nonzero group is presented by
-    `homology_data`.  A zero group gets no generators, and its cycle
-    test is d_n x = 0: the lattice of d_n's coordinates with no row
-    left free.  Over Q and Z/p every group is presented, since one RREF
-    per group costs about what its invariants would.
+    The invariants come first (`homology_invariants`: one certified
+    Smith diagonal per differential over Z, one rank over Q and Z/p),
+    and only a nonzero group is presented by `homology_data`.  A zero
+    group gets no generators and keeps only its cycle test (`_zero_group`).
     """
-    if c.ring != INT:
-        return {n: homology_data(c, n, forms) for n in degrees}
     inv = homology_invariants(c, degrees)
     out = {}
     for n in degrees:
-        if inv[n] != (0, ()):
-            out[n] = homology_data(c, n, forms)
-        else:
-            out[n] = _zero_group(c.rank(n), _Lattice(c.diff(n), range(0), ()), c.diff(n + 1))
+        out[n] = homology_data(c, n, forms) if inv[n] != (0, ()) else _zero_group(c, n)
     return out
 
 
@@ -1048,7 +1044,7 @@ def _subgroup_leq(gens_a: Matrix, gens_b: Matrix, forms=None):
 def _kernel_subgroup(outgoing: Matrix, target_rel: Matrix, rel: Matrix, forms=None) -> Matrix:
     """Generators of ker(outgoing) + relations in generator coordinates."""
     ring = outgoing.ring
-    kern = _kernel(ring, hstack(ring, [outgoing, target_rel]), forms)
+    kern = _kernel_coords(ring, hstack(ring, [outgoing, target_rel]), forms)[0]
     proj = kern.submatrix(range(outgoing.ncols), range(kern.ncols))
     return hstack(ring, [proj, rel])
 
@@ -1151,9 +1147,9 @@ def les_of_cone(f: ComplexMap) -> LESReport:
     induced map of f in degree n-1 (checked against the snake recipe;
     a mismatch raises InvalidChainMap).  Exactness is checked at every
     position over the full degree range.  One table of certified Smith
-    forms (see `snf`) serves every reduction of the sequence.  Over Z
-    only the nonzero groups of X, Y and the cone are presented; a zero
-    group keeps only its cycle test (see `_presentations`).
+    forms (see `snf`) serves every reduction of the sequence.  Only the
+    nonzero groups of X, Y and the cone are presented; a zero group
+    keeps only its cycle test (see `_presentations`).
     """
     forms = {}
     cone = cone_of_map(f)
@@ -1188,10 +1184,6 @@ def les_of_cone(f: ComplexMap) -> LESReport:
 # ---------------------------------------------------------------------------
 
 
-def _kernel(ring, a: Matrix, forms=None) -> Matrix:
-    return kernel_int(a, forms) if ring == INT else kernel_field(a)
-
-
 def _kernel_coords(ring, a: Matrix, forms):
     """(basis, coords): a basis of ker a as columns, and the map that sends columns
     to their coordinates in it (None when one lies outside).
@@ -1207,101 +1199,43 @@ def _kernel_coords(ring, a: Matrix, forms):
     return basis, partial(solve_field, basis)
 
 
-def _kernel_complex(f: ComplexMap, forms):
-    """The degreewise-kernel subcomplex, with {degree: (basis, coords)} of its embeddings (see `_kernel_coords`)."""
-    ring = f.ring
-    x = f.src
-    bases = {n: _kernel_coords(ring, f.component(n), forms) for n in range(x.lo, x.hi + 1)}
-    ranks = {n: basis.ncols for n, (basis, _) in bases.items() if basis.ncols}
-    diffs = {}
-    for n in ranks:
-        img = x.diff(n) @ bases[n][0]
-        if n - 1 not in ranks:
-            if not img.is_zero():
-                raise InvalidChainMap("kernel complex not closed under the differential")
-            diffs[n] = Matrix.zeros(ring, 0, ranks[n])
-            continue
-        w = bases[n - 1][1](img)
-        if w is None:
-            raise InvalidChainMap("kernel complex not closed under the differential")
-        diffs[n] = w
-    kc = GradedComplex(ring, ranks, diffs)
-    return kc, bases
+def _image_coords(ring, a: Matrix, forms):
+    """(basis, coords) of the column span of a, as `_kernel_coords` gives them for its kernel.
 
-
-def _coker_homology_data(f: ComplexMap, n: int, forms) -> HomologyData:
-    """Homology of the cokernel complex at degree n.
-
-    The cokernel is a complex of presented groups Y_n / im(f_n), not free
-    in general; its homology is computed from the presentation.
+    Over Z the basis is d_i U[:, i], i < r, from the Smith form A = U D V,
+    and coordinates are read through its lattice (`_image_lattice`); over
+    a field the basis is the pivot columns of a, and coordinates solve
+    against them.
     """
-    ring = f.ring
-    y = f.dst
-    g = y.rank(n)
-    dn = y.diff(n)
-    rel_prev = f.component(n - 1)
-    rel_here = f.component(n)
-    # numerator: {x : d x in im(f_(n-1))}
-    stacked = hstack(dn.ring, [dn, rel_prev])
-    kern = _kernel(ring, stacked, forms)
-    gl = kern.submatrix(range(g), range(kern.ncols))
-    den = hstack(dn.ring, [y.diff(n + 1), rel_here])
     if ring == INT:
-        s = snf(gl, forms)
-        return _quotient_group_int(g, _image_basis(s), _image_lattice(s), den, forms)
-    return _quotient_space_field(ring, g, gl, den)
+        s = snf(a, forms)
+        basis = Matrix.from_columns(INT, a.nrows, [[d * v for v in s.u.col(i)] for i, d in enumerate(s.diag[: s.rank])])
+        return basis, _image_lattice(s).coords
+    basis = a.submatrix(range(a.nrows), _rref(a)[1])
+    return basis, partial(solve_field, basis)
 
 
-def _image_basis(s: SNFResult) -> Matrix:
-    """The basis d_i U[:, i], i < r, of the column span of A = U D V, as columns."""
-    return Matrix.from_columns(INT, s.u.nrows, [[d * v for v in s.u.col(i)] for i, d in enumerate(s.diag[: s.rank])])
+def _subcomplex(c: GradedComplex, parts: dict, message: str) -> ComplexMap:
+    """The inclusion of the free subcomplex of c with basis parts[n][0] in degree n.
 
-
-def _image_inclusion(f: ComplexMap, forms) -> ComplexMap:
-    """The inclusion im f -> Y over Z, with im f a complex of free groups.
-
-    Degree n of im f has the basis of `_image_basis` from the Smith form
-    of f_n, and its differential is d_Y on that basis, read in the image
-    lattice of f_(n-1).  A read that fails raises InvalidChainMap; the
+    parts[n] is (basis, coords) as `_kernel_coords` gives it.  The
+    differential of degree n is d_c on that basis, read in coordinates one
+    degree down; a read that fails raises InvalidChainMap(message).  The
     constructors then check d d = 0 and d i = i d.
     """
-    y = f.dst
-    forms_of = {n: snf(f.component(n), forms) for n in range(y.lo - 1, y.hi + 1)}
-    incl = {n: _image_basis(forms_of[n]) for n in range(y.lo, y.hi + 1)}
+    ranks = {n: basis.ncols for n, (basis, _) in parts.items() if basis.ncols}
     diffs = {}
-    for n, basis in incl.items():
-        w = _image_lattice(forms_of[n - 1]).coords(y.diff(n) @ basis)
-        if w is None:
-            raise InvalidChainMap("image of f is not a subcomplex")
-        diffs[n] = w
-    image = GradedComplex(INT, {n: b.ncols for n, b in incl.items()}, diffs)
-    return ComplexMap(image, y, incl)
-
-
-def _coker_presentations(f: ComplexMap, degrees, forms) -> dict:
-    """{n: HomologyData of H_n(coker f)} for n in `degrees`, as `ker_coker_les` reads them.
-
-    Over Z, H_n(coker f) is H_n of the cone of the inclusion im f -> Y
-    (the cone of an injective chain map is quasi-isomorphic to its
-    quotient), and that cone is a complex of free groups: its invariants
-    come first, and only a nonzero group is presented by
-    `_coker_homology_data`.  A zero group gets no generators, and its
-    cycle test is "d_n y lies in im f_(n-1)", read through the Smith
-    form of f_(n-1).  Over Q and Z/p every group is presented.
-    """
-    if f.ring != INT:
-        return {n: _coker_homology_data(f, n, forms) for n in degrees}
-    inv = homology_invariants(cone_of_map(_image_inclusion(f, forms)), degrees)
-    y = f.dst
-    out = {}
-    for n in degrees:
-        if inv[n] != (0, ()):
-            out[n] = _coker_homology_data(f, n, forms)
+    for n in ranks:
+        img = c.diff(n) @ parts[n][0]
+        if n - 1 in ranks:
+            w = parts[n - 1][1](img)
         else:
-            s = snf(f.component(n - 1), forms)
-            cycles = _Lattice(s.uinv @ y.diff(n), range(s.rank), s.diag[: s.rank])
-            out[n] = _zero_group(y.rank(n), cycles, hstack(INT, [y.diff(n + 1), f.component(n)]))
-    return out
+            w = Matrix.zeros(c.ring, 0, ranks[n]) if img.is_zero() else None
+        if w is None:
+            raise InvalidChainMap(message)
+        diffs[n] = w
+    sub = GradedComplex(c.ring, ranks, diffs)
+    return ComplexMap(sub, c, {n: parts[n][0] for n in ranks})
 
 
 def _onto(a: Matrix, forms) -> bool:
@@ -1321,50 +1255,64 @@ def ker_coker_les(f: ComplexMap) -> LESReport:
     with j[theta] = [(theta, 0)], k[(theta, eta)] = [eta mod f], and
     delta[eta] = [d theta] for any theta with f(theta) = d eta.
 
+    ker f and im f are free subcomplexes of X and Y (`_subcomplex`), read
+    off the forms of the f_n.  The cokernel Y / im f need not be free, so
+    H_n(coker f) is H_n of the cone of the inclusion iota: im f -> Y, a
+    complex of free groups quasi-isomorphic to it because iota is
+    injective.  k sends (theta, eta) to (the coordinates of f theta in the
+    image basis, eta), a chain map of cones since iota q = f; delta reads
+    the eta part of a generator of H_n(cone(iota)).  All three complexes
+    are presented by `_presentations`, over Z, Q and Z/p alike.
+
     When f is degreewise injective, k must be an isomorphism in every
     degree; when degreewise surjective, j must.  A failure raises
     InvalidChainMap.  One table of certified Smith forms (see `snf`)
-    serves every reduction of the sequence.  Over Z only the nonzero
-    groups of ker f, the cone and coker f are presented: the cokernel's
-    invariants are read off the cone of the inclusion im f -> Y (see
-    `_coker_presentations`), and a zero group keeps only its cycle test.
+    serves every reduction of the sequence.
     """
     ring = f.ring
-    if ring != INT and not ring.is_field:
-        raise UnsupportedRing(f"kernel/cokernel sequence over {ring} is not supported")
+    _check_homology_ring(ring)
     forms = {}
     cone = cone_of_map(f)
     x, y = f.src, f.dst
-    kc, kbases = _kernel_complex(f, forms)
+    kparts = {n: _kernel_coords(ring, f.component(n), forms) for n in range(x.lo, x.hi + 1)}
+    kernel = _subcomplex(x, kparts, "kernel complex not closed under the differential")
+    iparts = {n: _image_coords(ring, f.component(n), forms) for n in range(y.lo, y.hi + 1)}
+    iota = _subcomplex(y, iparts, "image of f is not a subcomplex")
     degrees = range(cone.lo - 1, cone.hi + 2)
     around = range(cone.lo - 2, cone.hi + 2)
-    hker = _presentations(kc, range(cone.lo - 3, cone.hi + 2), forms)
+    hker = _presentations(kernel.src, range(cone.lo - 3, cone.hi + 2), forms)
     hcone = _presentations(cone, around, forms)
-    hcok = _coker_presentations(f, around, forms)
+    hcok = _presentations(cone_of_map(iota), around, forms)
 
-    injective = all(basis.ncols == 0 for basis, _ in kbases.values())
+    injective = all(basis.ncols == 0 for basis, _ in kparts.values())
     surjective = all(_onto(f.component(n), forms) for n in range(y.lo, y.hi + 1))
-
-    def kbasis(n):
-        return kbases[n][0] if n in kbases else Matrix.zeros(ring, x.rank(n), 0)
-
     zero = ring.zero()
 
+    def k(n, g):
+        theta, eta = cone_split(f, n, g)
+        if not iota.src.rank(n - 1):
+            return eta
+        q = iparts[n - 1][1](Matrix.column(ring, f.component(n - 1).apply(theta)))
+        if q is None:
+            raise InvalidChainMap("f theta does not lie in the image of f")
+        return q.col(0) + eta
+
     def delta(n):
-        # each generator eta of H_n(coker f) goes to w with kbasis(n - 2) w = d theta, f(theta) = d eta;
+        # each generator (q, eta) of H_n(coker f) goes to the coordinates w of d theta in the
+        # kernel basis of degree n - 2, where f(theta) = d eta;
         # all generators lift in one solve, and read their coordinates w in one call
-        gens = hcok[n].group.generators
-        deta = Matrix.from_columns(ring, y.rank(n - 1), [y.diff(n).apply(g) for g in gens])
+        etas = [cone_split(iota, n, g)[1] for g in hcok[n].group.generators]
+        deta = Matrix.from_columns(ring, y.rank(n - 1), [y.diff(n).apply(eta) for eta in etas])
         fn = f.component(n - 1)
         theta = solve_int(fn, deta, forms) if ring == INT else solve_field(fn, deta)
         if theta is None:
             raise InvalidChainMap("cokernel cycle does not lift")
         dtheta = x.diff(n - 1) @ theta
-        if kbasis(n - 2).ncols == 0:
+        if not kernel.src.rank(n - 2):
             if not dtheta.is_zero():
                 raise InvalidChainMap("connecting image misses the kernel complex")
-            return Matrix.zeros(ring, hker[n - 2].ngens, len(gens))
-        w = kbases[n - 2][1](dtheta)
+            return Matrix.zeros(ring, hker[n - 2].ngens, len(etas))
+        w = kparts[n - 2][1](dtheta)
         if w is None:
             raise InvalidChainMap("connecting image misses the kernel complex")
         return _classes(hker[n - 2], w.columns())
@@ -1382,8 +1330,8 @@ def ker_coker_les(f: ComplexMap) -> LESReport:
         hcone,
         hcok,
         lambda n: (f"H_{n - 1}(ker)", f"H_{n}(f)", f"H_{n}(coker)"),
-        lambda n, g: kbasis(n - 1).apply(g) + (zero,) * y.rank(n),
-        lambda n, g: cone_split(f, n, g)[1],
+        lambda n, g: kernel.component(n - 1).apply(g) + (zero,) * y.rank(n),
+        k,
         delta,
         forms,
     )

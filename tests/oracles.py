@@ -341,11 +341,38 @@ def solve_per_ring(a, b, forms=None):
     return solve_int(a, b, forms) if a.ring == INT else solve_field(a, b)
 
 
+def kernel_basis(ring, a, forms=None):
+    """A basis of ker a as columns: over Z from the Smith form of a, over a field from its RREF."""
+    from relcone.coeffs import INT
+    from relcone.homology import kernel_field, kernel_int
+
+    return kernel_int(a, forms) if ring == INT else kernel_field(a)
+
+
+def image_basis(s):
+    """The basis d_i U[:, i], i < r, of the column span of A = U D V, as columns."""
+    from relcone.coeffs import INT
+    from relcone.matrix import Matrix
+
+    return Matrix.from_columns(INT, s.u.nrows, [[d * v for v in s.u.col(i)] for i, d in enumerate(s.diag[: s.rank])])
+
+
 def kernel_coords_via_solve(ring, a, forms):
     """(basis of ker a, coordinates in it): the coordinates solve against the basis itself."""
-    from relcone.homology import _kernel
+    basis = kernel_basis(ring, a, forms)
+    return basis, lambda b: solve_per_ring(basis, b, forms)
 
-    basis = _kernel(ring, a, forms)
+
+def image_coords_via_solve(ring, a, forms):
+    """(basis of the column span of a, coordinates in it): the coordinates solve against the basis itself.
+
+    Over Z the basis is d_i U[:, i], i < r, of the Smith form of a; over
+    a field it is the pivot columns of a.
+    """
+    from relcone.coeffs import INT
+    from relcone.homology import _rref, snf
+
+    basis = image_basis(snf(a, forms)) if ring == INT else a.submatrix(range(a.nrows), _rref(a)[1])
     return basis, lambda b: solve_per_ring(basis, b, forms)
 
 
@@ -392,6 +419,7 @@ def onto_via_solve(a, forms):
 PER_COLUMN_ROUTE = {
     "_classes": classes_per_column,
     "_kernel_coords": kernel_coords_via_solve,
+    "_image_coords": image_coords_via_solve,
     "_subgroup_leq": subgroup_leq_per_column,
     "_exact_at": exact_at_via_subgroups,
     "_onto": onto_via_solve,
@@ -399,9 +427,9 @@ PER_COLUMN_ROUTE = {
 
 
 # ---------------------------------------------------------------------------
-# The long exact sequences with every group presented: homology_data and
-# _coker_homology_data in every degree, and both subgroup tests at every
-# position, a zero group's included
+# The long exact sequences with every group presented: homology_data in
+# every degree, and both subgroup tests at every position, a zero group's
+# included
 # ---------------------------------------------------------------------------
 
 
@@ -410,13 +438,6 @@ def presentations_of_every_group(c, degrees, forms):
     from relcone.homology import homology_data
 
     return {n: homology_data(c, n, forms) for n in degrees}
-
-
-def coker_presentations_of_every_group(f, degrees, forms):
-    """{n: _coker_homology_data(f, n)} for every n in `degrees`, zero or not."""
-    from relcone.homology import _coker_homology_data
-
-    return {n: _coker_homology_data(f, n, forms) for n in degrees}
 
 
 def exact_at_every_position(label, here, incoming, outgoing, target, forms):
@@ -439,9 +460,41 @@ def exact_at_every_position(label, here, incoming, outgoing, target, forms):
 # PER_COLUMN_ROUTE's.
 EVERY_GROUP_ROUTE = {
     "_presentations": presentations_of_every_group,
-    "_coker_presentations": coker_presentations_of_every_group,
     "_exact_at": exact_at_every_position,
 }
+
+
+# ---------------------------------------------------------------------------
+# The cokernel's homology by the library's earlier route: the quotient of
+# presented groups {y : d y in im f_(n-1)} / (im d_(n+1) + im f_n)
+# ---------------------------------------------------------------------------
+
+
+def _coker_homology_data(f, n, forms):
+    """Homology of the cokernel complex at degree n.
+
+    The cokernel is a complex of presented groups Y_n / im(f_n), not free
+    in general; its homology is computed from the presentation.
+    """
+    from relcone.coeffs import INT
+    from relcone.homology import _image_lattice, _quotient_group_int, _quotient_space_field, snf
+    from relcone.matrix import hstack
+
+    ring = f.ring
+    y = f.dst
+    g = y.rank(n)
+    dn = y.diff(n)
+    rel_prev = f.component(n - 1)
+    rel_here = f.component(n)
+    # numerator: {x : d x in im(f_(n-1))}
+    stacked = hstack(dn.ring, [dn, rel_prev])
+    kern = kernel_basis(ring, stacked, forms)
+    gl = kern.submatrix(range(g), range(kern.ncols))
+    den = hstack(dn.ring, [y.diff(n + 1), rel_here])
+    if ring == INT:
+        s = snf(gl, forms)
+        return _quotient_group_int(g, image_basis(s), _image_lattice(s), den, forms)
+    return _quotient_space_field(ring, g, gl, den)
 
 
 # ---------------------------------------------------------------------------

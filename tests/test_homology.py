@@ -780,6 +780,19 @@ def test_kercoker_lift_guard_raises(monkeypatch):
         ker_coker_les(f)
 
 
+def fail_reads_after(monkeypatch, message):
+    """Make every coordinate read of the subcomplex built with `message` fail once that subcomplex is built."""
+    real_subcomplex = homology._subcomplex
+
+    def subcomplex(c, parts, msg):
+        out = real_subcomplex(c, parts, msg)
+        if msg == message:
+            parts.update({n: (basis, lambda b: None) for n, (basis, _) in parts.items()})
+        return out
+
+    monkeypatch.setattr(homology, "_subcomplex", subcomplex)
+
+
 def test_kercoker_connecting_guard_raises(monkeypatch):
     # H_2(coker) has a generator whose lift lands in degree 0, where the
     # kernel complex is nonzero; only that last read, against the kernel
@@ -787,12 +800,16 @@ def test_kercoker_connecting_guard_raises(monkeypatch):
     x = GradedComplex(INT, {0: 1, 1: 1}, {})
     y = GradedComplex(INT, {1: 1, 2: 1}, {})
     f = ComplexMap(x, y, {})
-    real_kernel_complex = homology._kernel_complex
-
-    def kernel_complex(g, forms):
-        kc, bases = real_kernel_complex(g, forms)
-        return kc, {n: (basis, lambda b: None) for n, (basis, _) in bases.items()}
-
-    monkeypatch.setattr(homology, "_kernel_complex", kernel_complex)
+    fail_reads_after(monkeypatch, "kernel complex not closed under the differential")
     with pytest.raises(InvalidChainMap, match="connecting image misses"):
         ker_coker_les(f)
+
+
+def test_kercoker_image_read_guard_raises(monkeypatch):
+    # H_1 of the cone is generated by (0, e) in X_0 + Y_1, and k reads its f theta
+    # in the image basis of degree 0; only that read, after the image complex is built, fails
+    x = GradedComplex(INT, {0: 1}, {})
+    y = GradedComplex(INT, {0: 1, 1: 1}, {})
+    fail_reads_after(monkeypatch, "image of f is not a subcomplex")
+    with pytest.raises(InvalidChainMap, match="f theta does not lie in the image of f"):
+        ker_coker_les(ComplexMap(x, y, {0: Matrix.identity(INT, 1)}))

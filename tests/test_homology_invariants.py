@@ -131,7 +131,8 @@ def test_degree_outside_the_range_prints_no_group(fx):
            "cocycle: its Bockstein class lies one degree up in integer cohomology\n"),
 ], ids=["Zmod:4", "U1"])
 def test_cli_refusals_are_one_line_and_exit_one(fx, ring, message):
-    for verb, name in [("homology", "rp2"), ("cone", "fix-d2"), ("cone-space", "fix-d2"), ("cech", "covermap-disk")]:
+    for verb, name in [("homology", "rp2"), ("cone", "fix-d2"), ("cone-space", "fix-d2"), ("cech", "covermap-disk"),
+                       ("les", "fix-d2"), ("kercoker", "fix-d2")]:
         assert run_cli(verb, "--ring", ring, f"{fx}/{name}.json") == (1, "", message), verb
 
 

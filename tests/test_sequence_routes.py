@@ -1,21 +1,22 @@
 """Both long exact sequences give the same reports by their reads and by the earlier routes.
 
 `les_of_cone` and `ker_coker_les` express all generators of a map with
-one coordinate product, solve against a kernel basis through the
-lattice of the Smith form that gave it, decide image inside kernel
+one coordinate product, solve against a kernel or image basis through
+the lattice of the Smith form that gave it, decide image inside kernel
 from the target's relations and read surjectivity off a Smith form.
-Over Z they also read each complex's invariants first and present only
-its nonzero groups; the cokernel's invariants come from the cone of the
-inclusion im f -> Y.  Two routes of `oracles` keep the earlier reads.
-`PER_COLUMN_ROUTE` runs one `express` per generator, a solve against
-each kernel basis, a subgroup test for every image inside its kernel
-and a solve of f_n X = I.  `EVERY_GROUP_ROUTE` presents every group and
-tests exactness at every position.  Whole reports must agree with both,
-groups, maps, positions, defects and witnesses included, on the fixture
-maps and multiples of an identity (0 to 4) over four rings, on the
-random simplicial maps of the tier-1 run and on sequences made not
-exact, so that the witness path runs.  The cone of the inclusion
-im f -> Y must have the invariants of the cokernel's presented groups.
+They also read each complex's invariants first and present only its
+nonzero groups, over every ring; the cokernel's groups are those of the
+cone of the inclusion im f -> Y.  Two routes of `oracles` keep the
+earlier reads.  `PER_COLUMN_ROUTE` runs one `express` per generator, a
+solve against each kernel and image basis, a subgroup test for every
+image inside its kernel and a solve of f_n X = I.  `EVERY_GROUP_ROUTE`
+presents every group and tests exactness at every position.  Whole
+reports must agree with both, groups, maps, positions, defects and
+witnesses included, on the fixture maps and multiples of an identity
+(0 to 4) over four rings, on the random simplicial maps of the tier-1
+run and on sequences made not exact, so that the witness path runs.
+The cokernel groups of `ker_coker_les` must be those of the presented
+quotients Y_n / im f_n that `oracles._coker_homology_data` computes.
 """
 
 import random
@@ -23,12 +24,12 @@ import random
 import pytest
 
 from helpers import random_block_complex, random_chain_map, random_simplicial_map
-from oracles import EVERY_GROUP_ROUTE, PER_COLUMN_ROUTE
+from oracles import EVERY_GROUP_ROUTE, PER_COLUMN_ROUTE, _coker_homology_data
 from relcone import homology
-from relcone.chain import ComplexMap, cone_of_map
-from relcone.coeffs import INT, parse_ring
+from relcone.chain import ComplexMap, cone_of_map, from_int_map
+from relcone.coeffs import parse_ring
 from relcone.fixtures import fixture_registry, projective_plane
-from relcone.homology import _coker_homology_data, _image_inclusion, homology_invariants, ker_coker_les, les_of_cone
+from relcone.homology import ker_coker_les, les_of_cone
 from relcone.matrix import Matrix
 from relcone.simplicial import chain_complex, chain_map
 
@@ -78,24 +79,26 @@ def test_random_maps_report_the_same_by_both_routes():
 
 
 def test_the_inclusion_cone_has_the_cokernel_groups():
-    rng = random.Random(4200)
-    maps = [chain_map(phi, INT) for _, phi in fixture_maps()] + [f for _, f in scaled_identities(INT)]
-    maps += [chain_map(random_simplicial_map(random.Random(s)), INT) for s in range(200)]
-    for _ in range(20):
-        xd, yd = random_block_complex(rng, 0, 2), random_block_complex(rng, 0, 2)
-        maps.append(random_chain_map(rng, xd, yd))
-    groups = zero = torsion = 0
-    for f in maps:
-        cone = cone_of_map(f)
-        degrees = range(cone.lo - 2, cone.hi + 2)
-        invariants = homology_invariants(cone_of_map(_image_inclusion(f, {})), degrees)
-        for n in degrees:
-            group = _coker_homology_data(f, n, {}).group
-            assert invariants[n] == (group.free_rank, group.torsion), (f, n)
-            groups += 1
-            zero += group.is_trivial
-            torsion += bool(group.torsion)
-    assert groups > 1500 and 0 < groups - zero and torsion > 10, (groups, zero, torsion)
+    for name, count, floor in [("Z", 200, 1300), ("Q", 40, 400), ("Zmod:2", 40, 400), ("Zmod:3", 40, 400)]:
+        ring = parse_ring(name)
+        rng = random.Random(4200)
+        maps = [chain_map(phi, ring) for _, phi in fixture_maps()] + [f for _, f in scaled_identities(ring)]
+        maps += [chain_map(random_simplicial_map(random.Random(s)), ring) for s in range(count)]
+        for _ in range(20):
+            xd, yd = random_block_complex(rng, 0, 2), random_block_complex(rng, 0, 2)
+            maps.append(from_int_map(random_chain_map(rng, xd, yd), ring))
+        groups = zero = torsion = 0
+        for f in maps:
+            report = ker_coker_les(f)
+            cone = cone_of_map(f)
+            for n in range(cone.lo - 1, cone.hi + 2):
+                got, want = report.groups[f"H_{n}(coker)"], _coker_homology_data(f, n, {}).group
+                assert (got.free_rank, got.torsion, got.ring) == (want.free_rank, want.torsion, want.ring), (name, f, n)
+                groups += 1
+                zero += got.is_trivial
+                torsion += bool(got.torsion)
+        assert groups > floor and groups - zero > 30, (name, groups, zero)
+        assert torsion > 10 if name == "Z" else torsion == 0, (name, torsion)
 
 
 def bump(m):
