@@ -50,7 +50,7 @@ from .errors import (
     ShapeMismatch,
     UnsupportedRing,
 )
-from .homology import AbGroup, HomologyData, IntSolver, homology_at, homology_data
+from .homology import AbGroup, HomologyData, Solver, homology_at, homology_data
 from .simplicial import (
     Frozen,
     SimplicialComplex,
@@ -207,9 +207,9 @@ class CoverMapView:
     def data(self, n: int) -> HomologyData:
         return self._once(("data", n), lambda: homology_data(self.cone, n))
 
-    def solver(self, n: int) -> IntSolver:
+    def solver(self, n: int) -> Solver:
         """Integer and angle solutions of cone.diff(n) w = u, from one Smith form kept per degree."""
-        return self._once(("solver", n), lambda: IntSolver(self.cone.diff(n)))
+        return self._once(("solver", n), lambda: Solver(self.cone.diff(n)))
 
     @property
     def chain_cone(self) -> GradedComplex:

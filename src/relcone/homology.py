@@ -11,37 +11,36 @@ runs the dense pivot loop on the small core that is left.  Replaying
 the logged row operations on a fresh copy of the matrix must show it
 as [[T, X], [0, C]] with T unit upper triangular, so the diagonal is
 1 for each pivot followed by the Smith diagonal of the core C, which
-is certified by replaying the dense loop's log.  One
-:class:`IntSolver` per matrix solves A X = B over Z and A w = c over
-Q/Z from the same form: Q/Z is divisible, so the angle equation needs
-only a division by the diagonal, with no modulus.  A lattice that
-one Smith form produced (a kernel, or the column span of a matrix)
-keeps that form's exact coordinate map, so homology presents a
-quotient and expresses a cycle without running another SNF: one on
-d_n for the cycle lattice and one on the boundaries in its coordinates.
+is certified by replaying the dense loop's log.
+
+Over Q and Z/p the form of a matrix is its reduced row echelon form
+(`_rref`), exact but not certified.  Every ring reads one coordinate
+path: the ring picks only how a kernel (`_kernel_lattice`) or an image
+(`_image`) is built, and each gives a `_Lattice`, the exact coordinate
+map of its form.  One :class:`Solver` per matrix solves A X = B over
+any of these rings, and A w = c over Q/Z for an integer A: Q/Z is
+divisible, so the angle equation needs only a division by the diagonal.
+Homology presents a quotient and expresses a cycle with no further
+reduction: one form of d_n for the cycle lattice and one of the
+boundaries in its coordinates.
 A long exact sequence (`les_of_cone`, `ker_coker_les`) meets the same
-matrix many times (each differential, kernel and solver system in
-several groups and maps), so each such call owns one table {matrix:
-certified SNFResult} and passes it to every reduction it causes; `snf`
-reduces and certifies each distinct matrix once per sequence.  The
-table is a local of the call, and nothing is shared outside a sequence.
-A sequence reads what its certified forms already give rather than
+matrix many times, so each such call owns one table of forms and passes
+it to every reduction it causes (see `snf`); nothing is shared outside
+a sequence.  A sequence reads what its forms already give rather than
 reducing more: a solve against a kernel basis reads the lattice of the
 form that produced the basis, the classes of all generators of a map
 come from one coordinate product, an image lies in the next kernel when
 one product lands in the target's relations (only otherwise does the
 subgroup test run, for its witness), and `ker_coker_les` reads whether
-f_n is onto off the form of f_n.  A matrix with no rows or no columns
-is never reduced: `snf` reads its form off the shape.  Every group a
-sequence prints is the homology of a free complex, presented by one
-routine (`_presentations`) over Z, Q and Z/p alike: it reads the
-complex's invariants first (`homology_invariants`) and presents only
-the nonzero groups; a zero group has no generators, and its lattice
-keeps only its cycle test, d_n x = 0.  ker f and im f are free
-subcomplexes of X and Y, built by one routine (`_subcomplex`) from the
-forms of the f_n.  The cokernel complex Y / im f need not be free, so
-its homology is that of the cone of the inclusion im f -> Y, a complex
-of free groups quasi-isomorphic to it because the inclusion is
+f_n is onto off its image lattice.  Every group a sequence prints is the
+homology of a free complex, presented by one routine (`_presentations`):
+it reads the complex's invariants first (`homology_invariants`) and
+presents only the nonzero groups; a zero group has no generators, and
+its lattice keeps only its cycle test, d_n x = 0.  ker f and im f are
+free subcomplexes of X and Y, built by one routine (`_subcomplex`) from
+the forms of the f_n.  The cokernel complex Y / im f need not be free,
+so its homology is that of the cone of the inclusion im f -> Y, a
+complex of free groups quasi-isomorphic to it because the inclusion is
 injective.  Exactness at a group with no generators holds with no test.
 
 Homology groups are presented as
@@ -51,20 +50,14 @@ generators first.  Exactness of long sequences is decided by
 torsion-aware subgroup membership in generator coordinates, never by
 rank bookkeeping alone.
 
-Over Q and Z/p each quotient (homology group, subgroup test) is one
-reduced row echelon form of the side-by-side generator matrices; its
-pivot columns name the basis.  Over Q the elimination runs on integer
-rows, with no Fraction arithmetic, and builds reduced values only for
-the callers that read them: `kernel_field` and `solve_field` (so
-`HomologyData.express`).
-Quotients, subgroup tests and ranks read pivot columns only.
+Over Q the elimination runs on integer rows and builds Fractions only
+for the reduced entries a caller reads; ranks read pivot columns only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import gcd, lcm
@@ -118,15 +111,17 @@ def snf(a: Matrix, forms: dict | None = None) -> SNFResult:
     `bohr-sommerfeld`) come here; `homology`, `cone`, `cone-space` and
     `cech` read `smith_diagonal`, certified by replay instead.
 
-    `forms`, when given, is the {Matrix: SNFResult} table of one
-    `les_of_cone` or `ker_coker_les` call, which passes it to every
-    reduction it causes: a matrix equal to one already in it (same ring,
-    shape and entries) gets the same result back, with no second
-    reduction or certificate.  A reduced form enters the table only
-    after `_check_snf` has passed on it (an empty shape's form with
-    none), and Matrix and SNFResult are immutable, so every shared form
-    is a certified one.  With no table,
-    nothing is kept.
+    `forms`, when given, is the table of one `les_of_cone` or
+    `ker_coker_les` call, which passes it to every reduction it causes:
+    an integer matrix equal to one already in it (same ring, shape and
+    entries) gets the same result back, with no second reduction or
+    certificate.  A reduced form enters the table only after
+    `_check_snf` has passed on it (an empty shape's form with none), and
+    Matrix and SNFResult are immutable, so every shared integer form is
+    a certified one.  The same table keeps the sequence's field
+    reductions (`_rref`), keyed by their blocks: exact, and read by the
+    same coordinate path, but not certified.  With no table, nothing is
+    kept.
     """
     if a.ring != INT:
         raise UnsupportedRing("snf is defined over Z")
@@ -473,34 +468,31 @@ def _check_snf(a: Matrix, r: SNFResult):
 
 
 def kernel_int(a: Matrix, forms: dict | None = None) -> Matrix:
-    """Basis of the (saturated) integer kernel, as columns."""
+    """Basis of ker(a), as columns: saturated over Z, the RREF basis over a field (see `_kernel_lattice`)."""
     return _kernel_lattice(a, forms)[0]
 
 
-class IntSolver:
-    """Solutions of A X = B over Z, and of A w = c over Q/Z, from one Smith form of A.
+class Solver:
+    """Solutions of A X = B over A's ring, and of A w = c over Q/Z for integer A, from one form of A.
 
-    With A = U D V, X = Vinv[:, :r] @ Y where Y holds the coordinates
-    of B in the column span of A (the basis d_i U[:, i], i < r).  `back`
-    keeps Vinv[:, :r].
+    X = back @ Y, where Y holds the coordinates of B in the column span
+    of A and `back` sends them to a preimage (see `_image`).
     """
 
     __slots__ = ("lattice", "back")
 
     def __init__(self, a: Matrix, forms: dict | None = None):
-        s = snf(a, forms)
-        self.lattice = _image_lattice(s)
-        self.back = s.vinv.submatrix(range(a.ncols), range(s.rank))
+        self.lattice, self.back = _image(a, forms)
 
     def solve(self, b: Matrix) -> Matrix | None:
-        """One integer solution X, or None if none exists."""
+        """One solution X, or None if none exists."""
         if b.nrows != self.lattice.to.nrows:
             raise ShapeMismatch(f"solve: {self.lattice.to.nrows} rows vs rhs {b.shape}")
         y = self.lattice.coords(b)
         return None if y is None else self.back @ y
 
     def solve_mod_one(self, c) -> tuple | None:
-        """One rational w with A w = c (mod 1), or None if none exists.
+        """One rational w with A w = c (mod 1), or None if none exists; A is an integer matrix.
 
         Q/Z is divisible, so with t = Uinv c each d_i y_i = t_i (mod 1),
         i < r, has the solution y_i = t_i / d_i: a solution exists
@@ -515,9 +507,9 @@ class IntSolver:
         return self.back.zapply(RAT, [x / d for x, d in zip(t, self.lattice.scale)])
 
 
-def solve_int(a: Matrix, b: Matrix, forms: dict | None = None) -> Matrix | None:
-    """One integer solution X of A X = B, or None if none exists."""
-    return IntSolver(a, forms).solve(b)
+def solve(a: Matrix, b: Matrix, forms: dict | None = None) -> Matrix | None:
+    """One solution X of A X = B over A's ring, or None if none exists."""
+    return Solver(a, forms).solve(b)
 
 
 # ---------------------------------------------------------------------------
@@ -525,14 +517,16 @@ def solve_int(a: Matrix, b: Matrix, forms: dict | None = None) -> Matrix | None:
 # ---------------------------------------------------------------------------
 
 
-def _rref(*mats):
+def _rref(*mats, forms=None):
     """Reduced row echelon form of [M1 | M2 | ...] over Q or Z/p.
 
     Returns (reduced, pivot columns); ``reduced(cols)`` lists, for each
     pivot row in order, its reduced entries in columns `cols`.  Column c
     is a pivot exactly when it is not in the span of the columns before
     it.  A pivot row is zero left of its pivot, so each row update walks
-    only the pivot row's nonzero entries.
+    only the pivot row's nonzero entries.  `forms`, when given, is the
+    table of one sequence (see `snf`): equal blocks, in the same order,
+    get the result it already holds back, with no second elimination.
 
     Over Q elimination is fraction-free on integer rows (integer-
     preserving as in Bareiss, Math. Comp. 22, 1968, with gcds in place of
@@ -547,6 +541,9 @@ def _rref(*mats):
     the reduced row: ``reduced`` builds one Fraction per distinct (entry,
     pivot) pair it reads, and a caller that reads only pivots builds none.
     """
+    known = None if forms is None else forms.get(mats)
+    if known is not None:
+        return known
     ring = mats[0].ring
     if not ring.is_field:
         raise UnsupportedRing(f"{ring} is not a supported field")
@@ -571,7 +568,7 @@ def _rref(*mats):
             nz = [(j, x if a > 0 else -x) for j, x in enumerate(rows[r]) if j >= c and x]
             a = abs(a)
         else:
-            inv = ring.inv(rows[r][c])
+            inv = pow(rows[r][c], -1, p)
             nz = [(j, x * inv % p) for j, x in enumerate(rows[r]) if j >= c and x]
             for j, x in nz:
                 rows[r][j] = x
@@ -603,6 +600,8 @@ def _rref(*mats):
 
         return [[value(x, row[c]) if x else zero for x in map(row.__getitem__, cols)] for row, c in zip(rows, pivots)]
 
+    if forms is not None:
+        forms[mats] = reduced, pivots
     return reduced, pivots
 
 
@@ -616,36 +615,6 @@ def _primitive(row):
     """An integer row divided by the gcd of its entries."""
     g = gcd(*row)
     return [x // g for x in row] if g > 1 else row
-
-
-def kernel_field(a: Matrix) -> Matrix:
-    """Basis of the null space over a field, as columns.
-
-    Over Q only the reduced entries in the free columns become Fractions.
-    """
-    reduced, pivots = _rref(a)
-    free = sorted(set(range(a.ncols)) - set(pivots))
-    zero, one, neg = a.ring.zero(), a.ring.one(), a.ring.neg
-    out = [[zero] * len(free) for _ in range(a.ncols)]
-    for k, fc in enumerate(free):
-        out[fc][k] = one
-    for pc, vals in zip(pivots, reduced(free)):
-        out[pc] = [neg(x) if x else zero for x in vals]
-    return Matrix._of(a.ring, a.ncols, len(free), out)
-
-
-def solve_field(a: Matrix, b: Matrix) -> Matrix | None:
-    """One field solution of A X = B, or None.
-
-    Over Q only the reduced entries in B's columns become Fractions.
-    """
-    reduced, pivots = _rref(a, b)
-    if pivots and pivots[-1] >= a.ncols:
-        return None
-    out = [[a.ring.zero()] * b.ncols for _ in range(a.ncols)]
-    for pc, vals in zip(pivots, reduced(range(a.ncols, a.ncols + b.ncols))):
-        out[pc] = vals
-    return Matrix._of(a.ring, a.ncols, b.ncols, out)
 
 
 # ---------------------------------------------------------------------------
@@ -691,22 +660,31 @@ class AbGroup:
 class HomologyData:
     """An AbGroup together with the machinery to express cycles in it.
 
-    Over Z, and for a zero group over any ring, ``lattice`` is the
-    numerator with its coordinate map and ``to_gens`` sends lattice
-    coordinates to generator coordinates (before the torsion reduction);
-    otherwise both are None and ``express`` solves against generators
-    and boundaries.
+    Every ring reads one coordinate path: ``lattice`` is the cycle
+    lattice ker d_n with its coordinate map (see `_kernel_lattice`), and
+    ``to_gens`` sends lattice coordinates to generator coordinates
+    (before the torsion reduction).  Over Z ``to_gens`` comes from the
+    Smith form of the boundaries in lattice coordinates (certified);
+    over Q and Z/p it is the generators' pivot rows of the RREF of
+    [den | num] that chose them (exact, not certified), built when a
+    cycle is first expressed.  A zero group has no generators, and its
+    lattice keeps only the cycle test d_n x = 0 (`_zero_group`).
     """
 
-    def __init__(self, ring, ambient_rank, group, orders, boundary_gens, lattice=None, to_gens=None):
+    def __init__(self, ring, ambient_rank, group, orders, boundary_gens, lattice, to_gens):
         self.ring = ring
         self.ambient_rank = ambient_rank
         self.group = group
         self.orders = orders  # per kept generator: d_i for torsion, 0 for free
         self.boundary_gens = boundary_gens  # ambient x b
         self.lattice = lattice
-        self.to_gens = to_gens
-        self._solver = None
+        self._to_gens = to_gens  # a Matrix, or a function that builds it when first read
+
+    @property
+    def to_gens(self) -> Matrix:
+        if not isinstance(self._to_gens, Matrix):
+            self._to_gens = self._to_gens()
+        return self._to_gens
 
     @property
     def ngens(self) -> int:
@@ -730,41 +708,33 @@ class HomologyData:
 
         vec must be a cycle (in ambient coordinates); anything outside
         the cycle lattice raises InvalidChainMap.  Torsion coordinates
-        are canonicalized into [0, d_i).  Over Z this is two products
-        with stored Smith transforms and no elimination.
+        are canonicalized into [0, d_i).  Two products with stored
+        forms, and no elimination.
         """
         if len(vec) != self.ambient_rank:
             raise ShapeMismatch(f"cycle length {len(vec)} vs ambient {self.ambient_rank}")
-        b = Matrix.column(self.ring, list(vec))
-        if self.lattice is not None:
-            y = self.lattice.coords(b)
-            if y is None:
-                raise InvalidChainMap("vector is not a cycle modulo boundaries")
-            coords = self.to_gens.apply(y.col(0))
-            return tuple(c % d if d else c for c, d in zip(coords, self.orders))
-        if self._solver is None:
-            self._solver = hstack(self.ring, [self.gen_matrix, self.boundary_gens])
-        sol = solve_field(self._solver, b)
-        if sol is None:
+        y = self.lattice.coords(Matrix.column(self.ring, list(vec)))
+        if y is None:
             raise InvalidChainMap("vector is not a cycle modulo boundaries")
-        return tuple(sol.entry(i, 0) for i in range(self.ngens))
+        coords = self.to_gens.apply(y.col(0))
+        return tuple(c % d if d else c for c, d in zip(coords, self.orders))
 
 
-@dataclass(frozen=True)
-class _Lattice:
-    """The exact coordinate map of the SNF that produced a lattice.
+class _Lattice(NamedTuple):
+    """The exact coordinate map of the form (a Smith form or an RREF) that produced a lattice.
 
     x lies in the lattice exactly when, in ``t = to @ x``, row
     ``rows[j]`` is divisible by ``scale[j]`` for every j and every other
-    row is zero; the quotients t[rows[j]] / scale[j] are then the
-    coordinates of x in the basis that SNF gives.  The basis itself is
-    not kept: only `_quotient_group_int` reads it, and HomologyData and
-    the solvers a view keeps hold their lattices for as long as they live.
+    row is zero; its coordinates in the basis of that form are then the
+    quotients t[rows[j]] / scale[j], then its entries in the rows
+    `free`.  Every ring reads this one path; a Smith form is certified,
+    an RREF exact but not certified.  The basis itself is not kept.
     """
 
     to: Matrix
     rows: range
     scale: tuple
+    free: tuple = ()
 
     def coords(self, x: Matrix) -> Matrix | None:
         """Coordinates of the columns of x in the lattice basis, or None if one lies outside."""
@@ -774,26 +744,58 @@ class _Lattice:
         out = []
         for i, d in zip(self.rows, self.scale):
             row = t.rows[i]
-            if any(v % d for v in row):
-                return None
-            out.append([v // d for v in row])
-        return Matrix._of(INT, len(out), x.ncols, out)
+            if d != 1:
+                if any(v % d for v in row):
+                    return None
+                row = [v // d for v in row]
+            out.append(row)
+        out += map(x.rows.__getitem__, self.free)
+        return Matrix._of(self.to.ring, len(out), x.ncols, out)
 
 
 def _kernel_lattice(a: Matrix, forms=None) -> tuple:
-    """(basis, lattice) of ker(a): columns r.. of Vinv; x = Vinv (V x) lies in it when (V x)[:r] = 0."""
-    s = snf(a, forms)
-    n = a.ncols
-    return s.vinv.submatrix(range(n), range(s.rank, n)), _Lattice(s.v, range(s.rank, n), (1,) * (n - s.rank))
+    """(basis, lattice) of ker(a), as columns and their coordinate map.
 
-
-def _image_lattice(s: SNFResult) -> _Lattice:
-    """Column span of A = U D V, read from its Smith form s: the span of the d_i U[:, i], i < r.
-
-    x = U (Uinv x) lies in it when d_i divides (Uinv x)_i for i < r and
-    (Uinv x)_i = 0 for i >= r.
+    Over Z: columns r.. of Vinv, from a = U D V; x = Vinv (V x) lies in
+    it when (V x)[:r] = 0.  Over a field, from one RREF of a: free column
+    f gives e_f minus its reduced entries in the pivot rows, so x lies in
+    it when a x = 0, and its free entries are its coordinates.
     """
-    return _Lattice(s.uinv, range(s.rank), s.diag[: s.rank])
+    n = a.ncols
+    if a.ring == INT:
+        s = snf(a, forms)
+        return s.vinv.submatrix(range(n), range(s.rank, n)), _Lattice(s.v, range(s.rank, n), (1,) * (n - s.rank))
+    reduced, pivots = _rref(a, forms=forms)
+    free = sorted(set(range(n)) - set(pivots))
+    zero, one, neg = a.ring.zero(), a.ring.one(), a.ring.neg
+    out = [[zero] * len(free) for _ in range(n)]
+    for k, fc in enumerate(free):
+        out[fc][k] = one
+    for pc, vals in zip(pivots, reduced(free)):
+        out[pc] = [neg(x) if x else zero for x in vals]
+    return Matrix._of(a.ring, n, len(free), out), _Lattice(a, range(0), (), tuple(free))
+
+
+def _image(a: Matrix, forms=None) -> tuple:
+    """(lattice, back) of the column span of a: for y the coordinates of x, a (back y) = x.
+
+    Over Z, from a = U D V: basis d_i U[:, i], i < r, and x lies in it
+    when d_i divides (Uinv x)_i, i < r, and (Uinv x)[r:] = 0; back is
+    Vinv[:, :r].  Over a field, from one RREF of [a | I] = [R | P]
+    (P a = R): basis the pivot columns of a, x lies in it when
+    (P x)[r:] = 0, with coordinates (P x)[:r]; back is e_piv.
+    """
+    m, n = a.shape
+    if a.ring == INT:
+        s = snf(a, forms)
+        return _Lattice(s.uinv, range(s.rank), s.diag[: s.rank]), s.vinv.submatrix(range(n), range(s.rank))
+    reduced, pivots = _rref(a, Matrix.identity(a.ring, m), forms=forms)
+    r = sum(1 for c in pivots if c < n)
+    zero, one = a.ring.zero(), a.ring.one()
+    back = [[zero] * r for _ in range(n)]
+    for j, c in enumerate(pivots[:r]):
+        back[c][j] = one
+    return _Lattice(Matrix._of(a.ring, m, m, reduced(range(n, n + m))), range(r), (1,) * r), Matrix._of(a.ring, n, r, back)
 
 
 def _canonical_sign(col):
@@ -842,17 +844,25 @@ def _quotient_group_int(ambient_rank: int, num_basis: Matrix, num: _Lattice, den
     return HomologyData(INT, ambient_rank, group, tuple(kept_orders), den_gens, num, to_gens)
 
 
-def _quotient_space_field(ring, ambient, num: Matrix, den: Matrix) -> HomologyData:
-    """span(num)/span(den) over a field, den inside span(num), by one RREF of [den | num].
+def _quotient_space_field(ambient: int, num_basis: Matrix, num: _Lattice, den: Matrix, forms=None) -> HomologyData:
+    """span(num_basis)/span(den) over a field, den inside it, by one RREF of [den | num_basis].
 
-    Pivot columns in den form ``boundary_gens``; pivot columns in num
-    extend them to a basis of span(num) and are the generators.
+    Pivot columns in den form ``boundary_gens``; pivot columns in
+    num_basis extend them to a basis of its span and are the generators.
+    A column is the sum of the pivot columns weighted by its pivot-row
+    entries, so the generators' pivot rows, read in num_basis's columns,
+    are ``to_gens``, built when a cycle is first expressed.
     """
-    pivots = _rref(den, num)[1]
-    base = [c for c in pivots if c < den.ncols]
-    keep = [c - den.ncols for c in pivots if c >= den.ncols]
-    group = AbGroup(len(keep), (), tuple(num.col(j) for j in keep), ring)
-    return HomologyData(ring, ambient, group, (0,) * len(keep), den.submatrix(range(ambient), base))
+    ring, b, k = den.ring, den.ncols, num_basis.ncols
+    reduced, pivots = _rref(den, num_basis, forms=forms)
+    base = [c for c in pivots if c < b]
+    keep = [c - b for c in pivots if c >= b]
+    group = AbGroup(len(keep), (), tuple(num_basis.col(j) for j in keep), ring)
+
+    def to_gens():
+        return Matrix._of(ring, len(keep), k, reduced(range(b, b + k))[len(base) :])
+
+    return HomologyData(ring, ambient, group, (0,) * len(keep), den.submatrix(range(ambient), base), num, to_gens)
 
 
 def _check_homology_ring(ring: CoeffRing):
@@ -867,10 +877,9 @@ def _check_homology_ring(ring: CoeffRing):
 
 
 def homology_data(c: GradedComplex, n: int, forms: dict | None = None) -> HomologyData:
-    if c.ring == INT:
-        return _quotient_group_int(c.rank(n), *_kernel_lattice(c.diff(n), forms), c.diff(n + 1), forms)
     _check_homology_ring(c.ring)
-    return _quotient_space_field(c.ring, c.rank(n), kernel_field(c.diff(n)), c.diff(n + 1))
+    quotient = _quotient_group_int if c.ring == INT else _quotient_space_field
+    return quotient(c.rank(n), *_kernel_lattice(c.diff(n), forms), c.diff(n + 1), forms)
 
 
 def homology_at(c: GradedComplex, n: int) -> AbGroup:
@@ -929,7 +938,7 @@ def _zero_group(c: GradedComplex, n: int) -> HomologyData:
     generator.  It carries c's ring, over Z, Q and Z/p alike.
     """
     cycles = _Lattice(c.diff(n), range(0), ())
-    return HomologyData(c.ring, c.rank(n), AbGroup(0, (), (), c.ring), (), c.diff(n + 1), cycles, Matrix.zeros(INT, 0, 0))
+    return HomologyData(c.ring, c.rank(n), AbGroup(0, (), (), c.ring), (), c.diff(n + 1), cycles, Matrix.zeros(c.ring, 0, 0))
 
 
 def _presentations(c: GradedComplex, degrees, forms) -> dict:
@@ -960,15 +969,15 @@ def _on_generators(src_data: HomologyData, dst_data: HomologyData, fn) -> Matrix
 def _classes(data: HomologyData, cycles) -> Matrix:
     """The classes of the vectors `cycles` in data's generators, as columns, each as `express` gives it.
 
-    Over Z one `coords` product and one `to_gens` product express them all.
+    One `coords` product and one `to_gens` product express them all, over every ring.
     """
-    if data.ring != INT:
-        return Matrix.from_columns(data.ring, data.ngens, [data.express(v) for v in cycles])
-    y = data.lattice.coords(Matrix.from_columns(INT, data.ambient_rank, cycles))
+    if not cycles:
+        return Matrix.zeros(data.ring, data.ngens, 0)
+    y = data.lattice.coords(Matrix.from_columns(data.ring, data.ambient_rank, cycles))
     if y is None:
         raise InvalidChainMap("vector is not a cycle modulo boundaries")
     rows = [[c % d if d else c for c in row] for row, d in zip((data.to_gens @ y).rows, data.orders)]
-    return Matrix(INT, data.ngens, y.ncols, rows)
+    return Matrix(data.ring, data.ngens, y.ncols, rows)
 
 
 def induced_map(f: ComplexMap, n: int, src_data: HomologyData | None = None, dst_data: HomologyData | None = None) -> Matrix:
@@ -1018,33 +1027,21 @@ def connecting_hom(
 # ---------------------------------------------------------------------------
 
 
-def _subgroup_leq_int(gens_a: Matrix, gens_b: Matrix, forms=None):
-    """Is span(cols of A) contained in span(cols of B)?  Returns (ok, witness)."""
-    lat = _image_lattice(snf(gens_b, forms))
+def _subgroup_leq(gens_a: Matrix, gens_b: Matrix, forms=None):
+    """Is span(cols of A) contained in span(cols of B)?  Returns (ok, the first column of A outside)."""
+    lat = _image(gens_b, forms)[0]
     if lat.coords(gens_a) is not None:
         return True, None
     for col in gens_a.columns():
-        if lat.coords(Matrix.column(INT, col)) is None:
+        if lat.coords(Matrix.column(gens_a.ring, col)) is None:
             return False, col
     return True, None
-
-
-def _subgroup_leq_field(gens_a: Matrix, gens_b: Matrix):
-    """_subgroup_leq_int over a field: the first pivot of [B | A] right of B is the witness."""
-    for c in _rref(gens_b, gens_a)[1]:
-        if c >= gens_b.ncols:
-            return False, gens_a.col(c - gens_b.ncols)
-    return True, None
-
-
-def _subgroup_leq(gens_a: Matrix, gens_b: Matrix, forms=None):
-    return _subgroup_leq_int(gens_a, gens_b, forms) if gens_a.ring == INT else _subgroup_leq_field(gens_a, gens_b)
 
 
 def _kernel_subgroup(outgoing: Matrix, target_rel: Matrix, rel: Matrix, forms=None) -> Matrix:
     """Generators of ker(outgoing) + relations in generator coordinates."""
     ring = outgoing.ring
-    kern = _kernel_coords(ring, hstack(ring, [outgoing, target_rel]), forms)[0]
+    kern = kernel_int(hstack(ring, [outgoing, target_rel]), forms)
     proj = kern.submatrix(range(outgoing.ncols), range(kern.ncols))
     return hstack(ring, [proj, rel])
 
@@ -1121,7 +1118,7 @@ def _assemble_les(kind, groups, degrees, a, b, c, labels, j, k, delta, forms) ->
     k(n, g) send a generator g to a cycle of the next group; delta(n) is
     the matrix of delta_n.  Every map is built before exactness is
     checked at B_n, at C_n and, inside the range, at A_(n-1), with the
-    sequence's table `forms` of Smith forms.
+    sequence's table `forms` of Smith forms and RREFs.
     """
     maps = {}
     for n in degrees:
@@ -1146,8 +1143,8 @@ def les_of_cone(f: ComplexMap) -> LESReport:
     with j(beta) = (0, beta), k(theta, eta) = theta, and delta the
     induced map of f in degree n-1 (checked against the snake recipe;
     a mismatch raises InvalidChainMap).  Exactness is checked at every
-    position over the full degree range.  One table of certified Smith
-    forms (see `snf`) serves every reduction of the sequence.  Only the
+    position over the full degree range.  One table of forms (see
+    `snf`) serves every reduction of the sequence.  Only the
     nonzero groups of X, Y and the cone are presented; a zero group
     keeps only its cycle test (see `_presentations`).
     """
@@ -1184,35 +1181,21 @@ def les_of_cone(f: ComplexMap) -> LESReport:
 # ---------------------------------------------------------------------------
 
 
-def _kernel_coords(ring, a: Matrix, forms):
+def _kernel_coords(a: Matrix, forms):
     """(basis, coords): a basis of ker a as columns, and the map that sends columns
-    to their coordinates in it (None when one lies outside).
-
-    Over Z the coordinates are read through the lattice of the Smith form
-    that gave the basis; the basis has full column rank, so they are the
-    one solution there is, and no Smith form of the basis is built.
-    """
-    if ring == INT:
-        basis, lattice = _kernel_lattice(a, forms)
-        return basis, lattice.coords
-    basis = kernel_field(a)
-    return basis, partial(solve_field, basis)
+    to their coordinates in it (None when one lies outside), read through the
+    lattice of the form that gave the basis, with no form of the basis built."""
+    basis, lattice = _kernel_lattice(a, forms)
+    return basis, lattice.coords
 
 
-def _image_coords(ring, a: Matrix, forms):
+def _image_coords(a: Matrix, forms):
     """(basis, coords) of the column span of a, as `_kernel_coords` gives them for its kernel.
 
-    Over Z the basis is d_i U[:, i], i < r, from the Smith form A = U D V,
-    and coordinates are read through its lattice (`_image_lattice`); over
-    a field the basis is the pivot columns of a, and coordinates solve
-    against them.
+    The basis is a @ back (see `_image`), built column by column.
     """
-    if ring == INT:
-        s = snf(a, forms)
-        basis = Matrix.from_columns(INT, a.nrows, [[d * v for v in s.u.col(i)] for i, d in enumerate(s.diag[: s.rank])])
-        return basis, _image_lattice(s).coords
-    basis = a.submatrix(range(a.nrows), _rref(a)[1])
-    return basis, partial(solve_field, basis)
+    lattice, back = _image(a, forms)
+    return Matrix.from_columns(a.ring, a.nrows, [a.apply(col) for col in back.columns()]), lattice.coords
 
 
 def _subcomplex(c: GradedComplex, parts: dict, message: str) -> ComplexMap:
@@ -1239,12 +1222,10 @@ def _subcomplex(c: GradedComplex, parts: dict, message: str) -> ComplexMap:
 
 
 def _onto(a: Matrix, forms) -> bool:
-    """Is A onto?  Over Z, A X = I is solvable exactly when A's Smith form has
-    rank = rows and every invariant factor 1; over a field, when rank = rows."""
-    if a.ring != INT:
-        return len(_rref(a)[1]) == a.nrows
-    s = snf(a, forms)
-    return s.rank == a.nrows and all(d == 1 for d in s.diag)
+    """Is A onto?  A X = I is solvable exactly when A's image lattice has
+    rank = rows and every scale 1 (every invariant factor 1 over Z)."""
+    lattice = _image(a, forms)[0]
+    return len(lattice.rows) == a.nrows and all(d == 1 for d in lattice.scale)
 
 
 def ker_coker_les(f: ComplexMap) -> LESReport:
@@ -1266,17 +1247,17 @@ def ker_coker_les(f: ComplexMap) -> LESReport:
 
     When f is degreewise injective, k must be an isomorphism in every
     degree; when degreewise surjective, j must.  A failure raises
-    InvalidChainMap.  One table of certified Smith forms (see `snf`)
-    serves every reduction of the sequence.
+    InvalidChainMap.  One table of forms (see `snf`) serves every
+    reduction of the sequence.
     """
     ring = f.ring
     _check_homology_ring(ring)
     forms = {}
     cone = cone_of_map(f)
     x, y = f.src, f.dst
-    kparts = {n: _kernel_coords(ring, f.component(n), forms) for n in range(x.lo, x.hi + 1)}
+    kparts = {n: _kernel_coords(f.component(n), forms) for n in range(x.lo, x.hi + 1)}
     kernel = _subcomplex(x, kparts, "kernel complex not closed under the differential")
-    iparts = {n: _image_coords(ring, f.component(n), forms) for n in range(y.lo, y.hi + 1)}
+    iparts = {n: _image_coords(f.component(n), forms) for n in range(y.lo, y.hi + 1)}
     iota = _subcomplex(y, iparts, "image of f is not a subcomplex")
     degrees = range(cone.lo - 1, cone.hi + 2)
     around = range(cone.lo - 2, cone.hi + 2)
@@ -1304,7 +1285,7 @@ def ker_coker_les(f: ComplexMap) -> LESReport:
         etas = [cone_split(iota, n, g)[1] for g in hcok[n].group.generators]
         deta = Matrix.from_columns(ring, y.rank(n - 1), [y.diff(n).apply(eta) for eta in etas])
         fn = f.component(n - 1)
-        theta = solve_int(fn, deta, forms) if ring == INT else solve_field(fn, deta)
+        theta = solve(fn, deta, forms)
         if theta is None:
             raise InvalidChainMap("cokernel cycle does not lift")
         dtheta = x.diff(n - 1) @ theta

@@ -4,7 +4,10 @@ Everything here is deliberately written from scratch with different
 algorithms than the package: Bareiss fraction-free determinants, minor
 gcds, naive mod-p elimination.  Reduced row echelon form over Q runs in
 Fraction arithmetic, as a reference for the library's elimination on
-primitive integer rows.  The integer quotient helpers keep the
+primitive integer rows.  The field solve, subgroup test and quotient
+keep the library's earlier lattice-free route, one RREF of the blocks
+side by side per question, as a reference for the one coordinate path
+that every ring reads now.  The integer quotient helpers keep the
 library's earlier route through extra Smith forms, as a reference for
 the Smith-form coordinate maps the library uses now; it multiplies the
 numerator basis by all of U, where the library computes only the
@@ -41,6 +44,7 @@ Frozen expected values for the fixed test cases live at the bottom.
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from typing import NamedTuple
 
 
 def det_int(rows):
@@ -236,6 +240,74 @@ def rref_fraction(rows, p=None):
 
 
 # ---------------------------------------------------------------------------
+# Field solving, subgroup tests and quotients by the library's earlier
+# lattice-free route: one RREF of the blocks side by side per question
+# ---------------------------------------------------------------------------
+
+
+def solve_field(a, b):
+    """One field solution of A X = B, or None: one RREF of [A | B], free unknowns 0.
+
+    Over Q only the reduced entries in B's columns become Fractions.
+    """
+    from relcone.homology import _rref
+    from relcone.matrix import Matrix
+
+    reduced, pivots = _rref(a, b)
+    if pivots and pivots[-1] >= a.ncols:
+        return None
+    out = [[a.ring.zero()] * b.ncols for _ in range(a.ncols)]
+    for pc, vals in zip(pivots, reduced(range(a.ncols, a.ncols + b.ncols))):
+        out[pc] = vals
+    return Matrix(a.ring, a.ncols, b.ncols, out)
+
+
+def subgroup_leq_field(gens_a, gens_b):
+    """Is span(A) inside span(B) over a field?  (ok, witness): the first pivot of [B | A] right of B."""
+    from relcone.homology import _rref
+
+    for c in _rref(gens_b, gens_a)[1]:
+        if c >= gens_b.ncols:
+            return False, gens_a.col(c - gens_b.ncols)
+    return True, None
+
+
+class FieldQuotient(NamedTuple):
+    """A field quotient presented with no lattice: the group and the boundary basis it chose."""
+
+    group: object
+    boundary_gens: object
+
+
+def quotient_space_field(ring, ambient, num, den):
+    """span(num)/span(den) over a field, den inside span(num), by one RREF of [den | num].
+
+    Pivot columns in den form the boundary basis; pivot columns in num
+    extend it to a basis of span(num) and are the generators.
+    """
+    from relcone.homology import AbGroup, _rref
+
+    pivots = _rref(den, num)[1]
+    base = [c for c in pivots if c < den.ncols]
+    keep = [c - den.ncols for c in pivots if c >= den.ncols]
+    group = AbGroup(len(keep), (), tuple(num.col(j) for j in keep), ring)
+    return FieldQuotient(group, den.submatrix(range(ambient), base))
+
+
+def express_via_solve_field(data, vec):
+    """Class coordinates of vec over a field by solving [gen_matrix | boundary_gens] x = vec."""
+    from relcone.errors import InvalidChainMap, ShapeMismatch
+    from relcone.matrix import Matrix, hstack
+
+    if len(vec) != data.ambient_rank:
+        raise ShapeMismatch(f"cycle length {len(vec)} vs ambient {data.ambient_rank}")
+    sol = solve_field(hstack(data.ring, [data.gen_matrix, data.boundary_gens]), Matrix.column(data.ring, list(vec)))
+    if sol is None:
+        raise InvalidChainMap("vector is not a cycle modulo boundaries")
+    return tuple(sol.entry(i, 0) for i in range(data.ngens))
+
+
+# ---------------------------------------------------------------------------
 # Integer quotients by the library's earlier route: a Smith form of the
 # numerator basis to solve for the denominator, and a Smith form of
 # [generators | boundaries] to express a class
@@ -243,7 +315,7 @@ def rref_fraction(rows, p=None):
 
 
 def quotient_group_int_via_snf(ambient_rank, num_basis, den_gens):
-    """span(num_basis)/span(den_gens) over Z via snf(num_basis) + solve_int.
+    """span(num_basis)/span(den_gens) over Z via snf(num_basis) + solve.
 
     Returns (w, free_rank, torsion, generators, orders): w holds the
     coordinates of den_gens in num_basis, the rest present the quotient
@@ -251,12 +323,12 @@ def quotient_group_int_via_snf(ambient_rank, num_basis, den_gens):
     entry positive.  Raises InvalidChainMap when den is not inside num.
     """
     from relcone.errors import InvalidChainMap
-    from relcone.homology import snf, solve_int
+    from relcone.homology import snf, solve
 
     k = num_basis.ncols
     if k == 0:
         return None, 0, (), (), ()
-    w = solve_int(num_basis, den_gens)
+    w = solve(num_basis, den_gens)
     if w is None:
         raise InvalidChainMap("denominator not contained in numerator lattice")
     s2 = snf(w)
@@ -305,13 +377,13 @@ def express_via_solver_snf(data, vec):
     """Class coordinates of vec by solving [gen_matrix | boundary_gens] x = vec over Z."""
     from relcone.coeffs import INT
     from relcone.errors import InvalidChainMap, ShapeMismatch
-    from relcone.homology import solve_int
+    from relcone.homology import solve
     from relcone.matrix import Matrix, hstack
 
     if len(vec) != data.ambient_rank:
         raise ShapeMismatch(f"cycle length {len(vec)} vs ambient {data.ambient_rank}")
     solver = hstack(INT, [data.gen_matrix, data.boundary_gens])
-    sol = solve_int(solver, Matrix.column(INT, list(vec)))
+    sol = solve(solver, Matrix.column(INT, list(vec)))
     if sol is None:
         raise InvalidChainMap("vector is not a cycle modulo boundaries")
     coords = [sol.entry(i, 0) for i in range(data.ngens)]
@@ -334,19 +406,11 @@ def classes_per_column(data, cycles):
 
 
 def solve_per_ring(a, b, forms=None):
-    """One solution of A X = B over Z (a Smith form of A) or over a field, or None."""
+    """One solution of A X = B over Z (a Smith form of A) or over a field (an RREF of [A | B]), or None."""
     from relcone.coeffs import INT
-    from relcone.homology import solve_field, solve_int
+    from relcone.homology import solve
 
-    return solve_int(a, b, forms) if a.ring == INT else solve_field(a, b)
-
-
-def kernel_basis(ring, a, forms=None):
-    """A basis of ker a as columns: over Z from the Smith form of a, over a field from its RREF."""
-    from relcone.coeffs import INT
-    from relcone.homology import kernel_field, kernel_int
-
-    return kernel_int(a, forms) if ring == INT else kernel_field(a)
+    return solve(a, b, forms) if a.ring == INT else solve_field(a, b)
 
 
 def image_basis(s):
@@ -357,13 +421,15 @@ def image_basis(s):
     return Matrix.from_columns(INT, s.u.nrows, [[d * v for v in s.u.col(i)] for i, d in enumerate(s.diag[: s.rank])])
 
 
-def kernel_coords_via_solve(ring, a, forms):
+def kernel_coords_via_solve(a, forms):
     """(basis of ker a, coordinates in it): the coordinates solve against the basis itself."""
-    basis = kernel_basis(ring, a, forms)
+    from relcone.homology import kernel_int
+
+    basis = kernel_int(a, forms)
     return basis, lambda b: solve_per_ring(basis, b, forms)
 
 
-def image_coords_via_solve(ring, a, forms):
+def image_coords_via_solve(a, forms):
     """(basis of the column span of a, coordinates in it): the coordinates solve against the basis itself.
 
     Over Z the basis is d_i U[:, i], i < r, of the Smith form of a; over
@@ -372,7 +438,7 @@ def image_coords_via_solve(ring, a, forms):
     from relcone.coeffs import INT
     from relcone.homology import _rref, snf
 
-    basis = image_basis(snf(a, forms)) if ring == INT else a.submatrix(range(a.nrows), _rref(a)[1])
+    basis = image_basis(snf(a, forms)) if a.ring == INT else a.submatrix(range(a.nrows), _rref(a)[1])
     return basis, lambda b: solve_per_ring(basis, b, forms)
 
 
@@ -383,8 +449,8 @@ def subgroup_leq_per_column(gens_a, gens_b, forms=None):
     from relcone.matrix import Matrix
 
     if gens_a.ring != INT:
-        return homology._subgroup_leq_field(gens_a, gens_b)
-    lat = homology._image_lattice(homology.snf(gens_b, forms))
+        return subgroup_leq_field(gens_a, gens_b)
+    lat = homology._image(gens_b, forms)[0]
     for col in gens_a.columns():
         if lat.coords(Matrix.column(INT, col)) is None:
             return False, col
@@ -477,7 +543,7 @@ def _coker_homology_data(f, n, forms):
     in general; its homology is computed from the presentation.
     """
     from relcone.coeffs import INT
-    from relcone.homology import _image_lattice, _quotient_group_int, _quotient_space_field, snf
+    from relcone.homology import _image, _quotient_group_int, kernel_int, snf
     from relcone.matrix import hstack
 
     ring = f.ring
@@ -488,13 +554,13 @@ def _coker_homology_data(f, n, forms):
     rel_here = f.component(n)
     # numerator: {x : d x in im(f_(n-1))}
     stacked = hstack(dn.ring, [dn, rel_prev])
-    kern = kernel_basis(ring, stacked, forms)
+    kern = kernel_int(stacked, forms)
     gl = kern.submatrix(range(g), range(kern.ncols))
     den = hstack(dn.ring, [y.diff(n + 1), rel_here])
     if ring == INT:
         s = snf(gl, forms)
-        return _quotient_group_int(g, image_basis(s), _image_lattice(s), den, forms)
-    return _quotient_space_field(ring, g, gl, den)
+        return _quotient_group_int(g, image_basis(s), _image(gl, forms)[0], den, forms)
+    return quotient_space_field(ring, g, gl, den)
 
 
 # ---------------------------------------------------------------------------
@@ -655,12 +721,12 @@ def solve_int_mod(a, b, k):
     """One solution of A X = B (mod k): a fresh Smith form of [A | kI] per call, no solver kept."""
     from relcone.coeffs import INT
     from relcone.errors import ShapeMismatch
-    from relcone.homology import solve_int
+    from relcone.homology import solve
     from relcone.matrix import Matrix, hstack
 
     if k <= 0:
         raise ShapeMismatch("modulus must be positive")
-    sol = solve_int(hstack(INT, [a, Matrix.identity(INT, a.nrows).zscale(k)]), b)
+    sol = solve(hstack(INT, [a, Matrix.identity(INT, a.nrows).zscale(k)]), b)
     return None if sol is None else sol.submatrix(range(a.ncols), range(b.ncols))
 
 
@@ -681,12 +747,12 @@ def solve_mod_one(mtx, target, exponent):
 def rel_witness_vector(u):
     """Cone coordinates of a witness one degree down, or None (uncached solves on a rebuilt cone)."""
     from relcone.coeffs import INT
-    from relcone.homology import snf, solve_int
+    from relcone.homology import snf, solve
     from relcone.matrix import Matrix
 
     mtx = relative_cone(u.m, INT).diff(-(u.degree - 1))
     if u.ring == INT:
-        sol = solve_int(mtx, Matrix.column(INT, list(u.vector())))
+        sol = solve(mtx, Matrix.column(INT, list(u.vector())))
         return None if sol is None else tuple(sol.col(0))
     exponent = 1
     for d in snf(mtx).diag:

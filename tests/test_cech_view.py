@@ -50,7 +50,7 @@ from relcone.fixtures import (
     point_into_circle_cover_map,
     suspension_cover_map,
 )
-from relcone.homology import HomologyData, IntSolver, homology_at, homology_data
+from relcone.homology import HomologyData, Solver, homology_at, homology_data
 from relcone.matrix import Matrix
 from relcone.simplicial import chain_map
 
@@ -252,7 +252,7 @@ def test_many_classes_on_one_map_build_each_complex_once(monkeypatch, name):
     assert all(c.cover_map is m for c in inputs)
     assert (len(cones), len(nerves), len(checks)) == (1, 2, 1)  # one checked pushforward, between two nerves
     cochains = count_calls(monkeypatch, cech, "chain_complex")
-    solvers = count_calls(monkeypatch, cech, "IntSolver")
+    solvers = count_calls(monkeypatch, cech, "Solver")
     smiths = count_calls(monkeypatch, homology, "snf")
     for _ in range(2):
         for c in inputs:
@@ -469,5 +469,5 @@ def test_a_view_keeps_no_matrix_twice_or_beside_its_transpose():
     for x in reachable(view):
         if isinstance(x, HomologyData) and x.lattice is not None:
             assert [id(a) for a in matrices(x.lattice)] == [id(x.lattice.to)]  # a coordinate map, no basis
-        if isinstance(x, IntSolver):
+        if isinstance(x, Solver):
             assert {id(a) for a in matrices(x)} == {id(x.lattice.to), id(x.back)}

@@ -50,7 +50,7 @@ from relcone.geo import (
     trivialize,
     validate,
 )
-from relcone.homology import IntSolver, homology_data, kernel_int
+from relcone.homology import Solver, homology_data, kernel_int
 from relcone.matrix import Matrix, hstack
 from relcone.simplicial import SimplicialComplex, SimplicialMap
 from relcone import fixtures as FX
@@ -338,25 +338,25 @@ def test_trivialize_raises_on_a_non_witness(monkeypatch):
     sq = group_op(half_gerbe(), half_gerbe())
     assert not sq.u.is_zero
     # the view's solver answers with zeros, which bound nothing here
-    monkeypatch.setattr(IntSolver, "solve_mod_one", lambda self, c: [0] * self.back.nrows)
+    monkeypatch.setattr(Solver, "solve_mod_one", lambda self, c: [0] * self.back.nrows)
     with pytest.raises(InvalidChainMap, match="non-witness"):
         trivialize(sq)
 
 
 def test_solve_mod_one_direct():
     # one Smith form answers every right-hand side, whatever its denominators: no modulus is chosen
-    two = IntSolver(Matrix(INT, 1, 1, [[2]]))
+    two = Solver(Matrix(INT, 1, 1, [[2]]))
     for target in (F(1, 2), F(1, 3), F(5, 7), F(3)):
         (w,) = two.solve_mod_one([target])
         assert w == target / 2 and (2 * w - target).denominator == 1
-    zero = IntSolver(Matrix(INT, 1, 1, [[0]]))
+    zero = Solver(Matrix(INT, 1, 1, [[0]]))
     assert zero.solve_mod_one([F(1, 3)]) is None
     assert zero.solve_mod_one([F(2, 1)]) is not None
     # torsion in the cokernel: [[2, 0], [0, 6]] w = (1/2, 1/4) has w = (1/4, 1/24)
-    a = IntSolver(Matrix.from_rows(INT, [[2, 0], [0, 6]]))
+    a = Solver(Matrix.from_rows(INT, [[2, 0], [0, 6]]))
     assert a.solve_mod_one([F(1, 2), F(1, 4)]) == (F(1, 4), F(1, 24))
     # a row of zeros asks for an integer there
-    tall = IntSolver(Matrix.from_rows(INT, [[3], [0]]))
+    tall = Solver(Matrix.from_rows(INT, [[3], [0]]))
     assert tall.solve_mod_one([F(1, 5), F(1, 2)]) is None
     assert tall.solve_mod_one([F(1, 5), F(4)]) == (F(1, 15),)
 

@@ -40,22 +40,21 @@ from relcone.errors import InvalidChainMap, UnsupportedRing
 from relcone.fixtures import fixture_registry, projective_plane
 from relcone.homology import (
     AbGroup,
-    IntSolver,
+    Solver,
     _check_snf,
+    _kernel_lattice,
     _quotient_space_field,
-    _subgroup_leq_field,
+    _subgroup_leq,
     connecting_hom,
     homology_at,
     homology_data,
     induced_map,
-    kernel_field,
     kernel_int,
     ker_coker_les,
     les_of_cone,
     smith_diagonal,
     snf,
-    solve_field,
-    solve_int,
+    solve,
 )
 from relcone.matrix import Matrix, block, hstack
 from relcone.simplicial import chain_complex
@@ -106,7 +105,7 @@ def empty_shape_results(forms):
         a = Matrix.zeros(INT, *shape)
         s = snf(a, forms)
         out[shape] = ((s.u, s.d, s.v, s.rank, s.diag), smith_diagonal(a), kernel_int(a, forms))
-    tall, wide = IntSolver(Matrix.zeros(INT, 3, 0), forms), IntSolver(Matrix.zeros(INT, 0, 3), forms)
+    tall, wide = Solver(Matrix.zeros(INT, 3, 0), forms), Solver(Matrix.zeros(INT, 0, 3), forms)
     out["tall"] = (
         tall.solve(Matrix.zeros(INT, 3, 1)),
         tall.solve(Matrix.column(INT, [1, 0, 0])),
@@ -291,7 +290,7 @@ def test_kernel_int_spans_null_space():
         assert k.ncols == a.ncols - snf(a).rank
         # saturated: any rational kernel vector scaled integral is expressible
         for j in range(k.ncols):
-            assert solve_int(k, Matrix.column(INT, k.col(j))) is not None
+            assert solve(k, Matrix.column(INT, k.col(j))) is not None
 
 
 def test_solve_int_round_trip_and_failure():
@@ -300,19 +299,19 @@ def test_solve_int_round_trip_and_failure():
         a = rand_int_matrix(rng, rng.randrange(1, 5), rng.randrange(1, 5))
         x0 = rand_int_matrix(rng, a.ncols, 2)
         b = a @ x0
-        x = solve_int(a, b)
+        x = solve(a, b)
         assert x is not None and a @ x == b
-    assert solve_int(Matrix.from_rows(INT, [[2]]), Matrix.from_rows(INT, [[1]])) is None
-    assert solve_int(Matrix.zeros(INT, 1, 1), Matrix.from_rows(INT, [[3]])) is None
+    assert solve(Matrix.from_rows(INT, [[2]]), Matrix.from_rows(INT, [[1]])) is None
+    assert solve(Matrix.zeros(INT, 1, 1), Matrix.from_rows(INT, [[3]])) is None
 
 
 def test_solve_int_mod():
     # over Q/Z, 2 w = 1/5 is solvable (divisibility), while 0 w = 1/3 is not
-    solver = IntSolver(Matrix.from_rows(INT, [[2]]))
+    solver = Solver(Matrix.from_rows(INT, [[2]]))
     w = solver.solve_mod_one([Fraction(1, 5)])
     assert w == (Fraction(1, 10),)
     assert solver.solve_mod_one([Fraction(7, 2)]) == (Fraction(7, 4),)
-    zero = IntSolver(Matrix.zeros(INT, 1, 1))
+    zero = Solver(Matrix.zeros(INT, 1, 1))
     assert zero.solve_mod_one([Fraction(1, 3)]) is None
     assert zero.solve_mod_one([Fraction(2)]) == (0,)
 
@@ -320,14 +319,14 @@ def test_solve_int_mod():
 def test_field_kernel_and_solve():
     for ring in (RAT, ZMOD(5)):
         a = Matrix.from_rows(ring, [[1, 2], [2, 4]])
-        k = kernel_field(a)
+        k = kernel_int(a)
         assert k.ncols == 1 and (a @ k).is_zero()
         assert a.ncols - k.ncols == 1  # rank by rank-nullity
         b = Matrix.from_rows(ring, [[3], [6]])
-        x = solve_field(a, b)
+        x = solve(a, b)
         assert x is not None and a @ x == b
         bad = Matrix.from_rows(ring, [[3], [2]])
-        assert solve_field(a, bad) is None
+        assert solve(a, bad) is None
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +698,7 @@ def test_field_homology_matches_greedy_reference(ring, p):
         )
         for n in degrees:
             data = homology_data(cf, n)
-            kern = kernel_field(cf.diff(n))
+            kern = kernel_int(cf.diff(n))
             gens, base = greedy_quotient_field(kern.columns(), cf.diff(n + 1).columns(), p)
             assert data.group.generators == tuple(gens)
             assert data.boundary_gens.columns() == base
@@ -713,17 +712,21 @@ def test_field_quotient_matches_greedy_reference_on_edge_shapes(ring, p):
     def rand(m, n):
         return Matrix(ring, m, n, [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(m)])
 
+    def kernel(rows, amb):
+        """A kernel basis with its lattice, as `homology_data` hands the quotient its numerator."""
+        return _kernel_lattice(rand(rows, amb))
+
     cases = [
-        (0, rand(0, 3), rand(0, 2)),  # zero-rank ambient
-        (4, rand(4, 0), rand(4, 0)),  # empty num and den
-        (4, rand(4, 3), rand(4, 0)),  # empty den
+        (0, kernel(2, 0), 2),  # zero-rank ambient
+        (4, _kernel_lattice(Matrix.identity(ring, 4)), 0),  # empty num and den
+        (4, kernel(1, 4), 0),  # empty den
     ]
     for _ in range(20):
         amb = rng.randrange(1, 6)
-        num = rand(amb, rng.randrange(0, 6))
-        cases.append((amb, num, num @ rand(num.ncols, rng.randrange(0, 5))))
-    for amb, num, den in cases:
-        data = _quotient_space_field(ring, amb, num, den)
+        cases.append((amb, kernel(rng.randrange(0, amb + 1), amb), rng.randrange(0, 5)))
+    for amb, (num, lattice), k in cases:
+        den = num @ rand(num.ncols, k)
+        data = _quotient_space_field(amb, num, lattice, den)
         gens, base = greedy_quotient_field(num.columns(), den.columns(), p)
         assert data.group.generators == tuple(gens)
         assert data.gen_matrix.columns() == gens
@@ -743,7 +746,7 @@ def test_field_subgroup_witness_matches_reference(ring, p):
         rng.shuffle(acols)
         a = from_columns(ring, amb, acols)
         want = first_column_outside_span(a.columns(), b.columns(), p)
-        assert _subgroup_leq_field(a, b) == (want is None, want)
+        assert _subgroup_leq(a, b) == (want is None, want)
 
 
 # ---------------------------------------------------------------------------
@@ -756,7 +759,7 @@ def test_quotient_group_int_guard_raises():
     two = Matrix.from_rows(INT, [[2]])
     cases = [
         (homology._kernel_lattice(Matrix.from_rows(INT, [[1, -1]])), Matrix.from_rows(INT, [[1], [0]])),
-        ((two, homology._image_lattice(snf(two))), Matrix.from_rows(INT, [[1]])),
+        ((two, homology._image(two)[0]), Matrix.from_rows(INT, [[1]])),
     ]
     for (basis, num), den in cases:
         with pytest.raises(InvalidChainMap, match="denominator not contained"):
@@ -775,7 +778,7 @@ def test_kernel_complex_guard_raises(monkeypatch):
 def test_kercoker_lift_guard_raises(monkeypatch):
     c = GradedComplex(INT, {0: 1}, {})
     f = ComplexMap(c, c, {0: Matrix.from_rows(INT, [[2]])})
-    monkeypatch.setattr(homology.IntSolver, "solve", lambda self, b: None)  # only the lift of delta solves
+    monkeypatch.setattr(homology.Solver, "solve", lambda self, b: None)  # only the lift of delta solves
     with pytest.raises(InvalidChainMap, match="cokernel cycle does not lift"):
         ker_coker_les(f)
 

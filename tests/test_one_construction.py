@@ -27,7 +27,7 @@ from relcone.chain import ComplexMap, cone_of_cochain_map, dual_map, from_int_co
 from relcone.coeffs import INT, RAT, U1, ZMOD
 from relcone.errors import ShapeMismatch
 from relcone.fixtures import fixture_registry, suspension_cover_map
-from relcone.homology import IntSolver, _subgroup_leq_int, snf, solve_int
+from relcone.homology import Solver, _subgroup_leq, snf, solve
 from relcone.matrix import Matrix, from_int_matrix
 from relcone.simplicial import chain_map
 
@@ -125,11 +125,11 @@ def test_solve_int_matches_diagonal_division():
     rng, mats = seeded_matrices()
     seen = set()
     for a in mats:
-        solver = IntSolver(a)
+        solver = Solver(a)
         for k in (1, 2, 3):
             for b in right_hand_sides(rng, a, k):
                 want = solve_int_via_diagonal(a, b)
-                assert solve_int(a, b) == want == solver.solve(b), (a, b)
+                assert solve(a, b) == want == solver.solve(b), (a, b)
                 if want is not None:
                     assert a @ want == b
                 seen.add(want is None)
@@ -143,13 +143,13 @@ def test_member_int_and_subgroup_test_match_diagonal_division():
     verdicts = set()
     witnesses = set()
     for b_gens in mats:
-        solver = IntSolver(b_gens)
+        solver = Solver(b_gens)
         for rhs in right_hand_sides(rng, b_gens, 3):
             cols = rhs.columns()
             members = [solve_int_via_diagonal(b_gens, Matrix.column(INT, c)) is not None for c in cols]
             assert [solver.solve(Matrix.column(INT, c)) is not None for c in cols] == members
             want = (True, None) if all(members) else (False, cols[members.index(False)])
-            assert _subgroup_leq_int(rhs, b_gens) == want
+            assert _subgroup_leq(rhs, b_gens) == want
             verdicts.update(members)
             witnesses.add(members.index(False) if not all(members) else None)
     assert verdicts == {True, False}
@@ -172,7 +172,7 @@ def test_solve_mod_one_matches_the_augmented_route():
     for a in mats:
         diag = snf(a).diag
         exponent = lcm(1, *(d for d in diag if d))
-        solver = IntSolver(a)  # one Smith form, reused for every right-hand side below
+        solver = Solver(a)  # one Smith form, reused for every right-hand side below
         for _ in range(3):
             for c in rational_targets(rng, a):
                 got = solver.solve_mod_one(c)

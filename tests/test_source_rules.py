@@ -106,13 +106,23 @@ def test_no_context_variables_or_module_state():
 # through the constructors (`Matrix(...)`, the cochains' `from_vector`,
 # `GradedComplex(...)`, `ComplexMap(...)`, `CoverMap(...)`), which always
 # check.  A new place is a new entry here, to be read and checked
-# (tests/test_trusted_builds.py re-checks the builds at run time).
+# (tests/test_trusted_builds.py re-checks the builds at run time).  In
+# `homology.py`, `_kernel_lattice` stores a field kernel basis (zero, one
+# and the negated reduced entries of an RREF; it took the place of
+# `kernel_field`), `_image` a field image's P (reduced entries) and e_piv
+# (zero and one), and `_quotient_space_field.to_gens` the generators'
+# reduced pivot rows: all values that field arithmetic on normalized
+# entries produced.  `solve_field`, which stored reduced entries the same
+# way, is gone: every ring solves through `Solver`, whose `@` builds.
 TRUSTED_BUILD_CALLERS = {
     "matrix.py": {
         "Matrix.zeros", "Matrix.identity", "Matrix.__add__", "Matrix.__neg__", "Matrix.scale",
         "Matrix.zscale", "Matrix.__matmul__", "Matrix.transpose", "Matrix.submatrix", "hstack", "vstack",
     },
-    "homology.py": {"snf", "_check_snf", "kernel_field", "solve_field", "_Lattice.coords", "_quotient_group_int"},
+    "homology.py": {
+        "snf", "_check_snf", "_Lattice.coords", "_kernel_lattice", "_image", "_quotient_group_int",
+        "_quotient_space_field.to_gens",
+    },
     "cech.py": {
         "_Cochain.from_vector", "_Cochain.__add__", "_Cochain.__neg__", "_Cochain.zscale",
         "cech_diff", "pullback", "rel_diff", "RelCechCochain.s", "RelCechCochain.t", "_integer_rel_cochain",

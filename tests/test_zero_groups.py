@@ -83,8 +83,9 @@ def test_a_zero_group_refuses_what_is_not_a_cycle(monkeypatch):
 
 
 def refuse_every_image_read(monkeypatch):
-    """Make every coordinate read in the column span of a Smith form fail."""
-    monkeypatch.setattr(homology, "_image_lattice", lambda s: SimpleNamespace(coords=lambda x: None))
+    """Make every coordinate read in the column span of a form fail."""
+    real = homology._image
+    monkeypatch.setattr(homology, "_image", lambda a, forms=None: (SimpleNamespace(coords=lambda x: None), real(a, forms)[1]))
 
 
 def test_an_image_that_cannot_be_read_is_refused(monkeypatch):
