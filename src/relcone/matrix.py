@@ -1,14 +1,15 @@
-"""Dense exact matrices over a coefficient ring.
+"""Exact matrices over a coefficient ring.
 
 Entries are raw normalized values (int / Fraction / residue int) and the
-ring travels with the matrix.  Storage and ``@`` are dense; these
-matrices carry boundary and coboundary maps of finite complexes, so
-clarity and exactness win over asymptotics.  Two routines walk only the
-nonzero entries, since boundary matrices have at most n + 2 nonzeros per
-column: :meth:`Matrix.zapply`, the one matrix-vector product (``apply``
-is ``zapply`` over the matrix's own ring), and :func:`product_nonzeros`,
-which the identity checks of ``chain`` (d d = 0, d f = f d,
-h d + d h = f - g) read.
+ring travels with the matrix.  Storage is dense, but every product walks
+only nonzero entries, since boundary matrices have at most n + 2
+nonzeros per column and the forms read through them are mostly zero:
+:func:`product_nonzeros` is the one product of two matrices.  ``@`` is
+that walk with its zeros filled in, and the identity checks of ``chain``
+(d d = 0, d f = f d, h d + d h = f - g) read its entries directly.
+:meth:`Matrix.zapply` is the one matrix-vector product (``apply`` is
+``zapply`` over the matrix's own ring).  The one dense product left is
+`homology._check_snf`'s, and its docstring says why.
 
 Shape conventions follow the rest of the package: a map between free
 modules is stored as a (target rank) x (source rank) matrix acting on
@@ -33,7 +34,7 @@ from .errors import MulOnAngleQ, RingMismatch, ShapeMismatch
 
 
 class Matrix:
-    __slots__ = ("ring", "nrows", "ncols", "rows")
+    __slots__ = ("ring", "nrows", "ncols", "rows", "_hash")
 
     def __init__(self, ring: CoeffRing, nrows: int, ncols: int, rows):
         if nrows < 0 or ncols < 0:
@@ -57,6 +58,7 @@ class Matrix:
         self.nrows = nrows
         self.ncols = ncols
         self.rows = rows
+        self._hash = None  # computed on first use; rows never change
 
     # -- constructors -------------------------------------------------------
 
@@ -114,7 +116,10 @@ class Matrix:
         )
 
     def __hash__(self):
-        return hash((self.ring, self.rows))
+        """Hashed once, on first use: the tables of `homology` look a key up and then store it."""
+        if self._hash is None:
+            self._hash = hash((self.ring, self.rows))
+        return self._hash
 
     def __repr__(self):
         body = "; ".join(" ".join(str(v) for v in r) for r in self.rows)
@@ -169,23 +174,13 @@ class Matrix:
         )
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.ring != other.ring:
-            raise RingMismatch(f"{self.ring} vs {other.ring}")
-        if self.ncols != other.nrows:
-            raise ShapeMismatch(f"{self.shape} @ {other.shape}")
-        add, mul, zero = self.ring.add, self.ring.mul, self.ring.zero()
-        ocols = list(zip(*other.rows)) if other.rows else [()] * 0
-        out = []
-        for r in self.rows:
-            row = []
-            for c in range(other.ncols):
-                acc = zero
-                oc = ocols[c] if ocols else ()
-                for a, b in zip(r, oc):
-                    acc = add(acc, mul(a, b))
-                row.append(acc)
-            out.append(row)
-        return Matrix._of(self.ring, self.nrows, other.ncols, out)
+        """The product, built from `product_nonzeros`: it reads only nonzero entries of either factor."""
+        entries = product_nonzeros([(self, other)])
+        zero = self.ring.zero()
+        rows = [[zero] * other.ncols for _ in range(self.nrows)]
+        for (i, j), v in entries.items():
+            rows[i][j] = v
+        return Matrix._of(self.ring, self.nrows, other.ncols, rows)
 
     def transpose(self) -> "Matrix":
         rows = [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
@@ -230,16 +225,14 @@ def product_nonzeros(pairs) -> dict:
     """The nonzero entries {(i, j): value} of the sum A_1 B_1 + ... + A_k B_k of `pairs`.
 
     Exact over Z, Q and Z/n; it reads only the nonzero entries of each
-    factor.  Every pair is checked as ``A @ B`` checks it (`RingMismatch`,
-    then `ShapeMismatch`), and each product after the first as ``+``
-    checks it against the sum so far, in that order.  An empty `pairs`
-    has no entries.
-
-    ``__matmul__`` stays dense on purpose: a sparse shared product would
-    speed the integer ladder into more benchmark passes, and the harness
-    keeps every pass's results, so its peak memory would grow past its
-    bound.  Once the harness stops keeping them (ROADMAP item 1), this
-    walk becomes the body of ``__matmul__``.
+    factor, and its values have the stored type of the ring (a Fraction
+    over Q).  Every pair is checked as ``A @ B`` checks it
+    (`RingMismatch`, then `ShapeMismatch`), and each product after the
+    first as ``+`` checks it against the sum so far, in that order; the
+    circle group has no product of two values, so a pair over U1 then
+    raises `MulOnAngleQ`.  An empty `pairs` has no entries.  This is the
+    one product of two matrices: ``@`` is this walk with its zeros
+    filled in.
     """
     ring = shape = None
     acc = {}  # row -> {column: running sum}, in plain int / Fraction arithmetic
@@ -254,6 +247,8 @@ def product_nonzeros(pairs) -> dict:
             raise RingMismatch(f"{ring} vs {a.ring}")
         elif (a.nrows, b.ncols) != shape:
             raise ShapeMismatch(f"{shape} vs {(a.nrows, b.ncols)}")
+        if ring.kind == "U1":
+            raise MulOnAngleQ("the circle group has no ring multiplication")
         brows = [[(j, y) for j, y in enumerate(r) if y] for r in b.rows]
         for i, r in enumerate(a.rows):
             row = acc.setdefault(i, {})

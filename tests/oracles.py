@@ -11,9 +11,11 @@ that every ring reads now.  The integer quotient helpers keep the
 library's earlier route through extra Smith forms, as a reference for
 the Smith-form coordinate maps the library uses now; it multiplies the
 numerator basis by all of U, where the library computes only the
-generator columns.  The earlier Smith certificate (three full dense
-products) is kept as a reference for the diagonal scans and the one
-rank-r product the library checks instead.  The Cech helpers rebuild
+generator columns.  The matrix product multiplies every row by every
+column on plain lists, zeros included, as a reference for the sparse
+walk that ``@`` and `product_nonzeros` share.  The earlier Smith
+certificate (three full dense products) is kept as a reference for the
+diagonal scans and the one rank-r product the library checks instead.  The Cech helpers rebuild
 every nerve complex, pullback and relative cone per call, as a
 reference for the views covers and cover maps compile once.
 The integer solve divides by the Smith diagonal row by row, and the
@@ -45,6 +47,24 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from typing import NamedTuple
+
+
+def dense_product(a_rows, b_rows, ncols, modulus=None):
+    """A B on plain lists of rows: every row times every column, zeros included.
+
+    `ncols` is the column count of B, which a B with no rows does not
+    show.  Sums are reduced mod `modulus` when one is given (Z/n).
+    """
+    out = []
+    for r in a_rows:
+        row = []
+        for j in range(ncols):
+            acc = 0
+            for k, x in enumerate(r):
+                acc += x * b_rows[k][j]
+            row.append(acc % modulus if modulus else acc)
+        out.append(row)
+    return out
 
 
 def det_int(rows):

@@ -6,8 +6,10 @@ from operator import add
 import pytest
 
 from helpers import torus
+from oracles import dense_product
 from relcone.coeffs import INT, RAT, U1, ZMOD
 from relcone.errors import MulOnAngleQ, RelconeError, RingMismatch, ShapeMismatch
+from relcone.homology import snf
 from relcone.matrix import Matrix, block, from_int_matrix, hstack, product_nonzeros, vstack
 from relcone.simplicial import chain_complex
 
@@ -66,6 +68,15 @@ def test_matmul_shape_and_ring_checks():
         a @ a
     with pytest.raises(RingMismatch):
         a @ Matrix.zeros(RAT, 3, 1)
+    # the circle group has no product of two values, even with no entry to multiply
+    for m, k, n in ((1, 1, 1), (2, 0, 2), (0, 3, 0)):
+        u, v = Matrix.zeros(U1, m, k), Matrix.zeros(U1, k, n)
+        with pytest.raises(MulOnAngleQ):
+            u @ v
+        with pytest.raises(MulOnAngleQ):
+            product_nonzeros([(u, v)])
+    with pytest.raises(ShapeMismatch):
+        Matrix.zeros(U1, 1, 2) @ Matrix.zeros(U1, 1, 2)
 
 
 def test_matmul_associativity_random():
@@ -156,10 +167,52 @@ def test_change_ring_and_from_int():
     assert u.ring == INT and u == a
 
 
+class CountedInt(int):
+    """An int that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __hash__(self):
+        CountedInt.hashes += 1
+        return int.__hash__(self)
+
+
 def test_hash_consistency():
+    """Equal matrices hash equal, and a matrix hashes its entries once, however often it is looked up."""
     a = Matrix.from_rows(INT, [[1, 2]])
     b = Matrix.from_rows(INT, [[1, 2]])
     assert hash(a) == hash(b) and a == b
+    rng = random.Random("hash")
+    for ring in (INT, RAT, ZMOD(3)):
+        for m, n in ((0, 0), (0, 3), (2, 0), (3, 4)):
+            a = random_entries(rng, ring, m, n, 0.5)
+            b = Matrix(ring, m, n, a.to_lists())  # equal entries, built apart
+            assert a == b and hash(a) == hash(b) == hash(a)
+    # a sequence's table looks a key up and then stores it: the entries are hashed once
+    a = Matrix._of(INT, 2, 2, [[CountedInt(1), CountedInt(2)], [CountedInt(3), CountedInt(4)]])
+    CountedInt.hashes = 0
+    forms = {}
+    snf(a, forms)
+    assert forms.get(Matrix.from_rows(INT, [[1, 2], [3, 4]])) is forms[a]
+    assert CountedInt.hashes == 4
+
+
+def test_matmul_matches_the_dense_oracle():
+    """`@` equals a row-by-column product on plain lists, with values of the ring's stored type."""
+    rng = random.Random("matmul oracle")
+    for ring in (INT, RAT, ZMOD(3)):
+        stored = type(ring.zero())
+        products = 0
+        for _ in range(40):
+            m, k, n = rng.randrange(0, 6), rng.randrange(0, 6), rng.randrange(0, 6)
+            density = rng.choice([0.0, 0.2, 0.5, 1.0])
+            a, b = random_entries(rng, ring, m, k, density), random_entries(rng, ring, k, n, density)
+            got = a @ b
+            assert got.shape == (m, n) and got.ring == ring
+            assert got.to_lists() == dense_product(a.to_lists(), b.to_lists(), n, ring.modulus), (a, b)
+            assert all(type(v) is stored for r in got.rows for v in r), (a, b)
+            products += bool(m and k and n)
+        assert products > 10
 
 
 # -- product_nonzeros against the dense product --------------------------------
@@ -170,6 +223,11 @@ RINGS = [INT, RAT, ZMOD(2), ZMOD(3), ZMOD(4)]
 def dense_nonzeros(m):
     """The nonzero entries of a dense matrix, each with its type (1 == Fraction(1) in Python)."""
     return {(i, j): (type(v), v) for i, r in enumerate(m.rows) for j, v in enumerate(r) if v != m.ring.zero()}
+
+
+def oracle_product(a, b):
+    """A B by the dense oracle on plain lists, normalized back into a matrix over A's ring."""
+    return Matrix(a.ring, a.nrows, b.ncols, dense_product(a.to_lists(), b.to_lists(), b.ncols, a.ring.modulus))
 
 
 def typed(entries):
@@ -214,11 +272,11 @@ def test_product_nonzeros_match_the_dense_product(ring):
     rng = random.Random(f"product {ring}")
     pairs = list(factor_pairs(rng, ring))
     for a, b in pairs:
-        assert typed(product_nonzeros([(a, b)])) == dense_nonzeros(a @ b), (a, b)
+        assert typed(product_nonzeros([(a, b)])) == dense_nonzeros(oracle_product(a, b)), (a, b)
     for a, b in pairs:  # a sum of two products of the same shape, with cancellation among them
         c, d = random_entries(rng, ring, a.nrows, 3, 0.5), random_entries(rng, ring, 3, b.ncols, 0.5)
         for second in ((c, d), (a.scale(-1), b), (a, b)):
-            want = a @ b + second[0] @ second[1]
+            want = oracle_product(a, b) + oracle_product(*second)
             assert typed(product_nonzeros([(a, b), second])) == dense_nonzeros(want), (a, b, second)
     assert product_nonzeros([]) == {}
 

@@ -114,13 +114,15 @@ def test_no_context_variables_or_module_state():
 # reduced pivot rows: all values that field arithmetic on normalized
 # entries produced.  `solve_field`, which stored reduced entries the same
 # way, is gone: every ring solves through `Solver`, whose `@` builds.
+# `_dense_product` stores the integer sums of its dense loop, which only
+# `_check_snf` runs.
 TRUSTED_BUILD_CALLERS = {
     "matrix.py": {
         "Matrix.zeros", "Matrix.identity", "Matrix.__add__", "Matrix.__neg__", "Matrix.scale",
         "Matrix.zscale", "Matrix.__matmul__", "Matrix.transpose", "Matrix.submatrix", "hstack", "vstack",
     },
     "homology.py": {
-        "snf", "_check_snf", "_Lattice.coords", "_kernel_lattice", "_image", "_quotient_group_int",
+        "snf", "_check_snf", "_dense_product", "_Lattice.coords", "_kernel_lattice", "_image", "_quotient_group_int",
         "_quotient_space_field.to_gens",
     },
     "cech.py": {
@@ -166,3 +168,7 @@ def test_trusted_builds_only_from_the_allowlist():
     """Trusted builds skip `normalize` or a check, so the places that use them stay few and named."""
     assert _found_in_src(lambda n: isinstance(n, ast.Attribute) and n.attr == "_of") == TRUSTED_BUILD_CALLERS
 
+
+def test_only_the_smith_certificate_multiplies_densely():
+    """`@` walks only nonzeros; the dense loop of `homology._dense_product` is named in `_check_snf` alone."""
+    assert _found_in_src(lambda n: isinstance(n, ast.Name) and n.id == "_dense_product") == {"homology.py": {"_check_snf"}}
