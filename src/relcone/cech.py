@@ -17,21 +17,19 @@ Coboundaries and cone differentials are integer matrices acting on the
 tuple through the Z-module structure of the coefficients, so one code
 path serves Z, Q, Z/n and the circle group.
 
-Covers and cover maps are immutable, and each compiles its integer data
-once, on first use: these are the only compiled objects in the package.
-A cover keeps the nerve's integer cochain complex in its `cochains`
-slot, built only for `cech_diff` and the `cech` verb, and its absolute
-map in another.  A cover map keeps its `view`, a
-:class:`CoverMapView`, which holds the relative Cech cone and one memo
-of what is read from it on first use: its integer homology, one solver
-per degree (one Smith form answering integer witnesses and, over Q/Z,
-angle witnesses), and the chain cone of the pushforward with its
-integer homology.  Every relative differential, pullback and
-closedness check is one product with a differential of that cone.  No
-matrix is kept beside its transpose, and every check (d d = 0, the
-chain-map identity, the Smith form postconditions) runs once per
-complex, cone or solver built.  Everything in this module and in `geo`
-reads these.
+Covers and cover maps are immutable, and each compiles one field, on
+first use: these are the only compiled objects in the package.  A cover
+map keeps its relative Cech cone, and one memo of what is read from it:
+its integer homology, one solver per degree (one Smith form answering
+integer witnesses and, over Q/Z, angle witnesses), and the chain cone of
+the pushforward with its integer homology.  A cover keeps its absolute
+map, the empty cover mapped into it, whose cone is the cover's own
+cochain complex; coboundaries, the `cech` verb and absolute classes all
+read that cone.  Every relative differential, pullback and closedness
+check is one product with a differential of a cone.  No matrix is kept
+beside its transpose, and every check (d d = 0, the chain-map identity,
+the Smith form postconditions) runs once per cone or solver built.
+Everything in this module and in `geo` reads these.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Tuple
 
-from .chain import GradedComplex, cone_of_cochain_map, cone_of_map, dual_complex, dual_map, from_int_complex
+from .chain import GradedComplex, cone_of_cochain_map, cone_of_map, dual_map, from_int_complex
 from .coeffs import INT, RAT, U1, CoeffRing
 from .errors import (
     CoverMismatch,
@@ -56,7 +54,6 @@ from .simplicial import (
     SimplicialComplex,
     SimplicialMap,
     _sort_sign,
-    chain_complex,
     chain_map,
     nerve,
 )
@@ -65,29 +62,21 @@ from .simplicial import (
 class Cover(Frozen):
     """An open cover, known only through its nerve.
 
-    `cochains`, built on first use and kept in its own slot, is the dual
-    of the nerve's validated integer chain complex in chain storage: its
-    differential at degree -p is the coboundary C^p -> C^(p+1) over Z.
-    Only `cech_diff` and `cover_cochain_complex` read it; a cover map
-    reads its own cone instead.
+    Its one compiled field is `absolute`, the empty cover mapped into
+    this one, made on first use and kept in its own slot.  That map's
+    cone is this cover's cochain complex: at chain degree -p its
+    differential is the coboundary C^p -> C^(p+1) over Z.  Coboundaries,
+    `cover_cochain_complex` and absolute classes and witnesses all read
+    it, so a cover builds its nerve complex once.
     """
 
-    __slots__ = ("nerve", "_cochains", "_absolute")
+    __slots__ = ("nerve", "_absolute")
 
     def __init__(self, nerve_complex: SimplicialComplex):
-        self._init(nerve=nerve_complex, _cochains=None, _absolute=None)
-
-    @property
-    def cochains(self) -> GradedComplex:
-        return self._keep("_cochains", lambda: dual_complex(chain_complex(self.nerve, INT)))
+        self._init(nerve=nerve_complex, _absolute=None)
 
     @property
     def absolute(self) -> "CoverMap":
-        """The empty cover mapped into this one, made on first use and kept in its own slot.
-
-        Its cone is this cover's cochain complex, so absolute classes and
-        witnesses run the relative code and share one cone per cover.
-        """
         return self._keep("_absolute", lambda: CoverMap(Cover(nerve([], [])), self, {}))
 
     @classmethod
@@ -127,25 +116,39 @@ class Cover(Frozen):
 
 
 class CoverMap(Frozen):
-    """A refinement-style map of covers.
+    """A refinement-style map of covers, and its relative Cech cone.
 
     `assignment` sends each source set name to a target set name, and
     must carry nonempty overlaps to nonempty overlaps; that is exactly
     the condition that it defines a simplicial map of nerves.  It is the
-    read-only vertex map of `nerve_map`.  The view is a
-    :class:`CoverMapView`, compiled on first use.
+    read-only vertex map of `nerve_map`.
+
+    The one compiled field, `cone`, is the cone of the pullback, in chain
+    storage: at chain degree -q it holds C^(q-1)(src) + C^q(dst), and its
+    differential there is d(s, t) = (f^*t - ds, dt).  It is built on first
+    read as the cochain cone of the transposed pushforward on the nerves'
+    integer chains, which is checked then as a chain map (d d = 0 on both
+    sides, d f = f d).  Nothing built on the way (the chain map, its
+    transpose, the covers' cochain complexes) is kept.  Every other ring
+    reads the cone's integer matrices through `zapply` or n -> n.1.
+
+    One memo keeps what is read on first use: the cone's integer homology
+    `data(n)`, the solvers `solver(n)` of its differentials, which every
+    witness reads, and `chain_cone`, the mapping cone of the pushforward,
+    with its integer homology `chain_data(n)`.  The pushforward is checked
+    again when the chain cone is built.
     """
 
-    __slots__ = ("src", "dst", "nerve_map", "_view")
+    __slots__ = ("src", "dst", "nerve_map", "_cone", "_memo")
 
     def __init__(self, src: Cover, dst: Cover, assignment: Mapping):
-        self._init(src=src, dst=dst, nerve_map=SimplicialMap(src.nerve, dst.nerve, assignment), _view=None)
+        self._init(src=src, dst=dst, nerve_map=SimplicialMap(src.nerve, dst.nerve, assignment), _cone=None, _memo={})
 
     @classmethod
     def _of(cls, src: Cover, dst: Cover, nerve_map: SimplicialMap) -> "CoverMap":
         """The trusted build: the cover map whose nerve map is `nerve_map`, a checked map of the two nerves."""
         m = cls.__new__(cls)
-        m._init(src=src, dst=dst, nerve_map=nerve_map, _view=None)
+        m._init(src=src, dst=dst, nerve_map=nerve_map, _cone=None, _memo={})
         return m
 
     @property
@@ -153,51 +156,8 @@ class CoverMap(Frozen):
         return self.nerve_map.vmap
 
     @property
-    def view(self) -> "CoverMapView":
-        return self._keep("_view", lambda: CoverMapView(self.nerve_map))
-
-    def __call__(self, name):
-        return self.assignment[name]
-
-    def __eq__(self, other):
-        if not isinstance(other, CoverMap):
-            return NotImplemented
-        return self is other or (
-            self.src == other.src
-            and self.dst == other.dst
-            and self.assignment == other.assignment
-        )
-
-    def __repr__(self):
-        return f"CoverMap({len(self.src.names)} -> {len(self.dst.names)} sets)"
-
-
-class CoverMapView:
-    """A cover map's compiled integer data: its relative Cech cone.
-
-    `cone` is the cone of the pullback, in chain storage: at chain degree
-    -q it holds C^(q-1)(src) + C^q(dst), and its differential there is
-    d(s, t) = (f^*t - ds, dt).  It is built once, when the view is made,
-    as the cochain cone of the transposed pushforward on the nerves'
-    integer chains, which is checked then as a chain map (d d = 0 on
-    both sides, d f = f d).  Nothing built on the way (the chain map,
-    its transpose, the covers' cochain complexes) is kept.  Every other
-    ring reads the cone's integer matrices through `zapply` or n -> n.1.
-
-    One memo keeps what is read on first use: the cone's integer
-    homology `data(n)`, the solvers `solver(n)` of its differentials,
-    which every witness reads, and `chain_cone`, the mapping cone of the
-    pushforward, with its integer homology `chain_data(n)`.  The chain
-    cone is built from `nerve_map`, the cover map's own field (referred
-    to, not copied), and the pushforward is checked again then.
-    """
-
-    __slots__ = ("nerve_map", "cone", "_memo")
-
-    def __init__(self, nerve_map: SimplicialMap):
-        self.nerve_map = nerve_map
-        self.cone = cone_of_cochain_map(dual_map(chain_map(nerve_map, INT)))  # raises unless d f = f d
-        self._memo = {}
+    def cone(self) -> GradedComplex:
+        return self._keep("_cone", lambda: cone_of_cochain_map(dual_map(chain_map(self.nerve_map, INT))))
 
     def _once(self, key, build):
         if key not in self._memo:
@@ -218,6 +178,21 @@ class CoverMapView:
 
     def chain_data(self, n: int) -> HomologyData:
         return self._once(("chain_data", n), lambda: homology_data(self.chain_cone, n))
+
+    def __call__(self, name):
+        return self.assignment[name]
+
+    def __eq__(self, other):
+        if not isinstance(other, CoverMap):
+            return NotImplemented
+        return self is other or (
+            self.src == other.src
+            and self.dst == other.dst
+            and self.assignment == other.assignment
+        )
+
+    def __repr__(self):
+        return f"CoverMap({len(self.src.names)} -> {len(self.dst.names)} sets)"
 
 
 def compose_cover_maps(outer: CoverMap, inner: CoverMap) -> CoverMap:
@@ -373,8 +348,8 @@ class CechCochain(_Cochain):
 
 
 def cech_diff(c: CechCochain) -> CechCochain:
-    """Alternating-sum coboundary, one degree up."""
-    m = c.cover.cochains.diff(-c.degree)
+    """Alternating-sum coboundary, one degree up: a differential of the cover's absolute cone."""
+    m = c.cover.absolute.cone.diff(-c.degree)
     return CechCochain._of(c.cover, c.degree + 1, c.ring, m.zapply(c.ring, c.vector()))
 
 
@@ -389,13 +364,13 @@ def pullback(m: CoverMap, c: CechCochain) -> CechCochain:
     if c.cover != m.dst:
         raise CoverMismatch("cochain does not live on the map's target cover")
     q, ring = c.degree, c.ring
-    vec = m.view.cone.diff(-q).zapply(ring, (ring.zero(),) * m.src.rank(q - 1) + c.vector())
+    vec = m.cone.diff(-q).zapply(ring, (ring.zero(),) * m.src.rank(q - 1) + c.vector())
     return CechCochain._of(m.src, q, ring, vec[: m.src.rank(q)])
 
 
 def cover_cochain_complex(cover: Cover, ring: CoeffRing) -> GradedComplex:
-    """The cochain complex of the nerve, in chain storage (degree -p)."""
-    return from_int_complex(cover.cochains, ring)
+    """The cochain complex of the nerve, in chain storage (degree -p): the cover's absolute cone."""
+    return from_int_complex(cover.absolute.cone, ring)
 
 
 def relative_cone_complex(m: CoverMap, ring: CoeffRing) -> GradedComplex:
@@ -404,19 +379,19 @@ def relative_cone_complex(m: CoverMap, ring: CoeffRing) -> GradedComplex:
     Stored in chain orientation, so the degree-q cohomology of the map
     is the homology of this complex at chain degree -q.
     """
-    return from_int_complex(m.view.cone, ring)
+    return from_int_complex(m.cone, ring)
 
 
 def relative_cohomology(m: CoverMap, ring: CoeffRing, q: int) -> AbGroup:
     if ring == INT:
-        return m.view.data(-q).group
+        return m.data(-q).group
     return homology_at(relative_cone_complex(m, ring), -q)
 
 
 class RelCechCochain(_Cochain):
     """A relative q-cochain on a cover map: its cone vector.
 
-    The tuple is in the basis of `CoverMapView.cone` at chain degree -q:
+    The tuple is in the basis of `CoverMap.cone` at chain degree -q:
     the source cover's (q-1)-overlaps come first, then the target
     cover's q-overlaps.  `s` and `t` read those two blocks as cochains
     on the two covers; the constructor takes them and stores their join.
@@ -460,11 +435,11 @@ class RelCechCochain(_Cochain):
 def rel_diff(u: RelCechCochain) -> RelCechCochain:
     """Cone differential: d(s, t) = (pullback(t) - ds, dt).
 
-    One product of the view's cone differential at chain degree -q with
+    One product of the map's cone differential at chain degree -q with
     the stored cone vector.
     """
     q = u.degree
-    return RelCechCochain._of(u.m, q + 1, u.ring, u.m.view.cone.diff(-q).zapply(u.ring, u.vector()))
+    return RelCechCochain._of(u.m, q + 1, u.ring, u.m.cone.diff(-q).zapply(u.ring, u.vector()))
 
 
 def is_rel_cocycle(u: RelCechCochain) -> bool:
@@ -520,7 +495,7 @@ def bockstein(u: RelCechCochain) -> BocksteinResult:
     degree up together with its integer cohomology class.  The class
     does not depend on the chosen lift; this is re-checked against a
     shifted lift on every call, and a mismatch raises InvalidChainMap.
-    The integer cone homology one degree up comes from the map's view.
+    The integer cone homology one degree up is the map's `data`.
     """
     if u.ring != U1:
         raise UnsupportedRing("the connecting map applies to angle-valued cocycles")
@@ -529,7 +504,7 @@ def bockstein(u: RelCechCochain) -> BocksteinResult:
     q = u.degree
     lift = RelCechCochain(u.m, lift_angles(u.s), lift_angles(u.t))
     w = _integer_rel_cochain(u.m, q + 1, rel_diff(lift).vector())
-    data = u.m.view.data(-(q + 1))
+    data = u.m.data(-(q + 1))
     coords = data.express(w.vector())
     # the lift shifted by +1 on the source block and -1 on the target block
     split = u.m.src.rank(q - 1)
@@ -550,7 +525,7 @@ def star_cover_map(phi: SimplicialMap) -> CoverMap:
     """Star covers turn a simplicial map into a cover map via its vertex map.
 
     Made once per map and kept by it, so every pair of cochains on one
-    map's star covers shares one cover map and its view.  Its nerve map
-    is phi itself, so the view's chain cone is the cone of phi's chain map.
+    map's star covers shares one cover map and its cone.  Its nerve map
+    is phi itself, so the map's chain cone is the cone of phi's chain map.
     """
     return phi._keep("_star", lambda: CoverMap._of(star_cover(phi.src), star_cover(phi.dst), phi))

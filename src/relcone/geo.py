@@ -9,17 +9,16 @@ pairs up to coboundary, and run the integrality and Bohr-Sommerfeld
 checks for closed rational pairs against generating relative cycles.
 
 All verdicts are exact.  Every witness, integer or angle-valued, comes
-from the one solver the view keeps per cone degree: a Smith form
+from the one solver a cover map keeps per cone degree: a Smith form
 A = U D V of the cone differential.  Q/Z is divisible, so an angle
 equation A w = u (mod 1) is solved directly by dividing U^-1 u by the
 diagonal, with no denominator to clear and no modulus to bound.
 
-Nothing here builds a complex; everything reads the one compiled view
-of a cover map, `cech.CoverMapView`.  Classes and witnesses read its
-relative Cech cone and that cone's integer homology, absolute ones the
-view of the empty cover mapped into the cover (which the cover owns),
-and integrality the chain cone of the pushforward in the view of the
-map's star cover map.
+Nothing here builds a complex; everything reads what a `cech.CoverMap`
+compiles.  Classes and witnesses read its relative Cech cone and that
+cone's integer homology, absolute ones the cone of the empty cover
+mapped into the cover (the map the cover owns), and integrality the
+chain cone of the pushforward kept by the map's star cover map.
 """
 
 from __future__ import annotations
@@ -247,7 +246,7 @@ def _require_valid(c):
 def _class_report(u: RelCechCochain, kind: str, space: str) -> ClassReport:
     q = u.degree
     if u.ring == INT:
-        data = u.m.view.data(-q)
+        data = u.m.data(-q)
         return ClassReport(kind, f"H^{q}({space},Z)", data.express(u.vector()), data.orders, data.group)
     res = bockstein(u)
     return ClassReport(kind, f"H^{q + 1}({space},Z)", res.coords, res.data.orders, res.data.group)
@@ -271,10 +270,10 @@ def classify(c) -> ClassReport:
 def _witness(u: RelCechCochain) -> RelCechCochain | None:
     """A relative cochain one degree down with coboundary u, or None.
 
-    Both rings read the view's solver of the cone differential below u.
+    Both rings read the map's solver of the cone differential below u.
     """
     q = u.degree
-    solver = u.m.view.solver(1 - q)
+    solver = u.m.solver(1 - q)
     if u.ring == INT:
         sol = solver.solve(Matrix.column(INT, list(u.vector())))
         vec = None if sol is None else sol.col(0)
@@ -462,7 +461,7 @@ def is_integral(p: RelRealCochainPair) -> IntegralityReport:
     if not p.is_closed:
         raise NotClosed("d(beta, alpha) is nonzero in the relative cone")
     n = p.degree
-    data = p.m.view.chain_data(n)
+    data = p.m.chain_data(n)
     split = p.phi.src.n_rank(n - 1)
     x = ConeElement(RAT, n, p.beta.vector(), p.alpha.vector())
     pairings = []

@@ -29,6 +29,8 @@ already of the stored type.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .coeffs import INT, CoeffRing
 from .errors import MulOnAngleQ, RingMismatch, ShapeMismatch
 
@@ -116,9 +118,18 @@ class Matrix:
         )
 
     def __hash__(self):
-        """Hashed once, on first use: the tables of `homology` look a key up and then store it."""
+        """Hashed once, on first use: the tables of `homology` look a key up and then store it.
+
+        Integer and residue rows hash as they are, which is faster in C than
+        any walk that drops their zeros.  A Fraction's hash costs a modular
+        inverse, so Q and U1 keys, mostly zeros, hash only their nonzero
+        entries, in order; equal matrices still hash equal.
+        """
         if self._hash is None:
-            self._hash = hash((self.ring, self.rows))
+            rows = self.rows
+            if self.ring.kind in ("Q", "U1"):
+                rows = tuple(filter(None, chain.from_iterable(rows)))
+            self._hash = hash((self.ring, self.shape, rows))
         return self._hash
 
     def __repr__(self):

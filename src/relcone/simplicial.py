@@ -15,7 +15,7 @@ Simplicial maps are immutable (:class:`Frozen`, shared with covers and
 cover maps) and compile nothing themselves.  A map keeps only its star
 cover map, made once by :func:`relcone.cech.star_cover_map`; the chain
 cone and its homology, which the integrality checks read, live in that
-cover map's view (see `cech`).
+cover map (see `cech`).
 """
 
 from bisect import bisect_left

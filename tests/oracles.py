@@ -17,7 +17,7 @@ walk that ``@`` and `product_nonzeros` share.  The earlier Smith
 certificate (three full dense products) is kept as a reference for the
 diagonal scans and the one rank-r product the library checks instead.  The Cech helpers rebuild
 every nerve complex, pullback and relative cone per call, as a
-reference for the views covers and cover maps compile once.
+reference for the cones covers and cover maps compile once.
 The integer solve divides by the Smith diagonal row by row, and the
 cochain cone is re-sliced out of the chain cone, as references for the
 lattice coordinates and the block-assembled cochain cone the library
@@ -25,7 +25,7 @@ reads instead.  Angle witnesses clear denominators, bound a modulus by
 the lcm of the elementary divisors and run a fresh Smith form of
 [A | kI] per solve, as a reference for the library's direct solve over
 Q/Z, which divides by the diagonal of one Smith form of A that its
-cover-map views keep per degree.  The integrality pairing is a plain
+cover maps keep per degree.  The integrality pairing is a plain
 sum over lists, as a reference for the one Kronecker pairing the library
 reads.  Each
 simplex-indexed matrix has its own loop, with its own index lookup and
@@ -653,7 +653,7 @@ def cochain_cone_by_reslice(f):
 #
 # These rebuild and re-validate the nerve complexes, the pullback and the
 # relative cone from the cover data on each call, as the library did
-# before covers and cover maps compiled them once into their views.
+# before covers and cover maps compiled them once into their cones.
 
 
 def nerve_coboundary(cover, p, ring=None):

@@ -1,24 +1,26 @@
-"""Covers and cover maps compile their integer data once, into their views.
+"""Covers and cover maps compile their integer data once: one cone per cover map.
 
-Every result read from a view is checked against the routines in
+Every result read from a cover map's cone is checked against the routines in
 `oracles.py` that rebuild the nerve complexes, the pullback and the
 relative cone on each call: coboundaries, pullbacks, relative
 cohomology, classes, Bockstein classes, witnesses and equivalence
 verdicts, over Z, Zmod:2 and U1, on the fixture cover maps and on star
 covers of seeded degree-d maps.  The relative differential, the
 pullback and the closedness checks, which all read one differential of
-the view's cone, are checked over Z, Q, Zmod:3 and U1 against the
+the map's cone, are checked over Z, Q, Zmod:3 and U1 against the
 block formula (pullback(t) - ds, dt) in every degree up to dim + 1, and
 `bohr_sommerfeld` refuses in that formula's order: isotropy (the source
 block) before closedness (the target block).  The chain cone homology
 that the integrality checks read is checked against a rebuilt chain
 cone of the nerve map.  Build counts pin the compile-once behaviour (one
-checked pushforward per cone, and no cover's own cochain complex on the
-way to a class, a witness or an integrality verdict), and mutation of a
-compiled object raises.
+checked pushforward per cone, and one nerve complex per cover, whose
+absolute map's cone serves coboundaries, the cochain complex and
+absolute classes and witnesses alike), and mutation of a compiled object
+raises.
 """
 
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -45,10 +47,12 @@ from relcone.coeffs import INT, RAT, U1, ZMOD
 from relcone.errors import NontrivialClass, NotClosed, NotIsotropic
 from relcone.fixtures import (
     circle_doubling_cover_map,
+    disk_cover,
     disk_cover_map,
     disk_inclusion,
     point_into_circle_cover_map,
     suspension_cover_map,
+    three_arc_cover,
 )
 from relcone.homology import HomologyData, Solver, homology_at, homology_data
 from relcone.matrix import Matrix
@@ -247,11 +251,10 @@ def test_many_classes_on_one_map_build_each_complex_once(monkeypatch, name):
     cones = count_calls(monkeypatch, cech, "cone_of_cochain_map")
     nerves = count_calls(monkeypatch, simplicial, "chain_complex")
     checks = count_calls(monkeypatch, ComplexMap, "_validate")
-    inputs = [shifted(rng, base, k) for k in range(6)]  # a fresh view: the inputs' rel_diff builds its cone
+    inputs = [shifted(rng, base, k) for k in range(6)]  # a fresh map: the inputs' rel_diff builds its cone
     m = base.cover_map
     assert all(c.cover_map is m for c in inputs)
     assert (len(cones), len(nerves), len(checks)) == (1, 2, 1)  # one checked pushforward, between two nerves
-    cochains = count_calls(monkeypatch, cech, "chain_complex")
     solvers = count_calls(monkeypatch, cech, "Solver")
     smiths = count_calls(monkeypatch, homology, "snf")
     for _ in range(2):
@@ -263,12 +266,11 @@ def test_many_classes_on_one_map_build_each_complex_once(monkeypatch, name):
                 pass
             geo.is_equivalent(c, inputs[0])
     assert (len(cones), len(nerves), len(checks)) == (1, 2, 1)  # nothing more is built for any verdict
-    assert cochains == []  # no cover builds its own cochain complex
     # integer and angle witnesses alike: one solver, so one Smith form, for the one witness degree,
     # however many solves and denominators there are
     n = 1 - base.u.degree
-    assert solvers == [(m.view.cone.diff(n),)]
-    assert sum(a is m.view.cone.diff(n) for a, *_ in smiths) == 1
+    assert solvers == [(m.cone.diff(n),)]
+    assert sum(a is m.cone.diff(n) for a, *_ in smiths) == 1
     if base.u.ring == U1:
         denominators = {x.denominator for c in inputs for x in c.u.vector()}
         assert len(denominators) > 1
@@ -278,7 +280,6 @@ def test_a_fresh_cover_map_builds_each_nerve_complex_once(monkeypatch):
     cones = count_calls(monkeypatch, cech, "cone_of_cochain_map")
     nerves = count_calls(monkeypatch, simplicial, "chain_complex")
     checks = count_calls(monkeypatch, ComplexMap, "_validate")
-    cochains = count_calls(monkeypatch, cech, "chain_complex")
     m = suspension_cover_map()
     rng = random.Random(77)
     for _ in range(5):
@@ -287,7 +288,6 @@ def test_a_fresh_cover_map_builds_each_nerve_complex_once(monkeypatch):
         assert rel_diff(geo._witness(u)) == u
     assert sorted(k.n_rank(0) for k, *_ in nerves) == sorted([m.src.rank(0), m.dst.rank(0)])
     assert len(cones) == len(checks) == 1
-    assert cochains == []
 
 
 def test_absolute_calls_on_one_cover_build_its_cone_once(monkeypatch):
@@ -303,14 +303,54 @@ def test_absolute_calls_on_one_cover_build_its_cone_once(monkeypatch):
 
 
 def test_an_absolute_class_builds_the_nerve_complex_once(monkeypatch):
-    """Closedness is read off the absolute map's cone, so the cover builds no cochain complex of its own."""
+    """Closedness is read off the absolute map's cone, the only cochain complex a cover compiles."""
     cov = star_cover(suspension_cover_map().dst.nerve)
     t = CechCochain(cov, 2, U1, {("w0", "w1", "n"): F(1, 2)})
     nerves = count_calls(monkeypatch, simplicial, "chain_complex")
-    cochains = count_calls(monkeypatch, cech, "chain_complex")
     geo.absolute_classify(t)
-    assert [k for k, *_ in nerves + cochains if k.n_rank(0)] == [cov.nerve]
-    assert cov.rank(0) == 5 and cochains == []
+    assert [k for k, *_ in nerves if k.n_rank(0)] == [cov.nerve]
+    assert cov.rank(0) == 5
+
+
+def count_nerve_complexes(monkeypatch):
+    """The complex argument of every `simplicial.chain_complex` call, under whatever name a module imported it."""
+    calls = []
+    real = simplicial.chain_complex
+
+    def counted(k, *args, **kwargs):
+        calls.append(k)
+        return real(k, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "relcone" or name.startswith("relcone."):
+            for attr, obj in list(vars(mod).items()):
+                if obj is real:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("build", [three_arc_cover, disk_cover], ids=["circle", "disk"])
+def test_coboundaries_cochains_and_absolute_classes_share_one_cone(monkeypatch, build):
+    """The absolute map's cone is the one cochain complex a cover compiles, for every reader."""
+    cov = build()
+    cones = count_calls(monkeypatch, cech, "cone_of_cochain_map")
+    nerves = count_nerve_complexes(monkeypatch)
+    rng = random.Random(f"absolute-{build.__name__}")
+    closed = []
+    for q in range(cov.dim + 1):
+        for ring in (INT, U1):
+            for t in (cech_diff(random_cochain(rng, cov, q - 1, ring)), random_cochain(rng, cov, q, ring)):
+                if cech_diff(t).is_zero:
+                    closed.append(t)
+    assert cech.cover_cochain_complex(cov, INT) is cov.absolute.cone
+    for t in closed:
+        geo.absolute_classify(t)
+        try:
+            geo.absolute_trivialize(t)
+        except NontrivialClass:
+            pass
+    assert len(cones) == 1
+    assert [k for k in nerves if k.n_rank(0)] == [cov.nerve]  # the empty source's nerve aside
 
 
 def test_simplicial_map_builds_its_chain_cone_once(monkeypatch):
@@ -337,14 +377,13 @@ def test_pairs_and_classes_on_one_star_cover_map_share_one_view(monkeypatch):
     phi = disk_inclusion()
     nerves = count_calls(monkeypatch, simplicial, "chain_complex")
     checks = count_calls(monkeypatch, ComplexMap, "_validate")
-    cochains = count_calls(monkeypatch, cech, "chain_complex")
     chain_cones = count_calls(monkeypatch, cech, "cone_of_map")
     cech_cones = count_calls(monkeypatch, cech, "cone_of_cochain_map")
     homologies = count_calls(monkeypatch, cech, "homology_data")
     for total in (F(1), F(1, 2)):
         assert geo.is_integral(geo.RelRealCochainPair.from_values(phi, 2, disk_area_values(total), {})).pairings
     m = star_cover_map(phi)
-    assert m.view.chain_data(1).group.is_trivial  # a second degree reuses the chain cone
+    assert m.chain_data(1).group.is_trivial  # a second degree reuses the chain cone
     rng = random.Random(2718)
     for ring, cls in ((INT, geo.RelFunctionCocycle), (U1, geo.RelLineBundleCocycle)):
         u = rel_diff(random_low(rng, m, 1, ring))
@@ -353,7 +392,7 @@ def test_pairs_and_classes_on_one_star_cover_map_share_one_view(monkeypatch):
         assert rel_diff(geo.trivialize(c)) == u
     assert len(nerves) == 4  # both nerve complexes, once for each cone
     assert len(checks) == 2  # the pushforward, checked once as a chain map for each cone
-    assert len(chain_cones) == 1 and len(cech_cones) == 1 and cochains == []
+    assert len(chain_cones) == 1 and len(cech_cones) == 1
     assert len(homologies) == 4  # chain degrees 2 and 1, Cech cone degrees -1 and -2
 
 
@@ -363,15 +402,15 @@ def test_chain_data_matches_the_rebuilt_chain_cone(name):
     cone = cone_of_map(chain_map(m.nerve_map, INT))
     degrees = range(-1, m.dst.dim + 3)
     for n in degrees:
-        m.view.data(n)  # the shared memo must keep the two cones' homology apart
+        m.data(n)  # the shared memo must keep the two cones' homology apart
     for n in degrees:
-        got, want = m.view.chain_data(n), homology_data(cone, n)
+        got, want = m.chain_data(n), homology_data(cone, n)
         assert (got.group, got.orders) == (want.group, want.orders)  # the group compares its generators too
 
 
 def test_compiled_objects_reject_mutation():
     m = disk_cover_map()
-    m.view  # a built view must never see its inputs change
+    m.cone  # a built cone must never see its inputs change
     with pytest.raises(TypeError):
         m.assignment["U0"] = "U1"
     with pytest.raises(AttributeError):
@@ -454,11 +493,11 @@ def test_a_view_keeps_no_matrix_twice_or_beside_its_transpose():
             geo._class_report(u, "x", "Phi")
             geo._witness(u)
             witness_degrees.add(1 - u.degree)
-    view = m.view
+    compiled = (m.nerve_map, m.cone, m._memo)  # what the map holds beside its two covers
     # one solver per witness degree, shared by both rings
-    assert sorted(key[1] for key in view._memo if key[0] == "solver") == sorted(witness_degrees)
-    assert any(isinstance(x, HomologyData) for x in reachable(view))
-    kept = {id(a): a for a in matrices(view) if not a.is_zero()}
+    assert sorted(key[1] for key in m._memo if key[0] == "solver") == sorted(witness_degrees)
+    assert any(isinstance(x, HomologyData) for x in reachable(compiled))
+    kept = {id(a): a for a in matrices(compiled) if not a.is_zero()}
     by_entries = {}
     for a in kept.values():
         by_entries.setdefault((a.shape, a.rows), []).append(id(a))
@@ -466,7 +505,7 @@ def test_a_view_keeps_no_matrix_twice_or_beside_its_transpose():
     for a_id, a in kept.items():
         t = a.transpose()
         assert by_entries.get((t.shape, t.rows), [a_id]) == [a_id], a.shape  # only a symmetric one is its own
-    for x in reachable(view):
+    for x in reachable(compiled):
         if isinstance(x, HomologyData) and x.lattice is not None:
             assert [id(a) for a in matrices(x.lattice)] == [id(x.lattice.to)]  # a coordinate map, no basis
         if isinstance(x, Solver):

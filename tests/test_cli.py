@@ -610,7 +610,7 @@ def test_the_reused_parser_carries_nothing_between_calls(tmp_path, monkeypatch):
 
 # Runs CLI verbs twice in one interpreter, then classifies and trivializes
 # each cocycle file twice on one parsed object, so the second answer
-# comes from a warm view; prints every (exit code, stdout) as JSON.
+# comes from a warm cover map; prints every (exit code, stdout) as JSON.
 TWICE_SCRIPT = """
 import io, json, sys
 from contextlib import redirect_stdout

@@ -337,7 +337,7 @@ def test_is_equivalent():
 def test_trivialize_raises_on_a_non_witness(monkeypatch):
     sq = group_op(half_gerbe(), half_gerbe())
     assert not sq.u.is_zero
-    # the view's solver answers with zeros, which bound nothing here
+    # the map's solver answers with zeros, which bound nothing here
     monkeypatch.setattr(Solver, "solve_mod_one", lambda self, c: [0] * self.back.nrows)
     with pytest.raises(InvalidChainMap, match="non-witness"):
         trivialize(sq)

@@ -177,8 +177,22 @@ class CountedInt(int):
         return int.__hash__(self)
 
 
+class CountedFraction(Fraction):
+    """A Fraction that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __hash__(self):
+        CountedFraction.hashes += 1
+        return Fraction.__hash__(self)
+
+
 def test_hash_consistency():
-    """Equal matrices hash equal, and a matrix hashes its entries once, however often it is looked up."""
+    """Equal matrices hash equal, and a matrix hashes its entries once, however often it is looked up.
+
+    A Q or U1 matrix hashes only its nonzero entries: a Fraction's hash
+    costs a modular inverse, and zeros built apart still hash equal.
+    """
     a = Matrix.from_rows(INT, [[1, 2]])
     b = Matrix.from_rows(INT, [[1, 2]])
     assert hash(a) == hash(b) and a == b
@@ -188,6 +202,14 @@ def test_hash_consistency():
             a = random_entries(rng, ring, m, n, 0.5)
             b = Matrix(ring, m, n, a.to_lists())  # equal entries, built apart
             assert a == b and hash(a) == hash(b) == hash(a)
+    assert hash(Matrix.zeros(RAT, 0, 3)) != hash(Matrix.zeros(RAT, 3, 0))
+    for ring in (RAT, U1):
+        a = Matrix.from_rows(ring, [[0, Fraction(1, 2), 0], [0, 0, 0]])
+        counted = [[CountedFraction(0), CountedFraction(1, 2), CountedFraction(0, 7)], [CountedFraction(0)] * 3]
+        b = Matrix._of(ring, 2, 3, counted)
+        CountedFraction.hashes = 0
+        assert a == b and hash(a) == hash(b)
+        assert CountedFraction.hashes == 1  # the one nonzero entry of b
     # a sequence's table looks a key up and then stores it: the entries are hashed once
     a = Matrix._of(INT, 2, 2, [[CountedInt(1), CountedInt(2)], [CountedInt(3), CountedInt(4)]])
     CountedInt.hashes = 0

@@ -87,7 +87,7 @@ def test_a_cech_cone_build_makes_no_matrix_products(monkeypatch):
         return real(self, other)
 
     monkeypatch.setattr(Matrix, "__matmul__", counted)
-    assert m.view.cone.total_rank() > 0  # the view builds its cone, and checks the pushforward, here
+    assert m.cone.total_rank() > 0  # the map builds its cone, and checks the pushforward, here
     assert cone_of_cochain_map(f).total_rank() > 0
     assert calls == []
 

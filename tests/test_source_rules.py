@@ -31,7 +31,7 @@ def test_no_debug_flag_reads():
 
 
 def test_no_dict_memos():
-    """Cached data lives in declared view attributes, never in an object's `__dict__`."""
+    """Cached data lives in declared slots of compiled objects, never in an object's `__dict__`."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -44,7 +44,7 @@ def test_no_dict_memos():
 
 
 def test_no_process_wide_caches():
-    """Compiled data lives only in view memos: no `functools` cache keeps results across inputs."""
+    """Compiled data lives only in cover-map slots and memos: no `functools` cache keeps results across inputs."""
     banned = {"cache", "lru_cache", "cached_property"}
     found = []
     for path in sorted(SRC.glob("*.py")):

@@ -4,7 +4,9 @@ The last-vertex map lambda: sd(K) -> K, and every seeded choice of a
 vertex per barycentre, is a simplicial approximation of the identity of
 |K|, so its cone is acyclic over every ring.  `les` and `kercoker` must
 then be exact with every H_n(cone) and H_n(f) zero, and so must every
-cone invariant over Z, Q, Zmod:2 and Zmod:3.
+cone invariant over Z, Q, Zmod:2 and Zmod:3.  The algebraic cone must
+match the cone space (`compare_cones(lambda).iso`), and the star cover
+map of lambda must have every relative Cech group 0 over Z and Zmod:2.
 """
 
 import random
@@ -13,11 +15,12 @@ from math import factorial
 import pytest
 
 from helpers import last_vertex_map, subdivision
+from relcone.cech import relative_cone_complex, star_cover_map
 from relcone.chain import cone_of_map
 from relcone.coeffs import INT, parse_ring
 from relcone.fixtures import cycle_complex, projective_plane, suspension
 from relcone.homology import homology_invariants, ker_coker_les, les_of_cone
-from relcone.simplicial import chain_map
+from relcone.simplicial import chain_map, compare_cones
 
 COMPLEXES = {
     "rp2": projective_plane,
@@ -42,11 +45,14 @@ def test_subdivision_multiplies_top_simplices_by_a_factorial(name):
 
 @pytest.mark.parametrize("name", list(COMPLEXES))
 def test_subdivision_maps_have_acyclic_cones(name):
+    """The algebraic cone over every ring, and the relative Cech cone of the star cover map over Z and Zmod:2."""
     for choice, phi in subdivision_maps(COMPLEXES[name]()):
-        for ring in ("Z", "Q", "Zmod:2", "Zmod:3"):
-            cone = cone_of_map(chain_map(phi, parse_ring(ring)))
+        cones = [(ring, cone_of_map(chain_map(phi, parse_ring(ring)))) for ring in ("Z", "Q", "Zmod:2", "Zmod:3")]
+        cones += [(f"Cech {ring}", relative_cone_complex(star_cover_map(phi), parse_ring(ring))) for ring in ("Z", "Zmod:2")]
+        for ring, cone in cones:
             invariants = homology_invariants(cone, range(cone.lo - 1, cone.hi + 2))
             assert all(g == (0, ()) for g in invariants.values()), (choice, ring, invariants)
+        assert compare_cones(phi).iso, choice
 
 
 @pytest.mark.parametrize("name", list(COMPLEXES))
