@@ -36,10 +36,14 @@ rerun with each class expressed on its own, a Smith form of each kernel
 basis to solve against it, a subgroup test for every image inside its
 kernel and a solve of f_n X = I for surjectivity, as a reference for
 the batched reads of the lattices each sequence has already certified.
-They are also rerun with every group presented (a Smith form of each
-differential, and of each cokernel numerator) and every position tested
+They are also rerun with every group presented (over Z on the same
+reduced complex the library presents on) and every position tested
 for exactness, as a reference for the sequences' reads of the
-invariants, which present no zero group.
+invariants, which present no zero group.  The integer sequences are rerun
+with each nonzero group presented by Smith forms of the complex's own
+differentials, unreduced, as a reference for the certified reduction the
+library presents on; their generators differ, so a test compares them up
+to the change of generators.
 Frozen expected values for the fixed test cases live at the bottom.
 """
 
@@ -513,17 +517,21 @@ PER_COLUMN_ROUTE = {
 
 
 # ---------------------------------------------------------------------------
-# The long exact sequences with every group presented: homology_data in
-# every degree, and both subgroup tests at every position, a zero group's
-# included
+# The long exact sequences with every group presented: every degree of the
+# same reduced complex (over Z) or of the complex itself, and both subgroup
+# tests at every position, a zero group's included
 # ---------------------------------------------------------------------------
 
 
 def presentations_of_every_group(c, degrees, forms):
-    """{n: homology_data(c, n)} for every n in `degrees`, zero or not."""
-    from relcone.homology import homology_data
+    """{n: H_n(c)} for every n in `degrees`, zero or not, on the reduction the library presents on."""
+    from relcone.coeffs import INT
+    from relcone.homology import _read_through, _reduced, homology_data
 
-    return {n: homology_data(c, n, forms) for n in degrees}
+    red = _reduced(c, forms) if c.ring == INT else None
+    if red is None:
+        return {n: homology_data(c, n, forms) for n in degrees}
+    return {n: _read_through(red, n, forms) for n in degrees}
 
 
 def exact_at_every_position(label, here, incoming, outgoing, target, forms):
@@ -548,6 +556,25 @@ EVERY_GROUP_ROUTE = {
     "_presentations": presentations_of_every_group,
     "_exact_at": exact_at_every_position,
 }
+
+
+# ---------------------------------------------------------------------------
+# The long exact sequences with each nonzero group presented by Smith forms
+# of the complex's own differentials, unreduced
+# ---------------------------------------------------------------------------
+
+
+def presentations_unreduced(c, degrees, forms):
+    """{n: H_n(c)} for n in `degrees`: `homology_data` of c for a nonzero group, the cycle test for a zero one."""
+    from relcone.homology import _zero_group, homology_data, homology_invariants
+
+    inv = homology_invariants(c, degrees, forms)
+    return {n: homology_data(c, n, forms) if inv[n] != (0, ()) else _zero_group(c, n) for n in degrees}
+
+
+# The `homology` name the unreduced route replaces, set the same way as
+# PER_COLUMN_ROUTE's.
+UNREDUCED_ROUTE = {"_presentations": presentations_unreduced}
 
 
 # ---------------------------------------------------------------------------

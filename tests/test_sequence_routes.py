@@ -17,6 +17,16 @@ witnesses included, on the fixture maps and multiples of an identity
 run and on sequences made not exact, so that the witness path runs.
 The cokernel groups of `ker_coker_les` must be those of the presented
 quotients Y_n / im f_n that `oracles._coker_homology_data` computes.
+
+Over Z the library presents each nonzero group on a certified reduction
+of its complex, and `EVERY_GROUP_ROUTE` presents every group of that
+same reduction.  `UNREDUCED_ROUTE` presents on the complex itself, so its
+generators differ: on the fixture maps, the multiples of the identity and
+the random maps, its groups and positions must be the library's, and
+every j_n, k_n and delta_n the library's up to the change of generators,
+P_dst M_new = M_old P_src modulo the relations of the target, where P
+expresses the library's generators in the unreduced route's and is an
+isomorphism.
 """
 
 import random
@@ -24,12 +34,12 @@ import random
 import pytest
 
 from helpers import random_block_complex, random_chain_map, random_simplicial_map
-from oracles import EVERY_GROUP_ROUTE, PER_COLUMN_ROUTE, _coker_homology_data
+from oracles import EVERY_GROUP_ROUTE, PER_COLUMN_ROUTE, UNREDUCED_ROUTE, _coker_homology_data
 from relcone import homology
 from relcone.chain import ComplexMap, cone_of_map, from_int_map
-from relcone.coeffs import parse_ring
+from relcone.coeffs import INT, parse_ring
 from relcone.fixtures import fixture_registry, projective_plane
-from relcone.homology import ker_coker_les, les_of_cone
+from relcone.homology import _classes, _in_relations, ker_coker_les, les_of_cone
 from relcone.matrix import Matrix
 from relcone.simplicial import chain_complex, chain_map
 
@@ -38,16 +48,71 @@ SEQUENCES = (les_of_cone, ker_coker_les)
 
 ROUTES = {"per-column": PER_COLUMN_ROUTE, "every group": EVERY_GROUP_ROUTE}
 
+# The complexes a sequence presents, in the order it presents them, and the
+# ends of each map: (complex, degree offset) of its source and of its target.
+SLOTS = {les_of_cone: ("X", "Y", "cone"), ker_coker_les: ("ker", "f", "coker")}
+ENDS = {
+    les_of_cone: {"j": (("Y", 0), ("cone", 0)), "k": (("cone", 0), ("X", -1)), "delta": (("X", -1), ("Y", -1))},
+    ker_coker_les: {"j": (("ker", -1), ("f", 0)), "k": (("f", 0), ("coker", 0)), "delta": (("coker", 0), ("ker", -2))},
+}
+
+
+def presented(sequence, f, presentations):
+    """The report of `sequence` on f by `presentations`, and {slot: the groups it presented there}."""
+    seen = []
+
+    def record(c, degrees, forms):
+        seen.append(presentations(c, degrees, forms))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "_presentations", record)
+        report = sequence(f)
+    return report, dict(zip(SLOTS[sequence], seen))
+
 
 def same_by_every_route(sequence, f, where):
-    """The report by the library's reads, after checking that each route in ROUTES gives it too."""
-    got = sequence(f)
+    """The report by the library's reads and its groups, after checking that each route in ROUTES gives it too."""
+    got, groups = presented(sequence, f, homology._presentations)
     for route_name, route in ROUTES.items():
         with pytest.MonkeyPatch.context() as mp:
             for name, oracle in route.items():
                 mp.setattr(homology, name, oracle)
             assert sequence(f) == got, (where, sequence.__name__, route_name)
-    return got
+    return got, groups
+
+
+def change_of_generators(new, old):
+    """P, the classes in `old` of the generators of `new`, checked to be an isomorphism by its inverse."""
+    p = _classes(old, new.group.generators)
+    q = _classes(new, old.group.generators)
+    assert _in_relations(p @ q - Matrix.identity(INT, old.ngens), old.orders)
+    assert _in_relations(q @ p - Matrix.identity(INT, new.ngens), new.orders)
+    return p
+
+
+def same_as_unreduced(sequence, f, new, new_groups, where):
+    """The unreduced route gives the groups and positions of the report `new`, and its maps up to generators."""
+    old, old_groups = presented(sequence, f, UNREDUCED_ROUTE["_presentations"])
+
+    def shape(p):
+        return p.label, p.exact, p.defect, p.group.free_rank, p.group.torsion
+
+    assert {k: (g.free_rank, g.torsion) for k, g in new.groups.items()} == {k: (g.free_rank, g.torsion) for k, g in old.groups.items()}, where
+    assert list(map(shape, new.positions)) == list(map(shape, old.positions)), where
+    assert new.maps.keys() == old.maps.keys()
+    change = {}
+
+    def p(slot, n):
+        if (slot, n) not in change:
+            change[slot, n] = change_of_generators(new_groups[slot][n], old_groups[slot][n])
+        return change[slot, n]
+
+    for name, m in new.maps.items():
+        kind, n = name.rsplit("_", 1)
+        (src, i), (dst, j) = ENDS[sequence][kind]
+        gap = p(dst, int(n) + j) @ m - old.maps[name] @ p(src, int(n) + i)
+        assert _in_relations(gap, old_groups[dst][int(n) + j].orders), (where, sequence.__name__, name)
 
 
 def fixture_maps():
@@ -65,7 +130,9 @@ def test_fixture_maps_report_the_same_by_both_routes(ring):
     maps = [(name, chain_map(phi, parse_ring(ring))) for name, phi in fixture_maps()] + scaled_identities(parse_ring(ring))
     for name, f in maps:
         for sequence in SEQUENCES:
-            same_by_every_route(sequence, f, name)
+            got, groups = same_by_every_route(sequence, f, name)
+            if ring == "Z":
+                same_as_unreduced(sequence, f, got, groups, name)
 
 
 def test_random_maps_report_the_same_by_both_routes():
@@ -73,7 +140,8 @@ def test_random_maps_report_the_same_by_both_routes():
     for s in range(200):
         f = chain_map(random_simplicial_map(random.Random(s)), parse_ring("Z"))
         for sequence in SEQUENCES:
-            got = same_by_every_route(sequence, f, s)
+            got, groups = same_by_every_route(sequence, f, s)
+            same_as_unreduced(sequence, f, got, groups, s)
             torsion += any(g.torsion for g in got.groups.values())
     assert torsion >= 50  # the reports are compared on torsion too
 
@@ -123,6 +191,6 @@ def test_sequences_made_not_exact_report_the_same_witnesses(monkeypatch, ring):
         for name, phi in fixture_maps():
             f = chain_map(phi, parse_ring(ring))
             for sequence in SEQUENCES:
-                got = same_by_every_route(sequence, f, name)
+                got, _ = same_by_every_route(sequence, f, name)
                 defects.update(p.defect.partition(";")[0] for p in got.positions if not p.exact)
     assert defects == {"image not contained in kernel", "kernel class not hit"}

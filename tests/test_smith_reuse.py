@@ -174,18 +174,19 @@ def test_a_sequence_certifies_each_distinct_matrix_once(monkeypatch):
 
 # Certificates per fixture map (les_of_cone, ker_coker_les).  A sequence
 # reduces no matrix with no rows or no columns and no kernel basis it
-# solves against, and presents no zero group; these counts may only go down.
+# solves against, presents no zero group, and presents a nonzero integer
+# group on the reduced complex; these counts may only go down.
 CERTIFICATES_PER_MAP = {
-    "fix-d0": (7, 7),
+    "fix-d0": (3, 4),
     "fix-d1": (2, 1),
-    "fix-d2": (8, 7),
-    "fix-d3": (8, 7),
-    "fix-d4": (8, 7),
-    "fix-d5": (8, 7),
-    "fix-d6": (8, 7),
-    "fix-const": (2, 4),
-    "fix-disk": (4, 4),
-    "fix-susp-d2": (9, 9),
+    "fix-d2": (4, 4),
+    "fix-d3": (5, 5),
+    "fix-d4": (4, 4),
+    "fix-d5": (4, 4),
+    "fix-d6": (4, 4),
+    "fix-const": (2, 2),
+    "fix-disk": (2, 3),
+    "fix-susp-d2": (3, 6),
 }
 
 

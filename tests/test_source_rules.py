@@ -115,7 +115,10 @@ def test_no_context_variables_or_module_state():
 # entries produced.  `solve_field`, which stored reduced entries the same
 # way, is gone: every ring solves through `Solver`, whose `@` builds.
 # `_dense_product` stores the integer sums of its dense loop, which only
-# `_check_snf` runs.
+# `_check_snf` runs.  `_unit_reduction`, `_pivot_columns` and
+# `_operation_rows` store the integer sums of a reduction's pivot
+# elimination: the reduced differentials and both maps, which `_reduced`
+# then passes through the checked `GradedComplex(...)` and `ComplexMap(...)`.
 TRUSTED_BUILD_CALLERS = {
     "matrix.py": {
         "Matrix.zeros", "Matrix.identity", "Matrix.__add__", "Matrix.__neg__", "Matrix.scale",
@@ -123,7 +126,7 @@ TRUSTED_BUILD_CALLERS = {
     },
     "homology.py": {
         "snf", "_check_snf", "_dense_product", "_Lattice.coords", "_kernel_lattice", "_image", "_quotient_group_int",
-        "_quotient_space_field.to_gens",
+        "_quotient_space_field.to_gens", "_unit_reduction", "_pivot_columns", "_operation_rows",
     },
     "cech.py": {
         "_Cochain.from_vector", "_Cochain.__add__", "_Cochain.__neg__", "_Cochain.zscale",
