@@ -54,7 +54,7 @@ def _trusted(cls, *args):
 class GradedComplex:
     """A bounded complex of free modules in chain orientation."""
 
-    __slots__ = ("ring", "_ranks", "_diffs", "lo", "hi")
+    __slots__ = ("ring", "_ranks", "_diffs", "_empty", "lo", "hi")
 
     def __init__(self, ring: CoeffRing, ranks: Mapping[int, int], diffs: Mapping[int, Matrix]):
         self._set(ring, ranks, diffs)
@@ -69,15 +69,18 @@ class GradedComplex:
         degs = list(self._ranks) or [0]
         self.lo = min(degs)
         self.hi = max(degs)
+        # every degree lo..hi+1 holds its differential, zero or not, and outside it
+        # C_n = C_(n-1) = 0, so `diff` builds nothing
+        for n in range(self.lo, self.hi + 2):
+            if n not in self._diffs:
+                self._diffs[n] = Matrix.zeros(mat_ring(ring), self.rank(n - 1), self.rank(n))
+        self._empty = Matrix.zeros(mat_ring(ring), 0, 0)
 
     def rank(self, n: int) -> int:
         return self._ranks.get(n, 0)
 
     def diff(self, n: int) -> Matrix:
-        m = self._diffs.get(n)
-        if m is None:
-            m = Matrix.zeros(mat_ring(self.ring), self.rank(n - 1), self.rank(n))
-        return m
+        return self._diffs.get(n, self._empty)
 
     def degrees(self):
         return range(self.lo, self.hi + 1)
@@ -96,7 +99,7 @@ class GradedComplex:
                     f"differential at degree {n} has shape {m.shape}, "
                     f"expected {(self.rank(n - 1), self.rank(n))}"
                 )
-        for n in range(self.lo, self.hi + 2):
+        for n in range(self.lo + 1, self.hi + 2):  # d_(lo-1) d_lo has no entries
             if product_nonzeros([(self.diff(n - 1), self.diff(n))]):
                 raise InvalidChainMap(f"d d != 0 at degree {n}")
 

@@ -33,7 +33,7 @@ from .errors import (
     InvalidComplex,
     InvalidSimplicialMap,
 )
-from .homology import GroupInvariants, _is_presentation_iso, _on_generators, homology_data, homology_invariants
+from .homology import GroupInvariants, _is_presentation_iso, homology_data, homology_invariants, induced_map
 from .matrix import Matrix
 
 
@@ -413,7 +413,7 @@ def compare_cones(phi: SimplicialMap) -> ConeComparison:
         if not iso:
             da = homology_data(conea, n)
             db = homology_data(caug, n)
-            iso = _is_presentation_iso(_on_generators(da, db, lmap.component(n).apply), da, db)
+            iso = _is_presentation_iso(induced_map(lmap, n, da, db), da, db)
         degrees[n] = DegreeComparison(algebraic[n], reduced[n], iso)
     return ConeComparison(degrees, True)
 

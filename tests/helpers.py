@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from math import gcd
 
-from relcone import jsonio, simplicial
+from relcone import homology, jsonio, simplicial
 from relcone.coeffs import INT
 from relcone.chain import ComplexMap, GradedComplex, Homotopy, cone_of_map, mat_ring, shift
 from relcone.errors import InvalidChainMap
@@ -433,6 +433,24 @@ def double_the_cone_comparison(monkeypatch):
     """Make `compare_cones` use 2 l in every degree: still a chain map, inducing x2 on every group."""
     real = simplicial._comparison_map
     monkeypatch.setattr(simplicial, "_comparison_map", lambda *a: {n: m + m for n, m in real(*a).items()})
+
+
+class _RefusingLattice(homology._Lattice):
+    """A lattice that reads no vector: every `coords` is None."""
+
+    def coords(self, x):
+        return None
+
+
+def refuse_unit_form_reads(monkeypatch, part):
+    """Make every read of `part` ("kernel" or "image") of each integer map's `_unit_form` fail, after its certificate."""
+    real = homology._unit_form
+
+    def refusing(a, forms):
+        form = real(a, forms)
+        return form._replace(**{part: _RefusingLattice(*getattr(form, part))})
+
+    monkeypatch.setattr(homology, "_unit_form", refusing)
 
 
 def quasi_iso(f: ComplexMap) -> bool:

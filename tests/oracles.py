@@ -423,10 +423,10 @@ def express_via_solver_snf(data, vec):
 
 
 def classes_per_column(data, cycles):
-    """The classes of `cycles` in data's generators, one `express` per vector."""
+    """The classes of the columns of `cycles` in data's generators, one `express` per column."""
     from relcone.matrix import Matrix
 
-    return Matrix.from_columns(data.ring, data.ngens, [data.express(v) for v in cycles])
+    return Matrix.from_columns(data.ring, data.ngens, [data.express(v) for v in cycles.columns()])
 
 
 def solve_per_ring(a, b, forms=None):
@@ -446,23 +446,28 @@ def image_basis(s):
 
 
 def kernel_coords_via_solve(a, forms):
-    """(basis of ker a, coordinates in it): the coordinates solve against the basis itself."""
-    from relcone.homology import kernel_int
+    """(basis of ker a, coordinates in it): the coordinates solve against the basis itself.
 
-    basis = kernel_int(a, forms)
+    The basis is the library's: over Z that of `_unit_form`, over a
+    field the RREF basis.
+    """
+    from relcone.coeffs import INT
+    from relcone.homology import _unit_form, kernel_int
+
+    basis = _unit_form(a, forms).basis if a.ring == INT else kernel_int(a, forms)
     return basis, lambda b: solve_per_ring(basis, b, forms)
 
 
 def image_coords_via_solve(a, forms):
     """(basis of the column span of a, coordinates in it): the coordinates solve against the basis itself.
 
-    Over Z the basis is d_i U[:, i], i < r, of the Smith form of a; over
-    a field it is the pivot columns of a.
+    The basis is the library's: over Z a @ back of `_unit_form`, over a
+    field the pivot columns of a.
     """
     from relcone.coeffs import INT
-    from relcone.homology import _rref, snf
+    from relcone.homology import _rref, _unit_form
 
-    basis = image_basis(snf(a, forms)) if a.ring == INT else a.submatrix(range(a.nrows), _rref(a)[1])
+    basis = a @ _unit_form(a, forms).back if a.ring == INT else a.submatrix(range(a.nrows), _rref(a)[1])
     return basis, lambda b: solve_per_ring(basis, b, forms)
 
 

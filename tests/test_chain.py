@@ -72,6 +72,25 @@ def test_rank_and_diff_are_total():
     assert GradedComplex(INT, {}, {}).total_rank() == 0
 
 
+def test_a_differential_is_built_once(monkeypatch):
+    """`diff(n)` builds no matrix: not for a degree in lo..hi+1 with no stored differential, nor outside it."""
+    rng = random.Random(2300)
+    gapped = GradedComplex(INT, {0: 1, 2: 2, 3: 1}, {3: Matrix.from_rows(INT, [[1], [-1]])})
+    complexes = [two_term(INT, 3), two_term(RAT, 0), gapped, shift(gapped, -2), GradedComplex(U1, {1: 2}, {})]
+    complexes += [random_block_complex(rng, 0, 3).chain for _ in range(4)]
+    complexes += [cone_of_map(random_chain_map(rng, random_block_complex(rng, 0, 2), random_block_complex(rng, 0, 2)))]
+    builds = []
+    real = Matrix._of.__func__
+    monkeypatch.setattr(Matrix, "_of", classmethod(lambda cls, *args: builds.append(args[1:3]) or real(cls, *args)))
+    for c in complexes:
+        degrees = range(c.lo - 3, c.hi + 5)
+        first = [c.diff(n) for n in degrees]
+        assert builds == [], (c, builds)
+        assert all(c.diff(n) is m for n, m in zip(degrees, first))
+        assert [m.shape for m in first] == [(c.rank(n - 1), c.rank(n)) for n in degrees]
+    assert gapped.diff(1).is_zero() and gapped.diff(2).shape == (0, 2)
+
+
 def test_shift_moves_degrees():
     c = two_term(INT, 3)
     s = shift(c, 1)

@@ -17,6 +17,7 @@ from helpers import (
     random_degreewise,
     random_unimodular,
     random_vector,
+    refuse_unit_form_reads,
     torus,
 )
 from oracles import (
@@ -770,7 +771,7 @@ def test_kernel_complex_guard_raises(monkeypatch):
     # the kernel complex is built first, so only its reads against a kernel basis have run
     c = GradedComplex(INT, {0: 1, 1: 1}, {1: Matrix.from_rows(INT, [[0]])})
     zero = ComplexMap(c, c, {})
-    monkeypatch.setattr(homology._Lattice, "coords", lambda self, x: None)
+    refuse_unit_form_reads(monkeypatch, "kernel")
     with pytest.raises(InvalidChainMap, match="kernel complex not closed"):
         ker_coker_les(zero)
 
@@ -778,7 +779,7 @@ def test_kernel_complex_guard_raises(monkeypatch):
 def test_kercoker_lift_guard_raises(monkeypatch):
     c = GradedComplex(INT, {0: 1}, {})
     f = ComplexMap(c, c, {0: Matrix.from_rows(INT, [[2]])})
-    monkeypatch.setattr(homology.Solver, "solve", lambda self, b: None)  # only the lift of delta solves
+    refuse_unit_form_reads(monkeypatch, "image")  # only the lift of delta reads an image here
     with pytest.raises(InvalidChainMap, match="cokernel cycle does not lift"):
         ker_coker_les(f)
 

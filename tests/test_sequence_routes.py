@@ -2,14 +2,16 @@
 
 `les_of_cone` and `ker_coker_les` express all generators of a map with
 one coordinate product, solve against a kernel or image basis through
-the lattice of the Smith form that gave it, decide image inside kernel
-from the target's relations and read surjectivity off a Smith form.
+the lattice of the form that gave it (over Z, for the maps f_n of
+`ker_coker_les`, the +-1 pivot form `_unit_form`), decide image inside
+kernel from the target's relations and read surjectivity off that form.
 They also read each complex's invariants first and present only its
 nonzero groups, over every ring; the cokernel's groups are those of the
 cone of the inclusion im f -> Y.  Two routes of `oracles` keep the
 earlier reads.  `PER_COLUMN_ROUTE` runs one `express` per generator, a
-solve against each kernel and image basis, a subgroup test for every
-image inside its kernel and a solve of f_n X = I.  `EVERY_GROUP_ROUTE`
+solve against each kernel and image basis (the library's bases, solved
+against by their own Smith forms), a subgroup test for every image
+inside its kernel and a solve of f_n X = I.  `EVERY_GROUP_ROUTE`
 presents every group and tests exactness at every position.  Whole
 reports must agree with both, groups, maps, positions, defects and
 witnesses included, on the fixture maps and multiples of an identity
@@ -84,8 +86,8 @@ def same_by_every_route(sequence, f, where):
 
 def change_of_generators(new, old):
     """P, the classes in `old` of the generators of `new`, checked to be an isomorphism by its inverse."""
-    p = _classes(old, new.group.generators)
-    q = _classes(new, old.group.generators)
+    p = _classes(old, new.gen_matrix)
+    q = _classes(new, old.gen_matrix)
     assert _in_relations(p @ q - Matrix.identity(INT, old.ngens), old.orders)
     assert _in_relations(q @ p - Matrix.identity(INT, new.ngens), new.orders)
     return p

@@ -119,6 +119,9 @@ def test_no_context_variables_or_module_state():
 # `_operation_rows` store the integer sums of a reduction's pivot
 # elimination: the reduced differentials and both maps, which `_reduced`
 # then passes through the checked `GradedComplex(...)` and `ComplexMap(...)`.
+# `_unit_form` stores the entries of a matrix's replayed pivot rows (the
+# rest it gives `snf`) and of the core's V placed in the matrix's columns;
+# its own certificate then checks the kernel and image it builds from them.
 TRUSTED_BUILD_CALLERS = {
     "matrix.py": {
         "Matrix.zeros", "Matrix.identity", "Matrix.__add__", "Matrix.__neg__", "Matrix.scale",
@@ -127,6 +130,7 @@ TRUSTED_BUILD_CALLERS = {
     "homology.py": {
         "snf", "_check_snf", "_dense_product", "_Lattice.coords", "_kernel_lattice", "_image", "_quotient_group_int",
         "_quotient_space_field.to_gens", "_unit_reduction", "_pivot_columns", "_operation_rows",
+        "_unit_form",
     },
     "cech.py": {
         "_Cochain.from_vector", "_Cochain.__add__", "_Cochain.__neg__", "_Cochain.zscale",

@@ -10,11 +10,9 @@ whose image complex cannot be read is refused on the command line too.
 """
 
 import random
-from types import SimpleNamespace
-
 import pytest
 
-from helpers import random_simplicial_map, random_vector
+from helpers import random_simplicial_map, random_vector, refuse_unit_form_reads
 from relcone import cli, homology
 from relcone.coeffs import INT, parse_ring
 from relcone.errors import InvalidChainMap, RelconeError
@@ -75,29 +73,23 @@ def test_a_zero_group_refuses_what_is_not_a_cycle(monkeypatch):
             if any(c.diff(n).apply(vec)):
                 refused += 1
                 with pytest.raises(InvalidChainMap, match=NOT_A_CYCLE):
-                    _classes(data, [vec])
+                    _classes(data, Matrix.column(c.ring, vec))
             else:
                 accepted += 1
-                assert _classes(data, [vec]) == Matrix.zeros(c.ring, 0, 1)
+                assert _classes(data, Matrix.column(c.ring, vec)) == Matrix.zeros(c.ring, 0, 1)
     assert refused > 100 and accepted > 100 and len(rings) == 3, (refused, accepted, rings)
-
-
-def refuse_every_image_read(monkeypatch):
-    """Make every coordinate read in the column span of a form fail."""
-    real = homology._image
-    monkeypatch.setattr(homology, "_image", lambda a, forms=None: (SimpleNamespace(coords=lambda x: None), real(a, forms)[1]))
 
 
 def test_an_image_that_cannot_be_read_is_refused(monkeypatch):
     f = chain_map(fixture_registry()["fix-d2"][1](), INT)
-    refuse_every_image_read(monkeypatch)
+    refuse_unit_form_reads(monkeypatch, "image")
     with pytest.raises(InvalidChainMap, match="image of f is not a subcomplex"):
         ker_coker_les(f)
 
 
 def test_an_image_that_cannot_be_read_exits_one_with_one_line(tmp_path, capsys, monkeypatch):
     assert cli.main(["fixtures", "emit", "--out", str(tmp_path)]) == 0
-    refuse_every_image_read(monkeypatch)
+    refuse_unit_form_reads(monkeypatch, "image")
     capsys.readouterr()
     assert cli.main(["kercoker", str(tmp_path / "fix-d2.json")]) == 1
     captured = capsys.readouterr()
